@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, Numerics, code_size
 from .errors import CapExceeded, EncodingFailure
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
@@ -57,8 +57,30 @@ def sample_classical_codebook(p_u: np.ndarray, sizes: tuple[int, int, int],
         raise CapExceeded(f"codebook entries {np.prod(sizes)} exceed cap")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = np.asarray(p_u, dtype=np.float64)
-    entries = rng.choice(len(p), size=(*sizes, n), p=p / p.sum())
+    if not (np.all(p >= 0.0) and p.sum() > 0.0):
+        raise ValueError("codeword distribution needs nonnegative entries and positive mass")
+    entries = _draw(p, rng, (*sizes, n))
     return ClassicalCodebook(entries, tuple(int(x) for x in sizes), int(n))
+
+
+def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
+    """Categorical draws by inverse CDF from one ``rng.random(shape)`` call.
+
+    ``p`` holds unnormalized distributions along its last axis and
+    broadcasts against ``shape`` (default: one draw per distribution).
+    The arithmetic is that of ``rng.choice(k, p=row / row.sum())``:
+    normalize, cumsum, divide by the last entry, count the entries <= u.
+    So the uniforms consumed and the indices returned are those of one
+    ``choice`` call per distribution in order, or of one ``choice(k,
+    size=shape)`` call for a single distribution.
+    """
+    cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(p.shape[:-1] if shape is None else shape)
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for i in range(cdf.shape[-1]):
+        idx += cdf[..., i] <= u
+    return idx
 
 
 def _bin_weights_likelihood(codebook: ClassicalCodebook, m: int,
@@ -115,10 +137,7 @@ def gp_encode(codebook: ClassicalCodebook, m: int, s_seq: np.ndarray,
     else:
         raise ValueError(f"unknown encoding mode {mode!r}")
 
-    u_seq = codebook.entries[j, k, m]
-    a_seq = np.array([rng.choice(policy.p_a_us.shape[2],
-                                 p=policy.p_a_us[u, s] / policy.p_a_us[u, s].sum())
-                      for u, s in zip(u_seq, s_seq)], dtype=np.intp)
+    a_seq = _draw(policy.p_a_us[codebook.entries[j, k, m], s_seq], rng)
     return int(j), int(k), a_seq
 
 
@@ -139,14 +158,9 @@ def _empirical_conditional_entropy(p_u_s: np.ndarray, s_seq: np.ndarray) -> floa
 def transmit(problem: ClassicalProblem, a_seq: np.ndarray, s_seq: np.ndarray,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample receiver and warden sequences through the channel law."""
-    nb, ne = problem.w.shape[2], problem.w.shape[3]
-    b_seq = np.empty(len(a_seq), dtype=np.intp)
-    e_seq = np.empty(len(a_seq), dtype=np.intp)
-    for t, (a, s) in enumerate(zip(a_seq, s_seq)):
-        joint = problem.w[a, s].ravel()
-        be = rng.choice(nb * ne, p=joint / joint.sum())
-        b_seq[t], e_seq[t] = divmod(int(be), ne)
-    return b_seq, e_seq
+    _, _, nb, ne = problem.w.shape
+    joint = problem.w[a_seq, s_seq].reshape(len(a_seq), nb * ne)
+    return np.divmod(_draw(joint, rng), ne)
 
 
 def receiver_likelihood(problem: ClassicalProblem, policy: AuxiliaryPolicy,
@@ -239,10 +253,15 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
 
 
 def _product_rows(rows: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-symbol distributions (rows of a matrix)."""
-    out = np.array([1.0])
-    for r in rows:
-        out = np.kron(out, r)
+    """Product distributions of a batch of per-symbol rows.
+
+    ``rows`` is (b, n, e); the result is (b, e^n) with the first symbol
+    most significant.  Each entry is the product 1*a_0*a_1*... taken in
+    symbol order.
+    """
+    out = np.ones((rows.shape[0], 1))
+    for t in range(rows.shape[1]):
+        out = (out[:, :, None] * rows[:, t, None, :]).reshape(rows.shape[0], -1)
     return out
 
 
@@ -253,7 +272,9 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
     """Exact induced warden distribution over E^n and its TV from q0^n.
 
     Sums over state sequences, messages, bin choices (with their exact
-    encoder probabilities), and the symbolwise input randomness.
+    encoder probabilities), and the symbolwise input randomness.  The
+    product distributions of the bins are built in chunks of at most
+    ``cfg.warden_cap`` floats.
     """
     n = codebook.n
     ns = problem.q_s.shape[0]
@@ -265,24 +286,25 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
 
     w_e_us = np.einsum("usa,ase->use", policy.p_a_us, problem.w_e())  # P(e|u,s)
     nj, nk, nm = codebook.sizes
+    chunk = max(1, cfg.warden_cap // ne ** n)
     p_hat = np.zeros(ne ** n)
-    for s_seq in product(range(ns), repeat=n):
-        q_seq = float(np.prod(problem.q_s[list(s_seq)]))
+    for s_tuple in product(range(ns), repeat=n):
+        s_seq = np.asarray(s_tuple, dtype=np.intp)
+        q_seq = float(np.prod(problem.q_s[s_seq]))
         if q_seq == 0.0:
             continue
         for m in range(nm):
-            w = _bin_weights_likelihood(codebook, m, np.asarray(s_seq), policy.p_u_s, p_u)
+            w = _bin_weights_likelihood(codebook, m, s_seq, policy.p_u_s, p_u)
             tot = float(w.sum())
             probs = (w / tot).ravel() if tot > 0 else np.full(nj * nk, 1.0 / (nj * nk))
-            for flat, pw in enumerate(probs):
-                if pw == 0.0:
-                    continue
-                j, k = divmod(flat, nk)
-                u_seq = codebook.entries[j, k, m]
-                rows = w_e_us[u_seq, list(s_seq)]
-                p_hat += (q_seq * pw / nm) * _product_rows(rows)
+            bins = np.flatnonzero(probs)
+            coef = q_seq * probs[bins] / nm
+            u_seqs = codebook.entries[:, :, m].reshape(nj * nk, n)[bins]
+            for lo in range(0, len(bins), chunk):
+                rows = w_e_us[u_seqs[lo:lo + chunk], s_seq]  # (chunk, n, E)
+                p_hat += coef[lo:lo + chunk] @ _product_rows(rows)
 
-    q0n = _product_rows(np.tile(problem.q0(), (n, 1)))
+    q0n = _product_rows(np.tile(problem.q0(), (1, n, 1)))[0]
     return {
         "distribution": p_hat,
         "tv_from_innocent": total_variation(p_hat, q0n),
@@ -322,19 +344,10 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     return {"bound": best, "alpha": best_alpha, "eigencount": v}
 
 
-def _digit_table(ne: int, n: int) -> np.ndarray:
-    """All length-n digit strings over an ne-ary alphabet, shape (ne^n, n)."""
-    return np.asarray(list(product(range(ne), repeat=n)), dtype=np.intp)
-
-
 def _codebook_divergence(u_matrix: np.ndarray, p_e_u: np.ndarray,
-                         q_n: np.ndarray, digits: np.ndarray) -> float:
+                         q_n: np.ndarray) -> float:
     """D(P_hat || q^n) for one codebook given as a (size, n) symbol matrix."""
-    size, n = u_matrix.shape
-    p = np.ones((size, digits.shape[0]))
-    for t in range(n):
-        p *= p_e_u[u_matrix[:, t]][:, digits[:, t]]
-    p_hat = p.mean(axis=0)
+    p_hat = _product_rows(p_e_u[u_matrix]).mean(axis=0)
     mask = p_hat > 0.0
     return float(np.sum(p_hat[mask] * np.log2(p_hat[mask] / q_n[mask])))
 
@@ -346,15 +359,19 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
 
     "exact" enumerates every codebook realization (capped); "mc" samples
     codebooks and reports the mean with its standard error, alongside the
-    closed-form bound.
+    closed-form bound.  The codebook size and |E|^n are checked against
+    ``cfg.codebook_cap`` and ``cfg.warden_cap`` before anything is built.
     """
     p_u = np.asarray(p_u, dtype=np.float64)
     p_e_u = np.asarray(p_e_u, dtype=np.float64)
     nu, ne = p_e_u.shape
-    size = max(1, int(2.0 ** (n * rate)))
-    q_n = _product_rows(np.tile(p_u @ p_e_u, (n, 1)))
+    size = code_size(n * rate)
+    if size > cfg.codebook_cap:
+        raise CapExceeded(f"{size} codewords exceed cap {cfg.codebook_cap}")
+    if ne ** n > cfg.warden_cap:
+        raise CapExceeded(f"|E|^n = {ne ** n} exceeds cap {cfg.warden_cap}")
+    q_n = _product_rows(np.tile(p_u @ p_e_u, (1, n, 1)))[0]
 
-    digits = _digit_table(ne, n)
     out = {"codewords": size, "n": n, "rate": rate}
     out.update(classical_resolvability_bound(p_u, p_e_u, rate, n, cfg=cfg))
 
@@ -368,7 +385,7 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
             weight = float(np.prod(p_u[list(assignment)]))
             if weight == 0.0:
                 continue
-            total += weight * _codebook_divergence(u_matrix, p_e_u, q_n, digits)
+            total += weight * _codebook_divergence(u_matrix, p_e_u, q_n)
         out.update({"estimate": total, "std_error": 0.0, "mode": "exact"})
         return out
 
@@ -380,7 +397,7 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
     vals = []
     for _ in range(trials):
         u_matrix = rng.choice(nu, size=(size, n), p=p_u / p_u.sum())
-        vals.append(_codebook_divergence(u_matrix, p_e_u, q_n, digits))
+        vals.append(_codebook_divergence(u_matrix, p_e_u, q_n))
     mean = math.fsum(vals) / trials
     var = math.fsum((v - mean) ** 2 for v in vals) / (trials - 1)
     out.update({"estimate": mean, "std_error": math.sqrt(var / trials),

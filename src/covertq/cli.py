@@ -21,6 +21,7 @@ from .classical import (
     resolvability_oracle,
     sample_classical_codebook,
 )
+from .config import code_size
 from .divergences import (
     fidelity,
     purified_distance,
@@ -319,9 +320,8 @@ def _warden_rows(spec: SpecFile) -> np.ndarray:
 
 
 def _sizes_from_rates(rates: dict, n: int) -> tuple[int, int, int]:
-    return (max(1, int(2.0 ** (n * float(rates.get("R_J", 0.0))))),
-            max(1, int(2.0 ** (n * float(rates.get("R_K", 0.0))))),
-            max(1, int(2.0 ** (n * float(rates.get("R", 0.0))))))
+    return tuple(code_size(n * float(rates.get(name, 0.0)))
+                 for name in ("R_J", "R_K", "R"))
 
 
 def cmd_verify(args) -> int:

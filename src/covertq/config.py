@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace, fields
 
+from .errors import CapExceeded
+
 
 @dataclass(frozen=True)
 class Numerics:
@@ -41,3 +43,15 @@ class Numerics:
 
 
 DEFAULT = Numerics()
+
+
+def code_size(bits: float) -> int:
+    """Code size floor(2^bits), at least 1.
+
+    Raises :class:`CapExceeded` when 2^bits overflows a float, so an
+    absurd rate ends with the cap exit code instead of a traceback.
+    """
+    try:
+        return max(1, int(2.0 ** bits))
+    except OverflowError:
+        raise CapExceeded(f"code size 2^{bits:g} exceeds every cap") from None

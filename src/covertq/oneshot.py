@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, Numerics, code_size
 from .divergences import (
     DivergenceValue,
     cq_sandwiched_renyi,
@@ -75,9 +75,7 @@ class ProtocolRates:
 
     def sizes(self) -> tuple[int, int, int]:
         """Floor code sizes (|J|, |K|, |M|)."""
-        return (max(1, int(2.0 ** self.R_J)),
-                max(1, int(2.0 ** self.R_K)),
-                max(1, int(2.0 ** self.R)))
+        return code_size(self.R_J), code_size(self.R_K), code_size(self.R)
 
 
 @dataclass(eq=False)

@@ -29,23 +29,29 @@ __all__ = ["run_suite", "SUITES"]
 
 
 class _Tally:
+    """Pass and failure counts of one suite; keeps the first 10 failure details."""
+
+    max_details = 10
+
     def __init__(self, name: str):
         self.name = name
         self.passes = 0
-        self.failures: list[str] = []
+        self.failures = 0
+        self.details: list[str] = []
 
     def check(self, ok: bool, detail: str):
         if ok:
             self.passes += 1
-        elif len(self.failures) < 10:
-            self.failures.append(detail)
-        else:
-            self.failures.append("...")
+            return
+        self.failures += 1
+        if self.failures <= self.max_details:
+            self.details.append(detail)
+        elif self.failures == self.max_details + 1:
+            self.details.append("...")
 
     def result(self) -> dict:
         return {"suite": self.name, "passes": self.passes,
-                "failures": len([f for f in self.failures if f != "..."]),
-                "details": self.failures}
+                "failures": self.failures, "details": self.details}
 
 
 def suite_pinching(seed: int, cases: int = 200, cfg: Numerics = DEFAULT) -> dict:

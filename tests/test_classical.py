@@ -1,8 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conftest import rng_for
+from covertq import classical
 from covertq.classical import (
+    ClassicalCodebook,
     classical_resolvability_bound,
     end_to_end_error,
     exact_warden_distribution,
@@ -264,3 +268,177 @@ def test_end_to_end_error_improves_with_blocklength():
                                receiver_csi=True, cfg=cfg)
         errs.append(res["error_rate"])
     assert errs[1] < errs[0]
+
+
+# ---------------------------------------------------------------------------
+# Vectorised paths against the per-bin / per-symbol loops they replaced.  The
+# loops are kept here as the reference.
+
+def _warden_reference(codebook, problem, policy, p_u):
+    """Per-bin np.kron loop over every (state sequence, message, bin)."""
+    n = codebook.n
+    ns, ne = problem.q_s.shape[0], problem.w.shape[3]
+    w_e_us = np.einsum("usa,ase->use", policy.p_a_us, problem.w_e())
+    nj, nk, nm = codebook.sizes
+    p_hat = np.zeros(ne ** n)
+    for s_seq in product(range(ns), repeat=n):
+        q_seq = float(np.prod(problem.q_s[list(s_seq)]))
+        if q_seq == 0.0:
+            continue
+        for m in range(nm):
+            w = classical._bin_weights_likelihood(codebook, m, s_seq, policy.p_u_s, p_u)
+            tot = float(w.sum())
+            probs = (w / tot).ravel() if tot > 0 else np.full(nj * nk, 1.0 / (nj * nk))
+            for flat, pw in enumerate(probs):
+                if pw == 0.0:
+                    continue
+                j, k = divmod(flat, nk)
+                out = np.array([1.0])
+                for r in w_e_us[codebook.entries[j, k, m], list(s_seq)]:
+                    out = np.kron(out, r)
+                p_hat += (q_seq * pw / nm) * out
+    return p_hat
+
+
+def _choice_loop(rows, rng, shape=None):
+    """One rng.choice call per row, as gp_encode and transmit drew symbols
+    (or one sized call for a single distribution, as codebooks were drawn)."""
+    if shape is not None:
+        return rng.choice(len(rows), size=shape, p=rows / rows.sum())
+    return np.array([rng.choice(len(r), p=r / r.sum()) for r in rows], dtype=np.intp)
+
+
+def _random_instance(rng, na=2, ns=2, nb=2, ne=2, nu=3, sparse=False):
+    w = rng.dirichlet(np.ones(nb * ne), size=(na, ns)).reshape(na, ns, nb, ne)
+    p_u_s = rng.dirichlet(np.ones(nu), size=ns)
+    if sparse:  # zero P(u|s) entries make some bin weights vanish
+        p_u_s[rng.random(p_u_s.shape) < 0.4] = 0.0
+        p_u_s[np.arange(ns), rng.integers(nu, size=ns)] += 0.1
+        p_u_s /= p_u_s.sum(axis=1, keepdims=True)
+    prob = ClassicalProblem(rng.dirichlet(np.ones(ns)), w, x0=0)
+    pol = AuxiliaryPolicy(p_u_s, rng.dirichlet(np.ones(na), size=(nu, ns)))
+    return prob, pol, prob.q_s @ pol.p_u_s
+
+
+# max abs error of float64 sums of at most a few hundred terms of size <= 1
+WARDEN_TOL = 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_warden_matches_kron_loop(seed):
+    rng = rng_for(500 + seed)
+    prob, pol, p_u = _random_instance(rng, na=2 + seed % 2, ne=2 + seed % 2,
+                                      nu=2 + seed % 3, sparse=seed % 2 == 0)
+    n = 3 + seed % 2
+    cb = sample_classical_codebook(p_u, (2 + seed % 3, 2, 1 + seed % 2), n, seed=seed)
+    ref = _warden_reference(cb, prob, pol, p_u)
+    res = exact_warden_distribution(cb, prob, pol, p_u)
+    assert np.max(np.abs(res["distribution"] - ref)) <= WARDEN_TOL
+    q0n = classical._product_rows(np.tile(prob.q0(), (1, n, 1)))[0]
+    assert abs(res["tv_from_innocent"] - total_variation(ref, q0n)) <= WARDEN_TOL
+
+
+def test_exact_warden_uniform_fallback_matches_kron_loop():
+    # the state is always 1 and every codeword symbol is 0, which the
+    # stacked policy never emits in state 1: every bin weight is zero
+    w = xor_problem().w
+    prob = ClassicalProblem([0.0, 1.0], w, x0=0)
+    pol = stacked_policy()
+    p_u = prob.q_s @ pol.p_u_s
+    cb = ClassicalCodebook(np.zeros((3, 2, 2, 4), dtype=np.intp), (3, 2, 2), 4)
+    assert classical._bin_weights_likelihood(cb, 0, np.ones(4, dtype=np.intp),
+                                             pol.p_u_s, p_u).sum() == 0.0
+    res = exact_warden_distribution(cb, prob, pol, p_u)
+    ref = _warden_reference(cb, prob, pol, p_u)
+    assert np.max(np.abs(res["distribution"] - ref)) <= WARDEN_TOL
+    assert res["total_mass"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_warden_chunked_matches_kron_loop():
+    rng = rng_for(520)
+    prob, pol, p_u = _random_instance(rng, ne=3)
+    n = 3
+    cb = sample_classical_codebook(p_u, (5, 3, 2), n, seed=7)
+    cfg = DEFAULT.replaced(warden_cap=2 * 3 ** n)  # 15 bins in chunks of 2
+    res = exact_warden_distribution(cb, prob, pol, p_u, cfg=cfg)
+    ref = _warden_reference(cb, prob, pol, p_u)
+    assert np.max(np.abs(res["distribution"] - ref)) <= WARDEN_TOL
+    whole = exact_warden_distribution(cb, prob, pol, p_u)
+    assert np.max(np.abs(res["distribution"] - whole["distribution"])) <= WARDEN_TOL
+
+
+def test_draw_matches_choice():
+    rng = rng_for(530)
+    for k in (1, 2, 3, 7, 9, 16, 25):
+        rows = rng.dirichlet(np.ones(k), size=200)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[:, 0] += 1e-3  # keep every row nonzero
+        a, b = rng_for(k), rng_for(k)
+        assert np.array_equal(classical._draw(rows, a), _choice_loop(rows, b))
+        assert a.random() == b.random()
+        a, b = rng_for(k), rng_for(k)
+        assert np.array_equal(classical._draw(rows[0], a, (3, 40, 2, 5)),
+                              _choice_loop(rows[0], b, (3, 40, 2, 5)))
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("mode", ["likelihood", "typicality"])
+def test_codebook_and_symbol_draws_match_choice_loop(mode, monkeypatch):
+    prob, pol, p_u = _random_instance(rng_for(540), na=3, nb=3, ne=2, nu=4)
+    vectorised, looped = [], []
+    for out, patch in ((vectorised, False), (looped, True)):
+        if patch:
+            monkeypatch.setattr(classical, "_draw", _choice_loop)
+        rng = rng_for(541)
+        for trial in range(40):
+            # n = 0 draws nothing; the typicality window needs n >= 1
+            n = trial % 7 if mode == "likelihood" else 1 + trial % 6
+            cb = sample_classical_codebook(p_u, (4, 4, 2), n, rng)
+            s_seq = rng.choice(2, size=n, p=prob.q_s)
+            try:
+                j, k, a_seq = gp_encode(cb, trial % 2, s_seq, pol, p_u, rng, mode, eps=1.0)
+            except EncodingFailure:
+                out.append(None)
+                continue
+            b_seq, e_seq = transmit(prob, a_seq, s_seq, rng)
+            out.append((j, k, a_seq.tolist(), b_seq.tolist(), e_seq.tolist()))
+        out.append(rng.random())
+    assert vectorised == looped
+    assert any(o is not None for o in vectorised[:-1])
+
+
+def test_codebook_divergence_matches_digit_loop():
+    rng = rng_for(550)
+    p_e_u = rng.dirichlet(np.ones(3), size=4)
+    n = 4
+    q = rng.dirichlet(np.ones(3))
+    q_n = classical._product_rows(np.tile(q, (1, n, 1)))[0]
+    q_kron = np.array([1.0])
+    for _ in range(n):
+        q_kron = np.kron(q_kron, q)
+    assert np.array_equal(q_n, q_kron)
+    u_matrix = rng.integers(4, size=(6, n))
+    digits = np.asarray(list(product(range(3), repeat=n)), dtype=np.intp)
+    p = np.ones((6, digits.shape[0]))
+    for t in range(n):
+        p *= p_e_u[u_matrix[:, t]][:, digits[:, t]]
+    p_hat = p.mean(axis=0)
+    ref = float(np.sum(p_hat * np.log2(p_hat / q_n)))
+    assert classical._codebook_divergence(u_matrix, p_e_u, q_n) == ref
+
+
+# ---------------------------------------------------------------------------
+# Size caps are checked before anything is allocated.
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_resolvability_caps_checked_first(mode):
+    p_u = np.array([0.5, 0.5])
+    p_e_u = np.array([[0.9, 0.1], [0.6, 0.4]])
+    with pytest.raises(CapExceeded, match="codewords"):
+        resolvability_oracle(p_u, p_e_u, rate=1.0, n=4, mode=mode,
+                             cfg=DEFAULT.replaced(codebook_cap=8))
+    with pytest.raises(CapExceeded, match=r"\|E\|\^n"):
+        resolvability_oracle(p_u, p_e_u, rate=0.25, n=4, mode=mode,
+                             cfg=DEFAULT.replaced(warden_cap=8))
+    with pytest.raises(CapExceeded):
+        resolvability_oracle(p_u, p_e_u, rate=5000.0, n=7, mode=mode)

@@ -168,6 +168,21 @@ def test_simulate_classical(capsys):
         doc["results"]["resolvability"]["bound"] + 1e-9
 
 
+@pytest.mark.parametrize("rates", [{"R_K": 5000.0}, {"R": 3.0}])
+def test_simulate_classical_caps_exit_5(rates, tmp_path, capsys):
+    # 2^(7*5000) overflows a float; 2^21 message codewords exceed codebook_cap
+    with open(CLASSICAL) as fh:
+        doc = json.load(fh)
+    doc["run"]["blocklength"] = 7
+    doc["rates"].update(rates)
+    spec = tmp_path / "capped.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "simulate", "--spec", str(spec),
+                           "--target", "classical", "--trials", "30")
+    assert code == 5
+    assert "cap" in err
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "fm", "--seed", "2")
     assert code == 0

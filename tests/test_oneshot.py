@@ -5,7 +5,7 @@ import pytest
 
 from conftest import diag_state, rng_for
 from covertq.divergences import cq_sandwiched_renyi
-from covertq.errors import CsiMismatch, EmptyFeasibleSet
+from covertq.errors import CapExceeded, CsiMismatch, EmptyFeasibleSet
 from covertq.oneshot import (
     BoundReport,
     ProtocolRates,
@@ -40,6 +40,8 @@ def test_rates_validation():
     with pytest.raises(ValueError):
         ProtocolRates(R=0, R_K=0, R_J=0, alpha=0.0)
     assert ProtocolRates(R=1.5, R_K=0, R_J=0.5, alpha=0.25).sizes() == (1, 1, 2)
+    with pytest.raises(CapExceeded):
+        ProtocolRates(R=0, R_K=5000, R_J=0, alpha=0.25).sizes()
 
 
 def test_error_bound_large_randomness_kills_first_term(fixture_instance):
