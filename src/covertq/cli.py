@@ -34,7 +34,6 @@ from .errors import (
     CovertInfeasible,
     CovertqError,
     DimMismatch,
-    NoConvergence,
     NotADistribution,
     NotHermitian,
     NotPSD,
@@ -274,7 +273,7 @@ def cmd_simulate(args) -> int:
         policy = _need(spec, "policy", "auxiliary policy")
         rates = spec.rates
         rate = float(rates.get("R", 0.5))
-        n = int(spec.run.get("blocklength", 4))
+        n = spec.run.get("blocklength", 4)
         res = resolvability_oracle(problem.q_s @ policy.p_u_s,
                                    _warden_rows(spec), rate, n,
                                    mode="mc", trials=trials, seed=seed, cfg=cfg)
@@ -413,7 +412,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DimMismatch, NotHermitian, NotPSD, NotADistribution, NoConvergence,
+    except (DimMismatch, NotHermitian, NotPSD, NotADistribution,
             OrderOutOfRange, SupportViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMS

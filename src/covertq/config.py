@@ -25,7 +25,6 @@ class Numerics:
     csi_tol: float = 1e-8            # trace-distance slack for CSI consistency
     covert_tol: float = 1e-6         # trace-distance / TV slack for covertness feasibility
     povm_tol: float = 1e-8           # completeness slack for decoder POVMs
-    eig_sweeps: int = 100            # Jacobi sweep cap
     codebook_cap: int = 4096         # max number of codebook entries
     warden_cap: int = 65536          # max |E|^n for exact warden distributions
     exact_resolvability_cap: int = 10**6  # max codebook configurations enumerated exactly

@@ -67,20 +67,23 @@ def trace_distance(rho, sigma, cfg: Numerics = DEFAULT) -> float:
     return trace_norm(r - s, cfg)
 
 
-def fidelity(rho, sigma, cfg: Numerics = DEFAULT) -> float:
+def fidelity(rho, sigma, cfg: Numerics = DEFAULT):
     """tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
     Eigenvalues below the relative support cutoff are dropped before the
     square root; rounding junk at +1e-16 would otherwise contribute 1e-8
-    each.
+    each.  Stacks ``(..., d, d)`` broadcast against each other and give an
+    array of fidelities; the root is taken once per matrix of ``rho``.
     """
-    r, s = _check_dims(rho, sigma)
+    r, s = _mat(rho), _mat(sigma)
+    if r.shape[-2:] != s.shape[-2:]:
+        raise DimMismatch(f"state dims differ: {r.shape} vs {s.shape}")
     root = mat_fn(r, math.sqrt, cfg=cfg)
     inner = root @ s @ root
     w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
-    cut = cfg.support_tol * float(np.max(np.abs(w), initial=0.0))
-    f = float(np.sum(np.sqrt(w[w > cut])))
-    return min(max(f, 0.0), 1.0)
+    cut = cfg.support_tol * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    f = np.clip(np.sum(np.sqrt(np.where(w > cut, w, 0.0)), axis=-1), 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def purified_distance(rho, sigma, cfg: Numerics = DEFAULT) -> float:

@@ -13,10 +13,6 @@ class NotPSD(CovertqError):
     """Input matrix has a negative eigenvalue beyond tolerance."""
 
 
-class NoConvergence(CovertqError):
-    """Iterative eigensolver exceeded its sweep cap."""
-
-
 class DimMismatch(CovertqError):
     """Operand dimensions are inconsistent."""
 

@@ -171,19 +171,34 @@ def uhlmann_penalty(codebook: Codebook, m: int, rho_s: DensityMatrix,
     return min(1.0, max(0.0, 1.0 - f * f))
 
 
-def _key_blocks(codebook: Codebook, e_conditionals: list[np.ndarray]) -> list[np.ndarray]:
+def _warden_blocks(codebook: Codebook,
+                   e_conditionals) -> tuple[np.ndarray, np.ndarray]:
+    """Key blocks ``(nk, d, d)`` and message-key blocks ``(nk*nm, d, d)`` of
+    the induced warden state.
+
+    A key block averages the codeword outputs over (j, m), a message-key
+    block over j; both sum in the j-major order of the codebook.
+    """
     nj, nk, nm = codebook.sizes
-    return [_mean_state([e_conditionals[int(codebook.entries[j, k, m])]
-                         for j in range(nj) for m in range(nm)])
-            for k in range(nk)]
+    outs = np.asarray(e_conditionals)[codebook.entries]  # (nj, nk, nm, d, d)
+    d = outs.shape[-1]
+    key = outs.swapaxes(0, 1).reshape(nk, nj * nm, d, d).sum(axis=1) / (nj * nm)
+    message_key = outs.sum(axis=0).reshape(nk * nm, d, d) / nj
+    return key, message_key
 
 
-def _message_key_blocks(codebook: Codebook,
-                        e_conditionals: list[np.ndarray]) -> list[np.ndarray]:
-    nj, nk, nm = codebook.sizes
-    return [_mean_state([e_conditionals[int(codebook.entries[j, k, m])]
-                         for j in range(nj)])
-            for k in range(nk) for m in range(nm)]
+def _mode_blocks(codebook: Codebook, e_conditionals, mode: str) -> np.ndarray:
+    if mode not in ("cc_csk", "csc_csk"):
+        raise ValueError(f"unknown mode {mode!r}")
+    key, message_key = _warden_blocks(codebook, e_conditionals)
+    return key if mode == "cc_csk" else message_key
+
+
+def _p2(fids: np.ndarray) -> float:
+    """Squared purified distance from the blockwise fidelities, by the
+    direct-sum property of fidelity over the classical blocks."""
+    f = float(np.mean(fids))
+    return min(1.0, max(0.0, 1.0 - f * f))
 
 
 def covert_distance(codebook: Codebook, e_conditionals: list[np.ndarray],
@@ -195,14 +210,8 @@ def covert_distance(codebook: Codebook, e_conditionals: list[np.ndarray],
     indices (key only for "cc_csk", message and key for "csc_csk"), so the
     distance is the average of blockwise trace norms.
     """
-    if mode == "cc_csk":
-        blocks = _key_blocks(codebook, e_conditionals)
-    elif mode == "csc_csk":
-        blocks = _message_key_blocks(codebook, e_conditionals)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    dists = [trace_norm(blk - target.matrix, cfg) for blk in blocks]
-    return float(np.mean(dists))
+    blocks = _mode_blocks(codebook, e_conditionals, mode)
+    return float(np.mean(trace_norm(blocks - target.matrix, cfg)))
 
 
 def covert_p2(codebook: Codebook, e_conditionals: list[np.ndarray],
@@ -212,15 +221,7 @@ def covert_p2(codebook: Codebook, e_conditionals: list[np.ndarray],
 
     Uses the direct-sum property of fidelity over the classical blocks.
     """
-    if mode == "cc_csk":
-        blocks = _key_blocks(codebook, e_conditionals)
-    elif mode == "csc_csk":
-        blocks = _message_key_blocks(codebook, e_conditionals)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    f = float(np.mean([fidelity(DensityMatrix(blk, validate=False), target, cfg)
-                       for blk in blocks]))
-    return min(1.0, max(0.0, 1.0 - f * f))
+    return _p2(fidelity(_mode_blocks(codebook, e_conditionals, mode), target, cfg))
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,9 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     covert_applicable = trace_distance(st.rho_e, rho0, cfg) <= cfg.covert_tol
 
     b_conds = [c.matrix for c in st.cq_ub.conditionals]
-    e_conds = [c.matrix for c in st.cq_ue.conditionals]
+    e_stack = np.stack([c.matrix for c in st.cq_ue.conditionals])
+    # Fidelity targets: the induced warden marginal, then the innocent output.
+    targets = np.stack([st.rho_e.matrix, rho0.matrix])[:, None]
     s_conds = [c.matrix for c in st.cq_us.conditionals]
     blocks = decoder_projector_blocks(st.cq_ub, effective.total, st.rho_b, cfg)
 
@@ -312,15 +315,20 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         samples["ideal_error"].append(err)
         samples["penalty_p2"].append(pen)
         samples["split_lhs"].append(2.0 * err + 2.0 * pen)
-        samples["key_p2"].append(covert_p2(cb, e_conds, st.rho_e, "cc_csk", cfg))
-        samples["message_key_p2"].append(covert_p2(cb, e_conds, st.rho_e, "csc_csk", cfg))
-        d_key = covert_distance(cb, e_conds, rho0, "cc_csk", cfg)
-        d_mk = covert_distance(cb, e_conds, rho0, "csc_csk", cfg)
+        key, message_key = _warden_blocks(cb, e_stack)
+        nk_blocks = len(key)
+        warden = np.concatenate([key, message_key])
+        fids = fidelity(warden, targets, cfg)  # (2, blocks)
+        dists = trace_norm(warden - rho0.matrix, cfg)
+        samples["key_p2"].append(_p2(fids[0, :nk_blocks]))
+        samples["message_key_p2"].append(_p2(fids[0, nk_blocks:]))
+        d_key = float(np.mean(dists[:nk_blocks]))
+        d_mk = float(np.mean(dists[nk_blocks:]))
         samples["key_trace"].append(d_key)
         samples["message_key_trace"].append(d_mk)
         # Trace distance never exceeds twice the purified distance.
-        p2_key0 = covert_p2(cb, e_conds, rho0, "cc_csk", cfg)
-        p2_mk0 = covert_p2(cb, e_conds, rho0, "csc_csk", cfg)
+        p2_key0 = _p2(fids[1, :nk_blocks])
+        p2_mk0 = _p2(fids[1, nk_blocks:])
         if (d_key > 2.0 * math.sqrt(p2_key0) + 1e-9
                 or d_mk > 2.0 * math.sqrt(p2_mk0) + 1e-9):
             pair_ok = False

@@ -29,6 +29,7 @@ from .errors import (
     DimMismatch,
     NotADistribution,
 )
+from .linalg import require_finite
 from .oneshot import induced_states
 from .states import (
     CQState,
@@ -84,6 +85,8 @@ class ClassicalProblem:
             raise NotADistribution("channel table must have axes (A, S, B, E)")
         if q_s.ndim != 1 or q_s.shape[0] != w.shape[1]:
             raise NotADistribution("state distribution length must match channel S axis")
+        require_finite(q_s, "state distribution", NotADistribution)
+        require_finite(w, "channel table", NotADistribution)
         if np.any(q_s < -cfg.prob_tol) or abs(float(q_s.sum()) - 1.0) > cfg.prob_tol:
             raise NotADistribution("state distribution is not a distribution")
         rows = w.sum(axis=(2, 3))
@@ -131,6 +134,7 @@ class AuxiliaryPolicy:
         if p_u_s.shape[1] != p_a_us.shape[0] or p_u_s.shape[0] != p_a_us.shape[1]:
             raise DimMismatch("policy table shapes disagree on U or S")
         for t, name in ((p_u_s, "P(u|s)"), (p_a_us, "P(a|u,s)")):
+            require_finite(t, name, NotADistribution)
             if np.any(t < -cfg.prob_tol):
                 raise NotADistribution(f"{name} has negative entries")
             if np.max(np.abs(t.sum(axis=-1) - 1.0)) > 1e-9:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Numerics
-from .errors import ParseError
+from .errors import CovertqError, ParseError
 from .oneshot import ProtocolRates
 from .regions import AuxiliaryPolicy, ClassicalProblem
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
@@ -132,6 +132,8 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
             "classical spec needs 'q_s', 'channel', 'x0'")
     try:
         out["problem"] = ClassicalProblem(doc["q_s"], doc["channel"], doc["x0"], cfg)
+    except CovertqError as exc:  # a well-formed but invalid table
+        raise type(exc)(f"{path}:channel: {exc}") from exc
     except Exception as exc:
         raise ParseError(f"{path}:channel: {exc}") from exc
     if "policy" in doc:
@@ -140,6 +142,8 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
                 f"{path}:policy", "needs 'p_u_s' and 'p_a_us'")
         try:
             out["policy"] = AuxiliaryPolicy(pol["p_u_s"], pol["p_a_us"], cfg)
+        except CovertqError as exc:
+            raise type(exc)(f"{path}:policy: {exc}") from exc
         except Exception as exc:
             raise ParseError(f"{path}:policy: {exc}") from exc
     return out
@@ -171,9 +175,17 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}:numerics: {exc}") from exc
 
+    rates, run = doc.get("rates", {}), doc.get("run", {})
+    _expect(isinstance(rates, dict), f"{path}:rates", "must be an object")
+    _expect(isinstance(run, dict), f"{path}:run", "must be an object")
+    if "blocklength" in run:
+        n = run["blocklength"]
+        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+                f"{path}:run.blocklength", f"must be an integer >= 1, got {n!r}")
+
     parsed = (_parse_quantum if kind == "quantum" else _parse_classical)(doc, cfg, path)
-    return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path,
-                    rates=doc.get("rates", {}), run=doc.get("run", {}), **parsed)
+    return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=rates, run=run,
+                    **parsed)
 
 
 # ---------------------------------------------------------------------------

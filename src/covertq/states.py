@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Numerics
-from .errors import DimMismatch, NotPSD
+from .errors import DimMismatch, NotADistribution, NotPSD
 from .linalg import (
     dagger,
     eigvals_hermitian,
     partial_trace,
+    require_finite,
     require_hermitian,
     tensor,
     trace_norm,
@@ -143,6 +144,7 @@ class CQState:
         if validate:
             if not (len(labels) == probs.shape[0] == len(conditionals)):
                 raise DimMismatch("labels, probs, conditionals must have equal length")
+            require_finite(probs, "ensemble probabilities", NotADistribution)
             if np.any(probs < -cfg.prob_tol):
                 raise NotPSD(f"negative probability {probs.min()}")
             if abs(float(probs.sum()) - 1.0) > cfg.prob_tol:
@@ -218,6 +220,7 @@ class QuantumChannel:
         if any(k.shape != (d_out, d_in) for k in kraus):
             raise DimMismatch("Kraus operators have inconsistent shapes")
         if validate:
+            require_finite(np.asarray(kraus), "Kraus operators", NotPSD)
             acc = np.zeros((d_in, d_in), dtype=np.complex128)
             for k in kraus:
                 acc += dagger(k) @ k

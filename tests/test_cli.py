@@ -223,3 +223,95 @@ def test_region_corollaries(capsys):
     res = json.loads(out)["results"]
     assert {"R_CC", "R_CSK", "R_CSC"} <= set(res)
     assert res["R_CSC"] <= min(res["R_CC"], res["R_CSK"]) + 1e-12
+
+
+def _mutated_spec(tmp_path, fixture, mutate) -> str:
+    with open(fixture) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))  # NaN and inf as JSON's NaN / Infinity
+    return str(path)
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("path", [("q_s", 0), ("channel", 0, 0, 0, 0),
+                                  ("policy", "p_u_s", 0, 0), ("policy", "p_a_us", 0, 0, 1)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_classical_table_exit_3(path, bad, tmp_path, capsys):
+    # comparisons such as abs(sum - 1) > tol pass for NaN
+    spec = _mutated_spec(tmp_path, CLASSICAL, _set(path, bad))
+    code, out, err = run_cli(capsys, "region", "--spec", spec, "--which", "thm3")
+    assert code == 3 and out == ""
+    assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocklength", [0, -1, 2.5, True])
+def test_blocklength_validated_at_parse(blocklength, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, CLASSICAL, _set(("run", "blocklength"), blocklength))
+    code, _, err = run_cli(capsys, "simulate", "--spec", spec, "--target", "classical",
+                           "--trials", "30")
+    assert code == 2
+    assert "run.blocklength" in err
+
+
+def test_run_and_rates_must_be_objects(tmp_path, capsys):
+    for key in ("run", "rates"):
+        spec = _mutated_spec(tmp_path, QUBIT, _set((key,), [1]))
+        code, _, err = run_cli(capsys, "simulate", "--spec", spec, "--target", "quantum",
+                               "--trials", "30")
+        assert code == 2 and f":{key}" in err
+
+
+def test_removed_eig_sweeps_key_is_a_parse_error(tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, DIAG, _set(("numerics",), {"eig_sweeps": 100}))
+    code, _, err = run_cli(capsys, "divergence", "--spec", spec, "--measure", "trace",
+                           "--a", "rho", "--b", "sigma")
+    assert code == 2
+    assert "eig_sweeps" in err
+
+
+QUANTUM_NODES = [
+    (DIAG, ("states", "rho"), [("divergence", "--measure", m, "--a", "rho", "--b", "sigma")
+                              for m in ("trace", "fidelity", "relent")]),
+    (QUBIT, ("ensemble", "conditionals", 0), [("bound", "--which", "thm1"),
+                                              ("simulate", "--target", "quantum",
+                                               "--trials", "30")]),
+    (QUBIT, ("innocent",), [("bound", "--which", "thm1")]),
+    (QUBIT, ("csi",), [("simulate", "--target", "quantum", "--trials", "30")]),
+]
+
+
+@pytest.mark.parametrize("fixture,node,commands", QUANTUM_NODES,
+                         ids=["diag.rho", "cnot.conditional", "cnot.innocent", "cnot.csi"])
+@pytest.mark.parametrize("pos", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_quantum_state_exit_3(fixture, node, commands, pos, bad,
+                                         tmp_path, capsys):
+    def mutate(doc):
+        target = doc
+        for key in node:
+            target = target[key]
+        target["re"][pos[0]][pos[1]] = bad
+    spec = _mutated_spec(tmp_path, fixture, mutate)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, "--spec", spec)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", [("ensemble", "probs", 0),
+                                  ("channel", "kraus", 0, "re", 0, 1)])
+def test_non_finite_quantum_tables_exit_3(path, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(path, math.nan))
+    code, _, err = run_cli(capsys, "bound", "--spec", spec, "--which", "thm1")
+    assert code == 3
+    assert "non-finite" in err

@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import rng_for
+from covertq import pinching
 from covertq.errors import DimMismatch, NotHermitian, NotPSD
 from covertq.linalg import (
+    Spectrum,
     dagger,
     eig_hermitian,
     eigvals_hermitian,
@@ -15,7 +20,135 @@ from covertq.linalg import (
     tensor,
     trace_norm,
 )
-from covertq.sampling import random_hermitian
+from covertq.sampling import random_hermitian, random_unitary
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures")
+
+
+# ---------------------------------------------------------------------------
+# Reference: the cyclic Jacobi solver that eig_hermitian replaced
+
+def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
+    """Annihilate a[p, q] with a complex plane rotation, updating a and v."""
+    apq = a[p, q]
+    r = abs(apq)
+    w = apq / r  # unit phase
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0)) if tau != 0.0 else 1.0
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    s = t * c
+    sw = s * w
+    swc = s * w.conjugate()
+
+    colp = a[:, p].copy()
+    colq = a[:, q].copy()
+    a[:, p] = c * colp - swc * colq
+    a[:, q] = sw * colp + c * colq
+    rowp = a[p, :].copy()
+    rowq = a[q, :].copy()
+    a[p, :] = c * rowp - sw * rowq
+    a[q, :] = swc * rowp + c * rowq
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+    colp = v[:, p].copy()
+    colq = v[:, q].copy()
+    v[:, p] = c * colp - swc * colq
+    v[:, q] = sw * colp + c * colq
+
+
+def _offdiag_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+
+
+def jacobi_eig(m: np.ndarray, cfg=None, sweeps: int = 100) -> Spectrum:
+    """Cyclic Jacobi eigendecomposition, ascending (the former solver)."""
+    a = np.asarray(m, dtype=np.complex128)
+    a = 0.5 * (a + dagger(a))
+    np.fill_diagonal(a, np.diag(a).real)
+    n = a.shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    if n == 1:
+        return Spectrum(np.array([a[0, 0].real]), v)
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return Spectrum(np.zeros(n), v)
+    stop = 1e-14 * scale
+    skip = 1e-18 * scale
+    for _ in range(sweeps):
+        if _offdiag_norm(a) <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) > skip:
+                    _jacobi_rotate(a, v, p, q)
+    assert _offdiag_norm(a) <= stop, "reference Jacobi did not converge"
+    w = np.diag(a).real.copy()
+    order = np.argsort(w, kind="stable")
+    return Spectrum(w[order], np.ascontiguousarray(v[:, order]))
+
+
+def _eigenspace_projectors(spec: Spectrum) -> list[np.ndarray]:
+    """Projectors onto groups of near-equal eigenvalues (basis-free)."""
+    v = spec.eigenvectors
+    return [v[:, g] @ dagger(v[:, g]) for g in pinching._group_values(spec.eigenvalues, 1e-8)]
+
+
+def _assert_matches_reference(a: np.ndarray) -> None:
+    got, ref = eig_hermitian(a), jacobi_eig(a)
+    scale = max(1.0, float(np.max(np.abs(ref.eigenvalues), initial=0.0)))
+    assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) <= 1e-12 * scale
+    assert np.max(np.abs(got.reconstruct() - a)) <= 1e-12 * scale
+    assert np.max(np.abs(got.reconstruct() - ref.reconstruct())) <= 1e-12 * scale
+    eye = np.eye(a.shape[0])
+    assert np.max(np.abs(dagger(got.eigenvectors) @ got.eigenvectors - eye)) <= 1e-12
+    # Degenerate eigenvectors may differ; their eigenspaces may not.
+    got_p, ref_p = _eigenspace_projectors(got), _eigenspace_projectors(ref)
+    assert len(got_p) == len(ref_p)
+    for p, q in zip(got_p, ref_p):
+        assert np.max(np.abs(p - q)) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 32])
+def test_eig_matches_jacobi_reference(dim):
+    for seed in range(3):
+        _assert_matches_reference(random_hermitian(rng_for(100 * dim + seed), dim))
+
+
+def test_eig_matches_jacobi_reference_structured():
+    rng = rng_for(41)
+    u = random_unitary(rng, 6)
+    degenerate = (u * np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])) @ dagger(u)
+    g = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    rank_two = g @ dagger(g)
+    for a in (degenerate, rank_two, np.zeros((4, 4), dtype=complex),
+              np.eye(5, dtype=complex)):
+        _assert_matches_reference(a)
+
+
+def _fixture_states(name: str) -> list[np.ndarray]:
+    with open(os.path.join(FIXTURES, name + ".json")) as fh:
+        doc = json.load(fh)
+    nodes = list(doc.get("states", {}).values())
+    nodes += [doc[k] for k in ("innocent", "csi") if k in doc]
+    return [np.asarray(n["re"], dtype=complex) + 1j * np.asarray(n.get("im", 0.0))
+            for n in nodes]
+
+
+@pytest.mark.parametrize("fixture", ["diag_states", "faulty_channel"])
+def test_distinct_eigenspaces_match_jacobi_reference(fixture, monkeypatch):
+    states = _fixture_states(fixture)
+    assert states
+    got = [pinching.distinct_eigenspaces(m) for m in states]
+    monkeypatch.setattr(pinching, "eig_hermitian", jacobi_eig)
+    ref = [pinching.distinct_eigenspaces(m) for m in states]
+    for a, b in zip(got, ref):
+        assert a.v == b.v
+        assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-10
+        for p, q in zip(a.projectors, b.projectors):
+            assert np.max(np.abs(p - q)) <= 1e-10
 
 
 def test_eig_identity():
@@ -43,6 +176,38 @@ def test_eig_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NotHermitian):
         eig_hermitian(m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("pos", [(0, 1), (1, 1)])
+def test_eig_rejects_non_finite(bad, pos):
+    # LAPACK would return NaN eigenvalues without complaint
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[pos] = bad
+    for fn in (eig_hermitian, eigvals_hermitian, trace_norm):
+        with pytest.raises(NotHermitian, match=re.escape(f"non-finite entries at [{pos}]")):
+            fn(m)
+    with pytest.raises(NotHermitian, match=re.escape(f"at [{(2,) + pos}]")):
+        eigvals_hermitian(np.stack([np.eye(2), np.eye(2), m]))
+
+
+def test_stacked_calls_match_single_calls():
+    rng = rng_for(29)
+    herm = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    g = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
+    psd = g @ dagger(g)
+    spec = eig_hermitian(herm)
+    assert spec.eigenvalues.shape == (5, 3) and spec.dim == 3
+    assert np.max(np.abs(spec.reconstruct() - herm)) < 1e-12
+    roots = mat_fn(psd, math.sqrt)
+    norms = trace_norm(herm)
+    for i in range(5):
+        assert np.array_equal(eigvals_hermitian(herm)[i], eigvals_hermitian(herm[i]))
+        assert np.max(np.abs(roots[i] - mat_fn(psd[i], math.sqrt))) < 1e-14
+        assert norms[i] == pytest.approx(trace_norm(herm[i]), abs=1e-14)
+    psd[3] -= 0.5 * np.eye(3)
+    with pytest.raises(NotPSD):
+        mat_fn(psd, math.sqrt)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])

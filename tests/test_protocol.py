@@ -1,10 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import diag_state, rng_for
+from covertq.divergences import fidelity
 from covertq.errors import CapExceeded
+from covertq.linalg import trace_norm
 from covertq.oneshot import ProtocolRates, induced_states
 from covertq.protocol import (
     Codebook,
@@ -17,7 +20,17 @@ from covertq.protocol import (
     uhlmann_penalty,
 )
 from covertq.sampling import matched_ensemble, random_density, random_problem_instance
-from covertq.states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
+from covertq.specio import load_spec
+from covertq.states import (
+    CQState,
+    DensityMatrix,
+    ProblemInstance,
+    QuantumChannel,
+    innocent_output,
+)
+
+QUBIT = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures",
+                     "qubit_cnot.json")
 
 
 def relay_fixture():
@@ -261,3 +274,62 @@ def test_monte_carlo_seed_determinism():
     a = monte_carlo_verify(ens, inst, rates, trials=35, seed=9)
     b = monte_carlo_verify(ens, inst, rates, trials=35, seed=9)
     assert a.means == b.means and a.std_errors == b.std_errors
+
+
+def _per_block_covertness(cb, e_conds, rho_e, rho0) -> dict[str, float]:
+    """Reference for one trial: blocks built as lists, then one fidelity or
+    trace norm per block (the loop monte_carlo_verify used to run)."""
+    nj, nk, nm = cb.sizes
+
+    def mean(mats):
+        return sum(mats) / len(mats)
+
+    key = [mean([e_conds[int(cb.entries[j, k, m])] for j in range(nj) for m in range(nm)])
+           for k in range(nk)]
+    message_key = [mean([e_conds[int(cb.entries[j, k, m])] for j in range(nj)])
+                   for k in range(nk) for m in range(nm)]
+
+    def p2(blocks, target):
+        f = float(np.mean([fidelity(DensityMatrix(b, validate=False), target)
+                           for b in blocks]))
+        return min(1.0, max(0.0, 1.0 - f * f))
+
+    def dist(blocks, target):
+        return float(np.mean([trace_norm(b - target.matrix) for b in blocks]))
+
+    return {"key_p2": p2(key, rho_e), "message_key_p2": p2(message_key, rho_e),
+            "key_trace": dist(key, rho0), "message_key_trace": dist(message_key, rho0),
+            "key_p2_innocent": p2(key, rho0),
+            "message_key_p2_innocent": p2(message_key, rho0)}
+
+
+@pytest.mark.parametrize("case", ["qubit_cnot", "seeded"])
+def test_monte_carlo_covertness_matches_per_block_loop(case):
+    if case == "qubit_cnot":
+        spec = load_spec(QUBIT)
+        ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
+    else:
+        # unmatched ensemble, so the induced warden state differs from rho0
+        rng = rng_for(15)
+        inst = random_problem_instance(rng)
+        conds = [random_density(rng, 4, factors=[("A", 2), ("S", 2)]) for _ in range(3)]
+        ens = CQState(range(3), rng.dirichlet(np.ones(3)), conds)
+        rates = ProtocolRates(R=1.0, R_K=1.0, R_J=1.0, alpha=0.25)
+    trials, seed = 40, 21
+    sim = monte_carlo_verify(ens, inst, rates, trials, seed)
+    st = induced_states(ens, inst.channel)
+    rho0 = innocent_output(inst)
+    e_conds = [c.matrix for c in st.cq_ue.conditionals]
+    pairs_ok = True
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        cb = sample_codebook(ens.probs, rates, np.random.default_rng(child))
+        if case == "seeded":
+            assert cb.sizes[1] > 1 and cb.sizes[2] > 1
+            assert trace_norm(st.rho_e.matrix - rho0.matrix) > 0.1
+        ref = _per_block_covertness(cb, e_conds, st.rho_e, rho0)
+        for name in ("key_p2", "message_key_p2", "key_trace", "message_key_trace"):
+            assert sim.per_trial[name][i] == pytest.approx(ref[name], abs=1e-12)
+        pairs_ok &= (ref["key_trace"] <= 2.0 * math.sqrt(ref["key_p2_innocent"]) + 1e-9
+                     and ref["message_key_trace"]
+                     <= 2.0 * math.sqrt(ref["message_key_p2_innocent"]) + 1e-9)
+    assert sim.verdicts["trace_pairing"] == pairs_ok
