@@ -370,6 +370,9 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
         raise CapExceeded(f"{size} codewords exceed cap {cfg.codebook_cap}")
     if ne ** n > cfg.warden_cap:
         raise CapExceeded(f"|E|^n = {ne ** n} exceeds cap {cfg.warden_cap}")
+    if size * ne ** n > cfg.warden_cap:  # one codebook's (codewords, |E|^n) buffer
+        raise CapExceeded(f"{size} codewords x |E|^n = {size * ne ** n} floats "
+                          f"exceed cap {cfg.warden_cap}")
     q_n = _product_rows(np.tile(p_u @ p_e_u, (1, n, 1)))[0]
 
     out = {"codewords": size, "n": n, "rate": rate}

@@ -4,7 +4,8 @@ One command per invocation; every command reads a JSON spec file, runs
 deterministically for a fixed seed, and emits a JSON report (stdout, and
 ``--out`` for an atomic file write).  Exit codes: 0 success, 1 property
 failure, 2 parse error, 3 dimension/validation error, 4 covertness
-infeasible, 5 size cap exceeded, 6 bad run parameters.
+infeasible, 5 size cap exceeded, 6 bad run parameters or an internal
+error (reported on one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .classical import (
     resolvability_oracle,
     sample_classical_codebook,
 )
-from .config import code_size
+from .config import DEFAULT, code_size
 from .divergences import (
     fidelity,
     purified_distance,
@@ -326,13 +327,15 @@ def _sizes_from_rates(rates: dict, n: int) -> tuple[int, int, int]:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     channel = None
+    cfg = DEFAULT
     config = {"suite": args.suite, "seed": args.seed}
     if args.spec:
         spec = load_spec(args.spec)
         config["spec"] = spec.path
+        cfg = spec.cfg
         if spec.instance is not None:
             channel = spec.instance.channel
-    tallies = run_suite(args.suite, args.seed, channel=channel)
+    tallies = run_suite(args.suite, args.seed, channel=channel, cfg=cfg)
     failures = sum(t["failures"] for t in tallies)
     report = RunReport(
         command="verify",
@@ -424,6 +427,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (ValueError, CovertqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNPARAM
+    except Exception as exc:  # a defect; exit 1 is reserved for property failures
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNPARAM
 
 

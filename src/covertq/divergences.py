@@ -14,8 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Numerics
-from .errors import DimMismatch, NotADistribution, OrderOutOfRange
-from .linalg import dagger, eig_hermitian, eigvals_hermitian, mat_fn, trace_norm
+from .errors import DimMismatch, NotADistribution, OrderOutOfRange, SelfCheckFailed
+from .linalg import (
+    Spectrum,
+    dagger,
+    eig_hermitian,
+    eigvals_hermitian,
+    mat_fn,
+    spectral_fn,
+    support_cutoff,
+    trace_norm,
+)
 from .states import CQState, DensityMatrix
 
 __all__ = [
@@ -37,17 +46,31 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class DivergenceValue:
-    """A divergence in bits; +inf marks a support violation."""
+    """A divergence in bits; +inf marks a support violation.
+
+    For a stack of pairs ``value`` and ``support_violation`` are arrays
+    with one entry per pair.
+    """
 
     value: float
     support_violation: bool = False
 
     @property
     def is_finite(self) -> bool:
-        return math.isfinite(self.value)
+        return bool(np.all(np.isfinite(self.value)))
 
     def __float__(self) -> float:
         return self.value
+
+
+def _divergence(value: np.ndarray, violation: np.ndarray) -> DivergenceValue:
+    if np.ndim(value) == 0:
+        return DivergenceValue(float(value), bool(violation))
+    return DivergenceValue(value, violation)
+
+
+def _scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _mat(x) -> np.ndarray:
@@ -55,13 +78,14 @@ def _mat(x) -> np.ndarray:
 
 
 def _check_dims(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands as arrays; stacks ``(..., d, d)`` broadcast."""
     r, s = _mat(rho), _mat(sigma)
-    if r.shape != s.shape:
+    if r.shape[-2:] != s.shape[-2:]:
         raise DimMismatch(f"state dims differ: {r.shape} vs {s.shape}")
     return r, s
 
 
-def trace_distance(rho, sigma, cfg: Numerics = DEFAULT) -> float:
+def trace_distance(rho, sigma, cfg: Numerics = DEFAULT):
     """||rho - sigma||_1, in [0, 2]."""
     r, s = _check_dims(rho, sigma)
     return trace_norm(r - s, cfg)
@@ -75,93 +99,126 @@ def fidelity(rho, sigma, cfg: Numerics = DEFAULT):
     each.  Stacks ``(..., d, d)`` broadcast against each other and give an
     array of fidelities; the root is taken once per matrix of ``rho``.
     """
-    r, s = _mat(rho), _mat(sigma)
-    if r.shape[-2:] != s.shape[-2:]:
-        raise DimMismatch(f"state dims differ: {r.shape} vs {s.shape}")
+    r, s = _check_dims(rho, sigma)
     root = mat_fn(r, math.sqrt, cfg=cfg)
     inner = root @ s @ root
     w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
-    cut = cfg.support_tol * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    cut = support_cutoff(w, cfg.support_tol)
     f = np.clip(np.sum(np.sqrt(np.where(w > cut, w, 0.0)), axis=-1), 0.0, 1.0)
-    return float(f) if f.ndim == 0 else f
+    return _scalar(f)
 
 
-def purified_distance(rho, sigma, cfg: Numerics = DEFAULT) -> float:
+def purified_distance(rho, sigma, cfg: Numerics = DEFAULT):
     """sqrt(1 - F^2), in [0, 1]."""
     f = fidelity(rho, sigma, cfg)
-    return math.sqrt(max(0.0, 1.0 - f * f))
+    return _scalar(np.sqrt(np.maximum(0.0, 1.0 - f * f)))
 
 
-def _support_mass_outside(rho_m: np.ndarray, sigma_spec, cutoff: float) -> float:
-    """Mass of rho outside the support of sigma (from sigma's spectrum)."""
+def _violates_support(rho_m: np.ndarray, sigma_spec: Spectrum,
+                      cfg: Numerics) -> np.ndarray:
+    """Whether rho has more than ``support_mass_tol`` of its mass outside
+    the support of sigma (from sigma's spectrum), per pair of a stack."""
     w, v = sigma_spec.eigenvalues, sigma_spec.eigenvectors
-    mass = 0.0
-    for i, lam in enumerate(w):
-        if lam <= cutoff:
-            vec = v[:, i]
-            mass += float(np.real(np.vdot(vec, rho_m @ vec)))
-    return mass
+    diag = np.real(np.sum(v.conj() * (rho_m @ v), axis=-2))  # <v_i|rho|v_i>
+    outside = w <= support_cutoff(w, cfg.support_tol)
+    return np.sum(np.where(outside, diag, 0.0), axis=-1) > cfg.support_mass_tol
+
+
+def _sigma_fn(sigma_spec: Spectrum, f, violation: np.ndarray,
+              cfg: Numerics) -> np.ndarray:
+    """f(sigma) on its support, per matrix.  Pairs that violate the support
+    condition are +inf whatever f(sigma) is, so their spectra are taken in
+    absolute value: a slightly negative sigma then gives +inf, not NotPSD."""
+    w = np.where(np.asarray(violation)[..., None], np.abs(sigma_spec.eigenvalues),
+                 sigma_spec.eigenvalues)
+    return spectral_fn(Spectrum(w, sigma_spec.eigenvectors), f, cfg.support_tol)
+
+
+def _xlog2x(w: np.ndarray, cfg: Numerics) -> np.ndarray:
+    """sum of lam log2 lam over the eigenvalues above the support cutoff."""
+    cut = support_cutoff(w, cfg.support_tol)
+    on = w > cut
+    return np.sum(np.where(on, w * np.log2(np.where(on, w, 1.0)), 0.0), axis=-1)
 
 
 def relative_entropy(rho, sigma, cfg: Numerics = DEFAULT) -> DivergenceValue:
-    """tr[rho (log2 rho - log2 sigma)]; +inf on support violation."""
+    """tr[rho (log2 rho - log2 sigma)]; +inf on support violation.
+
+    Stacks ``(..., d, d)`` broadcast and give one value per pair.
+    """
     r, s = _check_dims(rho, sigma)
     s_spec = eig_hermitian(s, cfg)
-    s_cut = cfg.support_tol * float(np.max(np.abs(s_spec.eigenvalues), initial=0.0))
-    if _support_mass_outside(r, s_spec, s_cut) > cfg.support_mass_tol:
-        return DivergenceValue(math.inf, support_violation=True)
-
-    r_spec = eig_hermitian(r, cfg)
-    r_cut = cfg.support_tol * float(np.max(np.abs(r_spec.eigenvalues), initial=0.0))
-    ent = sum(lam * math.log2(lam) for lam in r_spec.eigenvalues if lam > r_cut)
-    log_s = mat_fn(s, math.log2, cfg=cfg)
-    cross = float(np.real(np.trace(r @ log_s)))
-    return DivergenceValue(max(0.0, ent - cross))
+    violation = _violates_support(r, s_spec, cfg)
+    ent = _xlog2x(eigvals_hermitian(r, cfg), cfg)
+    log_s = _sigma_fn(s_spec, np.log2, violation, cfg)
+    cross = np.real(np.trace(r @ log_s, axis1=-2, axis2=-1))
+    return _divergence(np.where(violation, math.inf, np.maximum(0.0, ent - cross)),
+                       violation)
 
 
-def _renyi_alpha(order: float) -> float:
-    alpha = order - 1.0
-    if alpha <= -1.0 or alpha == 0.0:
+def _renyi_alpha(order) -> np.ndarray:
+    alpha = np.asarray(order, dtype=np.float64) - 1.0
+    if np.any((alpha <= -1.0) | (alpha == 0.0)):
         raise OrderOutOfRange(f"order {order} outside (0,1) u (1,inf)")
     return alpha
 
 
-def renyi_sandwich_power(sigma, order: float, cfg: Numerics = DEFAULT) -> np.ndarray:
+def _sandwich_fn(alpha: np.ndarray):
+    expo = (-alpha / (2.0 * (1.0 + alpha)))[..., None]
+    return lambda w: w ** expo
+
+
+def renyi_sandwich_power(sigma, order, cfg: Numerics = DEFAULT) -> np.ndarray:
     """sigma^(-alpha / (2(1+alpha))) on the support of sigma.
 
     Precompute this when evaluating the same second argument against many
     first arguments (Monte Carlo loops).
     """
-    alpha = _renyi_alpha(order)
-    expo = -alpha / (2.0 * (1.0 + alpha))
-    return mat_fn(_mat(sigma), lambda x: x ** expo, cfg=cfg)
+    return spectral_fn(eig_hermitian(_mat(sigma), cfg), _sandwich_fn(_renyi_alpha(order)),
+                       cfg.support_tol)
 
 
-def sandwiched_renyi(rho, sigma, order: float, cfg: Numerics = DEFAULT,
+def _sandwiched_trace(rho_m: np.ndarray, w_op: np.ndarray, alpha: np.ndarray,
+                      cfg: Numerics) -> np.ndarray:
+    """tr[(w_op rho w_op)^(1+alpha)] over the eigenvalues above the cutoff."""
+    inner = w_op @ rho_m @ w_op
+    w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
+    cut = support_cutoff(w, cfg.support_tol)
+    return np.sum(np.where(w > cut, w, 0.0) ** (1.0 + alpha)[..., None], axis=-1)
+
+
+def _log_ratio(tr_term: np.ndarray, alpha: np.ndarray,
+               violation: np.ndarray) -> DivergenceValue:
+    """log2(tr_term) / alpha, and +inf with the flag on a support violation
+    or a vanishing trace."""
+    bad = violation | (tr_term <= 0.0)
+    value = np.where(bad, math.inf, np.log2(np.where(bad, 1.0, tr_term)) / alpha)
+    return _divergence(value, bad)
+
+
+def sandwiched_renyi(rho, sigma, order, cfg: Numerics = DEFAULT,
                      sigma_power: np.ndarray | None = None) -> DivergenceValue:
     """Sandwiched Renyi relative entropy of the given order (1+alpha).
 
     For order > 1 the support of rho must lie inside the support of sigma,
     otherwise +inf is returned with the violation flag.  Orders in (0, 1)
-    are reached by passing them directly (e.g. 1 - alpha).
+    are reached by passing them directly (e.g. 1 - alpha).  Stacks
+    ``(..., d, d)`` broadcast and give one value per pair; ``order`` may
+    then be an array with one order per pair.
     """
     r, s = _check_dims(rho, sigma)
     alpha = _renyi_alpha(order)
+    s_spec = eig_hermitian(s, cfg)
+    violation = (alpha > 0.0) & _violates_support(r, s_spec, cfg)
+    if sigma_power is None:
+        sigma_power = _sigma_fn(s_spec, _sandwich_fn(alpha), violation, cfg)
+    return _log_ratio(_sandwiched_trace(r, sigma_power, alpha, cfg), alpha, violation)
 
-    if alpha > 0.0:
-        s_spec = eig_hermitian(s, cfg)
-        s_cut = cfg.support_tol * float(np.max(np.abs(s_spec.eigenvalues), initial=0.0))
-        if _support_mass_outside(r, s_spec, s_cut) > cfg.support_mass_tol:
-            return DivergenceValue(math.inf, support_violation=True)
 
-    w_op = renyi_sandwich_power(s, order, cfg) if sigma_power is None else sigma_power
-    inner = w_op @ r @ w_op
-    w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
-    cut = cfg.support_tol * float(np.max(np.abs(w), initial=0.0))
-    tr_term = float(np.sum(np.maximum(w[w > cut], 0.0) ** (1.0 + alpha)))
-    if tr_term <= 0.0:
-        return DivergenceValue(math.inf, support_violation=True)
-    return DivergenceValue(math.log2(tr_term) / alpha)
+def _weighted_conditionals(cq: CQState) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and stacked conditionals of the labels with p > 0."""
+    keep = cq.probs > 0.0
+    return cq.probs[keep], np.stack([c.matrix for c, k in zip(cq.conditionals, keep) if k])
 
 
 def cq_sandwiched_renyi(cq: CQState, order: float,
@@ -169,45 +226,29 @@ def cq_sandwiched_renyi(cq: CQState, order: float,
     """Sandwiched divergence of a cq state against the product of its marginals.
 
     For block-diagonal cq states the sandwiched trace splits into one term
-    per label, so this costs |U| small eigenproblems instead of one large
-    one.  Agrees with :func:`sandwiched_renyi` applied to the full joint
-    and product matrices.
+    per label, so this costs one stacked eigenproblem over the labels
+    instead of one large one.  Agrees with :func:`sandwiched_renyi` applied
+    to the full joint and product matrices.
     """
     alpha = _renyi_alpha(order)
-    sigma = cq.average()
-    w_op = renyi_sandwich_power(sigma, order, cfg)
-    if alpha > 0.0:
-        s_spec = eig_hermitian(sigma.matrix, cfg)
-        s_cut = cfg.support_tol * float(np.max(np.abs(s_spec.eigenvalues), initial=0.0))
-        for p, c in zip(cq.probs, cq.conditionals):
-            if p > 0.0 and _support_mass_outside(c.matrix, s_spec, s_cut) > cfg.support_mass_tol:
-                return DivergenceValue(math.inf, support_violation=True)
-
-    total = 0.0
-    for p, c in zip(cq.probs, cq.conditionals):
-        if p <= 0.0:
-            continue
-        inner = w_op @ c.matrix @ w_op
-        w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
-        cut = cfg.support_tol * float(np.max(np.abs(w), initial=0.0))
-        total += p * float(np.sum(np.maximum(w[w > cut], 0.0) ** (1.0 + alpha)))
-    if total <= 0.0:
-        return DivergenceValue(math.inf, support_violation=True)
-    return DivergenceValue(math.log2(total) / alpha)
+    probs, conds = _weighted_conditionals(cq)
+    s_spec = eig_hermitian(cq.average().matrix, cfg)
+    violation = (alpha > 0.0) & _violates_support(conds, s_spec, cfg).any()
+    w_op = _sigma_fn(s_spec, _sandwich_fn(alpha), violation, cfg)
+    terms = _sandwiched_trace(conds, w_op, alpha, cfg)
+    return _log_ratio(np.sum(probs * terms), alpha, violation)
 
 
-def von_neumann_entropy(rho, cfg: Numerics = DEFAULT) -> float:
-    """-tr[rho log2 rho], in [0, log2 dim]."""
-    w = eigvals_hermitian(_mat(rho), cfg)
-    cut = cfg.support_tol * float(np.max(np.abs(w), initial=0.0))
-    return float(-sum(lam * math.log2(lam) for lam in w if lam > cut))
+def von_neumann_entropy(rho, cfg: Numerics = DEFAULT):
+    """-tr[rho log2 rho], in [0, log2 dim]; a stack gives one per matrix."""
+    return _scalar(-_xlog2x(eigvals_hermitian(_mat(rho), cfg), cfg))
 
 
 def holevo_mutual_info(cq: CQState, cfg: Numerics = DEFAULT) -> float:
     """I(U;X) of a cq state: S(avg) - sum_u p(u) S(rho_u)."""
+    probs, conds = _weighted_conditionals(cq)
     s_avg = von_neumann_entropy(cq.average(), cfg)
-    s_cond = sum(p * von_neumann_entropy(c, cfg)
-                 for p, c in zip(cq.probs, cq.conditionals) if p > 0.0)
+    s_cond = sum(p * s for p, s in zip(probs, von_neumann_entropy(conds, cfg)))
     return max(0.0, s_avg - s_cond)
 
 
@@ -262,5 +303,5 @@ def classical_info_terms(joint: np.ndarray, cfg: Numerics = DEFAULT) -> dict[str
     lhs = H(U) + H(B, S) - H(U, B, S)
     rhs = terms["I(U;S)"] + terms["I(U;B|S)"]
     if abs(lhs - rhs) > 1e-9:
-        raise RuntimeError(f"chain-rule self-check failed: {lhs} vs {rhs}")
+        raise SelfCheckFailed(f"chain-rule self-check failed: {lhs} vs {rhs}")
     return terms

@@ -33,6 +33,10 @@ class CsiMismatch(CovertqError):
     """Ensemble state marginal does not reproduce the shared channel-state marginal."""
 
 
+class SelfCheckFailed(CovertqError):
+    """An internal consistency check of a computed result failed."""
+
+
 class CapExceeded(CovertqError):
     """Requested computation exceeds a configured size cap."""
 

@@ -27,6 +27,7 @@ __all__ = [
     "eig_hermitian",
     "eigvals_hermitian",
     "mat_fn",
+    "spectral_fn",
     "support_projector",
     "tensor",
     "partial_trace",
@@ -87,9 +88,11 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
+        """``V @ diag(values) @ V^dag``, by default with the eigenvalues."""
         v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
+        w = self.eigenvalues if values is None else values
+        return (v * w[..., None, :]) @ dagger(v)
 
 
 def _hermitian_part(m: np.ndarray, cfg: Numerics) -> np.ndarray:
@@ -114,7 +117,7 @@ def eigvals_hermitian(m: np.ndarray, cfg: Numerics = DEFAULT) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(m, cfg))
 
 
-def _support_cutoff(w: np.ndarray, support_tol: float) -> np.ndarray:
+def support_cutoff(w: np.ndarray, support_tol: float) -> np.ndarray:
     """Per-matrix cutoff, shaped ``(..., 1)`` to broadcast against ``w``."""
     return support_tol * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
 
@@ -133,19 +136,30 @@ def mat_fn(m: np.ndarray, f, support_tol: float | None = None,
     """
     if support_tol is None:
         support_tol = cfg.support_tol
-    spec = eig_hermitian(m, cfg)
+    def elementwise(w: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(f, w.flat), np.float64, w.size).reshape(w.shape)
+
+    return spectral_fn(eig_hermitian(m, cfg), elementwise, support_tol)
+
+
+def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
+    """:func:`mat_fn` for a matrix (or stack) given by its spectrum.
+
+    ``f`` maps the eigenvalue array ``(..., d)`` elementwise, so it may
+    carry one parameter per matrix of a stack (broadcast against
+    ``(..., 1)``); entries off the support are passed as 1 and then
+    zeroed.
+    """
     w = spec.eigenvalues
-    cutoff = _support_cutoff(w, support_tol)
+    cutoff = support_cutoff(w, support_tol)
     low = w[..., :1] < -cutoff
     if low.any():
         i = int(np.argmax(low))
         raise NotPSD(f"matrix has eigenvalue {w[..., :1].flat[i]:.3e} "
                      f"below -{cutoff.flat[i]:.3e}")
     support = w > cutoff
-    fw = np.zeros_like(w)
-    fw[support] = [f(x) for x in w[support]]
-    v = spec.eigenvectors
-    out = (v * fw[..., None, :]) @ dagger(v)
+    fw = np.where(support, f(np.where(support, w, 1.0)), 0.0)
+    out = spec.reconstruct(fw)
     return 0.5 * (out + dagger(out))
 
 

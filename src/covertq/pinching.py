@@ -67,24 +67,31 @@ def _group_values(w: np.ndarray, group_tol: float) -> list[list[int]]:
 
 
 def distinct_eigenspaces(sigma, group_tol: float | None = None,
-                         cfg: Numerics = DEFAULT) -> PinchingBasis:
+                         cfg: Numerics = DEFAULT) -> PinchingBasis | list[PinchingBasis]:
     """Eigenspace decomposition of a state with near-degenerate grouping.
 
     Eigenvalues within ``group_tol`` (relative to the largest) of each
     other merge into one eigenspace; merging is deliberately conservative
-    because the count v enters bounds multiplicatively.
+    because the count v enters bounds multiplicatively.  A stack
+    ``(k, d, d)`` gives a list of k bases from one eigensolver call.
     """
     if group_tol is None:
         group_tol = cfg.group_tol
     m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
     spec = eig_hermitian(m, cfg)
-    groups = _group_values(spec.eigenvalues, group_tol)
+    if m.ndim == 2:
+        return _grouped_basis(spec.eigenvalues, spec.eigenvectors, group_tol)
+    return [_grouped_basis(w, v, group_tol)
+            for w, v in zip(spec.eigenvalues, spec.eigenvectors)]
+
+
+def _grouped_basis(w: np.ndarray, v: np.ndarray, group_tol: float) -> PinchingBasis:
     vals = []
     projs = []
-    for g in groups:
-        cols = spec.eigenvectors[:, g]
+    for g in _group_values(w, group_tol):
+        cols = v[:, g]
         projs.append(cols @ dagger(cols))
-        vals.append(float(np.mean(spec.eigenvalues[g])))
+        vals.append(float(np.mean(w[g])))
     return PinchingBasis(np.asarray(vals), tuple(projs))
 
 

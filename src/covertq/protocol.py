@@ -4,7 +4,9 @@ For a sampled codebook the decoder is the square-root normalization of
 the pinched projector blocks, the idealized decoding error and the
 encoder mismatch penalty are computed exactly, and covertness distances
 come out of the block-diagonal structure over the classical indices.
-Monte Carlo over codebooks then verifies the closed-form bounds.
+Monte Carlo over codebooks then verifies the closed-form bounds; the
+per-codebook functions are the one-codebook case of the stacked
+evaluation that the Monte Carlo runs over many codebooks at once.
 """
 
 from __future__ import annotations
@@ -85,6 +87,49 @@ class DecoderPOVM:
         return self.elements_by_label[int(self.codebook.entries[j, k, m])]
 
 
+def _srm(entries: np.ndarray, blocks: np.ndarray, validate: bool,
+         cfg: Numerics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Square-root measurements of a stack of codebooks ``(T, nj, nk, nm)``.
+
+    Returns the keys ``trial * labels + label`` of the labels present in
+    the codebooks, sorted, the POVM element ``(P, d, d)`` of each key, and
+    the fail elements ``(T, d, d)``.  Sums over a codebook's labels run in
+    ascending label order.
+    """
+    trials = entries.shape[0]
+    n_labels, d = blocks.shape[0], blocks.shape[-1]
+    keys = np.arange(trials)[:, None] * n_labels + entries.reshape(trials, -1)
+    keys, counts = np.unique(keys, return_counts=True)
+    pt, pl = keys // n_labels, keys % n_labels
+    weights = counts[:, None, None]
+
+    s_op = np.zeros((trials, d, d), dtype=np.complex128)
+    np.add.at(s_op, pt, weights * blocks[pl])
+    s_inv_sqrt = mat_fn(s_op, lambda x: x ** -0.5, cfg=cfg)[pt]
+    elements = s_inv_sqrt @ blocks[pl] @ s_inv_sqrt
+    total = np.zeros((trials, d, d), dtype=np.complex128)
+    np.add.at(total, pt, weights * elements)
+    eye = np.eye(d)
+    fail = eye - total
+    fail = 0.5 * (fail + dagger(fail))
+
+    if validate:
+        dev = np.max(np.abs(total + fail - eye), axis=(-2, -1))
+        el_bad = eigvals_hermitian(elements, cfg)[:, 0] < -1e-9
+        fail_bad = eigvals_hermitian(fail, cfg)[:, 0] < -1e-9
+        bad = (dev > cfg.povm_tol) | fail_bad
+        bad[pt[el_bad]] = True
+        if bad.any():  # report the first failing codebook as a loop would
+            t = int(np.argmax(bad))
+            if dev[t] > cfg.povm_tol:
+                raise DimMismatch(f"POVM completeness violated by {dev[t]:.2e}")
+            if el_bad[pt == t].any():
+                lab = int(pl[pt == t][np.argmax(el_bad[pt == t])])
+                raise DimMismatch(f"POVM element for label {lab} is not PSD")
+            raise DimMismatch("POVM fail element is not PSD")
+    return keys, elements, fail
+
+
 def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
                   threshold_exponent: float | None = None,
                   validate: bool = True, cfg: Numerics = DEFAULT,
@@ -97,31 +142,22 @@ def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
     """
     t = rates.total if threshold_exponent is None else threshold_exponent
     blocks = _blocks if _blocks is not None else decoder_projector_blocks(cq_ub, t, cfg=cfg)
-    d = cq_ub.quantum_dim
+    labels, elements, fail = _srm(codebook.entries[None], np.stack(blocks), validate, cfg)
+    return DecoderPOVM(codebook, {int(lab): el for lab, el in zip(labels, elements)}, fail[0])
 
-    labels, counts = np.unique(codebook.entries, return_counts=True)
-    s_op = np.zeros((d, d), dtype=np.complex128)
-    for lab, cnt in zip(labels, counts):
-        s_op += cnt * blocks[int(lab)]
-    s_inv_sqrt = mat_fn(s_op, lambda x: x ** -0.5, cfg=cfg)
 
-    elements = {int(lab): s_inv_sqrt @ blocks[int(lab)] @ s_inv_sqrt for lab in labels}
-    total = np.zeros((d, d), dtype=np.complex128)
-    for lab, cnt in zip(labels, counts):
-        total += cnt * elements[int(lab)]
-    fail = np.eye(d, dtype=np.complex128) - total
-    fail = 0.5 * (fail + dagger(fail))
+def _ideal_errors(ops: np.ndarray, outputs: np.ndarray, match_mode: str) -> np.ndarray:
+    """Idealized decoding errors of a stack of codebooks.
 
-    if validate:
-        dev = float(np.max(np.abs(total + fail - np.eye(d))))
-        if dev > cfg.povm_tol:
-            raise DimMismatch(f"POVM completeness violated by {dev:.2e}")
-        for lab, el in elements.items():
-            if eigvals_hermitian(el, cfg)[0] < -1e-9:
-                raise DimMismatch(f"POVM element for label {lab} is not PSD")
-        if eigvals_hermitian(fail, cfg)[0] < -1e-9:
-            raise DimMismatch("POVM fail element is not PSD")
-    return DecoderPOVM(codebook, elements, fail)
+    ``ops`` and ``outputs`` hold, per codebook entry ``(T, nj, nk, nm)``,
+    the entry's POVM element and the receiver's state for its codeword.
+    """
+    if match_mode not in ("message_key", "triple"):
+        raise ValueError(f"unknown match_mode {match_mode!r}")
+    if match_mode == "message_key":  # any j fires for the right (k, m)
+        ops = ops.sum(axis=1, keepdims=True)
+    succ = np.sum((ops * outputs.swapaxes(-1, -2)).real, axis=(1, 2, 3, 4, 5))
+    return np.clip(1.0 - succ / np.prod(outputs.shape[1:4]), 0.0, 1.0)
 
 
 def ideal_error_prob(codebook: Codebook, povm: DecoderPOVM,
@@ -134,26 +170,22 @@ def ideal_error_prob(codebook: Codebook, povm: DecoderPOVM,
     element's indices miss the transmitted ones under ``match_mode``
     ("message_key": key and message must match; "triple": all three).
     """
-    if match_mode not in ("message_key", "triple"):
-        raise ValueError(f"unknown match_mode {match_mode!r}")
-    nj, nk, nm = codebook.sizes
-    succ = 0.0
-    for k in range(nk):
-        for m in range(nm):
-            if match_mode == "message_key":
-                w = np.zeros_like(povm.fail)
-                for jp in range(nj):
-                    w += povm.element(jp, k, m)
-            for j in range(nj):
-                op = w if match_mode == "message_key" else povm.element(j, k, m)
-                rho = b_conditionals[int(codebook.entries[j, k, m])]
-                succ += float(np.real(np.trace(op @ rho)))
-    err = 1.0 - succ / codebook.num_entries
-    return min(1.0, max(0.0, err))
+    entries = codebook.entries
+    ops = np.stack([povm.elements_by_label[int(u)] for u in entries.flat])
+    ops = ops.reshape(entries.shape + ops.shape[-2:])
+    outputs = np.asarray(b_conditionals)[entries]
+    return float(_ideal_errors(ops[None], outputs[None], match_mode)[0])
 
 
-def _mean_state(mats: list[np.ndarray]) -> np.ndarray:
-    return sum(mats) / len(mats)
+def _penalties(entries: np.ndarray, s_conditionals: np.ndarray, m: int,
+               rho_s: DensityMatrix, cfg: Numerics) -> np.ndarray:
+    """Encoder penalties of a stack of codebooks ``(T, nj, nk, nm)``; the
+    S-average sums in the j-major order of the codebook."""
+    tau = s_conditionals[entries[..., m]]
+    trials, nj, nk, d = tau.shape[:3] + tau.shape[-1:]
+    tau = tau.reshape(trials, nj * nk, d, d).sum(axis=1) / (nj * nk)
+    f = fidelity(tau, rho_s, cfg)
+    return np.clip(1.0 - f * f, 0.0, 1.0)
 
 
 def uhlmann_penalty(codebook: Codebook, m: int, rho_s: DensityMatrix,
@@ -164,41 +196,39 @@ def uhlmann_penalty(codebook: Codebook, m: int, rho_s: DensityMatrix,
     This is the exact penalty that the encoder's state-merging isometry
     pays; the isometry itself is never constructed.
     """
-    nj, nk, _ = codebook.sizes
-    tau = _mean_state([s_conditionals[int(codebook.entries[j, k, m])]
-                       for j in range(nj) for k in range(nk)])
-    f = fidelity(DensityMatrix(tau, validate=False), rho_s, cfg)
-    return min(1.0, max(0.0, 1.0 - f * f))
+    return float(_penalties(codebook.entries[None], np.asarray(s_conditionals), m,
+                            rho_s, cfg)[0])
 
 
-def _warden_blocks(codebook: Codebook,
+def _warden_blocks(entries: np.ndarray,
                    e_conditionals) -> tuple[np.ndarray, np.ndarray]:
-    """Key blocks ``(nk, d, d)`` and message-key blocks ``(nk*nm, d, d)`` of
-    the induced warden state.
+    """Key blocks ``(T, nk, d, d)`` and message-key blocks
+    ``(T, nk*nm, d, d)`` of the induced warden state, for a stack of
+    codebooks ``(T, nj, nk, nm)``.
 
     A key block averages the codeword outputs over (j, m), a message-key
     block over j; both sum in the j-major order of the codebook.
     """
-    nj, nk, nm = codebook.sizes
-    outs = np.asarray(e_conditionals)[codebook.entries]  # (nj, nk, nm, d, d)
+    trials, nj, nk, nm = entries.shape
+    outs = np.asarray(e_conditionals)[entries]  # (T, nj, nk, nm, d, d)
     d = outs.shape[-1]
-    key = outs.swapaxes(0, 1).reshape(nk, nj * nm, d, d).sum(axis=1) / (nj * nm)
-    message_key = outs.sum(axis=0).reshape(nk * nm, d, d) / nj
+    key = outs.swapaxes(1, 2).reshape(trials, nk, nj * nm, d, d).sum(axis=2) / (nj * nm)
+    message_key = outs.sum(axis=1).reshape(trials, nk * nm, d, d) / nj
     return key, message_key
 
 
 def _mode_blocks(codebook: Codebook, e_conditionals, mode: str) -> np.ndarray:
     if mode not in ("cc_csk", "csc_csk"):
         raise ValueError(f"unknown mode {mode!r}")
-    key, message_key = _warden_blocks(codebook, e_conditionals)
-    return key if mode == "cc_csk" else message_key
+    key, message_key = _warden_blocks(codebook.entries[None], e_conditionals)
+    return (key if mode == "cc_csk" else message_key)[0]
 
 
-def _p2(fids: np.ndarray) -> float:
-    """Squared purified distance from the blockwise fidelities, by the
-    direct-sum property of fidelity over the classical blocks."""
-    f = float(np.mean(fids))
-    return min(1.0, max(0.0, 1.0 - f * f))
+def _p2(fids: np.ndarray) -> np.ndarray:
+    """Squared purified distance from the blockwise fidelities (last axis),
+    by the direct-sum property of fidelity over the classical blocks."""
+    f = np.mean(fids, axis=-1)
+    return np.clip(1.0 - f * f, 0.0, 1.0)
 
 
 def covert_distance(codebook: Codebook, e_conditionals: list[np.ndarray],
@@ -221,7 +251,7 @@ def covert_p2(codebook: Codebook, e_conditionals: list[np.ndarray],
 
     Uses the direct-sum property of fidelity over the classical blocks.
     """
-    return _p2(fidelity(_mode_blocks(codebook, e_conditionals, mode), target, cfg))
+    return float(_p2(fidelity(_mode_blocks(codebook, e_conditionals, mode), target, cfg)))
 
 
 @dataclass(frozen=True)
@@ -283,6 +313,10 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     Bounds are evaluated at the effective rates log2(floor(2^rate)) of the
     code actually simulated, so the comparison is exact even when the
     nominal rates are not integers.
+
+    Trial i samples its codebook from the i-th child of
+    ``SeedSequence(seed)``; trials are evaluated together in stacked calls,
+    in chunks of at most ``cfg.codebook_cap`` codebook entries.
     """
     if trials < 30:
         raise ValueError(f"trials must be >= 30, got {trials}")
@@ -294,44 +328,49 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     rho0 = innocent_output(instance, cfg)
     covert_applicable = trace_distance(st.rho_e, rho0, cfg) <= cfg.covert_tol
 
-    b_conds = [c.matrix for c in st.cq_ub.conditionals]
+    b_stack = np.stack([c.matrix for c in st.cq_ub.conditionals])
+    s_stack = np.stack([c.matrix for c in st.cq_us.conditionals])
     e_stack = np.stack([c.matrix for c in st.cq_ue.conditionals])
     # Fidelity targets: the induced warden marginal, then the innocent output.
-    targets = np.stack([st.rho_e.matrix, rho0.matrix])[:, None]
-    s_conds = [c.matrix for c in st.cq_us.conditionals]
-    blocks = decoder_projector_blocks(st.cq_ub, effective.total, st.rho_b, cfg)
+    targets = np.stack([st.rho_e.matrix, rho0.matrix])[:, None, None]
+    blocks = np.stack(decoder_projector_blocks(st.cq_ub, effective.total, st.rho_b, cfg))
 
+    def evaluate(entries: np.ndarray) -> dict[str, np.ndarray]:
+        """Every per-trial number of a stack of codebooks ``(T, nj, nk, nm)``."""
+        keys, elements, _ = _srm(entries, blocks, True, cfg)
+        trial = np.arange(len(entries))[:, None, None, None]
+        ops = elements[np.searchsorted(keys, trial * len(blocks) + entries)]
+        err = _ideal_errors(ops, b_stack[entries], match_mode)
+        pen = _penalties(entries, s_stack, 0, st.rho_s, cfg)
+        key, message_key = _warden_blocks(entries, e_stack)
+        nk_blocks = key.shape[1]
+        warden = np.concatenate([key, message_key], axis=1)
+        fids = fidelity(warden, targets, cfg)  # (2, T, blocks)
+        dists = trace_norm(warden - rho0.matrix, cfg)
+        d_key = np.mean(dists[:, :nk_blocks], axis=-1)
+        d_mk = np.mean(dists[:, nk_blocks:], axis=-1)
+        # Trace distance never exceeds twice the purified distance.
+        paired = ((d_key <= 2.0 * np.sqrt(_p2(fids[1, :, :nk_blocks])) + 1e-9)
+                  & (d_mk <= 2.0 * np.sqrt(_p2(fids[1, :, nk_blocks:])) + 1e-9))
+        return {"ideal_error": err, "penalty_p2": pen, "split_lhs": 2.0 * err + 2.0 * pen,
+                "key_p2": _p2(fids[0, :, :nk_blocks]),
+                "message_key_p2": _p2(fids[0, :, nk_blocks:]),
+                "key_trace": d_key, "message_key_trace": d_mk, "paired": paired}
+
+    # Each trial draws from its own child stream; trials are evaluated in
+    # chunks that together hold at most codebook_cap entries.
+    children = np.random.SeedSequence(seed).spawn(trials)
+    chunk = max(1, cfg.codebook_cap // (nj * nk * nm))
+    parts = []
+    for start in range(0, trials, chunk):
+        entries = np.stack([sample_codebook(ensemble.probs, rates,
+                                            np.random.default_rng(child), cfg).entries
+                            for child in children[start:start + chunk]])
+        parts.append(evaluate(entries))
     names = ["ideal_error", "penalty_p2", "split_lhs", "key_p2", "message_key_p2",
              "key_trace", "message_key_trace"]
-    samples: dict[str, list[float]] = {n: [] for n in names}
-    pair_ok = True
-
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        cb = sample_codebook(ensemble.probs, rates, rng, cfg)
-        povm = build_decoder(cb, st.cq_ub, rates, cfg=cfg, _blocks=blocks)
-        err = ideal_error_prob(cb, povm, b_conds, match_mode)
-        pen = uhlmann_penalty(cb, 0, st.rho_s, s_conds, cfg)
-        samples["ideal_error"].append(err)
-        samples["penalty_p2"].append(pen)
-        samples["split_lhs"].append(2.0 * err + 2.0 * pen)
-        key, message_key = _warden_blocks(cb, e_stack)
-        nk_blocks = len(key)
-        warden = np.concatenate([key, message_key])
-        fids = fidelity(warden, targets, cfg)  # (2, blocks)
-        dists = trace_norm(warden - rho0.matrix, cfg)
-        samples["key_p2"].append(_p2(fids[0, :nk_blocks]))
-        samples["message_key_p2"].append(_p2(fids[0, nk_blocks:]))
-        d_key = float(np.mean(dists[:nk_blocks]))
-        d_mk = float(np.mean(dists[nk_blocks:]))
-        samples["key_trace"].append(d_key)
-        samples["message_key_trace"].append(d_mk)
-        # Trace distance never exceeds twice the purified distance.
-        p2_key0 = _p2(fids[1, :nk_blocks])
-        p2_mk0 = _p2(fids[1, nk_blocks:])
-        if (d_key > 2.0 * math.sqrt(p2_key0) + 1e-9
-                or d_mk > 2.0 * math.sqrt(p2_mk0) + 1e-9):
-            pair_ok = False
+    samples = {n: np.concatenate([p[n] for p in parts]).tolist() for n in names}
+    pair_ok = bool(all(p["paired"].all() for p in parts))
 
     means, ses = {}, {}
     for n in names:

@@ -29,6 +29,7 @@ Factor = tuple[str, int]
 
 __all__ = [
     "DensityMatrix",
+    "require_states",
     "CQState",
     "QuantumChannel",
     "ProblemInstance",
@@ -68,13 +69,7 @@ class DensityMatrix:
                  cfg: Numerics = DEFAULT):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if validate:
-            matrix = require_hermitian(matrix, cfg.herm_tol, "state")
-            tr = float(np.trace(matrix).real)
-            if abs(tr - 1.0) > cfg.trace_tol:
-                raise DimMismatch(f"state trace is {tr}, expected 1")
-            w = eigvals_hermitian(matrix, cfg)
-            if w[0] < -cfg.psd_tol:
-                raise NotPSD(f"state has eigenvalue {w[0]:.3e}")
+            matrix = require_states(matrix, cfg)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "factors", _as_factors(factors, matrix.shape[0]))
 
@@ -105,6 +100,33 @@ class DensityMatrix:
         out = partial_trace(self.matrix, dims, idx)
         kept = tuple(self.factors[i] for i in idx)
         return DensityMatrix(out, kept, validate=False)
+
+
+def require_states(m, cfg: Numerics = DEFAULT) -> np.ndarray:
+    """``m`` as complex128 after checking that it is a state, or a stack
+    ``(..., d, d)`` of states: finite, Hermitian, unit trace and PSD.
+
+    A stack takes one eigenvalue call; the error names the first failing
+    matrix by its stack index.
+    """
+    m = require_hermitian(m, cfg.herm_tol, "state")
+
+    def name(bad: np.ndarray) -> tuple[str, tuple]:
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = ",".join(str(int(i)) for i in idx)
+        return (f"state {where}" if where else "state"), idx
+
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > cfg.trace_tol
+    if bad.any():
+        what, idx = name(bad)
+        raise DimMismatch(f"{what} trace is {float(tr[idx])}, expected 1")
+    low = eigvals_hermitian(m, cfg)[..., 0]
+    bad = low < -cfg.psd_tol
+    if bad.any():
+        what, idx = name(bad)
+        raise NotPSD(f"{what} has eigenvalue {float(low[idx]):.3e}")
+    return m
 
 
 def normalize(matrix, factors=None, cfg: Numerics = DEFAULT) -> DensityMatrix:

@@ -2,10 +2,13 @@
 
 Each suite runs a batch of randomized property checks and reports pass
 and failure counts with a short diagnostic for the first few failures.
+A suite draws all of its cases first, evaluates them in stacked calls,
+one per group of cases of equal dimension, and tallies in case order.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -23,7 +26,7 @@ from .linalg import eigvals_hermitian
 from .pinching import distinct_eigenspaces, pinch_matrix, tensor_power_eigencount
 from .regions import fm_check
 from .sampling import random_channel, random_density
-from .states import DensityMatrix, QuantumChannel, apply_channel
+from .states import QuantumChannel, require_states
 
 __all__ = ["run_suite", "SUITES"]
 
@@ -54,25 +57,53 @@ class _Tally:
                 "failures": self.failures, "details": self.details}
 
 
+def _per_case(fn, *columns: list[np.ndarray]) -> np.ndarray:
+    """``fn`` evaluated on stacks of equal-dimension cases, in case order.
+
+    ``columns`` hold one entry per case (a matrix or a number); cases are
+    grouped by the shape of their first column's entry, and ``fn`` maps
+    the stacked columns of one group to an array whose last axis runs
+    over the group's cases.
+    """
+    shapes = [m.shape for m in columns[0]]
+    out = None
+    for shape in dict.fromkeys(shapes):
+        idx = [i for i, sh in enumerate(shapes) if sh == shape]
+        res = np.asarray(fn(*(np.stack([col[i] for i in idx]) for col in columns)))
+        if out is None:
+            out = np.empty(res.shape[:-1] + (len(shapes),), dtype=res.dtype)
+        out[..., idx] = res
+    return out
+
+
 def suite_pinching(seed: int, cases: int = 200, cfg: Numerics = DEFAULT) -> dict:
     """Pinching inequality, switching identities, tensor-power eigencounts."""
     rng = np.random.default_rng(seed)
     t = _Tally("pinching")
-    for i in range(cases):
+    sigmas, rhos, rho2s = [], [], []
+    for _ in range(cases):
         d = int(rng.integers(2, 7))
-        sigma = random_density(rng, d)
-        rho = random_density(rng, d)
-        basis = distinct_eigenspaces(sigma, cfg=cfg)
-        pinched = pinch_matrix(rho.matrix, basis)
-        low = float(eigvals_hermitian(basis.v * pinched - rho.matrix, cfg)[0])
-        t.check(low >= -1e-9, f"case {i}: blow-up inequality min eig {low:.2e}")
-        rho2 = random_density(rng, d)
-        lhs = np.trace(pinched @ rho2.matrix).real
-        rhs = np.trace(rho.matrix @ pinch_matrix(rho2.matrix, basis)).real
-        t.check(abs(lhs - rhs) <= 1e-10, f"case {i}: switch identity {abs(lhs-rhs):.2e}")
-        lhs2 = np.trace(pinched @ sigma.matrix).real
-        rhs2 = np.trace(rho.matrix @ sigma.matrix).real
-        t.check(abs(lhs2 - rhs2) <= 1e-10, f"case {i}: trace identity {abs(lhs2-rhs2):.2e}")
+        sigmas.append(random_density(rng, d).matrix)
+        rhos.append(random_density(rng, d).matrix)
+        rho2s.append(random_density(rng, d).matrix)
+
+    def check(sigma, rho, rho2):
+        bases = distinct_eigenspaces(sigma, cfg=cfg)
+        pinched = np.stack([pinch_matrix(r, b) for r, b in zip(rho, bases)])
+        pinched2 = np.stack([pinch_matrix(r, b) for r, b in zip(rho2, bases)])
+        v = np.array([b.v for b in bases])[:, None, None]
+        low = eigvals_hermitian(v * pinched - rho, cfg)[:, 0]
+
+        def tr(a, b):
+            return np.trace(a @ b, axis1=-2, axis2=-1).real
+        return [low, np.abs(tr(pinched, rho2) - tr(rho, pinched2)),
+                np.abs(tr(pinched, sigma) - tr(rho, sigma))]
+
+    low, switch, trace = _per_case(check, sigmas, rhos, rho2s).tolist()
+    for i in range(cases):
+        t.check(low[i] >= -1e-9, f"case {i}: blow-up inequality min eig {low[i]:.2e}")
+        t.check(switch[i] <= 1e-10, f"case {i}: switch identity {switch[i]:.2e}")
+        t.check(trace[i] <= 1e-10, f"case {i}: trace identity {trace[i]:.2e}")
     for d in (2, 3):
         for n in (1, 2, 3, 4):
             sigma = random_density(rng, d)
@@ -88,22 +119,29 @@ def suite_dataprocessing(seed: int, cases: int = 100, cfg: Numerics = DEFAULT,
     rng = np.random.default_rng(seed)
     t = _Tally("dataprocessing")
     orders = (1.1, 1.25, 1.4)
-    for i in range(cases):
+    ladder = (0.5, 0.8, 1.2, 1.5)
+    rhos, sigmas, out_rs, out_ss = [], [], [], []
+    for _ in range(cases):
         d = int(rng.integers(2, 5))
         rho = random_density(rng, d)
         sigma = random_density(rng, d)
         ch = channel
         if ch is None or ch.dim_in != d:
             ch = random_channel(rng, d, d)
-        out_r = apply_channel(ch, rho, validate=False, cfg=cfg)
-        out_s = apply_channel(ch, sigma, validate=False, cfg=cfg)
-        for order in orders:
-            before = sandwiched_renyi(rho, sigma, order, cfg).value
-            after = sandwiched_renyi(out_r, out_s, order, cfg).value
-            t.check(after <= before + 1e-9,
-                    f"case {i}: order {order} grew {after - before:.2e}")
-        vals = [sandwiched_renyi(rho, sigma, o, cfg).value
-                for o in (0.5, 0.8, 1.2, 1.5)]
+        rhos.append(rho.matrix)
+        sigmas.append(sigma.matrix)
+        out_rs.append(ch.apply_matrix(rho.matrix))
+        out_ss.append(ch.apply_matrix(sigma.matrix))
+
+    def renyi(of: tuple[float, ...]):
+        return lambda r, s: [sandwiched_renyi(r, s, o, cfg).value for o in of]
+
+    inputs = _per_case(renyi(orders + ladder), rhos, sigmas).T.tolist()
+    outputs = _per_case(renyi(orders), out_rs, out_ss).T.tolist()
+    for i, (values, after) in enumerate(zip(inputs, outputs)):
+        before, vals = values[:len(orders)], values[len(orders):]
+        for order, b, a in zip(orders, before, after):
+            t.check(a <= b + 1e-9, f"case {i}: order {order} grew {a - b:.2e}")
         t.check(all(vals[j] <= vals[j + 1] + 1e-9 for j in range(len(vals) - 1)),
                 f"case {i}: order monotonicity broken {vals}")
     return t.result()
@@ -126,31 +164,37 @@ def suite_reduction(seed: int, cases: int = 100, cfg: Numerics = DEFAULT) -> dic
     """Diagonal (commuting) inputs reproduce the classical formulas."""
     rng = np.random.default_rng(seed)
     t = _Tally("reduction")
-    for i in range(cases):
+    ps, qs, alphas = [], [], []
+    for _ in range(cases):
         d = int(rng.integers(2, 5))
         p = rng.dirichlet(np.ones(d)) + 1e-4
         q = rng.dirichlet(np.ones(d)) + 1e-4
-        p, q = p / p.sum(), q / q.sum()
-        dp = DensityMatrix(np.diag(p).astype(complex), cfg=cfg)
-        dq = DensityMatrix(np.diag(q).astype(complex), cfg=cfg)
+        ps.append(p / p.sum())
+        qs.append(q / q.sum())
+        alphas.append(float(rng.uniform(0.1, 0.45)))
 
-        t.check(abs(trace_distance(dp, dq, cfg) - float(np.sum(np.abs(p - q)))) <= 1e-9,
+    def quantum(dp, dq, alpha):
+        dp, dq = require_states(dp, cfg), require_states(dq, cfg)
+        return [trace_distance(dp, dq, cfg), fidelity(dp, dq, cfg),
+                relative_entropy(dp, dq, cfg).value,
+                sandwiched_renyi(dp, dq, 1 + alpha, cfg).value,
+                von_neumann_entropy(dp, cfg), purified_distance(dp, dq, cfg)]
+
+    values = _per_case(quantum, [np.diag(p).astype(complex) for p in ps],
+                       [np.diag(q).astype(complex) for q in qs], alphas).T.tolist()
+    for i, (p, q, alpha) in enumerate(zip(ps, qs, alphas)):
+        tdist, fid, rel, q_ren, q_ent, pd = values[i]
+        t.check(abs(tdist - float(np.sum(np.abs(p - q)))) <= 1e-9,
                 f"case {i}: trace distance")
-        t.check(abs(fidelity(dp, dq, cfg) - float(np.sum(np.sqrt(p * q)))) <= 1e-9,
+        t.check(abs(fid - float(np.sum(np.sqrt(p * q)))) <= 1e-9,
                 f"case {i}: fidelity")
         kl = float(np.sum(p * np.log2(p / q)))
-        t.check(abs(relative_entropy(dp, dq, cfg).value - kl) <= 1e-9,
-                f"case {i}: relative entropy")
-        alpha = float(rng.uniform(0.1, 0.45))
+        t.check(abs(rel - kl) <= 1e-9, f"case {i}: relative entropy")
         ren = math.log2(float(np.sum(p ** (1 + alpha) * q ** (-alpha)))) / alpha
-        t.check(abs(sandwiched_renyi(dp, dq, 1 + alpha, cfg).value - ren) <= 1e-9,
-                f"case {i}: renyi order {1 + alpha:.3f}")
+        t.check(abs(q_ren - ren) <= 1e-9, f"case {i}: renyi order {1 + alpha:.3f}")
         ent = -float(np.sum(p * np.log2(p)))
-        t.check(abs(von_neumann_entropy(dp, cfg) - ent) <= 1e-9,
-                f"case {i}: entropy")
-        pd = purified_distance(dp, dq, cfg)
-        t.check(trace_distance(dp, dq, cfg) <= 2.0 * pd + 1e-12,
-                f"case {i}: distance pairing")
+        t.check(abs(q_ent - ent) <= 1e-9, f"case {i}: entropy")
+        t.check(tdist <= 2.0 * pd + 1e-12, f"case {i}: distance pairing")
     return t.result()
 
 
@@ -162,18 +206,17 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, channel: QuantumChannel | None = None) -> list[dict]:
-    """Run one suite (or all) and return their tallies."""
-    if name == "all":
-        out = []
-        for key, fn in SUITES.items():
-            if key == "dataprocessing":
-                out.append(fn(seed, channel=channel))
-            else:
-                out.append(fn(seed))
-        return out
-    if name not in SUITES:
+def run_suite(name: str, seed: int, channel: QuantumChannel | None = None,
+              cfg: Numerics = DEFAULT) -> list[dict]:
+    """Run one suite (or all) and return their tallies.
+
+    Each suite gets the ``cfg`` and ``channel`` arguments it takes.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (choose from {sorted(SUITES)} or 'all')")
-    if name == "dataprocessing":
-        return [SUITES[name](seed, channel=channel)]
-    return [SUITES[name](seed)]
+    out = []
+    for fn in SUITES.values() if name == "all" else [SUITES[name]]:
+        params = inspect.signature(fn).parameters
+        out.append(fn(seed, **{k: v for k, v in (("cfg", cfg), ("channel", channel))
+                               if k in params}))
+    return out

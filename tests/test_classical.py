@@ -442,3 +442,17 @@ def test_resolvability_caps_checked_first(mode):
                              cfg=DEFAULT.replaced(warden_cap=8))
     with pytest.raises(CapExceeded):
         resolvability_oracle(p_u, p_e_u, rate=5000.0, n=7, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_resolvability_codebook_buffer_capped(mode):
+    # 2 codewords and |E|^n = 4 each pass their own cap; the oracle's
+    # (codewords x |E|^n) buffer of 8 floats must pass warden_cap too.
+    p_u = np.array([0.5, 0.5])
+    p_e_u = np.array([[0.9, 0.1], [0.6, 0.4]])
+    with pytest.raises(CapExceeded, match="2 codewords x"):
+        resolvability_oracle(p_u, p_e_u, rate=0.5, n=2, mode=mode, trials=30,
+                             cfg=DEFAULT.replaced(codebook_cap=2, warden_cap=4))
+    res = resolvability_oracle(p_u, p_e_u, rate=0.5, n=2, mode=mode, trials=30,
+                               cfg=DEFAULT.replaced(codebook_cap=2, warden_cap=8))
+    assert res["codewords"] == 2 and res["estimate"] >= 0.0

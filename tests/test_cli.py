@@ -5,9 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from covertq import cli
 from covertq.cli import main
-from covertq.errors import ParseError
+from covertq.config import DEFAULT
+from covertq.errors import ParseError, SelfCheckFailed
 from covertq.specio import load_spec
+from covertq.verify import suite_reduction
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures")
 QUBIT = os.path.join(FIXTURES, "qubit_cnot.json")
@@ -315,3 +318,27 @@ def test_non_finite_quantum_tables_exit_3(path, tmp_path, capsys):
     code, _, err = run_cli(capsys, "bound", "--spec", spec, "--which", "thm1")
     assert code == 3
     assert "non-finite" in err
+
+
+def test_verify_uses_spec_numerics(tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(("numerics",), {"support_tol": 0.5}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--seed", "1",
+                           "--spec", spec)
+    expected = suite_reduction(1, cfg=DEFAULT.replaced(support_tol=0.5))["failures"]
+    assert code == 1
+    assert json.loads(out)["results"]["suites"][0]["failures"] == expected == 373
+
+
+@pytest.mark.parametrize("exc,message", [
+    (KeyError("boom"), "error: internal KeyError: 'boom'"),
+    (SelfCheckFailed("chain rule"), "error: chain rule"),
+], ids=["KeyError", "SelfCheckFailed"])
+def test_internal_errors_exit_6_without_traceback(exc, message, monkeypatch, capsys):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_divergence", broken)
+    code, out, err = run_cli(capsys, "divergence", "--spec", DIAG, "--measure", "trace")
+    assert code == 6 and out == ""
+    assert "Traceback" not in err
+    assert err.strip() == message

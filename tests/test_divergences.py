@@ -15,7 +15,8 @@ from covertq.divergences import (
     trace_distance,
     von_neumann_entropy,
 )
-from covertq.errors import NotADistribution, OrderOutOfRange
+from covertq import divergences
+from covertq.errors import NotADistribution, OrderOutOfRange, SelfCheckFailed
 from covertq.sampling import random_channel, random_cq, random_density
 from covertq.states import CQState, DensityMatrix, apply_channel
 
@@ -199,3 +200,53 @@ def test_classical_info_terms_brute_force():
 def test_classical_info_terms_rejects_bad_table():
     with pytest.raises(NotADistribution):
         classical_info_terms(np.ones((2, 2, 2, 2)))
+
+
+def test_stacked_divergences_equal_per_matrix_calls():
+    rng = rng_for(21)
+    rhos = [random_density(rng, 3).matrix for _ in range(6)]
+    sigmas = [random_density(rng, 3).matrix for _ in range(6)]
+    for i in (1, 4):  # rank-2 sigma: a full-rank rho has mass outside its support
+        sigmas[i] = random_density(rng, 3, rank=2).matrix
+    orders = np.array([1.25, 1.4, 0.8, 1.1, 0.6, 1.5])  # pair 4 violates at an order < 1
+    r, s = np.stack(rhos), np.stack(sigmas)
+
+    stacked = sandwiched_renyi(r, s, orders)
+    single = [sandwiched_renyi(a, b, o) for a, b, o in zip(rhos, sigmas, orders)]
+    assert stacked.support_violation.tolist() == [False, True, False, False, False, False]
+    np.testing.assert_array_equal(stacked.value, [dv.value for dv in single])
+    np.testing.assert_array_equal(stacked.support_violation,
+                                  [dv.support_violation for dv in single])
+    fixed = sandwiched_renyi(r, s, 1.25)
+    np.testing.assert_array_equal(fixed.value,
+                                  [sandwiched_renyi(a, b, 1.25).value
+                                   for a, b in zip(rhos, sigmas)])
+
+    rel = relative_entropy(r, s)
+    single = [relative_entropy(a, b) for a, b in zip(rhos, sigmas)]
+    assert rel.support_violation.tolist() == [False, True, False, False, True, False]
+    np.testing.assert_array_equal(rel.value, [dv.value for dv in single])
+    np.testing.assert_array_equal(rel.support_violation,
+                                  [dv.support_violation for dv in single])
+    assert not rel.is_finite and relative_entropy(r[:1], s[:1]).is_finite
+
+    np.testing.assert_array_equal(von_neumann_entropy(s),
+                                  [von_neumann_entropy(b) for b in sigmas])
+    assert isinstance(von_neumann_entropy(s[0]), float)
+    assert isinstance(sandwiched_renyi(r[0], s[0], 1.25).value, float)
+
+
+def test_stacked_sandwiched_rejects_any_bad_order():
+    rng = rng_for(22)
+    r = np.stack([random_density(rng, 2).matrix for _ in range(3)])
+    with pytest.raises(OrderOutOfRange):
+        sandwiched_renyi(r, r, np.array([1.25, 1.0, 1.5]))
+
+
+def test_classical_info_terms_self_check_is_a_library_error(monkeypatch):
+    # Entropies that break the chain rule must raise a CovertqError
+    # (exit 6 on the command line), not a bare RuntimeError.
+    values = iter(range(1, 100))
+    monkeypatch.setattr(divergences, "entropy_of_table", lambda table: float(next(values)))
+    with pytest.raises(SelfCheckFailed, match="chain-rule"):
+        classical_info_terms(np.full((2, 2, 2, 2), 1.0 / 16))

@@ -6,10 +6,13 @@ import pytest
 
 from conftest import diag_state, rng_for
 from covertq.divergences import fidelity
-from covertq.errors import CapExceeded
+from covertq.config import DEFAULT
+from covertq.errors import CapExceeded, DimMismatch
 from covertq.linalg import trace_norm
 from covertq.oneshot import ProtocolRates, induced_states
+from covertq.pinching import decoder_projector_blocks
 from covertq.protocol import (
+    _srm,
     Codebook,
     build_decoder,
     covert_distance,
@@ -333,3 +336,109 @@ def test_monte_carlo_covertness_matches_per_block_loop(case):
                      and ref["message_key_trace"]
                      <= 2.0 * math.sqrt(ref["message_key_p2_innocent"]) + 1e-9)
     assert sim.verdicts["trace_pairing"] == pairs_ok
+
+
+# ---------------------------------------------------------------------------
+# monte_carlo_verify evaluates all trials of a chunk in stacked calls; the
+# per-codebook loop it replaced stays here as the reference.
+
+def _loop_decoder(cb, blocks, cfg):
+    """Square-root measurement built label by label, one element at a time."""
+    d = blocks[0].shape[0]
+    labels, counts = np.unique(cb.entries, return_counts=True)
+    s_op = np.zeros((d, d), dtype=complex)
+    for lab, cnt in zip(labels, counts):
+        s_op += cnt * blocks[int(lab)]
+    w, v = np.linalg.eigh(s_op)
+    cut = cfg.support_tol * np.max(np.abs(w))
+    inv = np.array([x ** -0.5 if x > cut else 0.0 for x in w])
+    s_inv_sqrt = (v * inv) @ v.conj().T
+    return {int(lab): s_inv_sqrt @ blocks[int(lab)] @ s_inv_sqrt for lab in labels}
+
+
+def _loop_ideal_error(cb, elements, b_conds, match_mode):
+    nj, nk, nm = cb.sizes
+    succ = 0.0
+    for k in range(nk):
+        for m in range(nm):
+            w = sum(elements[int(cb.entries[jp, k, m])] for jp in range(nj))
+            for j in range(nj):
+                op = w if match_mode == "message_key" else elements[int(cb.entries[j, k, m])]
+                succ += float(np.real(np.trace(op @ b_conds[int(cb.entries[j, k, m])])))
+    return min(1.0, max(0.0, 1.0 - succ / cb.num_entries))
+
+
+def _loop_penalty(cb, rho_s, s_conds):
+    nj, nk, _ = cb.sizes
+    tau = sum(s_conds[int(cb.entries[j, k, 0])] for j in range(nj) for k in range(nk))
+    f = fidelity(DensityMatrix(tau / (nj * nk), validate=False), rho_s)
+    return min(1.0, max(0.0, 1.0 - f * f))
+
+
+def _seeded_unmatched():
+    rng = rng_for(15)
+    inst = random_problem_instance(rng)
+    conds = [random_density(rng, 4, factors=[("A", 2), ("S", 2)]) for _ in range(3)]
+    ens = CQState(range(3), rng.dirichlet(np.ones(3)), conds)
+    return ens, inst, ProtocolRates(R=1.0, R_K=1.0, R_J=1.0, alpha=0.25)
+
+
+@pytest.mark.parametrize("case", ["qubit_cnot", "seeded"])
+@pytest.mark.parametrize("match_mode", ["message_key", "triple"])
+@pytest.mark.parametrize("cap", [None, 20])
+def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
+    if case == "qubit_cnot":
+        spec = load_spec(QUBIT)
+        ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
+    else:
+        ens, inst, rates = _seeded_unmatched()
+    # A cap of 20 entries splits the 41 trials into chunks of 5 (qubit_cnot,
+    # 4 entries per codebook) or 2 (seeded, 8 entries), the last one short.
+    cfg = DEFAULT if cap is None else DEFAULT.replaced(codebook_cap=cap)
+    trials, seed = 41, 5
+    sim = monte_carlo_verify(ens, inst, rates, trials, seed, match_mode=match_mode, cfg=cfg)
+    st = induced_states(ens, inst.channel)
+    rho0 = innocent_output(inst)
+    nj, nk, nm = rates.sizes()
+    blocks = decoder_projector_blocks(st.cq_ub, math.log2(nj * nk * nm), st.rho_b)
+    b_conds = [c.matrix for c in st.cq_ub.conditionals]
+    s_conds = [c.matrix for c in st.cq_us.conditionals]
+    e_conds = [c.matrix for c in st.cq_ue.conditionals]
+    pairs_ok = True
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        cb = sample_codebook(ens.probs, rates, np.random.default_rng(child))
+        if case == "seeded":
+            assert min(cb.sizes) > 1
+        elements = _loop_decoder(cb, blocks, DEFAULT)
+        err = _loop_ideal_error(cb, elements, b_conds, match_mode)
+        pen = _loop_penalty(cb, st.rho_s, s_conds)
+        ref = _per_block_covertness(cb, e_conds, st.rho_e, rho0)
+        ref.update(ideal_error=err, penalty_p2=pen, split_lhs=2.0 * err + 2.0 * pen)
+        for name, series in sim.per_trial.items():
+            assert series[i] == pytest.approx(ref[name], abs=1e-12), name
+        pairs_ok &= (ref["key_trace"] <= 2.0 * math.sqrt(ref["key_p2_innocent"]) + 1e-9
+                     and ref["message_key_trace"]
+                     <= 2.0 * math.sqrt(ref["message_key_p2_innocent"]) + 1e-9)
+        # the one-codebook API is the same stacked code
+        povm = build_decoder(cb, st.cq_ub, rates, threshold_exponent=math.log2(nj * nk * nm),
+                             _blocks=blocks)
+        assert povm.elements_by_label.keys() == elements.keys()
+        for lab, el in elements.items():
+            assert np.max(np.abs(povm.elements_by_label[lab] - el)) < 1e-12
+        assert ideal_error_prob(cb, povm, b_conds, match_mode) == pytest.approx(err, abs=1e-12)
+        assert uhlmann_penalty(cb, 0, st.rho_s, s_conds) == pytest.approx(pen, abs=1e-12)
+    assert len(sim.per_trial) == 7
+    assert sim.verdicts["trace_pairing"] == pairs_ok
+
+
+def test_stacked_decoder_reports_first_failing_codebook():
+    # Codebook 0 uses only the identity block and is valid; codebook 1 mixes
+    # in a block that is not PSD, so its element for label 0 is not PSD.
+    blocks = np.stack([np.diag([2.0, -0.5, 1.0, 1.0]).astype(complex),
+                       np.eye(4, dtype=complex)])
+    entries = np.array([[[[1, 1]]], [[[0, 1]]]])
+    with pytest.raises(DimMismatch, match="label 0 is not PSD"):
+        _srm(entries, blocks, True, DEFAULT)
+    keys, elements, fail = _srm(entries[:1], blocks, True, DEFAULT)
+    assert keys.tolist() == [1]
+    assert np.allclose(elements[0], np.eye(4) / 2) and np.allclose(fail, 0.0)

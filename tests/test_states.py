@@ -22,6 +22,7 @@ from covertq.states import (
     innocent_output,
     marginals,
     normalize,
+    require_states,
 )
 
 PAULI = [np.eye(2, dtype=complex),
@@ -233,3 +234,14 @@ def test_csi_deviation_scales_with_mixing():
     ok, dev = check_csi_consistency(cq, inst)
     assert not ok
     assert dev > 0.05
+
+
+def test_require_states_checks_a_stack_and_names_the_bad_matrix():
+    good = np.diag([0.5, 0.5]).astype(complex)
+    assert require_states(np.stack([good, good])).shape == (2, 2, 2)
+    with pytest.raises(NotPSD, match="state 1 has eigenvalue"):
+        require_states(np.stack([good, np.diag([1.1, -0.1]).astype(complex)]))
+    with pytest.raises(DimMismatch, match="state 0 trace is 0.9"):
+        require_states(np.stack([np.diag([0.5, 0.4]).astype(complex), good]))
+    with pytest.raises(NotPSD, match="^state has eigenvalue"):
+        DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
