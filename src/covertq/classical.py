@@ -49,18 +49,52 @@ class ClassicalCodebook:
         return int(np.prod(self.sizes))
 
 
+def _codeword_law(p_u) -> np.ndarray:
+    """The codeword distribution as floats; raises ``ValueError`` unless it
+    is nonnegative with positive mass."""
+    p = np.asarray(p_u, dtype=np.float64)
+    if not (np.all(p >= 0.0) and p.sum() > 0.0):
+        raise ValueError("codeword distribution needs nonnegative entries and positive mass")
+    return p
+
+
+def _check_codebook_cap(sizes, cfg: Numerics) -> None:
+    if int(np.prod(sizes)) > cfg.codebook_cap:
+        raise CapExceeded(f"codebook entries {np.prod(sizes)} exceed cap")
+
+
 def sample_classical_codebook(p_u: np.ndarray, sizes: tuple[int, int, int],
                               n: int, seed, cfg: Numerics = DEFAULT
                               ) -> ClassicalCodebook:
     """iid codewords of length n for every (j, k, m) bin."""
-    if int(np.prod(sizes)) > cfg.codebook_cap:
-        raise CapExceeded(f"codebook entries {np.prod(sizes)} exceed cap")
+    _check_codebook_cap(sizes, cfg)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p = np.asarray(p_u, dtype=np.float64)
-    if not (np.all(p >= 0.0) and p.sum() > 0.0):
-        raise ValueError("codeword distribution needs nonnegative entries and positive mass")
+    p = _codeword_law(p_u)
     entries = _draw(p, rng, (*sizes, n))
     return ClassicalCodebook(entries, tuple(int(x) for x in sizes), int(n))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative distributions of the unnormalized rows along the last axis
+    of ``p``, with the arithmetic of ``rng.choice(k, p=row / row.sum())``:
+    normalize, cumsum, divide by the last entry."""
+    cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _symbols(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF indices: the number of entries of ``cdf`` (last axis,
+    broadcast against ``u``) that are <= u, as ``choice`` counts them.
+
+    The last entry is skipped: it is x / x = 1 > u (or NaN for an empty
+    row), so it is never counted.
+    """
+    k = cdf.shape[-1]
+    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(k))
+    for i in range(k - 1):
+        idx += cdf[..., i] <= u
+    return idx.astype(np.intp)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
@@ -68,31 +102,85 @@ def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
 
     ``p`` holds unnormalized distributions along its last axis and
     broadcasts against ``shape`` (default: one draw per distribution).
-    The arithmetic is that of ``rng.choice(k, p=row / row.sum())``:
-    normalize, cumsum, divide by the last entry, count the entries <= u.
-    So the uniforms consumed and the indices returned are those of one
+    The uniforms consumed and the indices returned are those of one
     ``choice`` call per distribution in order, or of one ``choice(k,
     size=shape)`` call for a single distribution.
     """
-    cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    return _symbols(_cdf(p), rng.random(p.shape[:-1] if shape is None else shape))
+
+
+def _choice_index(laws: np.ndarray, u) -> np.ndarray:
+    """Index drawn by ``rng.choice(k, p=law)`` from the uniform ``u`` it
+    consumes, for normalized laws along the last axis (no renormalization:
+    cumsum, divide by the last entry, count the entries <= u)."""
+    cdf = np.cumsum(laws, axis=-1)
     cdf /= cdf[..., -1:]
-    u = rng.random(p.shape[:-1] if shape is None else shape)
-    idx = np.zeros(u.shape, dtype=np.intp)
-    for i in range(cdf.shape[-1]):
-        idx += cdf[..., i] <= u
-    return idx
+    return np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
-def _bin_weights_likelihood(codebook: ClassicalCodebook, m: int,
-                            s_seq: np.ndarray, p_u_s: np.ndarray,
-                            p_u: np.ndarray) -> np.ndarray:
-    """Unnormalized soft-covering weights over the (j, k) bins."""
-    nj, nk, _ = codebook.sizes
-    w = np.ones((nj, nk))
-    for t, s in enumerate(s_seq):
-        u_t = codebook.entries[:, :, m, t]
-        w *= p_u_s[s, u_t] / np.maximum(p_u[u_t], 1e-300)
-    return w
+def _density_ratio(p_u_s: np.ndarray, p_u) -> np.ndarray:
+    """P(u|s) / P(u) as an (S, U) table."""
+    return p_u_s / np.maximum(np.asarray(p_u, dtype=np.float64), 1e-300)
+
+
+def _bin_weights(ratio: np.ndarray, u_m: np.ndarray, s_seq: np.ndarray) -> np.ndarray:
+    """Unnormalized soft-covering weights of the bins whose codewords are
+    ``u_m`` (J, K, n): the product 1*r_0*r_1*... over symbols, in symbol
+    order, of the density ratio ``ratio[s_t, u_t]`` = P(u|s) / P(u)."""
+    flat = u_m.transpose(2, 0, 1) + ratio.shape[1] * s_seq[:, None, None]
+    return np.prod(ratio.ravel().take(flat), axis=0)
+
+
+class _Encoder:
+    """Lookup tables of the binning encoder for one policy and codeword law.
+
+    Each entry is computed with the arithmetic the encoder applies per
+    symbol, so gathering from the tables gives the same doubles.
+    """
+
+    def __init__(self, policy: AuxiliaryPolicy, p_u: np.ndarray):
+        p_u_s = policy.p_u_s
+        self.ratio = _density_ratio(p_u_s, p_u)
+        self.allowed = p_u_s > 0.0
+        self.surprisal = np.where(self.allowed, -np.log2(np.maximum(p_u_s, 1e-300)), 0.0)
+        # per-state conditional entropy, which centers the typicality window
+        self.entropy = [-float(np.sum(row[row > 0.0] * np.log2(row[row > 0.0])))
+                        for row in p_u_s]
+        self.cdf_a = _cdf(policy.p_a_us)  # (U, S, A)
+
+    def draw(self, u_m: np.ndarray, s_seq: np.ndarray, rng: np.random.Generator,
+             mode: str, eps: float | None = None) -> tuple[int, np.ndarray | None, float]:
+        """The bin draw for the codewords ``u_m`` (J, K, n) of one message.
+
+        Returns ``(flat, None, 0.0)`` when the flat (j, k) index is already
+        drawn, or ``(-1, law, u)`` when it is ``_choice_index(law, u)``.
+        Raises :class:`EncodingFailure` when no bin is typical.
+        """
+        if mode == "likelihood":
+            w = _bin_weights(self.ratio, u_m, s_seq)
+            tot = float(w.sum())
+            if tot <= 0.0:
+                return int(rng.integers(w.size)), None, 0.0
+            return -1, (w / tot).ravel(), rng.random()
+        if mode == "typicality":
+            cond_ent = 0.0
+            for s in s_seq:
+                cond_ent += self.entropy[s]
+            cond_ent /= len(s_seq)
+            if eps is None:
+                eps = 0.1 * max(cond_ent, 1e-12)
+            scores = np.zeros(u_m.shape[:2])
+            ok = np.ones(u_m.shape[:2], dtype=bool)
+            for t, s in enumerate(s_seq):
+                u_t = u_m[:, :, t]
+                ok &= self.allowed[s, u_t]
+                scores += self.surprisal[s, u_t]
+            ok &= np.abs(scores / len(s_seq) - cond_ent) <= eps
+            hits = np.flatnonzero(ok)
+            if hits.size == 0:
+                raise EncodingFailure("no jointly typical bin for this state sequence")
+            return int(hits[rng.integers(hits.size)]), None, 0.0
+        raise ValueError(f"unknown encoding mode {mode!r}")
 
 
 def gp_encode(codebook: ClassicalCodebook, m: int, s_seq: np.ndarray,
@@ -108,59 +196,27 @@ def gp_encode(codebook: ClassicalCodebook, m: int, s_seq: np.ndarray,
     qualifies.  The channel input is then drawn symbolwise.
     """
     s_seq = np.asarray(s_seq, dtype=np.intp)
-    nj, nk, _ = codebook.sizes
-    if mode == "likelihood":
-        w = _bin_weights_likelihood(codebook, m, s_seq, policy.p_u_s, p_u)
-        tot = float(w.sum())
-        if tot <= 0.0:
-            flat = rng.integers(nj * nk)
-        else:
-            flat = rng.choice(nj * nk, p=(w / tot).ravel())
-        j, k = divmod(int(flat), nk)
-    elif mode == "typicality":
-        cond_ent = _empirical_conditional_entropy(policy.p_u_s, s_seq)
-        if eps is None:
-            eps = 0.1 * max(cond_ent, 1e-12)
-        scores = np.zeros((nj, nk))
-        ok = np.ones((nj, nk), dtype=bool)
-        for t, s in enumerate(s_seq):
-            u_t = codebook.entries[:, :, m, t]
-            p_t = policy.p_u_s[s, u_t]
-            ok &= p_t > 0.0
-            with np.errstate(divide="ignore"):
-                scores += np.where(p_t > 0.0, -np.log2(np.maximum(p_t, 1e-300)), 0.0)
-        ok &= np.abs(scores / len(s_seq) - cond_ent) <= eps
-        hits = np.argwhere(ok)
-        if hits.shape[0] == 0:
-            raise EncodingFailure("no jointly typical bin for this state sequence")
-        j, k = (int(x) for x in hits[rng.integers(hits.shape[0])])
-    else:
-        raise ValueError(f"unknown encoding mode {mode!r}")
-
-    a_seq = _draw(policy.p_a_us[codebook.entries[j, k, m], s_seq], rng)
-    return int(j), int(k), a_seq
+    enc = _Encoder(policy, p_u)
+    u_m = codebook.entries[:, :, m]
+    flat, law, u = enc.draw(u_m, s_seq, rng, mode, eps)
+    if law is not None:
+        flat = int(_choice_index(law, u))
+    j, k = divmod(flat, codebook.sizes[1])
+    a_seq = _symbols(enc.cdf_a[u_m[j, k], s_seq], rng.random(len(s_seq)))
+    return j, k, a_seq
 
 
-def _empirical_conditional_entropy(p_u_s: np.ndarray, s_seq: np.ndarray) -> float:
-    """Per-symbol conditional entropy averaged over the observed states.
-
-    Centers the typicality window; the window half-width defaults to a
-    fraction of this value.
-    """
-    h = 0.0
-    for s in s_seq:
-        row = p_u_s[s]
-        row = row[row > 0.0]
-        h += -float(np.sum(row * np.log2(row)))
-    return h / len(s_seq)
+def _channel_cdf(problem: ClassicalProblem) -> np.ndarray:
+    """CDF rows of the joint (b, e) output, flattened b-major, per (a, s)."""
+    na, ns, nb, ne = problem.w.shape
+    return _cdf(problem.w.reshape(na, ns, nb * ne))
 
 
 def transmit(problem: ClassicalProblem, a_seq: np.ndarray, s_seq: np.ndarray,
              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample receiver and warden sequences through the channel law."""
-    _, _, nb, ne = problem.w.shape
-    joint = problem.w[a_seq, s_seq].reshape(len(a_seq), nb * ne)
-    return np.divmod(_draw(joint, rng), ne)
+    u = rng.random(len(a_seq))
+    return np.divmod(_symbols(_channel_cdf(problem)[a_seq, s_seq], u), problem.w.shape[3])
 
 
 def receiver_likelihood(problem: ClassicalProblem, policy: AuxiliaryPolicy,
@@ -182,6 +238,36 @@ def receiver_likelihood(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     return np.einsum("su,usb->ub", post_s_u, cond)
 
 
+def _log_table(p: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, 1e-300))
+
+
+def _ml_indices(codes: np.ndarray, b: np.ndarray, ll_tab: np.ndarray,
+                s: np.ndarray | None, prior_tab: np.ndarray | None) -> np.ndarray:
+    """First-maximum flat (j, k, m) index of each of a stack of decodings.
+
+    ``codes`` is (c, entries, n): the codebook of each trial; ``b`` and
+    ``s`` are (c, n).  Per symbol the log-likelihood and then the
+    log-prior of every entry are added, in symbol order from 0.
+    """
+    c, entries, n = codes.shape
+    nu = ll_tab.shape[0]
+    if s is None:  # likelihood (U, B), prior (U,)
+        ll_rows = ll_tab.T[b]
+        pr_rows = None if prior_tab is None else np.broadcast_to(prior_tab, ll_rows.shape)
+    else:  # likelihood (U, B, S), prior (S, U)
+        ll_rows = ll_tab.transpose(1, 2, 0)[b, s]
+        pr_rows = None if prior_tab is None else prior_tab[s]
+    offsets = (np.arange(c) * nu)[:, None]  # into the (c, U) rows of one symbol
+    ll = np.zeros((c, entries))
+    for t in range(n):
+        idx = codes[:, :, t] + offsets
+        ll += ll_rows[:, t].ravel().take(idx)
+        if pr_rows is not None:
+            ll += pr_rows[:, t].ravel().take(idx)
+    return ll.argmax(axis=1)  # first maximum wins
+
+
 def ml_decode(codebook: ClassicalCodebook, b_seq: np.ndarray,
               likelihood: np.ndarray, s_seq: np.ndarray | None = None,
               prior: np.ndarray | None = None) -> tuple[int, int, int]:
@@ -191,23 +277,11 @@ def ml_decode(codebook: ClassicalCodebook, b_seq: np.ndarray,
     optional ``prior`` ((U,) or (S, U)) multiplies per symbol, turning the
     rule into MAP decoding.  Ties break toward the smallest (j, k, m).
     """
-    b_seq = np.asarray(b_seq, dtype=np.intp)
-    with np.errstate(divide="ignore"):
-        ll_tab = np.log(np.maximum(likelihood, 1e-300))
-        prior_tab = None if prior is None else np.log(np.maximum(prior, 1e-300))
-    entries = codebook.entries
-    ll = np.zeros(codebook.sizes)
-    for t in range(codebook.n):
-        u_t = entries[..., t]
-        if s_seq is None:
-            ll += ll_tab[u_t, b_seq[t]]
-            if prior_tab is not None:
-                ll += prior_tab[u_t]
-        else:
-            ll += ll_tab[u_t, b_seq[t], s_seq[t]]
-            if prior_tab is not None:
-                ll += prior_tab[s_seq[t], u_t]
-    flat = int(np.argmax(ll))  # first maximum wins
+    codes = codebook.entries.reshape(1, codebook.num_entries, codebook.n)
+    s = None if s_seq is None else np.asarray(s_seq, dtype=np.intp)[None]
+    flat = int(_ml_indices(codes, np.asarray(b_seq, dtype=np.intp)[None],
+                           _log_table(likelihood), s,
+                           None if prior is None else _log_table(prior))[0])
     j, rem = divmod(flat, codebook.sizes[1] * codebook.sizes[2])
     k, m = divmod(rem, codebook.sizes[2])
     return j, k, m
@@ -221,28 +295,69 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     """Empirical (key, message) error of the full scheme over random codebooks.
 
     Each trial draws a fresh codebook, state sequence, message, bin, and
-    channel noise; encoding failures count as errors.
+    channel noise; encoding failures count as errors.  The draws come from
+    one ``default_rng(seed)`` stream, trial by trial, in the order of
+    ``sample_classical_codebook``, the state draw, ``gp_encode`` and
+    ``transmit``.  The rest is evaluated for chunks of trials holding at
+    most ``cfg.codebook_cap`` codebook entries.
     """
+    _check_codebook_cap(sizes, cfg)
+    p_u = _codeword_law(p_u)
+    nj, nk, nm = (int(x) for x in sizes)
+    entries = nj * nk * nm
     rng = np.random.default_rng(seed)
-    like = receiver_likelihood(problem, policy, receiver_csi)
-    prior = policy.p_u_s if receiver_csi else p_u
+    enc = _Encoder(policy, p_u)
+    cdf_u, cdf_w = _cdf(p_u), _channel_cdf(problem)
+    cdf_s = np.cumsum(problem.q_s)  # rng.choice(S, p=q_s): no renormalization
+    cdf_s /= cdf_s[-1]
+    ll_tab = _log_table(receiver_likelihood(problem, policy, receiver_csi))
+    prior_tab = _log_table(policy.p_u_s if receiver_csi else p_u)
+    ne = problem.w.shape[3]
+
     errors = 0
     enc_failures = 0
-    for _ in range(trials):
-        cb = sample_classical_codebook(p_u, sizes, n, rng, cfg)
-        s_seq = rng.choice(problem.q_s.shape[0], size=n, p=problem.q_s)
-        m = int(rng.integers(sizes[2]))
-        try:
-            j, k, a_seq = gp_encode(cb, m, s_seq, policy, p_u, rng, mode)
-        except EncodingFailure:
-            enc_failures += 1
-            errors += 1
-            continue
-        b_seq, _ = transmit(problem, a_seq, s_seq, rng)
-        _, k_hat, m_hat = ml_decode(cb, b_seq, like,
-                                    s_seq if receiver_csi else None, prior)
-        if (k_hat, m_hat) != (k, m):
-            errors += 1
+    chunk = max(1, cfg.codebook_cap // entries)
+    for lo in range(0, trials, chunk):
+        c = min(chunk, trials - lo)
+        # Draw pass: the draws of each trial in stream order.  Besides the
+        # codebook symbols only the bin weights of the sent message are
+        # evaluated here, because they decide which draw comes next.
+        codes = np.empty((c, nj, nk, nm, n), dtype=np.intp)
+        s = np.empty((c, n), dtype=np.intp)
+        m = np.empty(c, dtype=np.intp)
+        bins = np.zeros(c, dtype=np.intp)
+        laws = np.empty((c, nj * nk))
+        u_bin = np.zeros(c)
+        u_io = np.zeros((c, 2, n))  # input then channel uniforms
+        pending = np.zeros(c, dtype=bool)
+        sent = np.ones(c, dtype=bool)
+        for i in range(c):
+            codes[i] = _symbols(cdf_u, rng.random((nj, nk, nm, n)))
+            s[i] = _symbols(cdf_s, rng.random(n))
+            m[i] = rng.integers(nm)
+            try:
+                flat, law, u_bin[i] = enc.draw(codes[i, :, :, m[i]], s[i], rng, mode)
+            except EncodingFailure:
+                sent[i] = False
+                continue
+            if law is None:
+                bins[i] = flat
+            else:
+                laws[i], pending[i] = law, True
+            rng.random(out=u_io[i])
+
+        # Stacked pass.  Trials whose encoding failed run through it with
+        # bin 0 and zero uniforms and are left out of the count.
+        enc_failures += c - int(sent.sum())
+        bins[pending] = _choice_index(laws[pending], u_bin[pending])
+        codes = codes.reshape(c, entries, n)
+        u_seq = codes[np.arange(c), bins * nm + m]
+        a = _symbols(enc.cdf_a[u_seq, s], u_io[:, 0])
+        b = _symbols(cdf_w[a, s], u_io[:, 1]) // ne
+        flat = _ml_indices(codes, b, ll_tab, s if receiver_csi else None, prior_tab)
+        wrong = (flat // nm % nk != bins % nk) | (flat % nm != m)
+        errors += int(np.count_nonzero(wrong & sent))
+    errors += enc_failures
     p_err = errors / trials
     return {
         "error_rate": p_err,
@@ -285,6 +400,7 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
         raise ValueError("exact warden distribution is defined for likelihood encoding")
 
     w_e_us = np.einsum("usa,ase->use", policy.p_a_us, problem.w_e())  # P(e|u,s)
+    ratio = _density_ratio(policy.p_u_s, p_u)
     nj, nk, nm = codebook.sizes
     chunk = max(1, cfg.warden_cap // ne ** n)
     p_hat = np.zeros(ne ** n)
@@ -294,7 +410,7 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
         if q_seq == 0.0:
             continue
         for m in range(nm):
-            w = _bin_weights_likelihood(codebook, m, s_seq, policy.p_u_s, p_u)
+            w = _bin_weights(ratio, codebook.entries[:, :, m], s_seq)
             tot = float(w.sum())
             probs = (w / tot).ravel() if tot > 0 else np.full(nj * nk, 1.0 / (nj * nk))
             bins = np.flatnonzero(probs)
@@ -344,12 +460,29 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     return {"bound": best, "alpha": best_alpha, "eigencount": v}
 
 
+def _codebook_divergences(u_mats: np.ndarray, p_e_u: np.ndarray,
+                          q_n: np.ndarray) -> np.ndarray:
+    """D(P_hat || q^n) of each codebook of a (codebooks, size, n) symbol stack."""
+    c, size, n = u_mats.shape
+    p_hat = _product_rows(p_e_u[u_mats].reshape(c * size, n, -1)) \
+        .reshape(c, size, -1).mean(axis=1)
+    out = np.empty(c)
+    full = p_hat.all(axis=1)
+    rows = p_hat if full.all() else p_hat[full]
+    terms = np.log2(rows / q_n)
+    out[full] = np.sum(np.multiply(rows, terms, out=terms), axis=1)
+    # Zero cells are left out: sum the compacted row, whose pairwise
+    # summation differs from that of the row with zero terms.
+    for i in np.flatnonzero(~full):
+        mask = p_hat[i] > 0.0
+        out[i] = np.sum(p_hat[i, mask] * np.log2(p_hat[i, mask] / q_n[mask]))
+    return out
+
+
 def _codebook_divergence(u_matrix: np.ndarray, p_e_u: np.ndarray,
                          q_n: np.ndarray) -> float:
     """D(P_hat || q^n) for one codebook given as a (size, n) symbol matrix."""
-    p_hat = _product_rows(p_e_u[u_matrix]).mean(axis=0)
-    mask = p_hat > 0.0
-    return float(np.sum(p_hat[mask] * np.log2(p_hat[mask] / q_n[mask])))
+    return float(_codebook_divergences(u_matrix[None], p_e_u, q_n)[0])
 
 
 def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
@@ -362,7 +495,7 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
     closed-form bound.  The codebook size and |E|^n are checked against
     ``cfg.codebook_cap`` and ``cfg.warden_cap`` before anything is built.
     """
-    p_u = np.asarray(p_u, dtype=np.float64)
+    p_u = _codeword_law(p_u)
     p_e_u = np.asarray(p_e_u, dtype=np.float64)
     nu, ne = p_e_u.shape
     size = code_size(n * rate)
@@ -396,11 +529,16 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 30:
         raise ValueError("mc mode needs at least 30 codebooks")
+    # One rng.random((c, size, n)) call yields the doubles of c calls of
+    # rng.choice(nu, size=(size, n), p=p_u / p_u.sum()); a chunk of c
+    # codebooks holds at most warden_cap floats of product rows.
     rng = np.random.default_rng(seed)
+    cdf = _cdf(p_u)
+    chunk = cfg.warden_cap // (size * ne ** n)
     vals = []
-    for _ in range(trials):
-        u_matrix = rng.choice(nu, size=(size, n), p=p_u / p_u.sum())
-        vals.append(_codebook_divergence(u_matrix, p_e_u, q_n))
+    for lo in range(0, trials, chunk):
+        u_mats = _symbols(cdf, rng.random((min(chunk, trials - lo), size, n)))
+        vals += _codebook_divergences(u_mats, p_e_u, q_n).tolist()
     mean = math.fsum(vals) / trials
     var = math.fsum((v - mean) ** 2 for v in vals) / (trials - 1)
     out.update({"estimate": mean, "std_error": math.sqrt(var / trials),

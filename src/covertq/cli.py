@@ -272,18 +272,16 @@ def cmd_simulate(args) -> int:
     elif args.target == "classical":
         problem = _need(spec, "problem", "classical problem")
         policy = _need(spec, "policy", "auxiliary policy")
-        rates = spec.rates
-        rate = float(rates.get("R", 0.5))
         n = spec.run.get("blocklength", 4)
         res = resolvability_oracle(problem.q_s @ policy.p_u_s,
-                                   _warden_rows(spec), rate, n,
+                                   _warden_rows(spec), spec.rate("R"), n,
                                    mode="mc", trials=trials, seed=seed, cfg=cfg)
         verdicts = {"resolvability": res["estimate"] <= res["bound"]
                     + 3.0 * res["std_error"] + 1e-12}
         results = {"resolvability": res}
         if spec.policy is not None and n <= 8:
             p_u = problem.q_s @ spec.policy.p_u_s
-            sizes = _sizes_from_rates(rates, n)
+            sizes = tuple(code_size(n * spec.rate(name)) for name in ("R_J", "R_K", "R"))
             err = end_to_end_error(problem, spec.policy, p_u, sizes, n,
                                    trials, seed, cfg=cfg)
             cb = sample_classical_codebook(p_u, sizes, n, seed, cfg)
@@ -317,11 +315,6 @@ def _warden_rows(spec: SpecFile) -> np.ndarray:
     p_u = joint_su.sum(axis=0)
     post = np.where(p_u[None, :] > 0, joint_su / np.maximum(p_u[None, :], 1e-300), 0.0)
     return np.einsum("su,use->ue", post, w_e_us)
-
-
-def _sizes_from_rates(rates: dict, n: int) -> tuple[int, int, int]:
-    return tuple(code_size(n * float(rates.get(name, 0.0)))
-                 for name in ("R_J", "R_K", "R"))
 
 
 def cmd_verify(args) -> int:

@@ -9,6 +9,7 @@ time is the one field excluded from that contract.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -62,14 +63,17 @@ class SpecFile:
     rates: dict = field(default_factory=dict)
     run: dict = field(default_factory=dict)
 
+    def rate(self, name: str) -> float:
+        """Rate ``name`` ("R", "R_K" or "R_J") of the rates block; 0 if absent."""
+        return float(self.rates.get(name, 0.0))
+
     def protocol_rates(self, alpha: float | None = None) -> ProtocolRates:
-        r = self.rates
-        _expect(bool(r), f"{self.path}:rates", "spec carries no rates block")
-        a = alpha if alpha is not None else r.get("alpha")
+        _expect(bool(self.rates), f"{self.path}:rates", "spec carries no rates block")
+        a = alpha if alpha is not None else self.rates.get("alpha")
         _expect(a is not None, f"{self.path}:rates", "no alpha given (flag or spec)")
         try:
-            return ProtocolRates(R=float(r.get("R", 0.0)), R_K=float(r.get("R_K", 0.0)),
-                                 R_J=float(r.get("R_J", 0.0)), alpha=float(a))
+            return ProtocolRates(R=self.rate("R"), R_K=self.rate("R_K"),
+                                 R_J=self.rate("R_J"), alpha=float(a))
         except ValueError as exc:
             raise ParseError(f"{self.path}:rates: {exc}") from exc
 
@@ -149,6 +153,29 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
     return out
 
 
+def _finite_number(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _check_rates(rates: dict, path: str) -> None:
+    for name in ("R", "R_K", "R_J"):
+        if name in rates:
+            x = _finite_number(rates[name])
+            _expect(x is not None and x >= 0.0, f"{path}:rates.{name}",
+                    f"must be a finite number >= 0, got {rates[name]!r}")
+    if "alpha" in rates:
+        x = _finite_number(rates["alpha"])
+        _expect(x is not None and 0.0 < x < 0.5, f"{path}:rates.alpha",
+                f"must be a number in (0, 1/2), got {rates['alpha']!r}")
+
+
 def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     """Parse and validate a spec file; raises :class:`ParseError` with a
     field path or line number on malformed input."""
@@ -178,6 +205,7 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     rates, run = doc.get("rates", {}), doc.get("run", {})
     _expect(isinstance(rates, dict), f"{path}:rates", "must be an object")
     _expect(isinstance(run, dict), f"{path}:run", "must be an object")
+    _check_rates(rates, path)
     if "blocklength" in run:
         n = run["blocklength"]
         _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
@@ -240,17 +268,23 @@ class RunReport:
 
     def write(self, path: str) -> None:
         """Atomic write: temp file then rename."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(self.to_json())
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(path, self.to_json() + "\n")
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``; on any failure the temp file is removed and ``path`` is left
+    as it was."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_region_csv(path: str, rows: list[dict]) -> None:
@@ -260,13 +294,4 @@ def write_region_csv(path: str, rows: list[dict]) -> None:
     for row in rows:
         active = ";".join(row.get("active", []))
         lines.append(f"{row['w_R']},{row['w_RK']},{row['R']},{row['R_K']},{active}\n")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, "".join(lines))

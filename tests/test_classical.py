@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -274,6 +275,16 @@ def test_end_to_end_error_improves_with_blocklength():
 # Vectorised paths against the per-bin / per-symbol loops they replaced.  The
 # loops are kept here as the reference.
 
+def _bin_weights_reference(codebook, m, s_seq, p_u_s, p_u):
+    """Per-symbol product of the soft-covering density ratios."""
+    nj, nk, _ = codebook.sizes
+    w = np.ones((nj, nk))
+    for t, s in enumerate(s_seq):
+        u_t = codebook.entries[:, :, m, t]
+        w *= p_u_s[s, u_t] / np.maximum(p_u[u_t], 1e-300)
+    return w
+
+
 def _warden_reference(codebook, problem, policy, p_u):
     """Per-bin np.kron loop over every (state sequence, message, bin)."""
     n = codebook.n
@@ -286,7 +297,7 @@ def _warden_reference(codebook, problem, policy, p_u):
         if q_seq == 0.0:
             continue
         for m in range(nm):
-            w = classical._bin_weights_likelihood(codebook, m, s_seq, policy.p_u_s, p_u)
+            w = _bin_weights_reference(codebook, m, s_seq, policy.p_u_s, p_u)
             tot = float(w.sum())
             probs = (w / tot).ravel() if tot > 0 else np.full(nj * nk, 1.0 / (nj * nk))
             for flat, pw in enumerate(probs):
@@ -346,8 +357,8 @@ def test_exact_warden_uniform_fallback_matches_kron_loop():
     pol = stacked_policy()
     p_u = prob.q_s @ pol.p_u_s
     cb = ClassicalCodebook(np.zeros((3, 2, 2, 4), dtype=np.intp), (3, 2, 2), 4)
-    assert classical._bin_weights_likelihood(cb, 0, np.ones(4, dtype=np.intp),
-                                             pol.p_u_s, p_u).sum() == 0.0
+    assert _bin_weights_reference(cb, 0, np.ones(4, dtype=np.intp),
+                                  pol.p_u_s, p_u).sum() == 0.0
     res = exact_warden_distribution(cb, prob, pol, p_u)
     ref = _warden_reference(cb, prob, pol, p_u)
     assert np.max(np.abs(res["distribution"] - ref)) <= WARDEN_TOL
@@ -382,29 +393,134 @@ def test_draw_matches_choice():
         assert a.random() == b.random()
 
 
+# The per-trial scheme as it was written before the trials were stacked:
+# every draw is an rng.choice call, every bin and decoding a loop over symbols.
+
+def _codebook_reference(p_u, sizes, n, rng):
+    return rng.choice(len(p_u), size=(*sizes, n), p=p_u / p_u.sum())
+
+
+def _encode_reference(codebook, m, s_seq, policy, p_u, rng, mode, eps=None):
+    """gp_encode as a loop; returns (j, k, a_seq, bin weights were all zero)."""
+    nj, nk, _ = codebook.sizes
+    zero = False
+    if mode == "likelihood":
+        w = _bin_weights_reference(codebook, m, s_seq, policy.p_u_s, p_u)
+        tot = float(w.sum())
+        zero = tot <= 0.0
+        flat = rng.integers(nj * nk) if zero else rng.choice(nj * nk, p=(w / tot).ravel())
+        j, k = divmod(int(flat), nk)
+    else:
+        cond_ent = 0.0
+        for s in s_seq:
+            row = policy.p_u_s[s][policy.p_u_s[s] > 0.0]
+            cond_ent += -float(np.sum(row * np.log2(row)))
+        cond_ent /= len(s_seq)
+        if eps is None:
+            eps = 0.1 * max(cond_ent, 1e-12)
+        scores = np.zeros((nj, nk))
+        ok = np.ones((nj, nk), dtype=bool)
+        for t, s in enumerate(s_seq):
+            p_t = policy.p_u_s[s, codebook.entries[:, :, m, t]]
+            ok &= p_t > 0.0
+            scores += np.where(p_t > 0.0, -np.log2(np.maximum(p_t, 1e-300)), 0.0)
+        ok &= np.abs(scores / len(s_seq) - cond_ent) <= eps
+        hits = np.argwhere(ok)
+        if hits.shape[0] == 0:
+            raise EncodingFailure("no typical bin")
+        j, k = (int(x) for x in hits[rng.integers(hits.shape[0])])
+    a_seq = _choice_loop(policy.p_a_us[codebook.entries[j, k, m], s_seq], rng)
+    return j, k, a_seq, zero
+
+
+def _transmit_reference(problem, a_seq, s_seq, rng):
+    _, _, nb, ne = problem.w.shape
+    joint = problem.w[a_seq, s_seq].reshape(len(a_seq), nb * ne)
+    return np.divmod(_choice_loop(joint, rng), ne)
+
+
+def _decode_reference(codebook, b_seq, likelihood, s_seq=None, prior=None):
+    ll_tab = np.log(np.maximum(likelihood, 1e-300))
+    prior_tab = None if prior is None else np.log(np.maximum(prior, 1e-300))
+    ll = np.zeros(codebook.sizes)
+    for t in range(codebook.n):
+        u_t = codebook.entries[..., t]
+        if s_seq is None:
+            ll += ll_tab[u_t, b_seq[t]]
+            if prior_tab is not None:
+                ll += prior_tab[u_t]
+        else:
+            ll += ll_tab[u_t, b_seq[t], s_seq[t]]
+            if prior_tab is not None:
+                ll += prior_tab[s_seq[t], u_t]
+    j, rem = divmod(int(np.argmax(ll)), codebook.sizes[1] * codebook.sizes[2])
+    return (j, *divmod(rem, codebook.sizes[2]))
+
+
+def _end_to_end_reference(problem, policy, p_u, sizes, n, trials, seed,
+                          receiver_csi=True, mode="likelihood"):
+    """The per-trial loop; also returns how many trials had all bin weights 0."""
+    rng = np.random.default_rng(seed)
+    like = receiver_likelihood(problem, policy, receiver_csi)
+    prior = policy.p_u_s if receiver_csi else p_u
+    errors = enc_failures = zero_weight = 0
+    for _ in range(trials):
+        cb = ClassicalCodebook(_codebook_reference(p_u, sizes, n, rng), sizes, n)
+        s_seq = rng.choice(problem.q_s.shape[0], size=n, p=problem.q_s)
+        m = int(rng.integers(sizes[2]))
+        try:
+            j, k, a_seq, zero = _encode_reference(cb, m, s_seq, policy, p_u, rng, mode)
+        except EncodingFailure:
+            enc_failures += 1
+            errors += 1
+            continue
+        zero_weight += zero
+        b_seq, _ = _transmit_reference(problem, a_seq, s_seq, rng)
+        _, k_hat, m_hat = _decode_reference(cb, b_seq, like,
+                                            s_seq if receiver_csi else None, prior)
+        if (k_hat, m_hat) != (k, m):
+            errors += 1
+    p_err = errors / trials
+    return {
+        "error_rate": p_err,
+        "std_error": math.sqrt(max(p_err * (1 - p_err), 1e-12) / trials),
+        "encoding_failure_rate": enc_failures / trials,
+        "trials": trials,
+    }, zero_weight
+
+
 @pytest.mark.parametrize("mode", ["likelihood", "typicality"])
-def test_codebook_and_symbol_draws_match_choice_loop(mode, monkeypatch):
+def test_codebook_and_symbol_draws_match_choice_loop(mode):
     prob, pol, p_u = _random_instance(rng_for(540), na=3, nb=3, ne=2, nu=4)
-    vectorised, looped = [], []
-    for out, patch in ((vectorised, False), (looped, True)):
-        if patch:
-            monkeypatch.setattr(classical, "_draw", _choice_loop)
+    stacked, looped = [], []
+    for out, ref in ((stacked, False), (looped, True)):
         rng = rng_for(541)
         for trial in range(40):
             # n = 0 draws nothing; the typicality window needs n >= 1
             n = trial % 7 if mode == "likelihood" else 1 + trial % 6
-            cb = sample_classical_codebook(p_u, (4, 4, 2), n, rng)
+            if ref:
+                cb = ClassicalCodebook(_codebook_reference(p_u, (4, 4, 2), n, rng), (4, 4, 2), n)
+            else:
+                cb = sample_classical_codebook(p_u, (4, 4, 2), n, rng)
             s_seq = rng.choice(2, size=n, p=prob.q_s)
             try:
-                j, k, a_seq = gp_encode(cb, trial % 2, s_seq, pol, p_u, rng, mode, eps=1.0)
+                if ref:
+                    j, k, a_seq, _ = _encode_reference(cb, trial % 2, s_seq, pol, p_u, rng,
+                                                       mode, eps=1.0)
+                else:
+                    j, k, a_seq = gp_encode(cb, trial % 2, s_seq, pol, p_u, rng, mode, eps=1.0)
             except EncodingFailure:
                 out.append(None)
                 continue
-            b_seq, e_seq = transmit(prob, a_seq, s_seq, rng)
-            out.append((j, k, a_seq.tolist(), b_seq.tolist(), e_seq.tolist()))
+            b_seq, e_seq = (_transmit_reference if ref else transmit)(prob, a_seq, s_seq, rng)
+            like = receiver_likelihood(prob, pol, trial % 3 == 0)
+            args = (cb, b_seq, like, s_seq if trial % 3 == 0 else None,
+                    None if trial % 4 == 0 else pol.p_u_s if trial % 3 == 0 else p_u)
+            decoded = (_decode_reference if ref else ml_decode)(*args)
+            out.append((j, k, a_seq.tolist(), b_seq.tolist(), e_seq.tolist(), decoded))
         out.append(rng.random())
-    assert vectorised == looped
-    assert any(o is not None for o in vectorised[:-1])
+    assert stacked == looped
+    assert any(o is not None for o in stacked[:-1])
 
 
 def test_codebook_divergence_matches_digit_loop():
@@ -456,3 +572,123 @@ def test_resolvability_codebook_buffer_capped(mode):
     res = resolvability_oracle(p_u, p_e_u, rate=0.5, n=2, mode=mode, trials=30,
                                cfg=DEFAULT.replaced(codebook_cap=2, warden_cap=8))
     assert res["codewords"] == 2 and res["estimate"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Stacked trials against the per-trial loop: every result must be equal.
+
+E2E_CASES = {
+    # n = 6 with 20 bins: all bin weights are zero in about 73% of trials
+    "xor_csi": ("xor", 6, (2, 10, 2), True, "likelihood", None),
+    "xor_no_csi": ("xor", 6, (2, 10, 2), False, "likelihood", None),
+    "xor_typicality": ("xor", 4, (3, 4, 2), True, "typicality", None),
+    "m1": ("xor", 5, (3, 4, 1), True, "likelihood", None),
+    "n1": ("xor", 1, (2, 2, 2), False, "likelihood", None),
+    # 40 entries per codebook, cap 120: 61 trials in chunks of 3
+    "uneven_chunks": ("xor", 4, (2, 10, 2), True, "likelihood", 120),
+    "random_sparse": (0, 5, (3, 4, 2), True, "likelihood", 50),
+    "random_typicality": (1, 3, (2, 3, 2), False, "typicality", 13),
+    "random_wide": (2, 4, (2, 3, 3), False, "likelihood", None),
+}
+
+
+def _e2e_instance(name):
+    if name == "xor":
+        prob, pol = xor_problem(), stacked_policy()
+        return prob, pol, prob.q_s @ pol.p_u_s
+    rng = rng_for(560 + name)
+    # alphabets of 8 to 12 joint outputs and up to 9 codeword symbols
+    return _random_instance(rng, na=2 + name, ns=2 + name % 2, nb=4, ne=2 + name,
+                            nu=4 + 2 * name, sparse=name == 0)
+
+
+@pytest.mark.parametrize("case", sorted(E2E_CASES))
+def test_end_to_end_matches_trial_loop(case):
+    inst, n, sizes, csi, mode, cap = E2E_CASES[case]
+    prob, pol, p_u = _e2e_instance(inst)
+    cfg = DEFAULT if cap is None else DEFAULT.replaced(codebook_cap=cap)
+    trials = 61
+    ref, zero_weight = _end_to_end_reference(prob, pol, p_u, sizes, n, trials, 11,
+                                             csi, mode)
+    assert end_to_end_error(prob, pol, p_u, sizes, n, trials, 11, csi, mode, cfg=cfg) == ref
+    if case.startswith("xor_") and mode == "likelihood":
+        assert 0 < zero_weight < trials
+    if mode == "typicality":
+        assert 0.0 < ref["encoding_failure_rate"] < 1.0
+
+
+def test_bin_weights_match_symbol_loop():
+    for seed in range(6):
+        rng = rng_for(570 + seed)
+        _, pol, p_u = _random_instance(rng, ns=3, nu=5, sparse=seed % 2 == 0)
+        n = 2 + 2 * seed  # up to 12 factors
+        cb = sample_classical_codebook(p_u, (3, 7, 2), n, rng)
+        s_seq = rng.integers(3, size=n)
+        ratio = classical._density_ratio(pol.p_u_s, p_u)
+        for m in range(2):
+            assert np.array_equal(classical._bin_weights(ratio, cb.entries[:, :, m], s_seq),
+                                  _bin_weights_reference(cb, m, s_seq, pol.p_u_s, p_u))
+
+
+def test_end_to_end_checks_before_drawing():
+    prob, pol, p_u = _e2e_instance("xor")
+    with pytest.raises(CapExceeded):
+        end_to_end_error(prob, pol, p_u, (64, 64, 2), 4, 30, 0)
+    with pytest.raises(ValueError, match="codeword distribution"):
+        end_to_end_error(prob, pol, -p_u, (2, 2, 2), 4, 30, 0)
+
+
+def _oracle_reference(p_u, p_e_u, rate, n, trials, seed):
+    """The mc estimate with one rng.choice codebook per trial and the product
+    distributions built over the digits of E^n, symbol by symbol."""
+    size = max(1, int(2.0 ** (n * rate)))
+    digits = np.asarray(list(product(range(p_e_u.shape[1]), repeat=n)), dtype=np.intp)
+    q = p_u @ p_e_u
+    q_n = np.ones(len(digits))
+    for t in range(n):
+        q_n *= q[digits[:, t]]
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(trials):
+        u_matrix = rng.choice(len(p_u), size=(size, n), p=p_u / p_u.sum())
+        p = np.ones((size, len(digits)))
+        for t in range(n):
+            p *= p_e_u[u_matrix[:, t]][:, digits[:, t]]
+        p_hat = p.mean(axis=0)
+        mask = p_hat > 0.0
+        vals.append(float(np.sum(p_hat[mask] * np.log2(p_hat[mask] / q_n[mask]))))
+    mean = math.fsum(vals) / trials
+    var = math.fsum((v - mean) ** 2 for v in vals) / (trials - 1)
+    return mean, math.sqrt(var / trials)
+
+
+@pytest.mark.parametrize("warden_cap", [None, 7 * 64 + 5])
+def test_oracle_matches_choice_loop_criterion_8(warden_cap):
+    # the criterion-8 sweep; the lowered cap splits 2000 codebooks of up to
+    # 16 codewords into uneven chunks (7 codebooks at rate 0.5)
+    q = 0.25
+    p_u = np.array([0.5, 0.5])
+    p_e_u = np.array([[1 - q, q], [q, 1 - q]])
+    cfg = DEFAULT if warden_cap is None else DEFAULT.replaced(warden_cap=warden_cap)
+    for rate in (0.25, 0.5, 1.0, 1.5, 2.0):
+        if cfg.warden_cap < int(2 ** (4 * rate)) * 16:
+            continue
+        res = resolvability_oracle(p_u, p_e_u, rate, n=4, mode="mc", trials=2000,
+                                   seed=31, cfg=cfg)
+        assert (res["estimate"], res["std_error"]) == \
+            _oracle_reference(p_u, p_e_u, rate, 4, 2000, 31)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_matches_choice_loop_with_zero_cells(seed):
+    rng = rng_for(580 + seed)
+    p_e_u = rng.dirichlet(np.ones(3), size=4)
+    p_e_u[0, 1] = p_e_u[2, 0] = 0.0  # some product cells of P_hat are zero
+    p_e_u /= p_e_u.sum(axis=1, keepdims=True)
+    p_u = rng.dirichlet(np.ones(4))
+    n = 1 + seed
+    cfg = DEFAULT.replaced(warden_cap=5 * 2 ** n * 3 ** n + 1)
+    res = resolvability_oracle(p_u, p_e_u, 1.0, n=n, mode="mc", trials=97, seed=seed,
+                               cfg=cfg)
+    assert (res["estimate"], res["std_error"]) == \
+        _oracle_reference(p_u, p_e_u, 1.0, n, 97, seed)

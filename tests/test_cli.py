@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from covertq import cli
+from covertq import cli, specio
 from covertq.cli import main
 from covertq.config import DEFAULT
 from covertq.errors import ParseError, SelfCheckFailed
@@ -342,3 +344,105 @@ def test_internal_errors_exit_6_without_traceback(exc, message, monkeypatch, cap
     assert code == 6 and out == ""
     assert "Traceback" not in err
     assert err.strip() == message
+
+
+CLASSICAL_SIMULATE = ("simulate", "--target", "classical", "--trials", "30")
+BOUND_THM1 = ("bound", "--which", "thm1")
+
+
+@pytest.mark.parametrize("fixture,argv,name,value", [
+    (QUBIT, BOUND_THM1, "R", math.nan),  # printed "covert_bound": "nan" and exited 0
+    (QUBIT, BOUND_THM1, "R_J", -1.0),
+    (QUBIT, BOUND_THM1, "R_K", math.inf),
+    (QUBIT, BOUND_THM1, "alpha", 0.5),
+    (QUBIT, BOUND_THM1, "alpha", 0.0),
+    (QUBIT, BOUND_THM1, "alpha", math.nan),
+    (QUBIT, BOUND_THM1, "alpha", "0.2"),
+    (CLASSICAL, CLASSICAL_SIMULATE, "R", -3),  # exited 0
+    (CLASSICAL, CLASSICAL_SIMULATE, "R", True),  # exited 0
+    (CLASSICAL, CLASSICAL_SIMULATE, "R", "1"),
+    (CLASSICAL, CLASSICAL_SIMULATE, "R", math.nan),  # exited 6
+    (CLASSICAL, CLASSICAL_SIMULATE, "R_K", None),
+    (CLASSICAL, CLASSICAL_SIMULATE, "R_J", 10 ** 400),
+])
+def test_rates_validated_at_parse(fixture, argv, name, value, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, fixture, _set(("rates", name), value))
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 2 and out == ""
+    assert f":rates.{name}: " in err and "Traceback" not in err
+
+
+def test_classical_rates_default_to_zero(tmp_path, capsys):
+    # the oracle used to default a missing R to 0.5, the end-to-end run to 0
+    def drop_r(doc):
+        del doc["rates"]["R"]
+    spec = _mutated_spec(tmp_path, CLASSICAL, drop_r)
+    code, out, _ = run_cli(capsys, *CLASSICAL_SIMULATE, "--spec", spec)
+    assert code == 0
+    res = json.loads(out)["results"]["resolvability"]
+    assert res["rate"] == 0.0 and res["codewords"] == 1
+
+
+class _HalfWriter:
+    """A file that takes half of the text, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+WRITERS = {
+    "report": lambda path: specio.RunReport("bound", {}, {"value": 1.0}).write(path),
+    "csv": lambda path: specio.write_region_csv(path, [{"w_R": 1.0, "w_RK": 0.0,
+                                                        "R": 0.5, "R_K": 0.0}]),
+}
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_target_unchanged(writer, fail_at, tmp_path, monkeypatch):
+    target = tmp_path / "out"
+    target.write_text("old\n")
+    if fail_at == "write":
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: _HalfWriter(fdopen(fd, *a, **k)))
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        WRITERS[writer](str(target))
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no .tmp left behind
+
+
+def _body_in_fresh_process(argv, hash_seed: str) -> dict:
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "covertq.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    del doc["wall_clock_s"]
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--spec", CLASSICAL, "--target", "classical", "--seed", "3"),
+    ("simulate", "--spec", QUBIT, "--target", "quantum", "--trials", "50"),
+], ids=["classical", "quantum"])
+def test_report_body_byte_identical_across_processes(argv):
+    first = _body_in_fresh_process(argv, "1")
+    second = _body_in_fresh_process(argv, "2")
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
