@@ -28,6 +28,7 @@ __all__ = [
     "gp_encode",
     "transmit",
     "receiver_likelihood",
+    "warden_rows",
     "ml_decode",
     "end_to_end_error",
     "exact_warden_distribution",
@@ -219,6 +220,28 @@ def transmit(problem: ClassicalProblem, a_seq: np.ndarray, s_seq: np.ndarray,
     return np.divmod(_symbols(_channel_cdf(problem)[a_seq, s_seq], u), problem.w.shape[3])
 
 
+def _state_posterior(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarray:
+    """P(s|u) as an (S, U) table.
+
+    A label with P(u) = 0 gets a zero column: the inverse-CDF draws never
+    put it into a codebook, so no decoder or warden row of it is read.
+    """
+    joint_su = problem.q_s[:, None] * policy.p_u_s
+    p_u = joint_su.sum(axis=0)
+    return np.where(p_u[None, :] > 0, joint_su / np.maximum(p_u[None, :], 1e-300), 0.0)
+
+
+def _output_given_us(policy: AuxiliaryPolicy, w_x: np.ndarray) -> np.ndarray:
+    """P(x|u,s) as a (U, S, X) table for a marginal channel ``w_x[a, s, x]``."""
+    return np.einsum("usa,asx->usx", policy.p_a_us, w_x)
+
+
+def warden_rows(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarray:
+    """P(e|u) rows induced by the policy through the channel, as (U, E)."""
+    return np.einsum("su,use->ue", _state_posterior(problem, policy),
+                     _output_given_us(policy, problem.w_e()))
+
+
 def receiver_likelihood(problem: ClassicalProblem, policy: AuxiliaryPolicy,
                         receiver_csi: bool) -> np.ndarray:
     """Per-symbol decoding likelihood table.
@@ -227,15 +250,10 @@ def receiver_likelihood(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     posterior given u.  With CSI: L[u, b, s] conditions on the known
     state.
     """
-    w_b = problem.w_b()  # (a, s, b)
-    cond = np.einsum("usa,asb->usb", policy.p_a_us, w_b)  # P(b|u,s)
+    cond = _output_given_us(policy, problem.w_b())  # P(b|u,s)
     if receiver_csi:
         return np.transpose(cond, (0, 2, 1))  # (u, b, s)
-    joint_su = problem.q_s[:, None] * policy.p_u_s  # (s, u)
-    p_u = joint_su.sum(axis=0)
-    post_s_u = np.where(p_u[None, :] > 0, joint_su / np.maximum(p_u[None, :], 1e-300),
-                        1.0 / problem.q_s.shape[0])
-    return np.einsum("su,usb->ub", post_s_u, cond)
+    return np.einsum("su,usb->ub", _state_posterior(problem, policy), cond)
 
 
 def _log_table(p: np.ndarray) -> np.ndarray:
@@ -399,7 +417,7 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
     if mode != "likelihood":
         raise ValueError("exact warden distribution is defined for likelihood encoding")
 
-    w_e_us = np.einsum("usa,ase->use", policy.p_a_us, problem.w_e())  # P(e|u,s)
+    w_e_us = _output_given_us(policy, problem.w_e())  # P(e|u,s)
     ratio = _density_ratio(policy.p_u_s, p_u)
     nj, nk, nm = codebook.sizes
     chunk = max(1, cfg.warden_cap // ne ** n)

@@ -11,6 +11,7 @@ error (reported on one line, without a traceback).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -21,6 +22,7 @@ from .classical import (
     exact_warden_distribution,
     resolvability_oracle,
     sample_classical_codebook,
+    warden_rows,
 )
 from .config import DEFAULT, code_size
 from .divergences import (
@@ -48,10 +50,9 @@ from .oneshot import (
     decoding_test_bounds,
     default_alpha_grid,
     induced_states,
-    one_shot_error_bound,
-    one_shot_covert_bound,
     optimize_bound,
     resolvability_bound,
+    verification_bounds,
 )
 from .protocol import monte_carlo_verify
 from .regions import (
@@ -75,9 +76,24 @@ EXIT_RUNPARAM = 6
 
 
 def _emit(report: RunReport, out_path: str | None) -> None:
-    print(report.to_json())
+    """Write ``--out``, then print; a closed stdout ends the printing quietly."""
     if out_path:
         report.write(out_path)
+    try:
+        print(report.to_json(), flush=True)
+    except BrokenPipeError:
+        # the exit-time flush of the unwritten text then goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
 
 
 def _need(spec: SpecFile, attr: str, what: str):
@@ -132,35 +148,24 @@ def cmd_bound(args) -> int:
     ensemble = _need(spec, "ensemble", "ensemble")
     instance = _need(spec, "instance", "channel instance")
     which = args.which
-    results: dict = {}
-
+    rates = spec.protocol_rates(args.alpha)
+    st = induced_states(ensemble, instance.channel, spec.cfg)
     if which in ("thm1", "thm5"):
-        rates = spec.protocol_rates(args.alpha)
-        rep = bound_report(ensemble, instance, rates, spec.cfg)
-        results = rep.to_dict()
+        results = bound_report(ensemble, instance, rates, spec.cfg, states=st).to_dict()
         if args.optimize:
-            st = induced_states(ensemble, instance.channel, spec.cfg)
             rj_grid = spec.run.get("rj_grid", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
             alpha_grid = spec.run.get("alpha_grid", default_alpha_grid().tolist())
 
             def total(alpha: float, rj: float) -> float:
-                r = ProtocolRates(rates.R, rates.R_K, rj, alpha)
-                pe = one_shot_error_bound(ensemble, instance.channel, r,
-                                          states=st, cfg=spec.cfg)
-                cov = one_shot_covert_bound(ensemble, instance.channel, r,
-                                            states=st, cfg=spec.cfg)
-                return pe + cov
+                vb = verification_bounds(st, ProtocolRates(rates.R, rates.R_K, rj, alpha))
+                return vb["error_split"] + vb["key_trace"]
 
             best_a, best_rj, best_v = optimize_bound(total, alpha_grid, rj_grid)
             results["optimized"] = {"alpha": best_a, "R_J": best_rj, "value": best_v}
     elif which == "lemma1":
-        rates = spec.protocol_rates(args.alpha)
-        st = induced_states(ensemble, instance.channel, spec.cfg)
         results = {"bound": resolvability_bound(st.cq_ue, rates.R, rates.alpha, spec.cfg),
                    "rate": rates.R, "alpha": rates.alpha}
     elif which == "lemma2":
-        rates = spec.protocol_rates(args.alpha)
-        st = induced_states(ensemble, instance.channel, spec.cfg)
         miss, alarm = decoding_test_bounds(st.cq_ub, rates, spec.cfg)
         results = {"miss_bound": miss, "false_alarm_bound": alarm,
                    "total_rate": rates.total, "alpha": rates.alpha}
@@ -273,19 +278,17 @@ def cmd_simulate(args) -> int:
         problem = _need(spec, "problem", "classical problem")
         policy = _need(spec, "policy", "auxiliary policy")
         n = spec.run.get("blocklength", 4)
-        res = resolvability_oracle(problem.q_s @ policy.p_u_s,
-                                   _warden_rows(spec), spec.rate("R"), n,
+        p_u = problem.q_s @ policy.p_u_s
+        res = resolvability_oracle(p_u, warden_rows(problem, policy), spec.rate("R"), n,
                                    mode="mc", trials=trials, seed=seed, cfg=cfg)
         verdicts = {"resolvability": res["estimate"] <= res["bound"]
                     + 3.0 * res["std_error"] + 1e-12}
         results = {"resolvability": res}
-        if spec.policy is not None and n <= 8:
-            p_u = problem.q_s @ spec.policy.p_u_s
+        if n <= 8:
             sizes = tuple(code_size(n * spec.rate(name)) for name in ("R_J", "R_K", "R"))
-            err = end_to_end_error(problem, spec.policy, p_u, sizes, n,
-                                   trials, seed, cfg=cfg)
+            err = end_to_end_error(problem, policy, p_u, sizes, n, trials, seed, cfg=cfg)
             cb = sample_classical_codebook(p_u, sizes, n, seed, cfg)
-            wd = exact_warden_distribution(cb, problem, spec.policy, p_u, cfg=cfg)
+            wd = exact_warden_distribution(cb, problem, policy, p_u, cfg=cfg)
             results["end_to_end"] = err
             results["warden_tv"] = wd["tv_from_innocent"]
         results["seed"] = seed
@@ -302,19 +305,6 @@ def cmd_simulate(args) -> int:
     )
     _emit(report, args.out)
     return EXIT_OK if all(verdicts.values()) else EXIT_PROPERTY
-
-
-def _warden_rows(spec: SpecFile) -> np.ndarray:
-    """P(e|u) rows induced by the spec's policy through the channel."""
-    problem = spec.problem
-    policy = spec.policy
-    if policy is None:
-        raise ParseError(f"{spec.path}: classical simulation needs a policy block")
-    w_e_us = np.einsum("usa,ase->use", policy.p_a_us, problem.w_e())
-    joint_su = problem.q_s[:, None] * policy.p_u_s
-    p_u = joint_su.sum(axis=0)
-    post = np.where(p_u[None, :] > 0, joint_su / np.maximum(p_u[None, :], 1e-300), 0.0)
-    return np.einsum("su,use->ue", post, w_e_us)
 
 
 def cmd_verify(args) -> int:
@@ -350,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec_required=True):
         p.add_argument("--spec", required=spec_required, help="problem spec JSON file")
         p.add_argument("--out", default=None, help="write the JSON report here as well")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the run seed")
 
     p = sub.add_parser("divergence", help="evaluate a distance or divergence")
     common(p)

@@ -8,7 +8,7 @@ are applied to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, replace
 
 from .errors import CapExceeded
 
@@ -31,14 +31,6 @@ class Numerics:
 
     def replaced(self, **kw) -> "Numerics":
         return replace(self, **kw)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Numerics":
-        known = {f.name for f in fields(cls)}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown numerics keys: {sorted(bad)}")
-        return cls(**d)
 
 
 DEFAULT = Numerics()

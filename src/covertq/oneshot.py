@@ -110,6 +110,13 @@ class InducedStates:
             raise SupportViolation(f"divergence for {which} at order {order} is infinite")
         return dv.value
 
+    def covert_gap(self, rho0: DensityMatrix) -> tuple[float, bool]:
+        """Trace distance of the warden marginal from the innocent output
+        ``rho0``, and whether it is within ``covert_tol``: the covert target
+        is matched."""
+        dev = trace_distance(self.rho_e, rho0, self.cfg)
+        return dev, bool(dev <= self.cfg.covert_tol)
+
 
 def induced_states(ensemble: CQState, channel: QuantumChannel,
                    cfg: Numerics = DEFAULT) -> InducedStates:
@@ -141,15 +148,6 @@ def _require_csi(ensemble: CQState, instance: ProblemInstance | None,
         raise CsiMismatch(f"ensemble S-marginal deviates from shared state by {dev:.3e}")
 
 
-def _error_components(st: InducedStates, rates: ProtocolRates) -> dict[str, float]:
-    a = rates.alpha
-    d_s = st.finite_divergence("S", 1.0 + a)
-    d_b = st.finite_divergence("B", 1.0 - a)
-    enc = (2.0 * st.v_s ** a / a) * 2.0 ** (a * (-(rates.R_J + rates.R_K) + d_s))
-    dec = 12.0 * st.v_b ** a * 2.0 ** (a * (rates.total - d_b))
-    return {"encoding": enc, "decoding": dec}
-
-
 def one_shot_error_bound(ensemble: CQState, channel: QuantumChannel,
                          rates: ProtocolRates, *,
                          instance: ProblemInstance | None = None,
@@ -162,13 +160,7 @@ def one_shot_error_bound(ensemble: CQState, channel: QuantumChannel,
     """
     _require_csi(ensemble, instance, cfg)
     st = states or induced_states(ensemble, channel, cfg)
-    comps = _error_components(st, rates)
-    return comps["encoding"] + comps["decoding"]
-
-
-def _covert_prefactors(v_e: int, alpha: float) -> tuple[float, float]:
-    base = v_e ** (alpha / 2.0) / math.sqrt(alpha)
-    return 2.0 * math.sqrt(2.0) * base, 2.0 * base
+    return verification_bounds(st, rates)["error_split"]
 
 
 def one_shot_covert_bound(ensemble: CQState, channel: QuantumChannel,
@@ -183,10 +175,7 @@ def one_shot_covert_bound(ensemble: CQState, channel: QuantumChannel,
     """
     _require_csi(ensemble, instance, cfg)
     st = states or induced_states(ensemble, channel, cfg)
-    a = rates.alpha
-    d_e = st.finite_divergence("E", 1.0 + a)
-    strict, _loose = _covert_prefactors(st.v_e, a)
-    return strict * 2.0 ** ((a / 2.0) * (-(rates.R_J + rates.R) + d_e))
+    return verification_bounds(st, rates)["key_trace"]
 
 
 def one_shot_secure_covert_bound(ensemble: CQState, channel: QuantumChannel,
@@ -202,10 +191,7 @@ def one_shot_secure_covert_bound(ensemble: CQState, channel: QuantumChannel,
     """
     _require_csi(ensemble, instance, cfg)
     st = states or induced_states(ensemble, channel, cfg)
-    a = rates.alpha
-    d_e = st.finite_divergence("E", 1.0 + a)
-    _strict, loose = _covert_prefactors(st.v_e, a)
-    return loose * 2.0 ** ((a / 2.0) * (-rates.R_J + d_e))
+    return verification_bounds(st, rates)["message_key_trace"]
 
 
 def resolvability_bound(cq_ue: CQState, rate: float, alpha: float,
@@ -242,17 +228,27 @@ def decoding_test_bounds(cq_ub: CQState, rates: ProtocolRates,
 
 
 def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, float]:
-    """All closed-form targets the Monte Carlo verifier checks against."""
+    """Every closed-form bound of Theorems 1 and 5 at one rate point.
+
+    The one place the exponents and prefactors are evaluated: the bound
+    functions, :func:`bound_report` and the Monte Carlo verifier read this
+    table.  Raises :class:`SupportViolation` when D_(1+a)(U;S),
+    D_(1-a)(U;B) or D_(1+a)(U;E) is infinite.
+    """
     a = rates.alpha
+    d_s = st.finite_divergence("S", 1.0 + a)
+    d_b = st.finite_divergence("B", 1.0 - a)
     d_e = st.finite_divergence("E", 1.0 + a)
-    comps = _error_components(st, rates)
-    strict, loose = _covert_prefactors(st.v_e, a)
+    enc = (2.0 * st.v_s ** a / a) * 2.0 ** (a * (-(rates.R_J + rates.R_K) + d_s))
+    dec = 12.0 * st.v_b ** a * 2.0 ** (a * (rates.total - d_b))
+    base = st.v_e ** (a / 2.0) / math.sqrt(a)
+    strict, loose = 2.0 * math.sqrt(2.0) * base, 2.0 * base
     key_expo = -(rates.R_J + rates.R) + d_e
     msg_expo = -rates.R_J + d_e
     return {
-        "error_split": comps["encoding"] + comps["decoding"],
-        "error_encoding": comps["encoding"],
-        "error_decoding": comps["decoding"],
+        "error_split": enc + dec,
+        "error_encoding": enc,
+        "error_decoding": dec,
         "key_p2": (2.0 * st.v_e ** a / a) * 2.0 ** (a * key_expo),
         "message_key_p2": (2.0 * st.v_e ** a / a) * 2.0 ** (a * msg_expo),
         "key_trace": strict * 2.0 ** ((a / 2.0) * key_expo),
@@ -289,33 +285,28 @@ class BoundReport:
 
 
 def bound_report(ensemble: CQState, instance: ProblemInstance,
-                 rates: ProtocolRates, cfg: Numerics = DEFAULT) -> BoundReport:
+                 rates: ProtocolRates, cfg: Numerics = DEFAULT, *,
+                 states: InducedStates | None = None) -> BoundReport:
     """Evaluate every one-shot bound for one ensemble and rate point."""
     _require_csi(ensemble, instance, cfg)
-    st = induced_states(ensemble, instance.channel, cfg)
+    st = states or induced_states(ensemble, instance.channel, cfg)
     a = rates.alpha
-    comps = _error_components(st, rates)
     vb = verification_bounds(st, rates)
-
-    rho0 = innocent_output(instance, cfg)
-    covert_applicable = trace_distance(st.rho_e, rho0, cfg) <= cfg.covert_tol
-
-    divs = {
-        "D_state": st.finite_divergence("S", 1.0 + a),
-        "D_receiver": st.finite_divergence("B", 1.0 - a),
-        "D_warden": st.finite_divergence("E", 1.0 + a),
-    }
-    comps = dict(comps)
-    comps["covert_loose_prefactor"] = vb["key_trace_loose"]
+    _, matched = st.covert_gap(innocent_output(instance, cfg))
     return BoundReport(
         pe_bound=vb["error_split"],
         covert_bound=vb["key_trace"],
         secure_covert_bound=vb["message_key_trace"],
-        components=comps,
-        divergences=divs,
+        components={"encoding": vb["error_encoding"], "decoding": vb["error_decoding"],
+                    "covert_loose_prefactor": vb["key_trace_loose"]},
+        divergences={
+            "D_state": st.finite_divergence("S", 1.0 + a),
+            "D_receiver": st.finite_divergence("B", 1.0 - a),
+            "D_warden": st.finite_divergence("E", 1.0 + a),
+        },
         eigencounts={"v_S": st.v_s, "v_B": st.v_b, "v_E": st.v_e},
         flags={
-            "covert_target_matched": bool(covert_applicable),
+            "covert_target_matched": matched,
             "pe_vacuous": vb["error_split"] > 1.0,
             "covert_vacuous": vb["key_trace"] > 2.0,
         },

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Numerics
-from .divergences import fidelity, trace_distance
+from .divergences import fidelity
 from .errors import CapExceeded, DimMismatch
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
@@ -326,7 +326,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
                               R_J=math.log2(nj), alpha=rates.alpha)
     bounds = verification_bounds(st, effective)
     rho0 = innocent_output(instance, cfg)
-    covert_applicable = trace_distance(st.rho_e, rho0, cfg) <= cfg.covert_tol
+    _, covert_applicable = st.covert_gap(rho0)
 
     b_stack = np.stack([c.matrix for c in st.cq_ub.conditionals])
     s_stack = np.stack([c.matrix for c in st.cq_us.conditionals])
@@ -390,7 +390,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         verdicts["message_key_trace"] = ok("message_key_trace", "message_key_trace")
 
     flags = {
-        "covert_target_matched": bool(covert_applicable),
+        "covert_target_matched": covert_applicable,
         "error_bound_vacuous": bounds["error_split"] > 1.0,
         "key_p2_bound_vacuous": bounds["key_p2"] > 1.0,
         "message_key_p2_bound_vacuous": bounds["message_key_p2"] > 1.0,

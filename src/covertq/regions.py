@@ -17,28 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Numerics
-from .divergences import (
-    classical_info_terms,
-    entropy_of_table,
-    holevo_mutual_info,
-    trace_distance,
-)
-from .errors import (
-    CovertInfeasible,
-    CsiMismatch,
-    DimMismatch,
-    NotADistribution,
-)
+from .divergences import classical_info_terms, entropy_of_table, holevo_mutual_info
+from .errors import CovertInfeasible, DimMismatch, NotADistribution
 from .linalg import require_finite
-from .oneshot import induced_states
-from .states import (
-    CQState,
-    DensityMatrix,
-    ProblemInstance,
-    QuantumChannel,
-    check_csi_consistency,
-    innocent_output,
-)
+from .oneshot import _require_csi, induced_states
+from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel, innocent_output
 
 __all__ = [
     "ClassicalProblem",
@@ -222,31 +205,25 @@ def _build_region(named: list[tuple[str, tuple[float, float], float]],
 # Quantum regions
 
 def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
-                   cfg: Numerics) -> dict[str, float]:
+                   instance: ProblemInstance | None, stealth: bool,
+                   cfg: Numerics) -> tuple[dict[str, float], dict[str, bool]]:
+    """I(U;B), I(U;S), I(U;E) of the ensemble and the region flags.
+
+    With an instance, the CSI guard runs and, unless ``stealth``, the
+    induced warden marginal must match the innocent output.
+    """
     st = induced_states(ensemble, channel, cfg)
-    return {
-        "I(U;B)": holevo_mutual_info(st.cq_ub, cfg),
-        "I(U;S)": holevo_mutual_info(st.cq_us, cfg),
-        "I(U;E)": holevo_mutual_info(st.cq_ue, cfg),
-        "_rho_e": st.rho_e,
-    }
-
-
-def _quantum_prechecks(ensemble: CQState, channel: QuantumChannel,
-                       instance: ProblemInstance | None, stealth: bool,
-                       terms: dict, cfg: Numerics) -> dict[str, bool]:
+    terms = {"I(U;B)": holevo_mutual_info(st.cq_ub, cfg),
+             "I(U;S)": holevo_mutual_info(st.cq_us, cfg),
+             "I(U;E)": holevo_mutual_info(st.cq_ue, cfg)}
     flags = {"stealth": stealth}
-    if instance is not None:
-        ok, dev = check_csi_consistency(ensemble, instance, cfg=cfg)
-        if not ok:
-            raise CsiMismatch(f"ensemble S-marginal off by {dev:.3e}")
-        if not stealth:
-            dev0 = trace_distance(terms["_rho_e"], innocent_output(instance, cfg), cfg)
-            flags["covert_target_matched"] = dev0 <= cfg.covert_tol
-            if not flags["covert_target_matched"]:
-                raise CovertInfeasible(
-                    f"induced warden marginal is {dev0:.3e} from the innocent output")
-    return flags
+    _require_csi(ensemble, instance, cfg)
+    if instance is not None and not stealth:
+        dev0, flags["covert_target_matched"] = st.covert_gap(innocent_output(instance, cfg))
+        if not flags["covert_target_matched"]:
+            raise CovertInfeasible(
+                f"induced warden marginal is {dev0:.3e} from the innocent output")
+    return terms, flags
 
 
 def cc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
@@ -257,16 +234,14 @@ def cc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
     Constraints: R bounded by I(U;B) - I(U;S), R_K by I(U;B) - I(U;E),
     and the sum by I(U;B).
     """
-    terms = _quantum_terms(ensemble, channel, cfg)
-    flags = _quantum_prechecks(ensemble, channel, instance, stealth, terms, cfg)
+    terms, flags = _quantum_terms(ensemble, channel, instance, stealth, cfg)
     iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
     named = [
         ("R", (1.0, 0.0), iub - ius),
         ("R_K", (0.0, 1.0), iub - iue),
         ("R+R_K", (1.0, 1.0), iub),
     ]
-    meta = {"I(U;B)": iub, "I(U;S)": ius, "I(U;E)": iue, **flags}
-    return _build_region(named, meta)
+    return _build_region(named, {**terms, **flags})
 
 
 def csc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
@@ -277,15 +252,13 @@ def csc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
     Constraints: R bounded by I(U;B) - I(U;S) and the sum by
     I(U;B) - I(U;E); always nested inside the cc_csk region.
     """
-    terms = _quantum_terms(ensemble, channel, cfg)
-    flags = _quantum_prechecks(ensemble, channel, instance, stealth, terms, cfg)
+    terms, flags = _quantum_terms(ensemble, channel, instance, stealth, cfg)
     iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
     named = [
         ("R", (1.0, 0.0), iub - ius),
         ("R+R_K", (1.0, 1.0), iub - iue),
     ]
-    meta = {"I(U;B)": iub, "I(U;S)": ius, "I(U;E)": iue, **flags}
-    return _build_region(named, meta)
+    return _build_region(named, {**terms, **flags})
 
 
 def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,
@@ -296,8 +269,7 @@ def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,
     R_CC needs I(U;B) >= I(U;E) and R_CSK needs I(U;B) >= I(U;S); the
     side-condition flags report whether the given ensemble satisfies them.
     """
-    terms = _quantum_terms(ensemble, channel, cfg)
-    _quantum_prechecks(ensemble, channel, instance, stealth, terms, cfg)
+    terms, _ = _quantum_terms(ensemble, channel, instance, stealth, cfg)
     iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
     return {
         "R_CC": max(0.0, iub - ius),
@@ -305,7 +277,7 @@ def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,
         "R_CSC": max(0.0, iub - max(ius, iue)),
         "side_R_CC_ok": iub >= iue - 1e-12,
         "side_R_CSK_ok": iub >= ius - 1e-12,
-        "I(U;B)": iub, "I(U;S)": ius, "I(U;E)": iue,
+        **terms,
     }
 
 
@@ -422,17 +394,11 @@ def superposition_transform(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     nu, ns, nb, ne = p.shape
     terms = classical_info_terms(p, cfg)
 
-    p_usb = p.sum(axis=3)
-    merged_b = np.zeros((nu * ns, nb * ns))
-    for u in range(nu):
-        for s in range(ns):
-            merged_b[u * ns + s, :] = 0.0
-            merged_b[u * ns + s, np.arange(nb) * ns + s] = p_usb[u, s, :]
-    p_us = p.sum(axis=(2, 3))
-    merged_s = np.zeros((nu * ns, ns))
-    for u in range(nu):
-        for s in range(ns):
-            merged_s[u * ns + s, s] = p_us[u, s]
+    # (U, S) -> U * ns + S and (B, S) -> B * ns + S; both copies of S agree
+    eye_s = np.eye(ns, dtype=bool)
+    merged_b = np.where(eye_s[None, :, None, :], p.sum(axis=3)[:, :, :, None], 0.0)
+    merged_b = merged_b.reshape(nu * ns, nb * ns)
+    merged_s = np.where(eye_s, p.sum(axis=(2, 3))[:, :, None], 0.0).reshape(nu * ns, ns)
     p_use = p.sum(axis=2)
     merged_e = p_use.reshape(nu * ns, ne)
 
@@ -499,11 +465,8 @@ def _covert_repair(problem: ClassicalProblem, p_u_s: np.ndarray,
     ne = problem.w.shape[3]
     w_e = problem.w_e()  # (a, s, e)
     coef = np.einsum("s,su->us", problem.q_s, p_u_s)  # (u, s)
-    a_mat = np.zeros((ne, nu * ns * na))
-    for u in range(nu):
-        for s in range(ns):
-            for a in range(na):
-                a_mat[:, (u * ns + s) * na + a] = coef[u, s] * w_e[a, s, :]
+    # a_mat[e, (u * ns + s) * na + a] = coef[u, s] * w_e[a, s, e]
+    a_mat = (coef[None, :, :, None] * w_e.transpose(2, 1, 0)[:, None]).reshape(ne, -1)
     b = problem.q0()
     pinv = np.linalg.pinv(a_mat)
 
@@ -614,6 +577,17 @@ def optimize_auxiliary(problem: ClassicalProblem, weights: tuple[float, float],
 # ---------------------------------------------------------------------------
 # Causal rate
 
+def _best_causal(kept, stealth: bool) -> dict:
+    """Best I(U;B) over the (I(U;B), I(U;E)) pairs of the kept candidates
+    (the covert ones, or all under ``stealth``) with I(U;B) > I(U;E)."""
+    pairs = list(kept)
+    if not pairs and not stealth:
+        raise CovertInfeasible("no candidate policy is covert-feasible")
+    side = [iub for iub, iue in pairs if iub > iue - 1e-12]
+    return {"rate": max([0.0, *side]), "side_condition_met": bool(side),
+            "covert_feasible": bool(pairs)}
+
+
 def causal_rate(problem: ClassicalProblem, candidates, *, stealth: bool = False,
                 cfg: Numerics = DEFAULT) -> dict:
     """Best causal-policy rate over explicit (p_u, w_a_us) candidates.
@@ -623,23 +597,16 @@ def causal_rate(problem: ClassicalProblem, candidates, *, stealth: bool = False,
     covert-feasible and satisfies I(U;B) > I(U;E).
     """
     ns = problem.sizes["S"]
-    best = 0.0
-    any_covert = False
-    any_side = False
-    for p_u, w_a_us in candidates:
-        p_u = np.asarray(p_u, dtype=np.float64)
-        pol = AuxiliaryPolicy(np.tile(p_u, (ns, 1)), np.asarray(w_a_us, float), cfg)
-        tv = total_variation(induced_warden_distribution(problem, pol), problem.q0())
-        if not stealth and tv > cfg.covert_tol:
-            continue
-        any_covert = True
-        terms = classical_info_terms(joint_table(problem, pol), cfg)
-        if terms["I(U;B)"] > terms["I(U;E)"] - 1e-12:
-            any_side = True
-            best = max(best, terms["I(U;B)"])
-    if not any_covert and not stealth:
-        raise CovertInfeasible("no candidate policy is covert-feasible")
-    return {"rate": best, "side_condition_met": any_side, "covert_feasible": any_covert}
+
+    def kept():
+        for p_u, w_a_us in candidates:
+            pol = AuxiliaryPolicy(np.tile(p_u, (ns, 1)), w_a_us, cfg)
+            tv = total_variation(induced_warden_distribution(problem, pol), problem.q0())
+            if stealth or tv <= cfg.covert_tol:
+                terms = classical_info_terms(joint_table(problem, pol), cfg)
+                yield terms["I(U;B)"], terms["I(U;E)"]
+
+    return _best_causal(kept(), stealth)
 
 
 def causal_rate_quantum(instance: ProblemInstance, candidates, *,
@@ -654,33 +621,24 @@ def causal_rate_quantum(instance: ProblemInstance, candidates, *,
         raise DimMismatch("quantum causal evaluation needs the bipartite (Sbar, S) state")
     rho0 = innocent_output(instance, cfg)
     d_s = csi.factor_dim("S")
-    best = 0.0
-    any_covert = False
-    any_side = False
-    for p_u, chans in candidates:
-        p_u = np.asarray(p_u, dtype=np.float64)
-        conds = []
-        for g in chans:
-            lifted = QuantumChannel(
-                [np.kron(k, np.eye(d_s)) for k in g.kraus],
-                in_factors=csi.factors,
-                out_factors=[("A", g.dim_out), ("S", d_s)], cfg=cfg)
-            conds.append(DensityMatrix(lifted.apply_matrix(csi.matrix),
-                                       [("A", g.dim_out), ("S", d_s)],
-                                       validate=False))
-        ens = CQState(range(len(conds)), p_u, conds)
-        st = induced_states(ens, instance.channel, cfg)
-        if not stealth and trace_distance(st.rho_e, rho0, cfg) > cfg.covert_tol:
-            continue
-        any_covert = True
-        iub = holevo_mutual_info(st.cq_ub, cfg)
-        iue = holevo_mutual_info(st.cq_ue, cfg)
-        if iub > iue - 1e-12:
-            any_side = True
-            best = max(best, iub)
-    if not any_covert and not stealth:
-        raise CovertInfeasible("no candidate policy is covert-feasible")
-    return {"rate": best, "side_condition_met": any_side, "covert_feasible": any_covert}
+
+    def kept():
+        for p_u, chans in candidates:
+            conds = []
+            for g in chans:
+                lifted = QuantumChannel(
+                    [np.kron(k, np.eye(d_s)) for k in g.kraus],
+                    in_factors=csi.factors,
+                    out_factors=[("A", g.dim_out), ("S", d_s)], cfg=cfg)
+                conds.append(DensityMatrix(lifted.apply_matrix(csi.matrix),
+                                           [("A", g.dim_out), ("S", d_s)],
+                                           validate=False))
+            ens = CQState(range(len(conds)), p_u, conds)
+            st = induced_states(ens, instance.channel, cfg)
+            if stealth or st.covert_gap(rho0)[1]:
+                yield holevo_mutual_info(st.cq_ub, cfg), holevo_mutual_info(st.cq_ue, cfg)
+
+    return _best_causal(kept(), stealth)
 
 
 # ---------------------------------------------------------------------------

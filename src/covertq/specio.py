@@ -35,13 +35,15 @@ def _expect(cond: bool, where: str, msg: str):
 def _matrix(node, where: str) -> np.ndarray:
     _expect(isinstance(node, dict), where, "expected an object with 're' (and 'im')")
     _expect("re" in node, where, "missing 're'")
-    re = np.asarray(node["re"], dtype=np.float64)
+    im = node.get("im")
+    try:
+        re = np.asarray(node["re"], dtype=np.float64)
+        im = np.zeros_like(re) if im is None else np.asarray(im, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, null entries
+        raise ParseError(f"{where}: 're' and 'im' must be rectangular arrays of numbers "
+                         f"({exc})") from exc
     _expect(re.ndim == 2, where, "'re' must be a 2-D array")
-    if "im" in node and node["im"] is not None:
-        im = np.asarray(node["im"], dtype=np.float64)
-        _expect(im.shape == re.shape, where, "'im' shape differs from 're'")
-    else:
-        im = np.zeros_like(re)
+    _expect(im.shape == re.shape, where, "'im' shape differs from 're'")
     return re + 1j * im
 
 
@@ -92,8 +94,9 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     _expect(isinstance(factors, dict), where, "missing factor dimension map")
     for name in ("A", "S", "B", "E"):
         _expect(name in factors, where, f"missing factor {name!r}")
-    d_a, d_s = int(factors["A"]), int(factors["S"])
-    d_b, d_e = int(factors["B"]), int(factors["E"])
+        _expect(_is_count(factors[name]), f"{where}.{name}",
+                f"must be an integer >= 1, got {factors[name]!r}")
+    d_a, d_s, d_b, d_e = (factors[name] for name in ("A", "S", "B", "E"))
 
     ch_node = doc.get("channel")
     _expect(isinstance(ch_node, dict) and "kraus" in ch_node, f"{path}:channel",
@@ -164,6 +167,25 @@ def _finite_number(value) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a JSON integer >= 1 (not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _check_numerics(nums: dict, path: str) -> None:
+    """Tolerances must be finite numbers >= 0 and caps integers >= 1;
+    unknown keys are left to ``Numerics.replaced``."""
+    for name, value in nums.items():
+        default = getattr(DEFAULT, name, None)
+        if isinstance(default, int):
+            _expect(_is_count(value), f"{path}:numerics.{name}",
+                    f"must be an integer >= 1, got {value!r}")
+        elif isinstance(default, float):
+            x = _finite_number(value)
+            _expect(x is not None and x >= 0.0, f"{path}:numerics.{name}",
+                    f"must be a finite number >= 0, got {value!r}")
+
+
 def _check_rates(rates: dict, path: str) -> None:
     for name in ("R", "R_K", "R_J"):
         if name in rates:
@@ -197,6 +219,7 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
 
     nums = doc.get("numerics", {})
     _expect(isinstance(nums, dict), f"{path}:numerics", "must be an object")
+    _check_numerics(nums, path)
     try:
         cfg = cfg.replaced(**nums)
     except (TypeError, ValueError) as exc:
@@ -208,8 +231,7 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     _check_rates(rates, path)
     if "blocklength" in run:
         n = run["blocklength"]
-        _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-                f"{path}:run.blocklength", f"must be an integer >= 1, got {n!r}")
+        _expect(_is_count(n), f"{path}:run.blocklength", f"must be an integer >= 1, got {n!r}")
 
     parsed = (_parse_quantum if kind == "quantum" else _parse_classical)(doc, cfg, path)
     return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=rates, run=run,

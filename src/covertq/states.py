@@ -210,9 +210,6 @@ class CQState:
             out[i * d:(i + 1) * d, i * d:(i + 1) * d] = p * c.matrix
         return out
 
-    def joint_factors(self) -> tuple[Factor, ...]:
-        return (("U", self.num_labels),) + self.quantum_factors
-
     def label_state(self) -> DensityMatrix:
         """diag(p_U) on the classical register."""
         return DensityMatrix(np.diag(self.probs.astype(np.complex128)),

@@ -17,6 +17,7 @@ from covertq.classical import (
     resolvability_oracle,
     sample_classical_codebook,
     transmit,
+    warden_rows,
 )
 from covertq.config import DEFAULT
 from covertq.errors import CapExceeded, EncodingFailure
@@ -127,6 +128,26 @@ def test_ml_decode_noiseless_recovery():
             a_seq = np.array([(u // 2) ^ s for u, s in zip(u_seq, s_seq)])
             b_seq, _ = transmit(prob, a_seq, s_seq, rng)
             assert ml_decode(cb, b_seq, like, s_seq, pol.p_u_s) == (0, k, m)
+
+
+def test_warden_rows_and_likelihood_of_unused_label():
+    # Label 2 has P(u) = 0, so its posterior column is 0: its warden row
+    # and its likelihood row without receiver CSI are 0, never 1/|S| mixes.
+    rng = rng_for(12)
+    prob = xor_problem()
+    p_u_s = np.zeros((2, 3))
+    p_u_s[:, :2] = rng.dirichlet(np.ones(2), size=2)
+    pol = AuxiliaryPolicy(p_u_s, rng.dirichlet(np.ones(2), size=(3, 2)))
+    rows = warden_rows(prob, pol)
+    like = receiver_likelihood(prob, pol, receiver_csi=False)
+    assert not rows[2].any() and not like[2].any()
+    # the used labels: P(e|u) = sum_s P(s|u) P(e|u,s), entry by entry
+    joint = prob.q_s[:, None] * p_u_s
+    for u in range(2):
+        post = joint[:, u] / joint[:, u].sum()
+        w_e_us = np.einsum("sa,ase->se", pol.p_a_us[u], prob.w_e())
+        np.testing.assert_allclose(rows[u], post @ w_e_us, rtol=1e-14)
+        assert rows[u].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ml_decode_tie_break_first_index():

@@ -372,6 +372,69 @@ def test_rates_validated_at_parse(fixture, argv, name, value, tmp_path, capsys):
     assert f":rates.{name}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("innocent", "re"), [[1, 0], [0]], ":innocent: "),  # exited 6
+    (("innocent", "re"), [["a", 0], [0, 1]], ":innocent: "),  # exited 6
+    (("innocent", "im"), [[0, 0], [0]], ":innocent: "),
+    (("ensemble", "conditionals", 0, "re"), [[1, 0, 0, 0], [0]], ":ensemble.conditionals[0]: "),
+    (("factors", "E"), "x", ":factors.E: "),  # exited 6
+    (("factors", "E"), 2.5, ":factors.E: "),  # truncated to 2, exited 0
+    (("factors", "S"), 0, ":factors.S: "),
+    (("factors", "A"), True, ":factors.A: "),
+])
+def test_malformed_matrices_and_factors_exit_2(path, value, field, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(path, value))
+    code, out, err = run_cli(capsys, *BOUND_THM1, "--spec", spec)
+    assert code == 2 and out == ""
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture,argv,name,value", [
+    (QUBIT, BOUND_THM1, "support_tol", -1),  # exited 3: "eigenvalue ... below --6.5e-01"
+    (QUBIT, BOUND_THM1, "psd_tol", math.nan),  # disabled the PSD check, exited 0
+    (QUBIT, BOUND_THM1, "covert_tol", math.inf),
+    (QUBIT, BOUND_THM1, "herm_tol", "0"),
+    (CLASSICAL, CLASSICAL_SIMULATE, "codebook_cap", "x"),  # exited 6, internal TypeError
+    (CLASSICAL, CLASSICAL_SIMULATE, "codebook_cap", True),  # accepted as 1
+    (CLASSICAL, CLASSICAL_SIMULATE, "warden_cap", 0),
+    (CLASSICAL, CLASSICAL_SIMULATE, "warden_cap", 65536.0),
+])
+def test_numerics_validated_at_parse(fixture, argv, name, value, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, fixture, _set(("numerics",), {name: value}))
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 2 and out == ""
+    assert f":numerics.{name}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--spec", CLASSICAL, "--target", "classical", "--trials", "30"),  # exited 6
+    ("verify", "--suite", "fm"),  # exited 6
+])
+def test_negative_seed_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-2"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # printed "error: internal BrokenPipeError" and exited 6
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "fm.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "covertq.cli", "verify", "--suite", "fm",
+                               "--out", str(out)], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(out.read_text())["verdicts"] == {"fm": True}
+
+
 def test_classical_rates_default_to_zero(tmp_path, capsys):
     # the oracle used to default a missing R to 0.5, the end-to-end run to 0
     def drop_r(doc):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
+from covertq import regions
+from covertq.config import DEFAULT
 from covertq.errors import CovertInfeasible
 from covertq.regions import (
     AuxiliaryPolicy,
@@ -238,6 +240,71 @@ def test_superposition_identities():
         assert res["identity_deviation"] < 1e-9
         assert res["key_capacity_value"] == pytest.approx(
             res["key_capacity_direct"], abs=1e-9)
+
+
+def _merged_tables_loops(p):
+    """The (U,S) x (B,S) and (U,S) x S tables of the stacking transform,
+    one entry at a time (reference for superposition_transform)."""
+    nu, ns, nb, _ = p.shape
+    p_usb, p_us = p.sum(axis=3), p.sum(axis=(2, 3))
+    merged_b, merged_s = np.zeros((nu * ns, nb * ns)), np.zeros((nu * ns, ns))
+    for u in range(nu):
+        for s in range(ns):
+            merged_b[u * ns + s, np.arange(nb) * ns + s] = p_usb[u, s, :]
+            merged_s[u * ns + s, s] = p_us[u, s]
+    return merged_b, merged_s
+
+
+def test_superposition_raw_terms_match_loop_reference():
+    rng = rng_for(31)
+    for na, ns, nb, ne, nu in [(2, 2, 2, 2, 3), (3, 2, 4, 2, 5), (2, 3, 2, 3, 4)]:
+        w = rng.dirichlet(np.ones(nb * ne), size=(na, ns)).reshape(na, ns, nb, ne)
+        prob = ClassicalProblem(rng.dirichlet(np.ones(ns)), w, x0=0)
+        pol = AuxiliaryPolicy(rng.dirichlet(np.ones(nu), size=ns),
+                              rng.dirichlet(np.ones(na), size=(nu, ns)))
+        merged_b, merged_s = _merged_tables_loops(regions.joint_table(prob, pol))
+        raw = superposition_transform(prob, pol)["raw"]
+        assert raw["I(U;B)"] == regions._mutual_info_2d(merged_b)
+        assert raw["I(U;S)"] == regions._mutual_info_2d(merged_s)
+
+
+def _covert_repair_loops(problem, p_u_s, p_a_us, cfg, iters):
+    """regions._covert_repair with its constraint matrix filled one column
+    at a time (reference)."""
+    nu, ns, na = p_a_us.shape
+    w_e = problem.w_e()
+    coef = np.einsum("s,su->us", problem.q_s, p_u_s)
+    a_mat = np.zeros((problem.w.shape[3], nu * ns * na))
+    for u in range(nu):
+        for s in range(ns):
+            for a in range(na):
+                a_mat[:, (u * ns + s) * na + a] = coef[u, s] * w_e[a, s, :]
+    b = problem.q0()
+    pinv = np.linalg.pinv(a_mat)
+    x = p_a_us.reshape(-1).copy()
+    for _ in range(iters):
+        x = x + pinv @ (b - a_mat @ x)
+        x = regions._project_simplex_rows(x.reshape(nu * ns, na)).reshape(-1)
+        if total_variation(a_mat @ x, b) <= cfg.covert_tol:
+            return x.reshape(nu, ns, na)
+    return None
+
+
+def test_covert_repair_matches_loop_reference():
+    rng = rng_for(32)
+    outcomes = set()
+    for na, ns, ne, nu in [(2, 2, 2, 3), (3, 2, 2, 4), (2, 3, 3, 5), (3, 3, 2, 2)] * 3:
+        w = rng.dirichlet(np.ones(2 * ne), size=(na, ns)).reshape(na, ns, 2, ne)
+        prob = ClassicalProblem(rng.dirichlet(np.ones(ns)), w, x0=0)
+        p_u_s = rng.dirichlet(np.ones(nu), size=ns)
+        p_a_us = rng.dirichlet(np.ones(na), size=(nu, ns))
+        got = regions._covert_repair(prob, p_u_s, p_a_us, DEFAULT, 60)
+        want = _covert_repair_loops(prob, p_u_s, p_a_us, DEFAULT, 60)
+        outcomes.add(got is None)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got, want)
+    assert False in outcomes  # some repairs converge
 
 
 def test_superposition_deterministic_state_is_identity():
