@@ -241,6 +241,7 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, fl
     d_e = st.finite_divergence("E", 1.0 + a)
     enc = (2.0 * st.v_s ** a / a) * 2.0 ** (a * (-(rates.R_J + rates.R_K) + d_s))
     dec = 12.0 * st.v_b ** a * 2.0 ** (a * (rates.total - d_b))
+    p2 = 2.0 * st.v_e ** a / a
     base = st.v_e ** (a / 2.0) / math.sqrt(a)
     strict, loose = 2.0 * math.sqrt(2.0) * base, 2.0 * base
     key_expo = -(rates.R_J + rates.R) + d_e
@@ -249,8 +250,8 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, fl
         "error_split": enc + dec,
         "error_encoding": enc,
         "error_decoding": dec,
-        "key_p2": (2.0 * st.v_e ** a / a) * 2.0 ** (a * key_expo),
-        "message_key_p2": (2.0 * st.v_e ** a / a) * 2.0 ** (a * msg_expo),
+        "key_p2": p2 * 2.0 ** (a * key_expo),
+        "message_key_p2": p2 * 2.0 ** (a * msg_expo),
         "key_trace": strict * 2.0 ** ((a / 2.0) * key_expo),
         "key_trace_loose": loose * 2.0 ** ((a / 2.0) * key_expo),
         "message_key_trace": loose * 2.0 ** ((a / 2.0) * msg_expo),
