@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT, Numerics, code_size
+from .config import DEFAULT, Numerics, code_size, pow2
 from .errors import CapExceeded, EncodingFailure
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
@@ -400,9 +400,9 @@ def _product_rows(rows: np.ndarray) -> np.ndarray:
 
 def exact_warden_distribution(codebook: ClassicalCodebook,
                               problem: ClassicalProblem, policy: AuxiliaryPolicy,
-                              p_u: np.ndarray, mode: str = "likelihood",
-                              cfg: Numerics = DEFAULT) -> dict:
-    """Exact induced warden distribution over E^n and its TV from q0^n.
+                              p_u: np.ndarray, cfg: Numerics = DEFAULT) -> dict:
+    """Exact induced warden distribution over E^n and its TV from q0^n,
+    under likelihood encoding.
 
     Sums over state sequences, messages, bin choices (with their exact
     encoder probabilities), and the symbolwise input randomness.  The
@@ -414,8 +414,6 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
     ne = problem.w.shape[3]
     if ne ** n > cfg.warden_cap or ns ** n > cfg.warden_cap:
         raise CapExceeded(f"alphabet powers exceed cap {cfg.warden_cap}")
-    if mode != "likelihood":
-        raise ValueError("exact warden distribution is defined for likelihood encoding")
 
     w_e_us = _output_given_us(policy, problem.w_e())  # P(e|u,s)
     ratio = _density_ratio(policy.p_u_s, p_u)
@@ -448,7 +446,6 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
 
 def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
                                   rate: float, n: int,
-                                  alpha_grid=None,
                                   cfg: Numerics = DEFAULT) -> dict:
     """Closed-form bound on the expected codebook-to-product divergence.
 
@@ -456,15 +453,13 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     to the n-fold product: the divergence term is additive and the
     distinct-eigenvalue count is taken over the product distribution.
     """
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.05, 0.45, 9)
     p_u = np.asarray(p_u, dtype=np.float64)
     p_e_u = np.asarray(p_e_u, dtype=np.float64)
     p_e = p_u @ p_e_u
     v = tensor_power_eigencount(np.diag(p_e).astype(complex), n, cfg=cfg)
     best = math.inf
     best_alpha = None
-    for alpha in alpha_grid:
+    for alpha in np.linspace(0.05, 0.45, 9):
         mass = 0.0
         for pu, row in zip(p_u, p_e_u):
             mask = row > 0.0
@@ -472,7 +467,7 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
                                       * p_e[mask] ** (-alpha)))
         d_ue = math.log2(mass) / alpha
         val = (v ** alpha / (alpha * math.log(2.0))) \
-            * 2.0 ** (alpha * (-n * rate + n * d_ue))
+            * pow2(alpha * (-n * rate + n * d_ue))
         if val < best:
             best, best_alpha = val, float(alpha)
     return {"bound": best, "alpha": best_alpha, "eigencount": v}

@@ -6,11 +6,16 @@ deterministically for a fixed seed, and emits a JSON report (stdout, and
 failure, 2 parse error, 3 dimension/validation error, 4 covertness
 infeasible, 5 size cap exceeded, 6 bad run parameters or an internal
 error (reported on one line, without a traceback).
+
+Each ``cmd_*`` loads its spec, computes, and returns ``(config, results,
+verdicts)``; :func:`main` alone times the command, builds and emits the
+report, and chooses the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -66,13 +71,17 @@ from .regions import (
 from .specio import RunReport, SpecFile, load_spec, write_region_csv
 from .verify import run_suite
 
-EXIT_OK = 0
-EXIT_PROPERTY = 1
-EXIT_PARSE = 2
-EXIT_DIMS = 3
-EXIT_COVERT = 4
-EXIT_CAP = 5
-EXIT_RUNPARAM = 6
+# Exit code of each error type; the first matching row wins.  Any other
+# exception is a defect and also exits 6, because exit 1 is reserved for
+# property failures.
+ERROR_CODES = (
+    (ParseError, 2),
+    ((DimMismatch, NotHermitian, NotPSD, NotADistribution, OrderOutOfRange,
+      SupportViolation), 3),
+    (CovertInfeasible, 4),
+    (CapExceeded, 5),
+    ((ValueError, CovertqError), 6),
+)
 
 
 def _emit(report: RunReport, out_path: str | None) -> None:
@@ -103,9 +112,8 @@ def _need(spec: SpecFile, attr: str, what: str):
     return val
 
 
-def cmd_divergence(args) -> int:
+def cmd_divergence(args):
     spec = load_spec(args.spec)
-    t0 = time.perf_counter()
     names = sorted(spec.states)
     a_name = args.a or (names[0] if names else None)
     b_name = args.b or (names[1] if len(names) > 1 else None)
@@ -130,28 +138,21 @@ def cmd_divergence(args) -> int:
         value, support_violation = dv.value, dv.support_violation
     else:
         raise ValueError(f"unknown measure {measure!r}")
-    report = RunReport(
-        command="divergence",
-        config={"spec": spec.path, "measure": measure, "order": args.order,
-                "a": a_name, "b": b_name},
-        results={"value": value if value != float("inf") else "inf",
-                 "support_violation": support_violation},
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    config = {"spec": spec.path, "measure": measure, "order": args.order,
+              "a": a_name, "b": b_name}
+    return config, {"value": value, "support_violation": support_violation}, {}
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     spec = load_spec(args.spec)
-    t0 = time.perf_counter()
     ensemble = _need(spec, "ensemble", "ensemble")
     instance = _need(spec, "instance", "channel instance")
     which = args.which
     rates = spec.protocol_rates(args.alpha)
     st = induced_states(ensemble, instance.channel, spec.cfg)
     if which in ("thm1", "thm5"):
-        results = bound_report(ensemble, instance, rates, spec.cfg, states=st).to_dict()
+        results = dataclasses.asdict(
+            bound_report(ensemble, instance, rates, spec.cfg, states=st))
         if args.optimize:
             rj_grid = spec.run.get("rj_grid", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
             alpha_grid = spec.run.get("alpha_grid", default_alpha_grid().tolist())
@@ -171,16 +172,9 @@ def cmd_bound(args) -> int:
                    "total_rate": rates.total, "alpha": rates.alpha}
     else:
         raise ValueError(f"unknown bound selector {which!r}")
-
-    report = RunReport(
-        command="bound",
-        config={"spec": spec.path, "which": which, "alpha": args.alpha,
-                "optimize": bool(args.optimize)},
-        results=results,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    config = {"spec": spec.path, "which": which, "alpha": args.alpha,
+              "optimize": bool(args.optimize)}
+    return config, results, {}
 
 
 def _region_rows(region: RateRegion, sweep: int) -> list[dict]:
@@ -196,9 +190,8 @@ def _region_rows(region: RateRegion, sweep: int) -> list[dict]:
     return rows
 
 
-def cmd_region(args) -> int:
+def cmd_region(args):
     spec = load_spec(args.spec)
-    t0 = time.perf_counter()
     which = args.which
     results: dict = {}
     rows: list[dict] = []
@@ -247,23 +240,16 @@ def cmd_region(args) -> int:
         results["sweep"] = rows
     if args.csv and rows:
         write_region_csv(args.csv, rows)
-    report = RunReport(
-        command="region",
-        config={"spec": spec.path, "which": which, "stealth": bool(args.stealth),
-                "sweep": args.sweep},
-        results=results,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    config = {"spec": spec.path, "which": which, "stealth": bool(args.stealth),
+              "sweep": args.sweep}
+    return config, results, {}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     spec = load_spec(args.spec)
-    t0 = time.perf_counter()
     cfg = spec.cfg if args.cap is None else spec.cfg.replaced(codebook_cap=args.cap)
     trials = args.trials if args.trials is not None else int(spec.run.get("trials", 0))
-    seed = args.seed if args.seed is not None else int(spec.run.get("seed", 0))
+    seed = args.seed if args.seed is not None else spec.run.get("seed", 0)
     if trials < 30:
         raise ValueError(f"trials must be >= 30, got {trials}")
 
@@ -271,8 +257,10 @@ def cmd_simulate(args) -> int:
         ensemble = _need(spec, "ensemble", "ensemble")
         instance = _need(spec, "instance", "channel instance")
         rates = spec.protocol_rates(args.alpha)
-        sim = monte_carlo_verify(ensemble, instance, rates, trials, seed, cfg=cfg)
-        results = sim.to_dict(include_trials=False)
+        sim = monte_carlo_verify(ensemble, instance, rates, trials, seed,
+                                 keep_trials=False, cfg=cfg)
+        results = dataclasses.asdict(sim)
+        del results["per_trial"]
         verdicts = sim.verdicts
     elif args.target == "classical":
         problem = _need(spec, "problem", "classical problem")
@@ -294,41 +282,21 @@ def cmd_simulate(args) -> int:
         results["seed"] = seed
     else:
         raise ValueError(f"unknown simulate target {args.target!r}")
-
-    report = RunReport(
-        command="simulate",
-        config={"spec": spec.path, "target": args.target, "trials": trials,
-                "seed": seed, "cap": args.cap},
-        results=results,
-        verdicts=verdicts,
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if all(verdicts.values()) else EXIT_PROPERTY
+    config = {"spec": spec.path, "target": args.target, "trials": trials,
+              "seed": seed, "cap": args.cap}
+    return config, results, verdicts
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    channel = None
-    cfg = DEFAULT
-    config = {"suite": args.suite, "seed": args.seed}
+def cmd_verify(args):
+    config, channel, cfg, run = {"suite": args.suite}, None, DEFAULT, {}
     if args.spec:
         spec = load_spec(args.spec)
-        config["spec"] = spec.path
-        cfg = spec.cfg
+        config["spec"], cfg, run = spec.path, spec.cfg, spec.run
         if spec.instance is not None:
             channel = spec.instance.channel
-    tallies = run_suite(args.suite, args.seed, channel=channel, cfg=cfg)
-    failures = sum(t["failures"] for t in tallies)
-    report = RunReport(
-        command="verify",
-        config=config,
-        results={"suites": tallies},
-        verdicts={t["suite"]: t["failures"] == 0 for t in tallies},
-        wall_clock_s=time.perf_counter() - t0,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY
+    config["seed"] = args.seed if args.seed is not None else run.get("seed", 0)
+    tallies = run_suite(args.suite, config["seed"], channel=channel, cfg=cfg)
+    return config, {"suites": tallies}, {t["suite"]: t["failures"] == 0 for t in tallies}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,31 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DimMismatch, NotHermitian, NotPSD, NotADistribution,
-            OrderOutOfRange, SupportViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMS
-    except CovertInfeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COVERT
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, CovertqError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNPARAM
-    except Exception as exc:  # a defect; exit 1 is reserved for property failures
-        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNPARAM
+        config, results, verdicts = args.fn(args)
+        _emit(RunReport(args.cmd, config, results, verdicts, time.perf_counter() - t0),
+              args.out)
+    except Exception as exc:
+        code = next((c for types, c in ERROR_CODES if isinstance(exc, types)), None)
+        detail = exc if code else f"internal {type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
+        return code or 6
+    return 0 if all(verdicts.values()) else 1
 
 
 if __name__ == "__main__":

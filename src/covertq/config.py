@@ -36,13 +36,15 @@ class Numerics:
 DEFAULT = Numerics()
 
 
-def code_size(bits: float) -> int:
-    """Code size floor(2^bits), at least 1.
-
-    Raises :class:`CapExceeded` when 2^bits overflows a float, so an
-    absurd rate ends with the cap exit code instead of a traceback.
-    """
+def pow2(x: float) -> float:
+    """``2.0 ** x``; raises :class:`CapExceeded` when it overflows a float,
+    so an absurd rate ends with the cap exit code instead of a traceback."""
     try:
-        return max(1, int(2.0 ** bits))
+        return 2.0 ** x
     except OverflowError:
-        raise CapExceeded(f"code size 2^{bits:g} exceeds every cap") from None
+        raise CapExceeded(f"2^{x:g} exceeds every cap") from None
+
+
+def code_size(bits: float) -> int:
+    """Code size floor(2^bits), at least 1."""
+    return max(1, int(pow2(bits)))

@@ -163,10 +163,9 @@ def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
     return 0.5 * (out + dagger(out))
 
 
-def support_projector(m: np.ndarray, support_tol: float | None = None,
-                      cfg: Numerics = DEFAULT) -> np.ndarray:
+def support_projector(m: np.ndarray, cfg: Numerics = DEFAULT) -> np.ndarray:
     """Orthogonal projector onto the support of a PSD matrix."""
-    return mat_fn(m, lambda _x: 1.0, support_tol, cfg)
+    return mat_fn(m, lambda _x: 1.0, cfg=cfg)
 
 
 def tensor(*ms: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics, code_size
+from .config import DEFAULT, Numerics, code_size, pow2
 from .divergences import (
     DivergenceValue,
     cq_sandwiched_renyi,
@@ -207,7 +207,7 @@ def resolvability_bound(cq_ue: CQState, rate: float, alpha: float,
     if not dv.is_finite:
         raise SupportViolation("conditional outputs leave the average support")
     v_e = distinct_eigenspaces(cq_ue.average(), cfg=cfg).v
-    return (v_e ** alpha / (alpha * LN2)) * 2.0 ** (alpha * (-rate + dv.value))
+    return (v_e ** alpha / (alpha * LN2)) * pow2(alpha * (-rate + dv.value))
 
 
 def decoding_test_bounds(cq_ub: CQState, rates: ProtocolRates,
@@ -222,9 +222,9 @@ def decoding_test_bounds(cq_ub: CQState, rates: ProtocolRates,
     if not dv.is_finite:
         raise SupportViolation("divergence at order 1 - alpha is infinite")
     v_b = distinct_eigenspaces(cq_ub.average(), cfg=cfg).v
-    common = v_b ** a * 2.0 ** (-a * dv.value)
-    return (common * 2.0 ** (a * rates.total),
-            common * 2.0 ** (-(1.0 - a) * rates.total))
+    common = v_b ** a * pow2(-a * dv.value)
+    return (common * pow2(a * rates.total),
+            common * pow2(-(1.0 - a) * rates.total))
 
 
 def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, float]:
@@ -239,8 +239,8 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, fl
     d_s = st.finite_divergence("S", 1.0 + a)
     d_b = st.finite_divergence("B", 1.0 - a)
     d_e = st.finite_divergence("E", 1.0 + a)
-    enc = (2.0 * st.v_s ** a / a) * 2.0 ** (a * (-(rates.R_J + rates.R_K) + d_s))
-    dec = 12.0 * st.v_b ** a * 2.0 ** (a * (rates.total - d_b))
+    enc = (2.0 * st.v_s ** a / a) * pow2(a * (-(rates.R_J + rates.R_K) + d_s))
+    dec = 12.0 * st.v_b ** a * pow2(a * (rates.total - d_b))
     p2 = 2.0 * st.v_e ** a / a
     base = st.v_e ** (a / 2.0) / math.sqrt(a)
     strict, loose = 2.0 * math.sqrt(2.0) * base, 2.0 * base
@@ -250,11 +250,11 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, fl
         "error_split": enc + dec,
         "error_encoding": enc,
         "error_decoding": dec,
-        "key_p2": p2 * 2.0 ** (a * key_expo),
-        "message_key_p2": p2 * 2.0 ** (a * msg_expo),
-        "key_trace": strict * 2.0 ** ((a / 2.0) * key_expo),
-        "key_trace_loose": loose * 2.0 ** ((a / 2.0) * key_expo),
-        "message_key_trace": loose * 2.0 ** ((a / 2.0) * msg_expo),
+        "key_p2": p2 * pow2(a * key_expo),
+        "message_key_p2": p2 * pow2(a * msg_expo),
+        "key_trace": strict * pow2((a / 2.0) * key_expo),
+        "key_trace_loose": loose * pow2((a / 2.0) * key_expo),
+        "message_key_trace": loose * pow2((a / 2.0) * msg_expo),
     }
 
 
@@ -270,19 +270,6 @@ class BoundReport:
     eigencounts: dict[str, int]
     flags: dict[str, bool]
     rates: ProtocolRates
-
-    def to_dict(self) -> dict:
-        return {
-            "pe_bound": self.pe_bound,
-            "covert_bound": self.covert_bound,
-            "secure_covert_bound": self.secure_covert_bound,
-            "components": dict(self.components),
-            "divergences": dict(self.divergences),
-            "eigencounts": dict(self.eigencounts),
-            "flags": dict(self.flags),
-            "rates": {"R": self.rates.R, "R_K": self.rates.R_K,
-                      "R_J": self.rates.R_J, "alpha": self.rates.alpha},
-        }
 
 
 def bound_report(ensemble: CQState, instance: ProblemInstance,

@@ -66,22 +66,19 @@ def _group_values(w: np.ndarray, group_tol: float) -> list[list[int]]:
     return groups
 
 
-def distinct_eigenspaces(sigma, group_tol: float | None = None,
-                         cfg: Numerics = DEFAULT) -> PinchingBasis | list[PinchingBasis]:
+def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis | list[PinchingBasis]:
     """Eigenspace decomposition of a state with near-degenerate grouping.
 
-    Eigenvalues within ``group_tol`` (relative to the largest) of each
+    Eigenvalues within ``cfg.group_tol`` (relative to the largest) of each
     other merge into one eigenspace; merging is deliberately conservative
     because the count v enters bounds multiplicatively.  A stack
     ``(k, d, d)`` gives a list of k bases from one eigensolver call.
     """
-    if group_tol is None:
-        group_tol = cfg.group_tol
     m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
     spec = eig_hermitian(m, cfg)
     if m.ndim == 2:
-        return _grouped_basis(spec.eigenvalues, spec.eigenvectors, group_tol)
-    return [_grouped_basis(w, v, group_tol)
+        return _grouped_basis(spec.eigenvalues, spec.eigenvectors, cfg.group_tol)
+    return [_grouped_basis(w, v, cfg.group_tol)
             for w, v in zip(spec.eigenvalues, spec.eigenvectors)]
 
 
@@ -159,10 +156,9 @@ def decoder_projector_blocks(cq_ub: CQState, threshold_exponent: float,
 
 
 def decoder_projector(cq_ub: CQState, threshold_exponent: float,
-                      rho_b: DensityMatrix | None = None,
                       cfg: Numerics = DEFAULT) -> np.ndarray:
     """Full decoding projector on the (label x quantum) space."""
-    blocks = decoder_projector_blocks(cq_ub, threshold_exponent, rho_b, cfg)
+    blocks = decoder_projector_blocks(cq_ub, threshold_exponent, cfg=cfg)
     d = cq_ub.quantum_dim
     n = cq_ub.num_labels
     out = np.zeros((n * d, n * d), dtype=np.complex128)
@@ -190,8 +186,7 @@ def projector_test_values(cq_ub: CQState, threshold_exponent: float,
     return max(0.0, miss), max(0.0, alarm)
 
 
-def tensor_power_eigencount(sigma, n: int, group_tol: float | None = None,
-                            cfg: Numerics = DEFAULT) -> int:
+def tensor_power_eigencount(sigma, n: int, cfg: Numerics = DEFAULT) -> int:
     """Distinct eigenvalue count of the n-fold tensor power of a state.
 
     Eigenvalues of the power are n-fold products of single-copy
@@ -199,11 +194,9 @@ def tensor_power_eigencount(sigma, n: int, group_tol: float | None = None,
     products (one per occupation type), with the same relative grouping
     tolerance as :func:`distinct_eigenspaces`.
     """
-    if group_tol is None:
-        group_tol = cfg.group_tol
     m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
-    base = distinct_eigenspaces(m, group_tol, cfg)
+    base = distinct_eigenspaces(m, cfg)
     vals = sorted(prod(combo)
                   for combo in combinations_with_replacement(base.eigenvalues, n))
-    groups = _group_values(np.asarray(vals, dtype=np.float64), group_tol)
+    groups = _group_values(np.asarray(vals, dtype=np.float64), cfg.group_tol)
     return len(groups)

@@ -87,7 +87,7 @@ class DecoderPOVM:
         return self.elements_by_label[int(self.codebook.entries[j, k, m])]
 
 
-def _srm(entries: np.ndarray, blocks: np.ndarray, validate: bool,
+def _srm(entries: np.ndarray, blocks: np.ndarray,
          cfg: Numerics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Square-root measurements of a stack of codebooks ``(T, nj, nk, nm)``.
 
@@ -113,26 +113,24 @@ def _srm(entries: np.ndarray, blocks: np.ndarray, validate: bool,
     fail = eye - total
     fail = 0.5 * (fail + dagger(fail))
 
-    if validate:
-        dev = np.max(np.abs(total + fail - eye), axis=(-2, -1))
-        el_bad = eigvals_hermitian(elements, cfg)[:, 0] < -1e-9
-        fail_bad = eigvals_hermitian(fail, cfg)[:, 0] < -1e-9
-        bad = (dev > cfg.povm_tol) | fail_bad
-        bad[pt[el_bad]] = True
-        if bad.any():  # report the first failing codebook as a loop would
-            t = int(np.argmax(bad))
-            if dev[t] > cfg.povm_tol:
-                raise DimMismatch(f"POVM completeness violated by {dev[t]:.2e}")
-            if el_bad[pt == t].any():
-                lab = int(pl[pt == t][np.argmax(el_bad[pt == t])])
-                raise DimMismatch(f"POVM element for label {lab} is not PSD")
-            raise DimMismatch("POVM fail element is not PSD")
+    dev = np.max(np.abs(total + fail - eye), axis=(-2, -1))
+    el_bad = eigvals_hermitian(elements, cfg)[:, 0] < -1e-9
+    fail_bad = eigvals_hermitian(fail, cfg)[:, 0] < -1e-9
+    bad = (dev > cfg.povm_tol) | fail_bad
+    bad[pt[el_bad]] = True
+    if bad.any():  # report the first failing codebook as a loop would
+        t = int(np.argmax(bad))
+        if dev[t] > cfg.povm_tol:
+            raise DimMismatch(f"POVM completeness violated by {dev[t]:.2e}")
+        if el_bad[pt == t].any():
+            lab = int(pl[pt == t][np.argmax(el_bad[pt == t])])
+            raise DimMismatch(f"POVM element for label {lab} is not PSD")
+        raise DimMismatch("POVM fail element is not PSD")
     return keys, elements, fail
 
 
 def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
-                  threshold_exponent: float | None = None,
-                  validate: bool = True, cfg: Numerics = DEFAULT,
+                  threshold_exponent: float | None = None, cfg: Numerics = DEFAULT,
                   _blocks: list[np.ndarray] | None = None) -> DecoderPOVM:
     """Square-root normalization of the per-codeword projector blocks.
 
@@ -142,7 +140,7 @@ def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
     """
     t = rates.total if threshold_exponent is None else threshold_exponent
     blocks = _blocks if _blocks is not None else decoder_projector_blocks(cq_ub, t, cfg=cfg)
-    labels, elements, fail = _srm(codebook.entries[None], np.stack(blocks), validate, cfg)
+    labels, elements, fail = _srm(codebook.entries[None], np.stack(blocks), cfg)
     return DecoderPOVM(codebook, {int(lab): el for lab, el in zip(labels, elements)}, fail[0])
 
 
@@ -272,22 +270,6 @@ class SimulationReport:
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
 
-    def to_dict(self, include_trials: bool = True) -> dict:
-        out = {
-            "trials": self.trials,
-            "rates": {"R": self.rates.R, "R_K": self.rates.R_K,
-                      "R_J": self.rates.R_J, "alpha": self.rates.alpha},
-            "match_mode": self.match_mode,
-            "means": dict(self.means),
-            "std_errors": dict(self.std_errors),
-            "bounds": dict(self.bounds),
-            "verdicts": dict(self.verdicts),
-            "flags": dict(self.flags),
-        }
-        if include_trials:
-            out["per_trial"] = {k: list(v) for k, v in self.per_trial.items()}
-        return out
-
 
 def _mean_se(xs: list[float]) -> tuple[float, float]:
     n = len(xs)
@@ -337,7 +319,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
 
     def evaluate(entries: np.ndarray) -> dict[str, np.ndarray]:
         """Every per-trial number of a stack of codebooks ``(T, nj, nk, nm)``."""
-        keys, elements, _ = _srm(entries, blocks, True, cfg)
+        keys, elements, _ = _srm(entries, blocks, cfg)
         trial = np.arange(len(entries))[:, None, None, None]
         ops = elements[np.searchsorted(keys, trial * len(blocks) + entries)]
         err = _ideal_errors(ops, b_stack[entries], match_mode)

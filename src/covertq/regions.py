@@ -164,12 +164,8 @@ class RateRegion:
             ],
             "boundary": [list(p) for p in self.boundary],
             "clamped": self.clamped,
-            "meta": {k: v for k, v in self.meta.items() if _jsonable(v)},
+            "meta": dict(self.meta),
         }
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (bool, int, float, str, list, dict, type(None)))
 
 
 def _vertices(cons: list[tuple[float, float, float]], tol: float = 1e-9
@@ -644,8 +640,8 @@ def causal_rate_quantum(instance: ProblemInstance, candidates, *,
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin projection check
 
-def fm_projection_grid(a: float, b: float, c: float, step: float,
-                       tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def fm_projection_grid(a: float, b: float, c: float, step: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid membership masks for the raw three-rate system and its projection.
 
     The raw system over (R_J, R_K, R) requires R_J + R_K >= a,
@@ -653,6 +649,7 @@ def fm_projection_grid(a: float, b: float, c: float, step: float,
     constraints); the sweep eliminates R_J by brute force.  The projected
     description is R <= b - a, R_K <= b - c, R + R_K <= b.
     """
+    tol = 1e-9  # slack for the rounding of grid sums
     n = int(round(max(b, 0.0) / step)) + 1
     r = np.arange(n) * step
     rk = np.arange(n) * step
@@ -667,8 +664,7 @@ def fm_projection_grid(a: float, b: float, c: float, step: float,
     return r, rk, swept, direct
 
 
-def fm_check(a: float, b: float, c: float, step: float = 0.02,
-             tol: float = 1e-9) -> bool:
+def fm_check(a: float, b: float, c: float, step: float = 0.02) -> bool:
     """Grid equality of the eliminated projection and its closed form.
 
     Both inclusions are checked per grid point.  Intended for grid-aligned
@@ -679,5 +675,5 @@ def fm_check(a: float, b: float, c: float, step: float = 0.02,
         raise ValueError("thresholds must be nonnegative")
     if b <= 0.0:
         return True  # both sides empty (or the origin only, on both sides)
-    _, _, swept, direct = fm_projection_grid(a, b, c, step, tol)
+    _, _, swept, direct = fm_projection_grid(a, b, c, step)
     return bool(np.array_equal(swept, direct))

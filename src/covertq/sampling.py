@@ -16,7 +16,6 @@ from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
 
 __all__ = [
     "random_density",
-    "random_pure",
     "random_unitary",
     "random_channel",
     "random_cq",
@@ -39,12 +38,6 @@ def random_density(rng: np.random.Generator, dim: int, factors=None,
     m = g @ dagger(g)
     m /= np.trace(m).real
     return DensityMatrix(m, factors, validate=False)
-
-
-def random_pure(rng: np.random.Generator, dim: int, factors=None) -> DensityMatrix:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()), factors, validate=False)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -32,16 +32,24 @@ def _expect(cond: bool, where: str, msg: str):
         raise ParseError(f"{where}: {msg}")
 
 
+def _numbers(node, where: str, name: str) -> np.ndarray:
+    """Array ``name`` of spec node ``where`` as floats; strings, booleans,
+    nulls and ragged rows are parse errors."""
+    def numeric(x) -> bool:
+        return all(map(numeric, x)) if isinstance(x, list) else _is_number(x)
+    try:
+        if numeric(node):
+            return np.asarray(node, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged rows, integers beyond the float range
+        pass
+    raise ParseError(f"{where}: {name} must be a rectangular array of JSON numbers")
+
+
 def _matrix(node, where: str) -> np.ndarray:
     _expect(isinstance(node, dict), where, "expected an object with 're' (and 'im')")
     _expect("re" in node, where, "missing 're'")
-    im = node.get("im")
-    try:
-        re = np.asarray(node["re"], dtype=np.float64)
-        im = np.zeros_like(re) if im is None else np.asarray(im, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, null entries
-        raise ParseError(f"{where}: 're' and 'im' must be rectangular arrays of numbers "
-                         f"({exc})") from exc
+    re = _numbers(node["re"], where, "'re'")
+    im = np.zeros_like(re) if node.get("im") is None else _numbers(node["im"], where, "'im'")
     _expect(re.ndim == 2, where, "'re' must be a 2-D array")
     _expect(im.shape == re.shape, where, "'im' shape differs from 're'")
     return re + 1j * im
@@ -94,7 +102,7 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     _expect(isinstance(factors, dict), where, "missing factor dimension map")
     for name in ("A", "S", "B", "E"):
         _expect(name in factors, where, f"missing factor {name!r}")
-        _expect(_is_count(factors[name]), f"{where}.{name}",
+        _expect(_is_int(factors[name], 1), f"{where}.{name}",
                 f"must be an integer >= 1, got {factors[name]!r}")
     d_a, d_s, d_b, d_e = (factors[name] for name in ("A", "S", "B", "E"))
 
@@ -129,7 +137,8 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
         conds = [DensityMatrix(_matrix(c, f"{path}:ensemble.conditionals[{i}]"),
                                [("A", d_a), ("S", d_s)], cfg=cfg)
                  for i, c in enumerate(ens["conditionals"])]
-        out["ensemble"] = CQState(range(len(conds)), ens["probs"], conds, cfg=cfg)
+        probs = _numbers(ens["probs"], f"{path}:ensemble", "'probs'")
+        out["ensemble"] = CQState(range(len(conds)), probs, conds, cfg=cfg)
     return out
 
 
@@ -137,8 +146,11 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
     out: dict = {}
     _expect("q_s" in doc and "channel" in doc and "x0" in doc, f"{path}",
             "classical spec needs 'q_s', 'channel', 'x0'")
+    q_s = _numbers(doc["q_s"], path, "'q_s'")
+    w = _numbers(doc["channel"], path, "'channel'")
+    _expect(_is_int(doc["x0"], 0), f"{path}:x0", f"must be an integer >= 0, got {doc['x0']!r}")
     try:
-        out["problem"] = ClassicalProblem(doc["q_s"], doc["channel"], doc["x0"], cfg)
+        out["problem"] = ClassicalProblem(q_s, w, doc["x0"], cfg)
     except CovertqError as exc:  # a well-formed but invalid table
         raise type(exc)(f"{path}:channel: {exc}") from exc
     except Exception as exc:
@@ -147,8 +159,10 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
         pol = doc["policy"]
         _expect(isinstance(pol, dict) and "p_u_s" in pol and "p_a_us" in pol,
                 f"{path}:policy", "needs 'p_u_s' and 'p_a_us'")
+        p_u_s = _numbers(pol["p_u_s"], f"{path}:policy", "'p_u_s'")
+        p_a_us = _numbers(pol["p_a_us"], f"{path}:policy", "'p_a_us'")
         try:
-            out["policy"] = AuxiliaryPolicy(pol["p_u_s"], pol["p_a_us"], cfg)
+            out["policy"] = AuxiliaryPolicy(p_u_s, p_a_us, cfg)
         except CovertqError as exc:
             raise type(exc)(f"{path}:policy: {exc}") from exc
         except Exception as exc:
@@ -156,9 +170,14 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite_number(value) -> float | None:
     """``value`` as a float if it is a finite JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         return None
     try:
         x = float(value)
@@ -167,9 +186,9 @@ def _finite_number(value) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is a JSON integer >= 1 (not a bool)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int(value, least: int) -> bool:
+    """Whether ``value`` is a JSON integer >= ``least`` (not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _check_numerics(nums: dict, path: str) -> None:
@@ -178,7 +197,7 @@ def _check_numerics(nums: dict, path: str) -> None:
     for name, value in nums.items():
         default = getattr(DEFAULT, name, None)
         if isinstance(default, int):
-            _expect(_is_count(value), f"{path}:numerics.{name}",
+            _expect(_is_int(value, 1), f"{path}:numerics.{name}",
                     f"must be an integer >= 1, got {value!r}")
         elif isinstance(default, float):
             x = _finite_number(value)
@@ -229,9 +248,10 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     _expect(isinstance(rates, dict), f"{path}:rates", "must be an object")
     _expect(isinstance(run, dict), f"{path}:run", "must be an object")
     _check_rates(rates, path)
-    if "blocklength" in run:
-        n = run["blocklength"]
-        _expect(_is_count(n), f"{path}:run.blocklength", f"must be an integer >= 1, got {n!r}")
+    for name, least in (("blocklength", 1), ("seed", 0)):
+        if name in run:
+            _expect(_is_int(run[name], least), f"{path}:run.{name}",
+                    f"must be an integer >= {least}, got {run[name]!r}")
 
     parsed = (_parse_quantum if kind == "quantum" else _parse_classical)(doc, cfg, path)
     return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=rates, run=run,
@@ -282,10 +302,9 @@ class RunReport:
             "verdicts": self.verdicts,
         })
 
-    def to_json(self, include_timing: bool = True) -> str:
+    def to_json(self) -> str:
         doc = self.body()
-        if include_timing:
-            doc["wall_clock_s"] = round(float(self.wall_clock_s), 6)
+        doc["wall_clock_s"] = round(float(self.wall_clock_s), 6)
         return json.dumps(doc, sort_keys=True, indent=2)
 
     def write(self, path: str) -> None:

@@ -358,18 +358,16 @@ def innocent_output(inst: ProblemInstance, cfg: Numerics = DEFAULT) -> DensityMa
 
 
 def check_csi_consistency(cq_uas: CQState, inst: ProblemInstance,
-                          tol: float | None = None,
                           cfg: Numerics = DEFAULT) -> tuple[bool, float]:
     """Compare the ensemble's S-marginal with the shared-state S-marginal.
 
     Returns ``(ok, deviation)`` where deviation is the trace distance
-    between the two marginals.
+    between the two marginals, and ``ok`` whether it is within
+    ``cfg.csi_tol``.
     """
-    if tol is None:
-        tol = cfg.csi_tol
     s_ens = marginals(cq_uas, {"S"})
     s_csi = inst.csi_marginal()
     if s_ens.dim != s_csi.dim:
         raise DimMismatch("S marginals have different dimensions")
     dev = trace_norm(s_ens.matrix - s_csi.matrix, cfg)
-    return (dev <= tol, float(dev))
+    return (dev <= cfg.csi_tol, float(dev))

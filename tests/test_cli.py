@@ -381,6 +381,9 @@ def test_rates_validated_at_parse(fixture, argv, name, value, tmp_path, capsys):
     (("factors", "E"), 2.5, ":factors.E: "),  # truncated to 2, exited 0
     (("factors", "S"), 0, ":factors.S: "),
     (("factors", "A"), True, ":factors.A: "),
+    (("innocent", "re", 0, 0), "0.5", ":innocent: 're'"),  # exited 0
+    (("channel", "kraus", 0, "re", 0, 0), True, ":channel.kraus[0]: 're'"),  # exited 0
+    (("ensemble", "probs", 0), "0.5713594349325903", ":ensemble: 'probs'"),  # exited 0
 ])
 def test_malformed_matrices_and_factors_exit_2(path, value, field, tmp_path, capsys):
     spec = _mutated_spec(tmp_path, QUBIT, _set(path, value))
@@ -509,3 +512,70 @@ def test_report_body_byte_identical_across_processes(argv):
     first = _body_in_fresh_process(argv, "1")
     second = _body_in_fresh_process(argv, "2")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+@pytest.mark.parametrize("run_seed,expected", [(None, 12), (5, 5)])
+def test_simulate_seed_defaults_to_spec_run_seed(run_seed, expected, tmp_path, capsys):
+    # every report said "seed": 0 when --seed was omitted
+    spec = CLASSICAL if run_seed is None else \
+        _mutated_spec(tmp_path, CLASSICAL, _set(("run", "seed"), run_seed))
+    code, out, _ = run_cli(capsys, *CLASSICAL_SIMULATE, "--spec", spec)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["config"]["seed"] == doc["results"]["seed"] == expected
+    code, out2, _ = run_cli(capsys, *CLASSICAL_SIMULATE, "--spec", spec,
+                            "--seed", str(expected))
+    assert json.loads(out2)["results"] == doc["results"]
+
+
+def test_verify_seed_defaults_to_spec_run_seed(tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(("run", "seed"), 9))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fm", "--spec", spec)
+    assert code == 0 and json.loads(out)["config"]["seed"] == 9
+    code, out, _ = run_cli(capsys, "verify", "--suite", "fm")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("seed", ["x", -1, 2.5, True])
+def test_run_seed_validated_at_parse(seed, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, CLASSICAL, _set(("run", "seed"), seed))
+    code, out, err = run_cli(capsys, *CLASSICAL_SIMULATE, "--spec", spec)
+    assert code == 2 and out == ""
+    assert ":run.seed: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("--which", "thm1"), 5),  # exited 6, internal OverflowError
+    (("--which", "thm1", "--optimize"), 5),
+    (("--which", "thm5"), 5),
+    (("--which", "lemma2"), 5),
+    (("--which", "lemma1"), 0),  # 2^-(alpha R) underflows to a zero bound
+])
+def test_bound_overflow_exits_5(argv, code, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(("rates", "R"), 10000.0))
+    got, out, err = run_cli(capsys, "bound", "--spec", spec, *argv)
+    assert got == code
+    if code == 5:
+        assert out == "" and len(err.splitlines()) == 1
+        assert "cap" in err and "Traceback" not in err
+
+
+CLASSICAL_THM3 = ("region", "--which", "thm3")
+
+
+@pytest.mark.parametrize("fixture,argv,path,value,field", [
+    (DIAG, ("divergence", "--measure", "trace", "--a", "rho", "--b", "sigma"),
+     ("states", "rho", "re", 0, 0), "0.3", ":states.rho: 're'"),
+    (CLASSICAL, CLASSICAL_THM3, ("q_s", 0), "0.5", ": 'q_s'"),
+    (CLASSICAL, CLASSICAL_THM3, ("channel", 0, 0, 0, 0), False, ": 'channel'"),
+    (CLASSICAL, CLASSICAL_THM3, ("policy", "p_u_s", 0, 0), "1", ":policy: 'p_u_s'"),
+    (CLASSICAL, CLASSICAL_THM3, ("x0",), 0.0, ":x0: "),
+    (CLASSICAL, CLASSICAL_THM3, ("x0",), False, ":x0: "),
+], ids=["diag.rho.re", "classical.q_s", "classical.channel", "classical.p_u_s",
+        "classical.x0-float", "classical.x0-bool"])
+def test_spec_arrays_hold_only_numbers(fixture, argv, path, value, field, tmp_path, capsys):
+    # numeric strings and booleans loaded as matrix and table entries
+    spec = _mutated_spec(tmp_path, fixture, _set(path, value))
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 2 and out == ""
+    assert field in err and "Traceback" not in err

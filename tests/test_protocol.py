@@ -438,7 +438,7 @@ def test_stacked_decoder_reports_first_failing_codebook():
                        np.eye(4, dtype=complex)])
     entries = np.array([[[[1, 1]]], [[[0, 1]]]])
     with pytest.raises(DimMismatch, match="label 0 is not PSD"):
-        _srm(entries, blocks, True, DEFAULT)
-    keys, elements, fail = _srm(entries[:1], blocks, True, DEFAULT)
+        _srm(entries, blocks, DEFAULT)
+    keys, elements, fail = _srm(entries[:1], blocks, DEFAULT)
     assert keys.tolist() == [1]
     assert np.allclose(elements[0], np.eye(4) / 2) and np.allclose(fail, 0.0)
