@@ -218,7 +218,7 @@ def sandwiched_renyi(rho, sigma, order, cfg: Numerics = DEFAULT,
 def _weighted_conditionals(cq: CQState) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and stacked conditionals of the labels with p > 0."""
     keep = cq.probs > 0.0
-    return cq.probs[keep], np.stack([c.matrix for c, k in zip(cq.conditionals, keep) if k])
+    return cq.probs[keep], cq.matrices[keep]
 
 
 def cq_sandwiched_renyi(cq: CQState, order: float,

@@ -31,6 +31,7 @@ __all__ = [
     "support_projector",
     "tensor",
     "partial_trace",
+    "block_diag",
     "trace_norm",
 ]
 
@@ -193,24 +194,25 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],
     if any(k < 0 or k >= len(dims) for k in keep):
         raise DimMismatch(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
+    # Integer sublists: subsystem i is label i on the row side; a kept
+    # subsystem gets a fresh column label, a traced one shares its row label.
     k = len(dims)
-    if 2 * k > 26:
-        raise DimMismatch("partial_trace supports at most 13 subsystems")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:k])
-    col = []
-    nxt = k
-    for i in range(k):
-        if i in keep:
-            col.append(letters[nxt])
-            nxt += 1
-        else:
-            col.append(row[i])  # shared letter contracts the traced subsystem
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    resh = m.reshape(dims + dims)
-    res = np.einsum("".join(row + col) + "->" + out, resh)
+    rows = list(range(k))
+    cols = [k + i if i in keep else i for i in rows]
+    res = np.einsum(m.reshape(dims + dims), rows + cols,
+                    [rows[i] for i in keep] + [cols[i] for i in keep])
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return res.reshape(d_keep, d_keep)
+
+
+def block_diag(stack: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix with the matrices of a stack ``(n, d, d)`` on
+    its diagonal, in stack order."""
+    n, d, _ = stack.shape
+    out = np.zeros((n, d, n, d), dtype=stack.dtype)
+    i = np.arange(n)
+    out[i, :, i, :] = stack
+    return out.reshape(n * d, n * d)
 
 
 def trace_norm(m: np.ndarray, cfg: Numerics = DEFAULT):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Numerics
 from .errors import DimMismatch
-from .linalg import dagger, eig_hermitian
+from .linalg import block_diag, dagger, eig_hermitian
 from .states import CQState, DensityMatrix
 
 __all__ = [
@@ -38,12 +38,12 @@ class PinchingBasis:
     """Grouped eigenspaces of a reference state.
 
     ``eigenvalues`` holds one representative value per group (ascending),
-    ``projectors`` the matching orthogonal eigenspace projectors summing
-    to the identity, and ``v`` the distinct-eigenvalue count.
+    ``projectors`` the matching eigenspace projectors, one stack ``(v, d,
+    d)`` summing to the identity, and ``v`` the distinct-eigenvalue count.
     """
 
     eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     @property
     def v(self) -> int:
@@ -51,19 +51,14 @@ class PinchingBasis:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
 
-def _group_values(w: np.ndarray, group_tol: float) -> list[list[int]]:
-    """Group ascending values whose consecutive gap is within tolerance."""
+def _group_values(w: np.ndarray, group_tol: float) -> np.ndarray:
+    """Start of every group of ascending values but the first: a group
+    ends wherever the gap to the next value exceeds the tolerance."""
     thr = group_tol * float(np.max(np.abs(w), initial=0.0))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][-1]] <= thr:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    return np.flatnonzero(np.diff(w) > thr) + 1
 
 
 def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis | list[PinchingBasis]:
@@ -83,23 +78,18 @@ def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis | list
 
 
 def _grouped_basis(w: np.ndarray, v: np.ndarray, group_tol: float) -> PinchingBasis:
-    vals = []
-    projs = []
-    for g in _group_values(w, group_tol):
-        cols = v[:, g]
-        projs.append(cols @ dagger(cols))
-        vals.append(float(np.mean(w[g])))
-    return PinchingBasis(np.asarray(vals), tuple(projs))
+    starts = _group_values(w, group_tol)
+    return PinchingBasis(np.array([g.mean() for g in np.split(w, starts)]),
+                         np.stack([c @ dagger(c) for c in np.split(v, starts, axis=1)]))
 
 
 def pinch_matrix(m: np.ndarray, basis: PinchingBasis) -> np.ndarray:
-    """sum_i P_i m P_i for the eigenspace projectors of the basis."""
-    if m.shape[0] != basis.dim:
-        raise DimMismatch(f"matrix dim {m.shape[0]} != basis dim {basis.dim}")
-    out = np.zeros_like(m, dtype=np.complex128)
-    for p in basis.projectors:
-        out += p @ m @ p
-    return out
+    """sum_i P_i m P_i for the eigenspace projectors of the basis, of a
+    matrix or of each in a stack ``(..., d, d)``."""
+    if m.shape[-1] != basis.dim:
+        raise DimMismatch(f"matrix dim {m.shape[-1]} != basis dim {basis.dim}")
+    p = np.expand_dims(basis.projectors, tuple(range(1, m.ndim - 1)))
+    return np.sum(p @ m @ p, axis=0)
 
 
 def pinch(rho, basis: PinchingBasis):
@@ -133,8 +123,8 @@ def projector_geq(a: np.ndarray, b: np.ndarray, cfg: Numerics = DEFAULT) -> np.n
 
 def decoder_projector_blocks(cq_ub: CQState, threshold_exponent: float,
                              rho_b: DensityMatrix | None = None,
-                             cfg: Numerics = DEFAULT) -> list[np.ndarray]:
-    """Per-label blocks of the decoding projector.
+                             cfg: Numerics = DEFAULT) -> np.ndarray:
+    """Per-label blocks of the decoding projector, one stack ``(labels, d, d)``.
 
     The projector tests whether the pinched conditional output exceeds
     2^threshold times the averaged output; it is block diagonal over the
@@ -143,28 +133,17 @@ def decoder_projector_blocks(cq_ub: CQState, threshold_exponent: float,
     """
     if rho_b is None:
         rho_b = cq_ub.average()
-    basis = distinct_eigenspaces(rho_b, cfg=cfg)
+    pinched = pinch_matrix(cq_ub.matrices, distinct_eigenspaces(rho_b, cfg=cfg))
     thresh = 2.0 ** threshold_exponent
-    blocks = []
-    for p, c in zip(cq_ub.probs, cq_ub.conditionals):
-        if p <= 0.0:
-            blocks.append(np.eye(cq_ub.quantum_dim, dtype=np.complex128))
-            continue
-        pinched = pinch_matrix(c.matrix, basis)
-        blocks.append(projector_geq(pinched, thresh * rho_b.matrix, cfg))
-    return blocks
+    return np.stack([projector_geq(m, thresh * rho_b.matrix, cfg) if p > 0.0
+                     else np.eye(cq_ub.quantum_dim, dtype=np.complex128)
+                     for p, m in zip(cq_ub.probs, pinched)])
 
 
 def decoder_projector(cq_ub: CQState, threshold_exponent: float,
                       cfg: Numerics = DEFAULT) -> np.ndarray:
     """Full decoding projector on the (label x quantum) space."""
-    blocks = decoder_projector_blocks(cq_ub, threshold_exponent, cfg=cfg)
-    d = cq_ub.quantum_dim
-    n = cq_ub.num_labels
-    out = np.zeros((n * d, n * d), dtype=np.complex128)
-    for i, blk in enumerate(blocks):
-        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = blk
-    return out
+    return block_diag(decoder_projector_blocks(cq_ub, threshold_exponent, cfg=cfg))
 
 
 def projector_test_values(cq_ub: CQState, threshold_exponent: float,
@@ -176,14 +155,12 @@ def projector_test_values(cq_ub: CQState, threshold_exponent: float,
     """
     rho_b = cq_ub.average()
     blocks = decoder_projector_blocks(cq_ub, threshold_exponent, rho_b, cfg)
-    miss = 0.0
-    alarm = 0.0
-    for p, c, blk in zip(cq_ub.probs, cq_ub.conditionals, blocks):
-        if p <= 0.0:
-            continue
-        miss += p * float(np.real(np.trace((np.eye(blk.shape[0]) - blk) @ c.matrix)))
-        alarm += p * float(np.real(np.trace(blk @ rho_b.matrix)))
-    return max(0.0, miss), max(0.0, alarm)
+    on = cq_ub.probs > 0.0
+    tests = np.stack([(np.eye(cq_ub.quantum_dim) - blocks) @ cq_ub.matrices,
+                      blocks @ rho_b.matrix], axis=1)[on]  # (labels, 2, d, d)
+    terms = cq_ub.probs[on, None] * np.real(np.trace(tests, axis1=-2, axis2=-1))
+    miss, alarm = np.sum(terms, axis=0)  # label by label, in label order
+    return max(0.0, float(miss)), max(0.0, float(alarm))
 
 
 def tensor_power_eigencount(sigma, n: int, cfg: Numerics = DEFAULT) -> int:
@@ -198,5 +175,4 @@ def tensor_power_eigencount(sigma, n: int, cfg: Numerics = DEFAULT) -> int:
     base = distinct_eigenspaces(m, cfg)
     vals = sorted(prod(combo)
                   for combo in combinations_with_replacement(base.eigenvalues, n))
-    groups = _group_values(np.asarray(vals, dtype=np.float64), cfg.group_tol)
-    return len(groups)
+    return len(_group_values(np.asarray(vals, dtype=np.float64), cfg.group_tol)) + 1

@@ -131,7 +131,7 @@ def _srm(entries: np.ndarray, blocks: np.ndarray,
 
 def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
                   threshold_exponent: float | None = None, cfg: Numerics = DEFAULT,
-                  _blocks: list[np.ndarray] | None = None) -> DecoderPOVM:
+                  _blocks: np.ndarray | None = None) -> DecoderPOVM:
     """Square-root normalization of the per-codeword projector blocks.
 
     The test operator for a codeword is the corresponding block of the
@@ -140,7 +140,7 @@ def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
     """
     t = rates.total if threshold_exponent is None else threshold_exponent
     blocks = _blocks if _blocks is not None else decoder_projector_blocks(cq_ub, t, cfg=cfg)
-    labels, elements, fail = _srm(codebook.entries[None], np.stack(blocks), cfg)
+    labels, elements, fail = _srm(codebook.entries[None], blocks, cfg)
     return DecoderPOVM(codebook, {int(lab): el for lab, el in zip(labels, elements)}, fail[0])
 
 
@@ -310,12 +310,10 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     rho0 = innocent_output(instance, cfg)
     _, covert_applicable = st.covert_gap(rho0)
 
-    b_stack = np.stack([c.matrix for c in st.cq_ub.conditionals])
-    s_stack = np.stack([c.matrix for c in st.cq_us.conditionals])
-    e_stack = np.stack([c.matrix for c in st.cq_ue.conditionals])
+    b_stack, s_stack, e_stack = st.cq_ub.matrices, st.cq_us.matrices, st.cq_ue.matrices
     # Fidelity targets: the induced warden marginal, then the innocent output.
     targets = np.stack([st.rho_e.matrix, rho0.matrix])[:, None, None]
-    blocks = np.stack(decoder_projector_blocks(st.cq_ub, effective.total, st.rho_b, cfg))
+    blocks = decoder_projector_blocks(st.cq_ub, effective.total, st.rho_b, cfg)
 
     def evaluate(entries: np.ndarray) -> dict[str, np.ndarray]:
         """Every per-trial number of a stack of codebooks ``(T, nj, nk, nm)``."""

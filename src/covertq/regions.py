@@ -433,18 +433,12 @@ class SearchConfig:
 
 def _project_simplex_rows(x: np.ndarray) -> np.ndarray:
     """Euclidean projection of each trailing-axis row onto the simplex."""
-    shape = x.shape
-    flat = x.reshape(-1, shape[-1])
-    out = np.empty_like(flat)
-    for i, row in enumerate(flat):
-        u = np.sort(row)[::-1]
-        css = np.cumsum(u) - 1.0
-        ks = np.arange(1, len(row) + 1)
-        cond = u - css / ks > 0
-        k = ks[cond][-1]
-        tau = css[k - 1] / k
-        out[i] = np.maximum(row - tau, 0.0)
-    return out.reshape(shape)
+    u = np.sort(x, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    ks = np.arange(1, x.shape[-1] + 1)
+    # k: the last position (1-based) where u - css / ks is positive
+    k = x.shape[-1] - np.argmax((u - css / ks > 0)[..., ::-1], axis=-1, keepdims=True)
+    return np.maximum(x - np.take_along_axis(css, k - 1, axis=-1) / k, 0.0)
 
 
 def _covert_repair(problem: ClassicalProblem, p_u_s: np.ndarray,
@@ -623,7 +617,7 @@ def causal_rate_quantum(instance: ProblemInstance, candidates, *,
             conds = []
             for g in chans:
                 lifted = QuantumChannel(
-                    [np.kron(k, np.eye(d_s)) for k in g.kraus],
+                    np.kron(g.kraus, np.eye(d_s)),
                     in_factors=csi.factors,
                     out_factors=[("A", g.dim_out), ("S", d_s)], cfg=cfg)
                 conds.append(DensityMatrix(lifted.apply_matrix(csi.matrix),

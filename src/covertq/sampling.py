@@ -53,7 +53,7 @@ def random_channel(rng: np.random.Generator, d_in: int, d_out: int,
     env = env or d_in
     big = random_unitary(rng, d_out * env)
     iso = big[:, :d_in]  # columns form an isometry d_in -> d_out * env
-    kraus = [iso.reshape(d_out, env, d_in)[:, e, :] for e in range(env)]
+    kraus = iso.reshape(d_out, env, d_in).swapaxes(0, 1)  # (env, d_out, d_in)
     return QuantumChannel(kraus, in_factors, out_factors, cfg=cfg)
 
 

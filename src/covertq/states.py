@@ -16,6 +16,7 @@ import numpy as np
 from .config import DEFAULT, Numerics
 from .errors import DimMismatch, NotADistribution, NotPSD
 from .linalg import (
+    block_diag,
     dagger,
     eigvals_hermitian,
     partial_trace,
@@ -193,6 +194,11 @@ class CQState:
     def quantum_factors(self) -> tuple[Factor, ...]:
         return self.conditionals[0].factors
 
+    @property
+    def matrices(self) -> np.ndarray:
+        """The conditionals as one stack ``(labels, d, d)``."""
+        return np.stack([c.matrix for c in self.conditionals])
+
     def average(self) -> DensityMatrix:
         """Ensemble average sum_u p(u) rho_u."""
         acc = np.zeros((self.quantum_dim, self.quantum_dim), dtype=np.complex128)
@@ -203,12 +209,7 @@ class CQState:
 
     def joint_matrix(self) -> np.ndarray:
         """Block-diagonal matrix sum_u p(u) |u><u| (x) rho_u."""
-        d = self.quantum_dim
-        n = self.num_labels
-        out = np.zeros((n * d, n * d), dtype=np.complex128)
-        for i, (p, c) in enumerate(zip(self.probs, self.conditionals)):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = p * c.matrix
-        return out
+        return block_diag(self.probs[:, None, None] * self.matrices)
 
     def label_state(self) -> DensityMatrix:
         """diag(p_U) on the classical register."""
@@ -224,26 +225,25 @@ class CQState:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Completely positive trace-preserving map in Kraus form; ``kraus`` is
+    one stack ``(operators, d_out, d_in)``, summed in operator order."""
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     in_factors: tuple[Factor, ...]
     out_factors: tuple[Factor, ...]
 
     def __init__(self, kraus, in_factors=None, out_factors=None, *,
                  validate: bool = True, cfg: Numerics = DEFAULT):
-        kraus = tuple(np.asarray(k, dtype=np.complex128) for k in kraus)
-        if not kraus:
+        if not len(kraus):
             raise DimMismatch("channel requires at least one Kraus operator")
-        d_out, d_in = kraus[0].shape
-        if any(k.shape != (d_out, d_in) for k in kraus):
-            raise DimMismatch("Kraus operators have inconsistent shapes")
+        try:
+            kraus = np.asarray(kraus, dtype=np.complex128)
+            _, d_out, d_in = kraus.shape
+        except ValueError as exc:  # ragged, or not a stack of matrices
+            raise DimMismatch("Kraus operators have inconsistent shapes") from exc
         if validate:
-            require_finite(np.asarray(kraus), "Kraus operators", NotPSD)
-            acc = np.zeros((d_in, d_in), dtype=np.complex128)
-            for k in kraus:
-                acc += dagger(k) @ k
-            dev = float(np.max(np.abs(acc - np.eye(d_in))))
+            require_finite(kraus, "Kraus operators", NotPSD)
+            dev = float(np.max(np.abs(np.sum(dagger(kraus) @ kraus, axis=0) - np.eye(d_in))))
             if dev > cfg.herm_tol:
                 raise NotPSD(f"channel is not trace preserving: |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "kraus", kraus)
@@ -252,17 +252,16 @@ class QuantumChannel:
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=np.complex128)
-        for k in self.kraus:
-            out += k @ m @ dagger(k)
-        return out
+        """sum_k K_k m K_k^dag, of a matrix or of each in a stack ``(..., d, d)``."""
+        k = np.expand_dims(self.kraus, tuple(range(1, np.ndim(m) - 1)))
+        return np.sum(k @ m @ dagger(k), axis=0)
 
 
 def apply_channel(ch: QuantumChannel, rho: DensityMatrix, *,
@@ -279,7 +278,7 @@ def induced_cq_output(ch: QuantumChannel, cq: CQState, *,
     """Push every conditional of a cq ensemble through the channel."""
     if cq.quantum_dim != ch.dim_in:
         raise DimMismatch(f"conditional dim {cq.quantum_dim} != channel input {ch.dim_in}")
-    outs = tuple(apply_channel(ch, c, validate=False, cfg=cfg) for c in cq.conditionals)
+    outs = (DensityMatrix(o, ch.out_factors, validate=False) for o in ch.apply_matrix(cq.matrices))
     return CQState(cq.labels, cq.probs, outs, validate=False)
 
 
