@@ -131,13 +131,11 @@ def cmd_divergence(args):
     elif measure == "relent":
         dv = relative_entropy(rho, sigma, spec.cfg)
         value, support_violation = dv.value, dv.support_violation
-    elif measure == "sandwiched":
+    else:  # sandwiched
         if args.order is None:
             raise ValueError("--order is required for the sandwiched measure")
         dv = sandwiched_renyi(rho, sigma, args.order, spec.cfg)
         value, support_violation = dv.value, dv.support_violation
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
     config = {"spec": spec.path, "measure": measure, "order": args.order,
               "a": a_name, "b": b_name}
     return config, {"value": value, "support_violation": support_violation}, {}
@@ -166,12 +164,10 @@ def cmd_bound(args):
     elif which == "lemma1":
         results = {"bound": resolvability_bound(st.cq_ue, rates.R, rates.alpha, spec.cfg),
                    "rate": rates.R, "alpha": rates.alpha}
-    elif which == "lemma2":
+    else:  # lemma2
         miss, alarm = decoding_test_bounds(st.cq_ub, rates, spec.cfg)
         results = {"miss_bound": miss, "false_alarm_bound": alarm,
                    "total_rate": rates.total, "alpha": rates.alpha}
-    else:
-        raise ValueError(f"unknown bound selector {which!r}")
     config = {"spec": spec.path, "which": which, "alpha": args.alpha,
               "optimize": bool(args.optimize)}
     return config, results, {}
@@ -224,7 +220,7 @@ def cmd_region(args):
             rows = _region_rows(res, args.sweep)
         else:
             results["value"] = res
-    elif which == "causal":
+    else:  # causal
         problem = _need(spec, "problem", "classical problem")
         policy = _need(spec, "policy", "auxiliary policy")
         p_u = problem.q_s @ policy.p_u_s
@@ -233,8 +229,6 @@ def cmd_region(args):
         results = res
         rows = [{"w_R": 1.0, "w_RK": 0.0, "R": res["rate"], "R_K": 0.0,
                  "active": [], "value": res["rate"]}]
-    else:
-        raise ValueError(f"unknown region selector {which!r}")
 
     if rows:
         results["sweep"] = rows
@@ -248,7 +242,7 @@ def cmd_region(args):
 def cmd_simulate(args):
     spec = load_spec(args.spec)
     cfg = spec.cfg if args.cap is None else spec.cfg.replaced(codebook_cap=args.cap)
-    trials = args.trials if args.trials is not None else int(spec.run.get("trials", 0))
+    trials = args.trials if args.trials is not None else spec.run.get("trials", 0)
     seed = args.seed if args.seed is not None else spec.run.get("seed", 0)
     if trials < 30:
         raise ValueError(f"trials must be >= 30, got {trials}")
@@ -262,7 +256,7 @@ def cmd_simulate(args):
         results = dataclasses.asdict(sim)
         del results["per_trial"]
         verdicts = sim.verdicts
-    elif args.target == "classical":
+    else:  # classical
         problem = _need(spec, "problem", "classical problem")
         policy = _need(spec, "policy", "auxiliary policy")
         n = spec.run.get("blocklength", 4)
@@ -280,8 +274,6 @@ def cmd_simulate(args):
             results["end_to_end"] = err
             results["warden_tv"] = wd["tv_from_innocent"]
         results["seed"] = seed
-    else:
-        raise ValueError(f"unknown simulate target {args.target!r}")
     config = {"spec": spec.path, "target": args.target, "trials": trials,
               "seed": seed, "cap": args.cap}
     return config, results, verdicts

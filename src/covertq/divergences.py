@@ -158,7 +158,7 @@ def relative_entropy(rho, sigma, cfg: Numerics = DEFAULT) -> DivergenceValue:
 
 def _renyi_alpha(order) -> np.ndarray:
     alpha = np.asarray(order, dtype=np.float64) - 1.0
-    if np.any((alpha <= -1.0) | (alpha == 0.0)):
+    if not np.all(np.isfinite(alpha) & (alpha > -1.0) & (alpha != 0.0)):
         raise OrderOutOfRange(f"order {order} outside (0,1) u (1,inf)")
     return alpha
 

@@ -121,11 +121,11 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     _expect(isinstance(csi_node, dict), f"{path}:csi", "missing csi state")
     csi_mat = _matrix(csi_node, f"{path}:csi")
     csi_factors = csi_node.get("factors", ["S"])
-    if list(csi_factors) == ["S"]:
+    _expect(csi_factors in (["S"], ["Sbar", "S"]), f"{path}:csi.factors",
+            f"must be ['S'] or ['Sbar', 'S'], got {csi_factors!r}")
+    if csi_factors == ["S"]:
         csi = DensityMatrix(csi_mat, [("S", d_s)], cfg=cfg)
     else:
-        _expect(list(csi_factors) == ["Sbar", "S"], f"{path}:csi",
-                "factors must be ['S'] or ['Sbar', 'S']")
         d_bar = csi_mat.shape[0] // d_s
         csi = DensityMatrix(csi_mat, [("Sbar", d_bar), ("S", d_s)], cfg=cfg)
     out["instance"] = ProblemInstance(channel, innocent, csi)
@@ -205,16 +205,34 @@ def _check_numerics(nums: dict, path: str) -> None:
                     f"must be a finite number >= 0, got {value!r}")
 
 
+# The range of a rate and of the Renyi knob alpha: (what, test on a finite float).
+_RATE = ("a finite number >= 0", lambda x: x >= 0.0)
+_ALPHA = ("a number in (0, 1/2)", lambda x: 0.0 < x < 0.5)
+
+
+def _in_range(value, ok) -> bool:
+    x = _finite_number(value)
+    return x is not None and ok(x)
+
+
 def _check_rates(rates: dict, path: str) -> None:
-    for name in ("R", "R_K", "R_J"):
+    for name, (what, ok) in (("R", _RATE), ("R_K", _RATE), ("R_J", _RATE), ("alpha", _ALPHA)):
         if name in rates:
-            x = _finite_number(rates[name])
-            _expect(x is not None and x >= 0.0, f"{path}:rates.{name}",
-                    f"must be a finite number >= 0, got {rates[name]!r}")
-    if "alpha" in rates:
-        x = _finite_number(rates["alpha"])
-        _expect(x is not None and 0.0 < x < 0.5, f"{path}:rates.alpha",
-                f"must be a number in (0, 1/2), got {rates['alpha']!r}")
+            _expect(_in_range(rates[name], ok), f"{path}:rates.{name}",
+                    f"must be {what}, got {rates[name]!r}")
+
+
+def _check_run(run: dict, path: str) -> None:
+    for name, least in (("blocklength", 1), ("seed", 0), ("trials", 1)):
+        if name in run:
+            _expect(_is_int(run[name], least), f"{path}:run.{name}",
+                    f"must be an integer >= {least}, got {run[name]!r}")
+    for name, (what, ok) in (("rj_grid", _RATE), ("alpha_grid", _ALPHA)):
+        if name in run:
+            grid = run[name]
+            _expect(isinstance(grid, list) and len(grid) > 0
+                    and all(_in_range(x, ok) for x in grid), f"{path}:run.{name}",
+                    f"must be a non-empty array, each entry {what}, got {grid!r}")
 
 
 def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
@@ -248,10 +266,7 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     _expect(isinstance(rates, dict), f"{path}:rates", "must be an object")
     _expect(isinstance(run, dict), f"{path}:run", "must be an object")
     _check_rates(rates, path)
-    for name, least in (("blocklength", 1), ("seed", 0)):
-        if name in run:
-            _expect(_is_int(run[name], least), f"{path}:run.{name}",
-                    f"must be an integer >= {least}, got {run[name]!r}")
+    _check_run(run, path)
 
     parsed = (_parse_quantum if kind == "quantum" else _parse_classical)(doc, cfg, path)
     return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=rates, run=run,

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import assert_same
 
 from covertq import cli, specio
 from covertq.cli import main
@@ -579,3 +580,94 @@ def test_spec_arrays_hold_only_numbers(fixture, argv, path, value, field, tmp_pa
     code, out, err = run_cli(capsys, *argv, "--spec", spec)
     assert code == 2 and out == ""
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pair", [(), ("--a", "rho", "--b", "sigma")], ids=["default", "rho-sigma"])
+@pytest.mark.parametrize("order", ["nan", "inf"])
+def test_non_finite_renyi_order_exits_3(order, pair):
+    # nan on the default pair printed "value": "nan" and exited 0; on rho/sigma it
+    # exited 3 blaming the matrix; inf also printed a numpy RuntimeWarning
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "covertq.cli", "divergence", "--spec", DIAG,
+                           "--measure", "sandwiched", "--order", order, *pair],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: order {order} outside (0,1) u (1,inf)"]
+
+
+OPTIMIZE = ("bound", "--which", "thm1", "--optimize")
+CLASSICAL_RUN_TRIALS = ("simulate", "--target", "classical")  # trials from run.trials
+
+
+@pytest.mark.parametrize("name,value", [
+    ("trials", "x"),  # exited 6 through int()
+    ("trials", 40.9),  # ran 40 trials, exited 0
+    ("trials", True),
+    ("trials", 0),
+    ("alpha_grid", ["0.2"]),  # exited 0
+    ("alpha_grid", [0.7]),  # exited 6 through ProtocolRates
+    ("alpha_grid", [True]),
+    ("alpha_grid", [0.2, math.nan]),
+    ("alpha_grid", []),
+    ("alpha_grid", 0.2),  # exited 6, internal TypeError
+    ("rj_grid", ["0.2"]),  # exited 0
+    ("rj_grid", ["1"]),  # exited 0
+    ("rj_grid", [True]),  # exited 0, reporting R_J 1.0
+    ("rj_grid", [-1.0]),
+    ("rj_grid", [0.0, math.inf]),
+    ("rj_grid", []),
+    ("rj_grid", 1.0),
+])
+def test_run_block_validated_at_parse(name, value, tmp_path, capsys):
+    fixture, argv = (CLASSICAL, CLASSICAL_RUN_TRIALS) if name == "trials" else (QUBIT, OPTIMIZE)
+    spec = _mutated_spec(tmp_path, fixture, _set(("run", name), value))
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 2 and out == ""
+    assert f":run.{name}: " in err and "Traceback" not in err
+
+
+def test_run_trials_below_30_stay_a_run_parameter_error(tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, CLASSICAL, _set(("run", "trials"), 29))
+    code, out, err = run_cli(capsys, *CLASSICAL_RUN_TRIALS, "--spec", spec)
+    assert code == 6 and out == ""
+    assert err.strip() == "error: trials must be >= 30, got 29"
+
+
+@pytest.mark.parametrize("factors", [5, "S", ["S", "Sbar"], None])
+def test_csi_factors_must_be_an_array(factors, tmp_path, capsys):
+    # 5 exited 6 with an internal TypeError; "S" was read as ["S"]
+    spec = _mutated_spec(tmp_path, QUBIT, _set(("csi", "factors"), factors))
+    code, out, err = run_cli(capsys, *BOUND_THM1, "--spec", spec)
+    assert code == 2 and out == ""
+    assert ":csi.factors: " in err and "Traceback" not in err
+
+
+def _purified_csi(doc):
+    """Replace the diagonal S state by a purification on (Sbar, S)."""
+    p = np.diag(np.asarray(doc["csi"]["re"]))
+    psi = np.zeros(len(p) ** 2)
+    psi[np.arange(len(p)) * (len(p) + 1)] = np.sqrt(p)  # sum_i sqrt(p_i) |i>|i>
+    doc["csi"] = {"re": np.outer(psi, psi).tolist(), "factors": ["Sbar", "S"]}
+
+
+@pytest.mark.parametrize("argv,exact", [
+    (BOUND_THM1, True),
+    (("region", "--which", "cc_csk"), True),
+    (("region", "--which", "corollaries"), True),
+    (("simulate", "--target", "quantum", "--trials", "50", "--seed", "1"), False),
+], ids=["thm1", "cc_csk", "corollaries", "simulate"])
+def test_bipartite_csi_matches_its_s_marginal(argv, exact, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _purified_csi)
+    bodies = []
+    for path in (QUBIT, spec):
+        code, out, _ = run_cli(capsys, *argv, "--spec", path)
+        assert code == 0
+        doc = json.loads(out)
+        del doc["wall_clock_s"], doc["config"]["spec"]
+        bodies.append(doc)
+    if exact:
+        assert bodies[0] == bodies[1]
+    else:  # the S-marginal is a partial trace, equal to the fixture's to rounding
+        assert_same(bodies[1], bodies[0])

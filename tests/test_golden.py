@@ -5,10 +5,10 @@ Keys, strings, bools, ints and exit codes must match exactly; floats to
 """
 
 import json
-import math
 import os
 
 import pytest
+from conftest import assert_same
 
 from covertq.cli import main
 
@@ -16,23 +16,6 @@ HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "src", "covertq", "fixtures")
 with open(os.path.join(HERE, "golden", "fixtures_cli.json"), encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
-
-
-def assert_same(got, want, where="body"):
-    assert type(got) is type(want), f"{where}: {got!r} != {want!r}"
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), f"{where}: keys differ"
-        for key in want:
-            assert_same(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), f"{where}: lengths differ"
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_same(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300), \
-            f"{where}: {got!r} != {want!r}"
-    else:
-        assert got == want, f"{where}: {got!r} != {want!r}"
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=[f"{r['key']}-seed{r['seed']}" for r in GOLDEN])

@@ -15,6 +15,7 @@ from covertq.linalg import (
     eig_hermitian,
     eigvals_hermitian,
     mat_fn,
+    block_diag,
     partial_trace,
     support_projector,
     tensor,
@@ -298,6 +299,25 @@ def test_partial_trace_is_linear():
     lhs = partial_trace(2.0 * a + 3.0 * b, [2, 3], [0])
     rhs = 2.0 * partial_trace(a, [2, 3], [0]) + 3.0 * partial_trace(b, [2, 3], [0])
     assert np.allclose(lhs, rhs)
+
+
+def test_partial_trace_has_no_subsystem_cap():
+    # 16 subsystems were refused ("at most 13 subsystems")
+    rng = rng_for(14)
+    a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
+    dims = [1] * 7 + [2] + [1] * 7 + [3]
+    assert np.allclose(partial_trace(tensor(a, b), dims, [7]), a * np.trace(b))
+    assert np.allclose(partial_trace(tensor(a, b), dims, [15, 7]), tensor(a, b))
+
+
+def test_block_diag():
+    stack = np.arange(12.0).reshape(3, 2, 2) + 1.0
+    out = block_diag(stack)
+    assert out.shape == (6, 6) and out.dtype == stack.dtype
+    for i in range(3):
+        assert np.array_equal(out[2 * i:2 * i + 2, 2 * i:2 * i + 2], stack[i])
+        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
+    assert not out.any()
 
 
 def test_partial_trace_dim_mismatch():

@@ -38,6 +38,17 @@ def test_basis_resolves_identity_and_orthogonal():
             assert np.max(np.abs(p @ q - target)) < 1e-10
 
 
+def test_pinch_matrix_on_a_stack_matches_each_matrix():
+    rng = rng_for(21)
+    basis = distinct_eigenspaces(diag_state(0.5, 0.25, 0.25))
+    assert basis.projectors.shape == (2, 3, 3)
+    stack = np.stack([random_density(rng, 3).matrix for _ in range(4)]).reshape(2, 2, 3, 3)
+    pinched = pinch_matrix(stack, basis)
+    assert pinched.shape == stack.shape
+    for m, out in zip(stack.reshape(4, 3, 3), pinched.reshape(4, 3, 3)):
+        assert np.array_equal(out, pinch_matrix(m, basis))
+
+
 def test_pinch_fixed_points():
     rng = rng_for(2)
     sig = random_density(rng, 3)

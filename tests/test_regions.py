@@ -268,6 +268,28 @@ def test_superposition_raw_terms_match_loop_reference():
         assert raw["I(U;S)"] == regions._mutual_info_2d(merged_s)
 
 
+def _project_simplex_row(row):
+    """One row of regions._project_simplex_rows, by the sort-and-threshold
+    loop (reference)."""
+    u = np.sort(row)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, len(row) + 1)
+    k = ks[u - css / ks > 0][-1]
+    return np.maximum(row - css[k - 1] / k, 0.0)
+
+
+def test_project_simplex_rows_matches_row_reference():
+    rng = rng_for(33)
+    x = rng.normal(size=(3, 4, 5))
+    x[0, 0] = 0.2  # ties
+    x[1, 1] = [5.0, -5.0, 0.0, 0.0, 1.0]
+    got = regions._project_simplex_rows(x)
+    assert got.shape == x.shape
+    for row, out in zip(x.reshape(-1, 5), got.reshape(-1, 5)):
+        assert np.array_equal(out, _project_simplex_row(row))
+    assert np.allclose(got.sum(axis=-1), 1.0) and (got >= 0.0).all()
+
+
 def _covert_repair_loops(problem, p_u_s, p_a_us, cfg, iters):
     """regions._covert_repair with its constraint matrix filled one column
     at a time (reference)."""

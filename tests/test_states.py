@@ -95,6 +95,24 @@ def test_channel_rejects_non_cptp():
         QuantumChannel([1.1 * np.eye(2, dtype=complex)])
 
 
+@pytest.mark.parametrize("kraus", [[], [np.eye(2), np.eye(3)], [np.eye(2)[0]], np.eye(2)],
+                         ids=["empty", "ragged", "vectors", "one-matrix"])
+def test_channel_rejects_malformed_kraus_lists(kraus):
+    with pytest.raises(DimMismatch):
+        QuantumChannel(kraus, validate=False)
+
+
+def test_apply_matrix_on_a_stack_matches_each_matrix():
+    rng = rng_for(61)
+    ch = random_channel(rng, 3, 2, env=4)
+    assert ch.kraus.shape == (4, 2, 3)
+    states = np.stack([random_density(rng, 3).matrix for _ in range(5)])
+    stacked = ch.apply_matrix(states.reshape(5, 1, 3, 3))
+    assert stacked.shape == (5, 1, 2, 2)
+    for rho, out in zip(states, stacked[:, 0]):
+        assert np.array_equal(out, ch.apply_matrix(rho))
+
+
 def test_induced_identity_channel_keeps_conditionals():
     cq = random_cq(rng_for(7), 3, 2)
     ch = QuantumChannel([np.eye(2, dtype=complex)])
