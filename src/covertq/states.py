@@ -226,7 +226,7 @@ class CQState:
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map in Kraus form; ``kraus`` is
-    one stack ``(operators, d_out, d_in)``, summed in operator order."""
+    one stack ``(operators, d_out, d_in)``."""
 
     kraus: np.ndarray
     in_factors: tuple[Factor, ...]
