@@ -21,6 +21,7 @@ from .config import DEFAULT, Numerics, code_size, pow2
 from .errors import CapExceeded, EncodingFailure
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
+from .sampling import _cdf, _codeword_law, _draw, _mean_se, _symbols
 
 __all__ = [
     "ClassicalCodebook",
@@ -50,15 +51,6 @@ class ClassicalCodebook:
         return int(np.prod(self.sizes))
 
 
-def _codeword_law(p_u) -> np.ndarray:
-    """The codeword distribution as floats; raises ``ValueError`` unless it
-    is nonnegative with positive mass."""
-    p = np.asarray(p_u, dtype=np.float64)
-    if not (np.all(p >= 0.0) and p.sum() > 0.0):
-        raise ValueError("codeword distribution needs nonnegative entries and positive mass")
-    return p
-
-
 def _check_codebook_cap(sizes, cfg: Numerics) -> None:
     if int(np.prod(sizes)) > cfg.codebook_cap:
         raise CapExceeded(f"codebook entries {np.prod(sizes)} exceed cap")
@@ -70,53 +62,8 @@ def sample_classical_codebook(p_u: np.ndarray, sizes: tuple[int, int, int],
     """iid codewords of length n for every (j, k, m) bin."""
     _check_codebook_cap(sizes, cfg)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p = _codeword_law(p_u)
-    entries = _draw(p, rng, (*sizes, n))
+    entries = _draw(_codeword_law(p_u), rng, (*sizes, n))
     return ClassicalCodebook(entries, tuple(int(x) for x in sizes), int(n))
-
-
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """Cumulative distributions of the unnormalized rows along the last axis
-    of ``p``, with the arithmetic of ``rng.choice(k, p=row / row.sum())``:
-    normalize, cumsum, divide by the last entry."""
-    cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
-
-
-def _symbols(cdf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF indices: the number of entries of ``cdf`` (last axis,
-    broadcast against ``u``) that are <= u, as ``choice`` counts them.
-
-    The last entry is skipped: it is x / x = 1 > u (or NaN for an empty
-    row), so it is never counted.
-    """
-    k = cdf.shape[-1]
-    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(k))
-    for i in range(k - 1):
-        idx += cdf[..., i] <= u
-    return idx.astype(np.intp)
-
-
-def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
-    """Categorical draws by inverse CDF from one ``rng.random(shape)`` call.
-
-    ``p`` holds unnormalized distributions along its last axis and
-    broadcasts against ``shape`` (default: one draw per distribution).
-    The uniforms consumed and the indices returned are those of one
-    ``choice`` call per distribution in order, or of one ``choice(k,
-    size=shape)`` call for a single distribution.
-    """
-    return _symbols(_cdf(p), rng.random(p.shape[:-1] if shape is None else shape))
-
-
-def _choice_index(laws: np.ndarray, u) -> np.ndarray:
-    """Index drawn by ``rng.choice(k, p=law)`` from the uniform ``u`` it
-    consumes, for normalized laws along the last axis (no renormalization:
-    cumsum, divide by the last entry, count the entries <= u)."""
-    cdf = np.cumsum(laws, axis=-1)
-    cdf /= cdf[..., -1:]
-    return np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
 def _density_ratio(p_u_s: np.ndarray, p_u) -> np.ndarray:
@@ -154,7 +101,7 @@ class _Encoder:
         """The bin draw for the codewords ``u_m`` (J, K, n) of one message.
 
         Returns ``(flat, None, 0.0)`` when the flat (j, k) index is already
-        drawn, or ``(-1, law, u)`` when it is ``_choice_index(law, u)``.
+        drawn, or ``(-1, law, u)`` when it is ``_symbols(_cdf(law, normalized=True), u)``.
         Raises :class:`EncodingFailure` when no bin is typical.
         """
         if mode == "likelihood":
@@ -201,7 +148,7 @@ def gp_encode(codebook: ClassicalCodebook, m: int, s_seq: np.ndarray,
     u_m = codebook.entries[:, :, m]
     flat, law, u = enc.draw(u_m, s_seq, rng, mode, eps)
     if law is not None:
-        flat = int(_choice_index(law, u))
+        flat = int(_symbols(_cdf(law, normalized=True), u))
     j, k = divmod(flat, codebook.sizes[1])
     a_seq = _symbols(enc.cdf_a[u_m[j, k], s_seq], rng.random(len(s_seq)))
     return j, k, a_seq
@@ -326,8 +273,7 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     rng = np.random.default_rng(seed)
     enc = _Encoder(policy, p_u)
     cdf_u, cdf_w = _cdf(p_u), _channel_cdf(problem)
-    cdf_s = np.cumsum(problem.q_s)  # rng.choice(S, p=q_s): no renormalization
-    cdf_s /= cdf_s[-1]
+    cdf_s = _cdf(problem.q_s, normalized=True)  # rng.choice(S, p=q_s): no renormalization
     ll_tab = _log_table(receiver_likelihood(problem, policy, receiver_csi))
     prior_tab = _log_table(policy.p_u_s if receiver_csi else p_u)
     ne = problem.w.shape[3]
@@ -367,7 +313,7 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
         # Stacked pass.  Trials whose encoding failed run through it with
         # bin 0 and zero uniforms and are left out of the count.
         enc_failures += c - int(sent.sum())
-        bins[pending] = _choice_index(laws[pending], u_bin[pending])
+        bins[pending] = _symbols(_cdf(laws[pending], normalized=True), u_bin[pending])
         codes = codes.reshape(c, entries, n)
         u_seq = codes[np.arange(c), bins * nm + m]
         a = _symbols(enc.cdf_a[u_seq, s], u_io[:, 0])
@@ -552,8 +498,6 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
     for lo in range(0, trials, chunk):
         u_mats = _symbols(cdf, rng.random((min(chunk, trials - lo), size, n)))
         vals += _codebook_divergences(u_mats, p_e_u, q_n).tolist()
-    mean = math.fsum(vals) / trials
-    var = math.fsum((v - mean) ** 2 for v in vals) / (trials - 1)
-    out.update({"estimate": mean, "std_error": math.sqrt(var / trials),
-                "mode": "mc", "trials": trials})
+    mean, se = _mean_se(vals)
+    out.update({"estimate": mean, "std_error": se, "mode": "mc", "trials": trials})
     return out

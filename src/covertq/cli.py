@@ -95,14 +95,17 @@ def _emit(report: RunReport, out_path: str | None) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """argparse type: an integer >= ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 def _need(spec: SpecFile, attr: str, what: str):
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec_required=True):
         p.add_argument("--spec", required=spec_required, help="problem spec JSON file")
         p.add_argument("--out", default=None, help="write the JSON report here as well")
-        p.add_argument("--seed", type=_seed, default=None, help="override the run seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the run seed")
 
     p = sub.add_parser("divergence", help="evaluate a distance or divergence")
     common(p)
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["cc_csk", "csc_csk", "thm3", "thm4", "thm6",
                             "causal", "corollaries"])
-    p.add_argument("--sweep", type=int, default=5,
+    p.add_argument("--sweep", type=_int_at_least(1), default=5,
                    help="number of scalarization weights for the boundary CSV")
     p.add_argument("--csv", default=None, help="write boundary rows to this CSV")
     p.add_argument("--stealth", action="store_true",
@@ -337,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=["quantum", "classical"])
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--cap", type=int, default=None, help="codebook size cap override")
+    p.add_argument("--cap", type=_int_at_least(1), default=None,
+                   help="codebook size cap override")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run randomized invariant suites")

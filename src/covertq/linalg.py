@@ -3,8 +3,9 @@ functions on supports, tensor products, partial traces, trace norm.
 
 Spectral work goes to LAPACK through ``numpy.linalg.eigh``/``eigvalsh``
 after a Hermiticity and finiteness check.  The eigen functions, the
-matrix functions and the trace norm accept a single ``(d, d)`` matrix or
-a stack ``(..., d, d)``, so a batch of small problems costs one call.
+matrix functions, the partial trace and the trace norm accept a single
+``(d, d)`` matrix or a stack ``(..., d, d)``, so a batch of small
+problems costs one call.
 LAPACK returns the same spectrum for the same matrix, so reports stay
 byte-stable run to run.  All higher modules funnel their spectral work
 through :func:`eig_hermitian` and :func:`eigvals_hermitian`.
@@ -179,7 +180,8 @@ def tensor(*ms: np.ndarray) -> np.ndarray:
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],
                   keep: list[int] | tuple[int, ...] | set[int]) -> np.ndarray:
-    """Partial trace over all subsystems not listed in ``keep``.
+    """Partial trace over all subsystems not listed in ``keep``, of a
+    matrix or of each in a stack ``(..., d, d)``.
 
     ``dims`` lists the subsystem dimensions in tensor order; ``keep``
     holds the indices of the subsystems to retain (order preserved).
@@ -188,21 +190,23 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],
     m = np.asarray(m, dtype=np.complex128)
     dims = list(int(d) for d in dims)
     total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.shape[-2:] != (total, total):
         raise DimMismatch(f"matrix shape {m.shape} does not match dims {dims}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise DimMismatch(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
-    # Integer sublists: subsystem i is label i on the row side; a kept
-    # subsystem gets a fresh column label, a traced one shares its row label.
+    # Integer sublists after the stack axes: subsystem i is label i on the
+    # row side; a kept subsystem gets a fresh column label, a traced one
+    # shares its row label.
     k = len(dims)
     rows = list(range(k))
     cols = [k + i if i in keep else i for i in rows]
-    res = np.einsum(m.reshape(dims + dims), rows + cols,
-                    [rows[i] for i in keep] + [cols[i] for i in keep])
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return res.reshape(d_keep, d_keep)
+    stack = m.shape[:-2]
+    res = np.einsum(m.reshape(stack + tuple(dims + dims)), [..., *rows, *cols],
+                    [..., *(rows[i] for i in keep), *(cols[i] for i in keep)])
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return res.reshape(stack + (d_keep, d_keep))
 
 
 def block_diag(stack: np.ndarray) -> np.ndarray:

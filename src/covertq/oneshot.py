@@ -82,8 +82,6 @@ class ProtocolRates:
 class InducedStates:
     """Marginals, eigenvalue counts, and divergence cache for one ensemble."""
 
-    ensemble: CQState
-    channel: QuantumChannel
     cq_us: CQState
     cq_ub: CQState
     cq_ue: CQState
@@ -121,31 +119,24 @@ class InducedStates:
 def induced_states(ensemble: CQState, channel: QuantumChannel,
                    cfg: Numerics = DEFAULT) -> InducedStates:
     """Derive all channel-output marginals used by the bounds."""
-    cq_us = ensemble.marginal_cq("S")
-    cq_ube = induced_cq_output(channel, ensemble, cfg=cfg)
-    b_name = channel.out_factors[0][0]
-    e_name = channel.out_factors[1][0]
-    cq_ub = cq_ube.marginal_cq(b_name)
-    cq_ue = cq_ube.marginal_cq(e_name)
-    rho_s = cq_us.average()
-    rho_b = cq_ub.average()
-    rho_e = cq_ue.average()
-    return InducedStates(
-        ensemble, channel, cq_us, cq_ub, cq_ue, rho_s, rho_b, rho_e,
-        v_s=distinct_eigenspaces(rho_s, cfg=cfg).v,
-        v_b=distinct_eigenspaces(rho_b, cfg=cfg).v,
-        v_e=distinct_eigenspaces(rho_e, cfg=cfg).v,
-        cfg=cfg,
-    )
+    (b_name, _), (e_name, _) = channel.out_factors
+    cq_ube = induced_cq_output(channel, ensemble)
+    cqs = (ensemble.marginal_cq("S"), cq_ube.marginal_cq(b_name), cq_ube.marginal_cq(e_name))
+    rhos = [cq.average() for cq in cqs]
+    return InducedStates(*cqs, *rhos, *(distinct_eigenspaces(r, cfg=cfg).v for r in rhos),
+                         cfg=cfg)
 
 
-def _require_csi(ensemble: CQState, instance: ProblemInstance | None,
-                 cfg: Numerics) -> None:
-    if instance is None:
-        return
-    ok, dev = check_csi_consistency(ensemble, instance, cfg=cfg)
-    if not ok:
-        raise CsiMismatch(f"ensemble S-marginal deviates from shared state by {dev:.3e}")
+def _checked_states(ensemble: CQState, channel: QuantumChannel,
+                    instance: ProblemInstance | None, states: InducedStates | None,
+                    cfg: Numerics) -> InducedStates:
+    """``states``, or those the ensemble induces, once the ensemble's
+    S-marginal is checked against the shared state of ``instance``."""
+    if instance is not None:
+        ok, dev = check_csi_consistency(ensemble, instance, cfg=cfg)
+        if not ok:
+            raise CsiMismatch(f"ensemble S-marginal deviates from shared state by {dev:.3e}")
+    return states or induced_states(ensemble, channel, cfg)
 
 
 def one_shot_error_bound(ensemble: CQState, channel: QuantumChannel,
@@ -158,8 +149,7 @@ def one_shot_error_bound(ensemble: CQState, channel: QuantumChannel,
     Sum of the encoding-mismatch term (decaying in R_J + R_K) and the
     decoding term (growing in the total rate).
     """
-    _require_csi(ensemble, instance, cfg)
-    st = states or induced_states(ensemble, channel, cfg)
+    st = _checked_states(ensemble, channel, instance, states, cfg)
     return verification_bounds(st, rates)["error_split"]
 
 
@@ -173,8 +163,7 @@ def one_shot_covert_bound(ensemble: CQState, channel: QuantumChannel,
     Uses the conservative 2*sqrt(2) prefactor; the tighter prefactor-2
     variant is exposed through :func:`verification_bounds`.
     """
-    _require_csi(ensemble, instance, cfg)
-    st = states or induced_states(ensemble, channel, cfg)
+    st = _checked_states(ensemble, channel, instance, states, cfg)
     return verification_bounds(st, rates)["key_trace"]
 
 
@@ -189,8 +178,7 @@ def one_shot_secure_covert_bound(ensemble: CQState, channel: QuantumChannel,
     the message no longer counts as usable randomness because it must be
     secret itself.
     """
-    _require_csi(ensemble, instance, cfg)
-    st = states or induced_states(ensemble, channel, cfg)
+    st = _checked_states(ensemble, channel, instance, states, cfg)
     return verification_bounds(st, rates)["message_key_trace"]
 
 
@@ -276,8 +264,7 @@ def bound_report(ensemble: CQState, instance: ProblemInstance,
                  rates: ProtocolRates, cfg: Numerics = DEFAULT, *,
                  states: InducedStates | None = None) -> BoundReport:
     """Evaluate every one-shot bound for one ensemble and rate point."""
-    _require_csi(ensemble, instance, cfg)
-    st = states or induced_states(ensemble, instance.channel, cfg)
+    st = _checked_states(ensemble, instance.channel, instance, states, cfg)
     a = rates.alpha
     vb = verification_bounds(st, rates)
     _, matched = st.covert_gap(innocent_output(instance, cfg))

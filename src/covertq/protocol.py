@@ -22,6 +22,7 @@ from .errors import CapExceeded, DimMismatch
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
 from .pinching import decoder_projector_blocks
+from .sampling import _codeword_law, _draw, _mean_se
 from .states import CQState, DensityMatrix, ProblemInstance, innocent_output
 
 __all__ = [
@@ -64,8 +65,7 @@ def sample_codebook(p_u: np.ndarray, rates: ProtocolRates, seed,
         raise CapExceeded(
             f"codebook with {np.prod(sizes)} entries exceeds cap {cfg.codebook_cap}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p = np.asarray(p_u, dtype=np.float64)
-    entries = rng.choice(len(p), size=sizes, p=p / p.sum())
+    entries = _draw(_codeword_law(p_u), rng, sizes)
     return Codebook(entries, sizes, seed=None if isinstance(seed, np.random.Generator) else seed)
 
 
@@ -269,15 +269,6 @@ class SimulationReport:
     @property
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
-
-
-def _mean_se(xs: list[float]) -> tuple[float, float]:
-    n = len(xs)
-    mean = math.fsum(xs) / n
-    if n < 2:
-        return mean, 0.0
-    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
-    return mean, math.sqrt(var / n)
 
 
 def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,

@@ -20,7 +20,7 @@ from .config import DEFAULT, Numerics
 from .divergences import classical_info_terms, entropy_of_table, holevo_mutual_info
 from .errors import CovertInfeasible, DimMismatch, NotADistribution
 from .linalg import require_finite
-from .oneshot import _require_csi, induced_states
+from .oneshot import _checked_states, induced_states
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel, innocent_output
 
 __all__ = [
@@ -208,12 +208,11 @@ def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
     With an instance, the CSI guard runs and, unless ``stealth``, the
     induced warden marginal must match the innocent output.
     """
-    st = induced_states(ensemble, channel, cfg)
+    st = _checked_states(ensemble, channel, instance, None, cfg)
     terms = {"I(U;B)": holevo_mutual_info(st.cq_ub, cfg),
              "I(U;S)": holevo_mutual_info(st.cq_us, cfg),
              "I(U;E)": holevo_mutual_info(st.cq_ue, cfg)}
     flags = {"stealth": stealth}
-    _require_csi(ensemble, instance, cfg)
     if instance is not None and not stealth:
         dev0, flags["covert_target_matched"] = st.covert_gap(innocent_output(instance, cfg))
         if not flags["covert_target_matched"]:
@@ -614,16 +613,11 @@ def causal_rate_quantum(instance: ProblemInstance, candidates, *,
 
     def kept():
         for p_u, chans in candidates:
-            conds = []
-            for g in chans:
-                lifted = QuantumChannel(
-                    np.kron(g.kraus, np.eye(d_s)),
-                    in_factors=csi.factors,
-                    out_factors=[("A", g.dim_out), ("S", d_s)], cfg=cfg)
-                conds.append(DensityMatrix(lifted.apply_matrix(csi.matrix),
-                                           [("A", g.dim_out), ("S", d_s)],
-                                           validate=False))
-            ens = CQState(range(len(conds)), p_u, conds)
+            outs = [("A", chans[0].dim_out), ("S", d_s)]
+            conds = np.stack([QuantumChannel(np.kron(g.kraus, np.eye(d_s)), csi.factors,
+                                             outs, cfg=cfg).apply_matrix(csi.matrix)
+                              for g in chans])
+            ens = CQState(range(len(chans)), p_u, DensityMatrix(conds, outs, validate=False))
             st = induced_states(ens, instance.channel, cfg)
             if stealth or st.covert_gap(rho0)[1]:
                 yield holevo_mutual_info(st.cq_ub, cfg), holevo_mutual_info(st.cq_ue, cfg)

@@ -1,11 +1,14 @@
-"""Seeded random states, channels, and problem instances.
+"""Seeded random states, channels, and problem instances, and the
+categorical sampler and sample statistics of both simulators.
 
-Used by the verification suites and the test corpus.  Everything takes an
-explicit ``numpy.random.Generator`` so runs are reproducible from a
-single seed.
+Used by the verification suites, the simulators and the test corpus.
+Everything takes an explicit ``numpy.random.Generator`` so runs are
+reproducible from a single seed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,8 +63,8 @@ def random_channel(rng: np.random.Generator, d_in: int, d_out: int,
 def random_cq(rng: np.random.Generator, num_labels: int, dim: int,
               factors=None) -> CQState:
     probs = rng.dirichlet(np.ones(num_labels))
-    conds = [random_density(rng, dim, factors) for _ in range(num_labels)]
-    return CQState(range(num_labels), probs, conds)
+    conds = np.stack([random_density(rng, dim).matrix for _ in range(num_labels)])
+    return CQState(range(num_labels), probs, DensityMatrix(conds, factors, validate=False))
 
 
 def random_problem_instance(rng: np.random.Generator, d_a: int = 2, d_s: int = 2,
@@ -98,12 +101,71 @@ def matched_ensemble(rng: np.random.Generator, instance: ProblemInstance,
 
     probs = (np.full(num_labels, 1.0 / num_labels) if uniform_labels
              else rng.dirichlet(np.ones(num_labels)))
-    raw = [random_density(rng, d).matrix for _ in range(num_labels)]
-    mean = sum(p * t for p, t in zip(probs, raw))
-    deltas = [t - mean for t in raw]
-    worst = max(float(np.max(np.abs(eigvals_hermitian(dl)))) for dl in deltas)
+    raw = np.stack([random_density(rng, d).matrix for _ in range(num_labels)])
+    deltas = raw - sum(p * t for p, t in zip(probs, raw))
+    worst = float(np.max(np.abs(eigvals_hermitian(deltas))))
     eta = spread * floor / worst if worst > 0.0 else 0.0
 
-    facs = [("A", d_a), ("S", rho_s.dim)]
-    conds = [DensityMatrix(target + eta * dl, facs, validate=False) for dl in deltas]
+    conds = DensityMatrix(target + eta * deltas, [("A", d_a), ("S", rho_s.dim)],
+                          validate=False)
     return CQState(range(num_labels), probs, conds)
+
+
+# ---------------------------------------------------------------------------
+# Categorical draws and sample statistics
+
+def _codeword_law(p_u) -> np.ndarray:
+    """The codeword distribution as floats; raises ``ValueError`` unless it
+    is finite and nonnegative with positive mass."""
+    p = np.asarray(p_u, dtype=np.float64)
+    if not (np.all(np.isfinite(p) & (p >= 0.0)) and p.sum() > 0.0):
+        raise ValueError("codeword distribution needs nonnegative entries and positive mass")
+    return p
+
+
+def _cdf(p: np.ndarray, normalized: bool = False) -> np.ndarray:
+    """Cumulative distributions of the rows along the last axis of ``p``,
+    as ``rng.choice(k, p=law)`` builds them from ``law = row / row.sum()``
+    (or ``law = row`` when ``normalized``): cumsum, divide by the last entry."""
+    cdf = np.cumsum(p if normalized else p / p.sum(axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _symbols(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF indices: the number of entries of ``cdf`` (last axis,
+    broadcast against ``u``) that are <= u, as ``choice`` counts them.
+
+    The last entry is skipped: it is x / x = 1 > u (or NaN for an empty
+    row), so it is never counted.  Fewer uniforms than entries are compared
+    in one broadcast; otherwise the loop runs over the entries.
+    """
+    k = cdf.shape[-1]
+    if np.size(u) < k:
+        return np.count_nonzero(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
+    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(k))
+    for i in range(k - 1):
+        idx += cdf[..., i] <= u
+    return idx.astype(np.intp)
+
+
+def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
+    """Categorical draws by inverse CDF from one ``rng.random(shape)`` call.
+
+    ``p`` holds unnormalized distributions along its last axis and
+    broadcasts against ``shape`` (default: one draw per distribution).
+    The uniforms consumed and the indices returned are those of one
+    ``choice`` call per distribution in order, or of one ``choice(k,
+    size=shape)`` call for a single distribution.
+    """
+    return _symbols(_cdf(p), rng.random(p.shape[:-1] if shape is None else shape))
+
+
+def _mean_se(xs: list[float]) -> tuple[float, float]:
+    """Sample mean and its standard error, by exactly rounded sums."""
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    if n < 2:
+        return mean, 0.0
+    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
+    return mean, math.sqrt(var / n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Numerics
-from .errors import CovertqError, ParseError
+from .errors import CovertqError, DimMismatch, ParseError
 from .oneshot import ProtocolRates
 from .regions import AuxiliaryPolicy, ClassicalProblem
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
@@ -45,14 +45,34 @@ def _numbers(node, where: str, name: str) -> np.ndarray:
     raise ParseError(f"{where}: {name} must be a rectangular array of JSON numbers")
 
 
-def _matrix(node, where: str) -> np.ndarray:
+def _matrix(node, where: str, dim: int | None = None) -> np.ndarray:
+    """A matrix node; a well-formed one that is not ``dim`` x ``dim`` is a
+    dimension error."""
     _expect(isinstance(node, dict), where, "expected an object with 're' (and 'im')")
     _expect("re" in node, where, "missing 're'")
     re = _numbers(node["re"], where, "'re'")
     im = np.zeros_like(re) if node.get("im") is None else _numbers(node["im"], where, "'im'")
     _expect(re.ndim == 2, where, "'re' must be a 2-D array")
     _expect(im.shape == re.shape, where, "'im' shape differs from 're'")
+    if dim is not None and re.shape != (dim, dim):
+        raise DimMismatch(f"{where}: shape {re.shape}, expected ({dim}, {dim})")
     return re + 1j * im
+
+
+def _array(node, where: str) -> list:
+    _expect(isinstance(node, list), where, f"must be an array, got {node!r}")
+    return node
+
+
+def _checked(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its errors prefixed by the spec field ``where``:
+    a well-formed but invalid value keeps its error type, a malformed one is a parse error."""
+    try:
+        return make(*args, **kwargs)
+    except CovertqError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+    except Exception as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +110,10 @@ class SpecFile:
 
 def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     out: dict = {}
+    states = doc.get("states", {})
+    _expect(isinstance(states, dict), f"{path}:states", "must be an object")
     out["states"] = {name: DensityMatrix(_matrix(node, f"{path}:states.{name}"), cfg=cfg)
-                     for name, node in doc.get("states", {}).items()}
+                     for name, node in states.items()}
     if "channel" not in doc:
         _expect("ensemble" not in doc, f"{path}:ensemble",
                 "an ensemble needs a channel block")
@@ -110,12 +132,12 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     _expect(isinstance(ch_node, dict) and "kraus" in ch_node, f"{path}:channel",
             "missing Kraus list")
     kraus = [_matrix(k, f"{path}:channel.kraus[{i}]")
-             for i, k in enumerate(ch_node["kraus"])]
+             for i, k in enumerate(_array(ch_node["kraus"], f"{path}:channel.kraus"))]
     channel = QuantumChannel(kraus, in_factors=[("A", d_a), ("S", d_s)],
                              out_factors=[("B", d_b), ("E", d_e)], cfg=cfg)
 
     _expect("innocent" in doc, f"{path}:innocent", "missing innocent state")
-    innocent = DensityMatrix(_matrix(doc["innocent"], f"{path}:innocent"),
+    innocent = DensityMatrix(_matrix(doc["innocent"], f"{path}:innocent", d_a),
                              [("A", d_a)], cfg=cfg)
     csi_node = doc.get("csi")
     _expect(isinstance(csi_node, dict), f"{path}:csi", "missing csi state")
@@ -131,14 +153,18 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     out["instance"] = ProblemInstance(channel, innocent, csi)
 
     if "ensemble" in doc:
-        ens = doc["ensemble"]
+        ens, where = doc["ensemble"], f"{path}:ensemble"
         _expect(isinstance(ens, dict) and "probs" in ens and "conditionals" in ens,
-                f"{path}:ensemble", "needs 'probs' and 'conditionals'")
-        conds = [DensityMatrix(_matrix(c, f"{path}:ensemble.conditionals[{i}]"),
-                               [("A", d_a), ("S", d_s)], cfg=cfg)
-                 for i, c in enumerate(ens["conditionals"])]
-        probs = _numbers(ens["probs"], f"{path}:ensemble", "'probs'")
-        out["ensemble"] = CQState(range(len(conds)), probs, conds, cfg=cfg)
+                where, "needs 'probs' and 'conditionals'")
+        nodes = _array(ens["conditionals"], f"{where}.conditionals")
+        stack = np.empty((len(nodes), d_a * d_s, d_a * d_s), dtype=np.complex128)
+        for i, node in enumerate(nodes):
+            stack[i] = _matrix(node, f"{where}.conditionals[{i}]", d_a * d_s)
+        conds = _checked(f"{where}.conditionals", DensityMatrix, stack,
+                         [("A", d_a), ("S", d_s)], cfg=cfg)
+        probs = _numbers(ens["probs"], where, "'probs'")
+        _expect(probs.ndim == 1, where, f"'probs' must be a 1-D array, got {ens['probs']!r}")
+        out["ensemble"] = CQState(range(len(nodes)), probs, conds, cfg=cfg)
     return out
 
 
@@ -149,24 +175,14 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
     q_s = _numbers(doc["q_s"], path, "'q_s'")
     w = _numbers(doc["channel"], path, "'channel'")
     _expect(_is_int(doc["x0"], 0), f"{path}:x0", f"must be an integer >= 0, got {doc['x0']!r}")
-    try:
-        out["problem"] = ClassicalProblem(q_s, w, doc["x0"], cfg)
-    except CovertqError as exc:  # a well-formed but invalid table
-        raise type(exc)(f"{path}:channel: {exc}") from exc
-    except Exception as exc:
-        raise ParseError(f"{path}:channel: {exc}") from exc
+    out["problem"] = _checked(f"{path}:channel", ClassicalProblem, q_s, w, doc["x0"], cfg)
     if "policy" in doc:
         pol = doc["policy"]
         _expect(isinstance(pol, dict) and "p_u_s" in pol and "p_a_us" in pol,
                 f"{path}:policy", "needs 'p_u_s' and 'p_a_us'")
         p_u_s = _numbers(pol["p_u_s"], f"{path}:policy", "'p_u_s'")
         p_a_us = _numbers(pol["p_a_us"], f"{path}:policy", "'p_a_us'")
-        try:
-            out["policy"] = AuxiliaryPolicy(p_u_s, p_a_us, cfg)
-        except CovertqError as exc:
-            raise type(exc)(f"{path}:policy: {exc}") from exc
-        except Exception as exc:
-            raise ParseError(f"{path}:policy: {exc}") from exc
+        out["policy"] = _checked(f"{path}:policy", AuxiliaryPolicy, p_u_s, p_a_us, cfg)
     return out
 
 

@@ -57,7 +57,8 @@ def _as_factors(factors, dim: int) -> tuple[Factor, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated unit-trace PSD Hermitian operator with named factors.
+    """Validated unit-trace PSD Hermitian operator with named factors, or a
+    stack ``(..., d, d)`` of them sharing one set of factors.
 
     Construction rejects invalid matrices instead of repairing them; use
     :func:`normalize` to project noisy data onto the state set first.
@@ -72,11 +73,11 @@ class DensityMatrix:
         if validate:
             matrix = require_states(matrix, cfg)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "factors", _as_factors(factors, matrix.shape[0]))
+        object.__setattr__(self, "factors", _as_factors(factors, matrix.shape[-1]))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def factor_names(self) -> tuple[str, ...]:
@@ -89,18 +90,15 @@ class DensityMatrix:
         raise DimMismatch(f"no factor named {name!r} in {self.factor_names}")
 
     def marginal(self, keep: str | list[str] | tuple[str, ...] | set[str]) -> "DensityMatrix":
-        """Partial trace keeping only the named factors (in current order)."""
-        if isinstance(keep, str):
-            keep = [keep]
-        keep = set(keep)
+        """Partial trace keeping only the named factors (in current order),
+        of the matrix or of each in the stack."""
+        keep = {keep} if isinstance(keep, str) else set(keep)
         unknown = keep - set(self.factor_names)
         if unknown:
             raise DimMismatch(f"unknown factors {sorted(unknown)}; have {self.factor_names}")
         idx = [i for i, (n, _) in enumerate(self.factors) if n in keep]
-        dims = [d for _, d in self.factors]
-        out = partial_trace(self.matrix, dims, idx)
-        kept = tuple(self.factors[i] for i in idx)
-        return DensityMatrix(out, kept, validate=False)
+        out = partial_trace(self.matrix, [d for _, d in self.factors], idx)
+        return DensityMatrix(out, [self.factors[i] for i in idx], validate=False)
 
 
 def require_states(m, cfg: Numerics = DEFAULT) -> np.ndarray:
@@ -153,34 +151,42 @@ def normalize(matrix, factors=None, cfg: Numerics = DEFAULT) -> DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CQState:
-    """Classical-quantum ensemble {p(u), rho_u} over a finite label set."""
+    """Classical-quantum ensemble {p(u), rho_u} over a finite label set.
+
+    ``stack`` holds the conditionals once, as one :class:`DensityMatrix`
+    stack ``(labels, d, d)``; the constructor also takes a sequence of
+    single states.
+    """
 
     labels: tuple
     probs: np.ndarray
-    conditionals: tuple[DensityMatrix, ...]
+    stack: DensityMatrix
 
     def __init__(self, labels, probs, conditionals, *, validate: bool = True,
                  cfg: Numerics = DEFAULT):
         labels = tuple(labels)
         probs = np.asarray(probs, dtype=np.float64)
-        conditionals = tuple(conditionals)
+        if not isinstance(conditionals, DensityMatrix):  # a sequence of single states
+            conds = tuple(conditionals)
+            dims, facs = {c.dim for c in conds}, {c.factors for c in conds}
+            if len(dims) > 1:
+                raise DimMismatch(f"conditionals have mixed dimensions {sorted(dims)}")
+            if len(facs) != 1:
+                raise DimMismatch("conditionals have mixed factor structures" if facs
+                                  else "an ensemble needs at least one conditional")
+            conditionals = DensityMatrix(np.stack([c.matrix for c in conds]), facs.pop(),
+                                         validate=False)
         if validate:
-            if not (len(labels) == probs.shape[0] == len(conditionals)):
+            if not probs.shape == conditionals.matrix.shape[:-2] == (len(labels),):
                 raise DimMismatch("labels, probs, conditionals must have equal length")
             require_finite(probs, "ensemble probabilities", NotADistribution)
             if np.any(probs < -cfg.prob_tol):
                 raise NotPSD(f"negative probability {probs.min()}")
             if abs(float(probs.sum()) - 1.0) > cfg.prob_tol:
                 raise DimMismatch(f"probabilities sum to {probs.sum()}, expected 1")
-            dims = {c.dim for c in conditionals}
-            if len(dims) > 1:
-                raise DimMismatch(f"conditionals have mixed dimensions {sorted(dims)}")
-            facs = {c.factors for c in conditionals}
-            if len(facs) > 1:
-                raise DimMismatch("conditionals have mixed factor structures")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "conditionals", conditionals)
+        object.__setattr__(self, "stack", conditionals)
 
     @property
     def num_labels(self) -> int:
@@ -188,24 +194,26 @@ class CQState:
 
     @property
     def quantum_dim(self) -> int:
-        return self.conditionals[0].dim
-
-    @property
-    def quantum_factors(self) -> tuple[Factor, ...]:
-        return self.conditionals[0].factors
+        return self.stack.dim
 
     @property
     def matrices(self) -> np.ndarray:
-        """The conditionals as one stack ``(labels, d, d)``."""
-        return np.stack([c.matrix for c in self.conditionals])
+        """The conditionals as one array ``(labels, d, d)``."""
+        return self.stack.matrix
+
+    @property
+    def conditionals(self) -> tuple[DensityMatrix, ...]:
+        """One single state per label, each a view into the stack."""
+        return tuple(DensityMatrix(m, self.stack.factors, validate=False)
+                     for m in self.matrices)
 
     def average(self) -> DensityMatrix:
         """Ensemble average sum_u p(u) rho_u."""
         acc = np.zeros((self.quantum_dim, self.quantum_dim), dtype=np.complex128)
-        for p, c in zip(self.probs, self.conditionals):
+        for p, m in zip(self.probs, self.matrices):
             if p > 0.0:
-                acc += p * c.matrix
-        return DensityMatrix(acc, self.quantum_factors, validate=False)
+                acc += p * m
+        return DensityMatrix(acc, self.stack.factors, validate=False)
 
     def joint_matrix(self) -> np.ndarray:
         """Block-diagonal matrix sum_u p(u) |u><u| (x) rho_u."""
@@ -218,9 +226,7 @@ class CQState:
 
     def marginal_cq(self, keep) -> "CQState":
         """Same ensemble with each conditional reduced to the named factors."""
-        return CQState(self.labels, self.probs,
-                       tuple(c.marginal(keep) for c in self.conditionals),
-                       validate=False)
+        return CQState(self.labels, self.probs, self.stack.marginal(keep), validate=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,20 +272,17 @@ class QuantumChannel:
 
 def apply_channel(ch: QuantumChannel, rho: DensityMatrix, *,
                   validate: bool = True, cfg: Numerics = DEFAULT) -> DensityMatrix:
-    """Channel output state N(rho)."""
+    """Channel output state N(rho), or one per state of a stack."""
     if rho.dim != ch.dim_in:
         raise DimMismatch(f"state dim {rho.dim} != channel input dim {ch.dim_in}")
     return DensityMatrix(ch.apply_matrix(rho.matrix), ch.out_factors,
                          validate=validate, cfg=cfg)
 
 
-def induced_cq_output(ch: QuantumChannel, cq: CQState, *,
-                      cfg: Numerics = DEFAULT) -> CQState:
+def induced_cq_output(ch: QuantumChannel, cq: CQState) -> CQState:
     """Push every conditional of a cq ensemble through the channel."""
-    if cq.quantum_dim != ch.dim_in:
-        raise DimMismatch(f"conditional dim {cq.quantum_dim} != channel input {ch.dim_in}")
-    outs = (DensityMatrix(o, ch.out_factors, validate=False) for o in ch.apply_matrix(cq.matrices))
-    return CQState(cq.labels, cq.probs, outs, validate=False)
+    return CQState(cq.labels, cq.probs, apply_channel(ch, cq.stack, validate=False),
+                   validate=False)
 
 
 def marginals(cq: CQState, keep) -> CQState | DensityMatrix:
@@ -289,16 +292,11 @@ def marginals(cq: CQState, keep) -> CQState | DensityMatrix:
     ensemble; {"U"} alone yields diag(p_U); quantum names alone yield the
     averaged quantum marginal.
     """
-    if isinstance(keep, str):
-        keep = [keep]
-    keep = set(keep)
+    keep = {keep} if isinstance(keep, str) else set(keep)
     if keep == {"U"}:
         return cq.label_state()
-    quantum = keep - {"U"}
-    reduced = cq.marginal_cq(quantum)
-    if "U" in keep:
-        return reduced
-    return reduced.average()
+    reduced = cq.marginal_cq(keep - {"U"})
+    return reduced if "U" in keep else reduced.average()
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,13 +345,10 @@ def innocent_output(inst: ProblemInstance, cfg: Numerics = DEFAULT) -> DensityMa
     The channel is fed the innocent input tensored with the S-marginal of
     the shared state, and the legitimate receiver's factor is traced out.
     """
-    rho_s = inst.csi_marginal()
-    joint_in = tensor(inst.innocent.matrix, rho_s.matrix)
-    out = inst.channel.apply_matrix(joint_in)
-    dims = [d for _, d in inst.channel.out_factors]
-    e_name = inst.channel.out_factors[1][0]
-    red = partial_trace(out, dims, [1])
-    return DensityMatrix(red, ((e_name, dims[1]),), validate=False, cfg=cfg)
+    ch = inst.channel
+    joint_in = DensityMatrix(tensor(inst.innocent.matrix, inst.csi_marginal().matrix),
+                             ch.in_factors, validate=False)
+    return apply_channel(ch, joint_in, validate=False).marginal(ch.out_factors[1][0])
 
 
 def check_csi_consistency(cq_uas: CQState, inst: ProblemInstance,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
-from covertq import classical
+from covertq import classical, sampling
 from covertq.classical import (
     ClassicalCodebook,
     classical_resolvability_bound,
@@ -406,10 +406,10 @@ def test_draw_matches_choice():
         rows[rng.random(rows.shape) < 0.3] = 0.0
         rows[:, 0] += 1e-3  # keep every row nonzero
         a, b = rng_for(k), rng_for(k)
-        assert np.array_equal(classical._draw(rows, a), _choice_loop(rows, b))
+        assert np.array_equal(sampling._draw(rows, a), _choice_loop(rows, b))
         assert a.random() == b.random()
         a, b = rng_for(k), rng_for(k)
-        assert np.array_equal(classical._draw(rows[0], a, (3, 40, 2, 5)),
+        assert np.array_equal(sampling._draw(rows[0], a, (3, 40, 2, 5)),
                               _choice_loop(rows[0], b, (3, 40, 2, 5)))
         assert a.random() == b.random()
 

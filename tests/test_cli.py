@@ -635,6 +635,52 @@ def test_run_trials_below_30_stay_a_run_parameter_error(tmp_path, capsys):
     assert err.strip() == "error: trials must be >= 30, got 29"
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("channel", "kraus"), 5, ":channel.kraus: "),  # exited 6, internal TypeError
+    (("ensemble", "conditionals"), 5, ":ensemble.conditionals: "),  # the same
+    (("states",), [1, 2], ":states: "),  # exited 6, internal AttributeError
+    (("ensemble", "probs"), 0.5, ":ensemble: 'probs'"),  # exited 6, internal IndexError
+    (("ensemble", "probs"), [[0.5, 0.5]], ":ensemble: 'probs'"),
+])
+def test_spec_containers_of_the_wrong_kind_exit_2(path, value, field, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(path, value))
+    code, out, err = run_cli(capsys, *BOUND_THM1, "--spec", spec)
+    assert code == 2 and out == ""
+    assert field in err and "internal" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("ensemble", "conditionals", 1), {"re": [[1.0, 0.0], [0.0, 0.0]]},
+     ":ensemble.conditionals[1]: shape (2, 2), expected (4, 4)"),
+    (("ensemble", "conditionals", 2, "re", 0, 0), -0.5,
+     ":ensemble.conditionals: state 2 trace is"),
+    (("innocent",), {"re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]},
+     ":innocent: shape (3, 3), expected (2, 2)"),
+])
+def test_state_of_the_wrong_shape_or_trace_exits_3_naming_it(path, value, message, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, QUBIT, _set(path, value))
+    code, out, err = run_cli(capsys, *BOUND_THM1, "--spec", spec)
+    assert code == 3 and out == ""
+    assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("region", "--spec", QUBIT, "--which", "cc_csk", "--sweep", "0"),  # exited 0, no sweep
+    ("region", "--spec", QUBIT, "--which", "cc_csk", "--sweep", "-3"),
+    ("region", "--spec", QUBIT, "--which", "cc_csk", "--sweep", "2.5"),
+    ("simulate", "--spec", QUBIT, "--target", "quantum", "--cap", "0"),  # exited 5
+    ("simulate", "--spec", QUBIT, "--target", "quantum", "--cap", "-2"),
+])
+def test_sweep_and_cap_must_be_positive_integers(argv, tmp_path, capsys):
+    csv = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--csv", str(csv)] if argv[0] == "region" else [*argv, "--trials", "30"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be an integer >= 1, got {argv[-1]!r}" in err
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("factors", [5, "S", ["S", "Sbar"], None])
 def test_csi_factors_must_be_an_array(factors, tmp_path, capsys):
     # 5 exited 6 with an internal TypeError; "S" was read as ["S"]

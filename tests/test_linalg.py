@@ -325,6 +325,27 @@ def test_partial_trace_dim_mismatch():
         partial_trace(np.eye(5, dtype=complex), [2, 2], [0])
 
 
+@pytest.mark.parametrize("dims,keep", [
+    ([2, 1, 3], [0, 2]),  # a dimension-1 factor
+    ([1, 4], [1]),
+    ([3, 2], []),  # full trace
+    ([2, 3, 2], [0, 1, 2]),  # nothing traced
+    ([2, 2, 2], [1]),
+    ([4], [0]),
+])
+def test_partial_trace_of_a_stack_equals_each_matrix_bitwise(dims, keep):
+    rng = rng_for(41)
+    d = math.prod(dims)
+    stack = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+    got = partial_trace(stack, dims, keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    assert got.shape == (2, 3, d_keep, d_keep)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], partial_trace(stack[idx], dims, keep))
+    with pytest.raises(DimMismatch):
+        partial_trace(stack[..., :-1], dims, keep)
+
+
 def test_trace_norm_values():
     assert trace_norm(np.diag([1.0, -1.0]).astype(complex)) == pytest.approx(2.0)
     assert trace_norm(np.zeros((3, 3), dtype=complex)) == pytest.approx(0.0)

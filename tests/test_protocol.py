@@ -72,6 +72,26 @@ def test_sample_codebook_contracts():
                         ProtocolRates(R=13.0, R_K=0.0, R_J=0.0, alpha=0.25), seed=3)
 
 
+def test_sample_codebook_draws_as_rng_choice():
+    # the reference is the rng.choice call that sample_codebook made before
+    # both simulators shared one inverse-CDF sampler
+    rng = rng_for(90)
+    for case in range(300):
+        k = int(rng.integers(1, 9))
+        p = rng.dirichlet(np.ones(k)) * float(rng.uniform(0.5, 2.0))
+        p[rng.random(k) < 0.3] = 0.0
+        p[int(rng.integers(k))] += 0.25  # keep some mass
+        rates = ProtocolRates(R=float(rng.integers(0, 4)), R_K=float(rng.integers(0, 3)),
+                              R_J=float(rng.integers(0, 3)), alpha=0.25)
+        a, b = rng_for(case), rng_for(case)
+        got = sample_codebook(p, rates, a).entries
+        want = b.choice(len(p), size=rates.sizes(), p=p / p.sum())
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert a.random() == b.random()
+    with pytest.raises(ValueError):
+        sample_codebook(np.array([0.5, -0.5, 1.0]), rates, seed=0)
+
+
 def test_sample_codebook_reproducible():
     rates = ProtocolRates(R=2.0, R_K=1.0, R_J=1.0, alpha=0.25)
     a = sample_codebook(np.array([0.4, 0.6]), rates, seed=11)

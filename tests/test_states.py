@@ -11,6 +11,7 @@ from covertq.sampling import (
     random_density,
     random_problem_instance,
 )
+from covertq.oneshot import induced_states
 from covertq.states import (
     CQState,
     DensityMatrix,
@@ -252,6 +253,55 @@ def test_csi_deviation_scales_with_mixing():
     ok, dev = check_csi_consistency(cq, inst)
     assert not ok
     assert dev > 0.05
+
+
+def test_cq_state_from_a_stack_equals_one_from_single_states():
+    rng = rng_for(23)
+    inst = random_problem_instance(rng, d_a=2, d_s=3, d_b=3, d_e=2)
+    listed = matched_ensemble(rng, inst, 4)
+    singles = [DensityMatrix(c.matrix.copy(), c.factors) for c in listed.conditionals]
+    from_list = CQState(listed.labels, listed.probs, singles)
+    from_stack = CQState(listed.labels, listed.probs,
+                         DensityMatrix(np.stack([c.matrix for c in singles]), singles[0].factors))
+    for cq in (from_list, from_stack):
+        assert cq.matrices.shape == (4, 6, 6) and cq.matrices is cq.stack.matrix
+        assert cq.stack.factors == (("A", 2), ("S", 3))
+        assert all(np.array_equal(c.matrix, s.matrix) and c.factors == s.factors
+                   for c, s in zip(cq.conditionals, singles))
+        assert all(np.shares_memory(c.matrix, cq.matrices) for c in cq.conditionals)
+        again = CQState(cq.labels, cq.probs, cq.conditionals)
+        assert np.array_equal(again.matrices, cq.matrices)
+        assert again.stack.factors == cq.stack.factors
+    assert np.array_equal(from_list.matrices, from_stack.matrices)
+
+    a = induced_states(from_list, inst.channel)
+    b = induced_states(from_stack, inst.channel)
+    for which in ("S", "B", "E"):
+        for order in (0.8, 1.3):
+            assert a.divergence(which, order).value == b.divergence(which, order).value
+    assert (a.v_s, a.v_b, a.v_e) == (b.v_s, b.v_b, b.v_e)
+
+    # the stacked marginal equals the marginal of each single state
+    ube = induced_cq_output(inst.channel, from_list)
+    for c, red in zip(ube.conditionals, ube.marginal_cq("E").conditionals):
+        assert np.array_equal(c.marginal("E").matrix, red.matrix)
+
+
+@pytest.mark.parametrize("conds,message", [
+    ([diag_state(1.0, 0.0), diag_state(1.0, 0.0, 0.0)], "mixed dimensions"),
+    ([DensityMatrix(np.eye(4) / 4, [("A", 2), ("S", 2)]),
+      DensityMatrix(np.eye(4) / 4, [("A", 2), ("E", 2)])], "mixed factor structures"),
+    ([], "at least one conditional"),
+])
+def test_cq_state_rejects_conditionals_that_do_not_stack(conds, message):
+    with pytest.raises(DimMismatch, match=message):
+        CQState(range(len(conds)), np.full(len(conds), 1.0 / max(len(conds), 1)), conds)
+
+
+def test_cq_state_rejects_probs_that_are_not_one_per_label():
+    rho = diag_state(0.5, 0.5)
+    with pytest.raises(DimMismatch, match="equal length"):
+        CQState([0], 1.0, [rho])  # raised an internal IndexError
 
 
 def test_require_states_checks_a_stack_and_names_the_bad_matrix():
