@@ -267,7 +267,7 @@ def bound_report(ensemble: CQState, instance: ProblemInstance,
     st = _checked_states(ensemble, instance.channel, instance, states, cfg)
     a = rates.alpha
     vb = verification_bounds(st, rates)
-    _, matched = st.covert_gap(innocent_output(instance, cfg))
+    _, matched = st.covert_gap(innocent_output(instance))
     return BoundReport(
         pe_bound=vb["error_split"],
         covert_bound=vb["key_trace"],

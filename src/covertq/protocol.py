@@ -298,7 +298,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     effective = ProtocolRates(R=math.log2(nm), R_K=math.log2(nk),
                               R_J=math.log2(nj), alpha=rates.alpha)
     bounds = verification_bounds(st, effective)
-    rho0 = innocent_output(instance, cfg)
+    rho0 = innocent_output(instance)
     _, covert_applicable = st.covert_gap(rho0)
 
     b_stack, s_stack, e_stack = st.cq_ub.matrices, st.cq_us.matrices, st.cq_ue.matrices

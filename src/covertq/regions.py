@@ -214,7 +214,7 @@ def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
              "I(U;E)": holevo_mutual_info(st.cq_ue, cfg)}
     flags = {"stealth": stealth}
     if instance is not None and not stealth:
-        dev0, flags["covert_target_matched"] = st.covert_gap(innocent_output(instance, cfg))
+        dev0, flags["covert_target_matched"] = st.covert_gap(innocent_output(instance))
         if not flags["covert_target_matched"]:
             raise CovertInfeasible(
                 f"induced warden marginal is {dev0:.3e} from the innocent output")
@@ -608,7 +608,7 @@ def causal_rate_quantum(instance: ProblemInstance, candidates, *,
     csi = instance.csi
     if set(csi.factor_names) != {"Sbar", "S"}:
         raise DimMismatch("quantum causal evaluation needs the bipartite (Sbar, S) state")
-    rho0 = innocent_output(instance, cfg)
+    rho0 = innocent_output(instance)
     d_s = csi.factor_dim("S")
 
     def kept():
@@ -636,18 +636,32 @@ def fm_projection_grid(a: float, b: float, c: float, step: float
     R_J + R_K + R <= b and R_J + R >= c (closures of the strict coding
     constraints); the sweep eliminates R_J by brute force.  The projected
     description is R <= b - a, R_K <= b - c, R + R_K <= b.
+
+    The sweep runs on integer grid indices i, k, j of R, R_K, R_J.  Each
+    threshold becomes an index bound once: ceil((a - tol) / step),
+    floor((b + tol) / step) and ceil((c - tol) / step).  The comparisons
+    on index sums are then integer-exact.  The rule matches the float
+    comparison of grid sums it replaces (j*step + k*step >= a - tol, ...)
+    unless a scaled threshold lies within rounding error of an integer,
+    which the slack of tol keeps clear of grid-aligned thresholds.
     """
     tol = 1e-9  # slack for the rounding of grid sums
     n = int(round(max(b, 0.0) / step)) + 1
     r = np.arange(n) * step
     rk = np.arange(n) * step
-    rj = np.arange(n) * step
+    top = 3 * (n - 1)  # the largest index sum
+
+    def bound(x: float) -> int:
+        # bounds beyond the reach of the index sums clip to one past it
+        return int(np.clip(x, -1, top + 1))
+
+    lo_k = bound(np.ceil((a - tol) / step))
+    hi = bound(np.floor((b + tol) / step))
+    lo_r = bound(np.ceil((c - tol) / step))
+    idx = np.arange(n, dtype=np.result_type(np.int8, np.min_scalar_type(top)))
+    i, k, j = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    swept = ((j + k >= lo_k) & (j + k + i <= hi) & (j + i >= lo_r)).any(axis=2)
     rr, kk = np.meshgrid(r, rk, indexing="ij")
-    jj = rj[None, None, :]
-    feas = ((jj + kk[:, :, None] >= a - tol)
-            & (jj + kk[:, :, None] + rr[:, :, None] <= b + tol)
-            & (jj + rr[:, :, None] >= c - tol))
-    swept = feas.any(axis=2)
     direct = (rr <= b - a + tol) & (kk <= b - c + tol) & (rr + kk <= b + tol)
     return r, rk, swept, direct
 
@@ -659,7 +673,7 @@ def fm_check(a: float, b: float, c: float, step: float = 0.02) -> bool:
     (a, b, c); off-grid thresholds can round a boundary row differently on
     the two sides.
     """
-    if min(a, b, c) < 0.0:
+    if not all(x >= 0.0 for x in (a, b, c)):  # NaN fails too
         raise ValueError("thresholds must be nonnegative")
     if b <= 0.0:
         return True  # both sides empty (or the origin only, on both sides)

@@ -37,7 +37,8 @@ def random_density(rng: np.random.Generator, dim: int, factors=None,
                    rank: int | None = None) -> DensityMatrix:
     """Full-rank (by default) state from a Ginibre square."""
     r = rank or dim
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    real, imag = rng.normal(size=(2, dim, r))  # one draw, the same stream as two
+    g = real + 1j * imag
     m = g @ dagger(g)
     m /= np.trace(m).real
     return DensityMatrix(m, factors, validate=False)

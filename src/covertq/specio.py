@@ -45,8 +45,8 @@ def _numbers(node, where: str, name: str) -> np.ndarray:
     raise ParseError(f"{where}: {name} must be a rectangular array of JSON numbers")
 
 
-def _matrix(node, where: str, dim: int | None = None) -> np.ndarray:
-    """A matrix node; a well-formed one that is not ``dim`` x ``dim`` is a
+def _matrix(node, where: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A matrix node; a well-formed one of a shape other than ``shape`` is a
     dimension error."""
     _expect(isinstance(node, dict), where, "expected an object with 're' (and 'im')")
     _expect("re" in node, where, "missing 're'")
@@ -54,8 +54,8 @@ def _matrix(node, where: str, dim: int | None = None) -> np.ndarray:
     im = np.zeros_like(re) if node.get("im") is None else _numbers(node["im"], where, "'im'")
     _expect(re.ndim == 2, where, "'re' must be a 2-D array")
     _expect(im.shape == re.shape, where, "'im' shape differs from 're'")
-    if dim is not None and re.shape != (dim, dim):
-        raise DimMismatch(f"{where}: shape {re.shape}, expected ({dim}, {dim})")
+    if shape is not None and re.shape != shape:
+        raise DimMismatch(f"{where}: shape {re.shape}, expected {shape}")
     return re + 1j * im
 
 
@@ -131,25 +131,28 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     ch_node = doc.get("channel")
     _expect(isinstance(ch_node, dict) and "kraus" in ch_node, f"{path}:channel",
             "missing Kraus list")
-    kraus = [_matrix(k, f"{path}:channel.kraus[{i}]")
+    kraus = [_matrix(k, f"{path}:channel.kraus[{i}]", (d_b * d_e, d_a * d_s))
              for i, k in enumerate(_array(ch_node["kraus"], f"{path}:channel.kraus"))]
     channel = QuantumChannel(kraus, in_factors=[("A", d_a), ("S", d_s)],
                              out_factors=[("B", d_b), ("E", d_e)], cfg=cfg)
 
     _expect("innocent" in doc, f"{path}:innocent", "missing innocent state")
-    innocent = DensityMatrix(_matrix(doc["innocent"], f"{path}:innocent", d_a),
+    innocent = DensityMatrix(_matrix(doc["innocent"], f"{path}:innocent", (d_a, d_a)),
                              [("A", d_a)], cfg=cfg)
-    csi_node = doc.get("csi")
-    _expect(isinstance(csi_node, dict), f"{path}:csi", "missing csi state")
-    csi_mat = _matrix(csi_node, f"{path}:csi")
+    csi_node, where = doc.get("csi"), f"{path}:csi"
+    _expect(isinstance(csi_node, dict), where, "missing csi state")
     csi_factors = csi_node.get("factors", ["S"])
-    _expect(csi_factors in (["S"], ["Sbar", "S"]), f"{path}:csi.factors",
+    _expect(csi_factors in (["S"], ["Sbar", "S"]), f"{where}.factors",
             f"must be ['S'] or ['Sbar', 'S'], got {csi_factors!r}")
     if csi_factors == ["S"]:
-        csi = DensityMatrix(csi_mat, [("S", d_s)], cfg=cfg)
+        csi = DensityMatrix(_matrix(csi_node, where, (d_s, d_s)), [("S", d_s)], cfg=cfg)
     else:
-        d_bar = csi_mat.shape[0] // d_s
-        csi = DensityMatrix(csi_mat, [("Sbar", d_bar), ("S", d_s)], cfg=cfg)
+        csi_mat = _matrix(csi_node, where)
+        side = csi_mat.shape[0]
+        if csi_mat.shape != (side, side) or side % d_s:
+            raise DimMismatch(f"{where}: shape {csi_mat.shape}, expected a square "
+                              f"of side a multiple of the S dimension {d_s}")
+        csi = DensityMatrix(csi_mat, [("Sbar", side // d_s), ("S", d_s)], cfg=cfg)
     out["instance"] = ProblemInstance(channel, innocent, csi)
 
     if "ensemble" in doc:
@@ -159,7 +162,7 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
         nodes = _array(ens["conditionals"], f"{where}.conditionals")
         stack = np.empty((len(nodes), d_a * d_s, d_a * d_s), dtype=np.complex128)
         for i, node in enumerate(nodes):
-            stack[i] = _matrix(node, f"{where}.conditionals[{i}]", d_a * d_s)
+            stack[i] = _matrix(node, f"{where}.conditionals[{i}]", (d_a * d_s, d_a * d_s))
         conds = _checked(f"{where}.conditionals", DensityMatrix, stack,
                          [("A", d_a), ("S", d_s)], cfg=cfg)
         probs = _numbers(ens["probs"], where, "'probs'")

@@ -339,7 +339,7 @@ class ProblemInstance:
         return self.csi
 
 
-def innocent_output(inst: ProblemInstance, cfg: Numerics = DEFAULT) -> DensityMatrix:
+def innocent_output(inst: ProblemInstance) -> DensityMatrix:
     """Warden state in the no-communication mode.
 
     The channel is fed the innocent input tensored with the S-marginal of

@@ -649,6 +649,9 @@ def test_spec_containers_of_the_wrong_kind_exit_2(path, value, field, tmp_path, 
     assert field in err and "internal" not in err and len(err.splitlines()) == 1
 
 
+THIRD_3X3 = (np.eye(3) / 3).tolist()
+
+
 @pytest.mark.parametrize("path,value,message", [
     (("ensemble", "conditionals", 1), {"re": [[1.0, 0.0], [0.0, 0.0]]},
      ":ensemble.conditionals[1]: shape (2, 2), expected (4, 4)"),
@@ -656,6 +659,14 @@ def test_spec_containers_of_the_wrong_kind_exit_2(path, value, field, tmp_path, 
      ":ensemble.conditionals: state 2 trace is"),
     (("innocent",), {"re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]},
      ":innocent: shape (3, 3), expected (2, 2)"),
+    # these three exited 3 naming only the factors, not the field
+    (("csi",), {"re": THIRD_3X3, "factors": ["S"]}, ":csi: shape (3, 3), expected (2, 2)"),
+    (("csi",), {"re": THIRD_3X3, "factors": ["Sbar", "S"]},
+     ":csi: shape (3, 3), expected a square of side a multiple of the S dimension 2"),
+    (("csi",), {"re": [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, 0.0]], "factors": ["Sbar", "S"]},
+     ":csi: shape (4, 2), expected a square"),
+    (("channel", "kraus", 0), {"re": np.eye(3).tolist()},
+     ":channel.kraus[0]: shape (3, 3), expected (4, 4)"),
 ])
 def test_state_of_the_wrong_shape_or_trace_exits_3_naming_it(path, value, message, tmp_path, capsys):
     spec = _mutated_spec(tmp_path, QUBIT, _set(path, value))

@@ -471,6 +471,9 @@ def test_fm_check_cases():
     assert fm_check(0.0, 1.0, 0.0)
     assert fm_check(0.3, 1.0, 0.4)
     assert fm_check(1.2, 1.0, 0.4)  # infeasible: both sides empty
+    for bad in [(-0.1, 1.0, 0.0), (0.0, 1.0, float("nan")), (float("nan"), 1.0, 0.0)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            fm_check(*bad)  # NaN passed min() and returned True
 
     # the grid projection of the (a, b, c) = (0, 1, 0) system is the triangle
     r, rk, swept, direct = fm_projection_grid(0.0, 1.0, 0.0, 0.02)
@@ -478,6 +481,61 @@ def test_fm_check_cases():
         for j, kv in enumerate(rk):
             assert direct[i, j] == (rv + kv <= 1.0 + 1e-9)
     assert np.array_equal(swept, direct)
+
+
+# The float-cube sweep that the integer-index sweep replaced, kept as the
+# reference: every grid sum compared with a threshold widened by tol.
+def _fm_projection_grid_reference(a, b, c, step):
+    tol = 1e-9
+    n = int(round(max(b, 0.0) / step)) + 1
+    r = np.arange(n) * step
+    rk = np.arange(n) * step
+    rj = np.arange(n) * step
+    rr, kk = np.meshgrid(r, rk, indexing="ij")
+    jj = rj[None, None, :]
+    feas = ((jj + kk[:, :, None] >= a - tol)
+            & (jj + kk[:, :, None] + rr[:, :, None] <= b + tol)
+            & (jj + rr[:, :, None] >= c - tol))
+    swept = feas.any(axis=2)
+    direct = (rr <= b - a + tol) & (kk <= b - c + tol) & (rr + kk <= b + tol)
+    return r, rk, swept, direct
+
+
+def _fm_triples(rng, step, count):
+    """Grid-aligned and off-grid triples, a > b among them, and b on and
+    just off a grid point."""
+    for t in range(count):
+        if t % 2 == 0:
+            a, b, c = (step * int(rng.integers(0, m)) for m in (40, 80, 40))
+        else:
+            a, b, c = rng.uniform(0.0, 1.6, 3)
+        yield a, b, c
+        yield b + step * int(rng.integers(1, 5)), b, c  # a > b: both sides empty
+        on = step * round(b / step)
+        for off in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 2e-9, -2e-9):
+            yield a, on + off, c
+
+
+@pytest.mark.parametrize("step", [0.02, 0.03, 0.05, 0.1])
+def test_fm_projection_grid_matches_float_sweep(step):
+    rng = rng_for(int(step * 1000))
+    triples = list(_fm_triples(rng, step, 60))
+    assert len(triples) >= 500  # >= 2000 over the four steps
+    for a, b, c in triples:
+        got = fm_projection_grid(a, b, c, step)
+        want = _fm_projection_grid_reference(a, b, c, step)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (a, b, c, step)
+
+
+def test_fm_projection_grid_thresholds_beyond_the_grid():
+    # bounds far outside the index range clip without wrapping the index dtype
+    for a, b, c in [(-5.0, 1.0, -5.0), (1e6, 1.0, 0.0), (0.0, 1.0, 1e6),
+                    (0.0, -1.0, 0.0), (0.0, 0.0, 0.0), (float("inf"), 1.0, 0.0)]:
+        got = fm_projection_grid(a, b, c, 0.02)
+        want = _fm_projection_grid_reference(a, b, c, 0.02)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (a, b, c)
 
 
 def test_fm_check_random_grid_aligned():

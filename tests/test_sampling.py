@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
-from covertq.sampling import _cdf, _mean_se, _symbols
+from covertq.sampling import _cdf, _mean_se, _symbols, random_density
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
@@ -33,3 +33,17 @@ def test_mean_se_matches_the_sample_formulas():
     assert mean == pytest.approx(np.mean(xs), rel=1e-15)
     assert se == pytest.approx(np.std(xs, ddof=1) / np.sqrt(40), rel=1e-12)
     assert _mean_se([0.5]) == (0.5, 0.0)
+
+
+@pytest.mark.parametrize("dim,rank", [(1, None), (3, None), (4, 2), (6, 1)])
+def test_random_density_one_draw_matches_two(dim, rank):
+    # Generator.normal fills arrays in order: one (2, dim, r) draw holds the
+    # two (dim, r) draws of the former form and leaves the stream where it did
+    a, b = rng_for(720 + dim), rng_for(720 + dim)
+    r = rank or dim
+    g = b.normal(size=(dim, r)) + 1j * b.normal(size=(dim, r))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    got = random_density(a, dim, rank=rank).matrix
+    assert got.tobytes() == m.tobytes()
+    assert a.random() == b.random()
