@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Freeze the report body and exit code of every ``fixtures_cli`` call.
+"""Freeze the report body and exit code of benchmark workload calls.
 
 Run from the repository root:
 
     python scripts/make_golden.py
 
-The calls are those of one ``fixtures_cli`` benchmark op
-(``perfbench/workloads.py``) at seeds 0 and 1, run in process through
-``covertq.cli.main``.  Each record keeps the argv with the fixture
-directory written as ``{fixtures}`` and the scratch directory as
-``{tmp}``, the exit code, and the stdout report without ``wall_clock_s``
-(null when nothing is printed).  ``tests/test_golden.py`` replays them.
+The calls are those of the ``perfbench/workloads.py`` ops listed in
+``GOLDEN``, run in process through ``covertq.cli.main``: every
+``fixtures_cli`` call at op seeds 0 and 1, and the four ``classical_n7``
+calls of op seed 1 (call seeds 4-7).  Each workload gets its own file
+under ``tests/golden``.  Each record keeps the argv with the fixture
+directory written as ``{fixtures}`` and the scratch directory (where the
+generated ``classical_n7`` spec is written) as ``{tmp}``, the exit code,
+and the stdout report without ``wall_clock_s`` (null when nothing is
+printed).  ``tests/test_golden.py`` replays them.
 """
 
 import contextlib
@@ -26,8 +29,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 from covertq.cli import main as cli_main  # noqa: E402
 import workloads  # noqa: E402
 
-SEEDS = (0, 1)
-OUT = os.path.join(ROOT, "tests", "golden", "fixtures_cli.json")
+# workload -> op seeds whose calls are frozen
+GOLDEN = {"fixtures_cli": (0, 1), "classical_n7": (1,)}
+OUT_DIR = os.path.join(ROOT, "tests", "golden")
 
 
 def run_call(argv: list[str]) -> tuple[int, dict | None]:
@@ -44,22 +48,24 @@ def run_call(argv: list[str]) -> tuple[int, dict | None]:
 
 def main() -> None:
     fixtures = os.path.abspath(workloads.fixture_dir(ROOT))
-    records = []
-    with tempfile.TemporaryDirectory() as tmp:
-        specs = workloads.prepare_specs("fixtures_cli", ROOT, tmp, 0)
-        specs = {k: os.path.abspath(v) for k, v in specs.items()}
-        for seed in SEEDS:
-            for call in workloads.op_calls("fixtures_cli", specs, tmp, seed):
-                code, body = run_call(list(call.argv))
-                text = json.dumps({"key": call.key, "seed": seed, "argv": list(call.argv),
-                                   "exit": code, "body": body})
-                text = text.replace(fixtures, "{fixtures}").replace(tmp, "{tmp}")
-                records.append(json.loads(text))
-    os.makedirs(os.path.dirname(OUT), exist_ok=True)
-    with open(OUT, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(records)} calls to {OUT}")
+    for workload, seeds in GOLDEN.items():
+        records = []
+        with tempfile.TemporaryDirectory() as tmp:
+            specs = workloads.prepare_specs(workload, ROOT, tmp, 0)
+            specs = {k: os.path.abspath(v) for k, v in specs.items()}
+            for seed in seeds:
+                for call in workloads.op_calls(workload, specs, tmp, seed):
+                    code, body = run_call(list(call.argv))
+                    text = json.dumps({"key": call.key, "seed": seed, "argv": list(call.argv),
+                                       "exit": code, "body": body})
+                    text = text.replace(fixtures, "{fixtures}").replace(tmp, "{tmp}")
+                    records.append(json.loads(text))
+        out = os.path.join(OUT_DIR, workload + ".json")
+        os.makedirs(OUT_DIR, exist_ok=True)
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        print(f"wrote {len(records)} calls to {out}")
 
 
 if __name__ == "__main__":

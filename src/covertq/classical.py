@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .config import DEFAULT, Numerics, code_size, pow2
-from .errors import CapExceeded, EncodingFailure
+from .errors import CapExceeded, EncodingFailure, RunParameterError
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
 from .sampling import _cdf, _codeword_law, _draw, _mean_se, _symbols
@@ -336,11 +336,16 @@ def _product_rows(rows: np.ndarray) -> np.ndarray:
 
     ``rows`` is (b, n, e); the result is (b, e^n) with the first symbol
     most significant.  Each entry is the product 1*a_0*a_1*... taken in
-    symbol order.
+    symbol order.  Each step fills its output one symbol x at a time, so
+    the inner loops run over the e^t entries of the previous step.
     """
-    out = np.ones((rows.shape[0], 1))
-    for t in range(rows.shape[1]):
-        out = (out[:, :, None] * rows[:, t, None, :]).reshape(rows.shape[0], -1)
+    b, n, e = rows.shape
+    out = np.ones((b, 1))
+    for t in range(n):
+        new = np.empty((b, out.shape[1], e))
+        for x in range(e):
+            np.multiply(out, rows[:, t, x, None], out=new[:, :, x])
+        out = new.reshape(b, out.shape[1] * e)
     return out
 
 
@@ -351,9 +356,11 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
     under likelihood encoding.
 
     Sums over state sequences, messages, bin choices (with their exact
-    encoder probabilities), and the symbolwise input randomness.  The
-    product distributions of the bins are built in chunks of at most
-    ``cfg.warden_cap`` floats.
+    encoder probabilities), and the symbolwise input randomness, adding
+    ``coef @ product rows`` per piece of at most ``cfg.warden_cap // |E|^n``
+    bins of one (state sequence, message) pair, in that order.  State
+    sequences go in lexicographic blocks and product rows in runs of pieces,
+    each within ``cfg.warden_cap // 2`` floats (a lone piece within ``cfg.warden_cap``).
     """
     n = codebook.n
     ns = problem.q_s.shape[0]
@@ -364,23 +371,36 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
     w_e_us = _output_given_us(policy, problem.w_e())  # P(e|u,s)
     ratio = _density_ratio(policy.p_u_s, p_u)
     nj, nk, nm = codebook.sizes
+    u_mb = codebook.entries.reshape(nj * nk, nm, n).transpose(1, 0, 2)  # (M, JK, n)
     chunk = max(1, cfg.warden_cap // ne ** n)
+    half = cfg.warden_cap // 2
+    block = max(1, half // (nm * nj * nk))
     p_hat = np.zeros(ne ** n)
-    for s_tuple in product(range(ns), repeat=n):
-        s_seq = np.asarray(s_tuple, dtype=np.intp)
-        q_seq = float(np.prod(problem.q_s[s_seq]))
-        if q_seq == 0.0:
-            continue
-        for m in range(nm):
-            w = _bin_weights(ratio, codebook.entries[:, :, m], s_seq)
-            tot = float(w.sum())
-            probs = (w / tot).ravel() if tot > 0 else np.full(nj * nk, 1.0 / (nj * nk))
-            bins = np.flatnonzero(probs)
-            coef = q_seq * probs[bins] / nm
-            u_seqs = codebook.entries[:, :, m].reshape(nj * nk, n)[bins]
-            for lo in range(0, len(bins), chunk):
-                rows = w_e_us[u_seqs[lo:lo + chunk], s_seq]  # (chunk, n, E)
-                p_hat += coef[lo:lo + chunk] @ _product_rows(rows)
+    for lo in range(0, ns ** n, block):
+        s_seq = np.arange(lo, min(lo + block, ns ** n))[:, None] // ns ** np.arange(n)[::-1] % ns
+        q_seq = np.prod(problem.q_s[s_seq], axis=1)
+        s_seq, q_seq = s_seq[q_seq != 0.0], q_seq[q_seq != 0.0]
+        w = np.ones((len(s_seq), nm, nj * nk))  # bin weights 1*r_0*r_1*...
+        for t in range(n):
+            w *= ratio[:, u_mb[:, :, t]][s_seq[:, t]]
+        tot = w.sum(axis=2, keepdims=True)
+        np.divide(w, tot, out=w, where=tot > 0)  # encoder probabilities
+        w[~(tot[:, :, 0] > 0)] = 1.0 / (nj * nk)
+        idx = np.flatnonzero(w)  # in (s, m, bin) order
+        coef = q_seq[idx // (nm * nj * nk)] * w.ravel()[idx] / nm
+        counts = np.count_nonzero(w, axis=2).ravel()
+        del w
+        cuts = np.append(np.flatnonzero((np.arange(len(idx)) - np.repeat(  # piece bounds
+            np.cumsum(counts) - counts, counts)) % chunk == 0), len(idx))
+        k = 0
+        while k < len(cuts) - 1:
+            end = max(k + 1, np.searchsorted(cuts, cuts[k] + half // ne ** n, "right") - 1)
+            si, mi, bi = np.unravel_index(idx[cuts[k]:cuts[end]], (len(s_seq), nm, nj * nk))
+            rows = _product_rows(w_e_us[u_mb[mi, bi], s_seq[si]])
+            for a, b in zip(cuts[k:end], cuts[k + 1:end + 1]):
+                p_hat += coef[a:b] @ rows[a - cuts[k]:b - cuts[k]]
+            del rows
+            k = end
 
     q0n = _product_rows(np.tile(problem.q0(), (1, n, 1)))[0]
     return {
@@ -487,7 +507,7 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 30:
-        raise ValueError("mc mode needs at least 30 codebooks")
+        raise RunParameterError("mc mode needs at least 30 codebooks")
     # One rng.random((c, size, n)) call yields the doubles of c calls of
     # rng.choice(nu, size=(size, n), p=p_u / p_u.sum()); a chunk of c
     # codebooks holds at most warden_cap floats of product rows.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -47,6 +48,7 @@ from .errors import (
     NotPSD,
     OrderOutOfRange,
     ParseError,
+    RunParameterError,
     SupportViolation,
 )
 from .oneshot import (
@@ -71,16 +73,17 @@ from .regions import (
 from .specio import RunReport, SpecFile, load_spec, write_region_csv
 from .verify import run_suite
 
-# Exit code of each error type; the first matching row wins.  Any other
-# exception is a defect and also exits 6, because exit 1 is reserved for
-# property failures.
+# Exit code of each error type; the first matching row wins.  Exit 6 covers
+# a bad run parameter (RunParameterError) and the other library errors.  Any
+# other exception, a bare ValueError included, is a defect: it also exits 6,
+# reported as internal, because exit 1 is reserved for property failures.
 ERROR_CODES = (
     (ParseError, 2),
     ((DimMismatch, NotHermitian, NotPSD, NotADistribution, OrderOutOfRange,
       SupportViolation), 3),
     (CovertInfeasible, 4),
     (CapExceeded, 5),
-    ((ValueError, CovertqError), 6),
+    (CovertqError, 6),
 )
 
 
@@ -136,7 +139,7 @@ def cmd_divergence(args):
         value, support_violation = dv.value, dv.support_violation
     else:  # sandwiched
         if args.order is None:
-            raise ValueError("--order is required for the sandwiched measure")
+            raise RunParameterError("--order is required for the sandwiched measure")
         dv = sandwiched_renyi(rho, sigma, args.order, spec.cfg)
         value, support_violation = dv.value, dv.support_violation
     config = {"spec": spec.path, "measure": measure, "order": args.order,
@@ -248,7 +251,7 @@ def cmd_simulate(args):
     trials = args.trials if args.trials is not None else spec.run.get("trials", 0)
     seed = args.seed if args.seed is not None else spec.run.get("seed", 0)
     if trials < 30:
-        raise ValueError(f"trials must be >= 30, got {trials}")
+        raise RunParameterError(f"trials must be >= 30, got {trials}")
 
     if args.target == "quantum":
         ensemble = _need(spec, "ensemble", "ensemble")
@@ -294,7 +297,10 @@ def cmd_verify(args):
     return config, {"suites": tallies}, {t["suite"]: t["failures"] == 0 for t in tallies}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand NAME
+    runs ``cmd_NAME``, looked up when the command runs."""
     parser = argparse.ArgumentParser(
         prog="covertq",
         description="Covert-communication bounds, rate regions, and protocol simulation.")
@@ -312,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=float, default=None, help="Renyi order (1 + alpha)")
     p.add_argument("--a", default=None, help="name of the first state in the spec")
     p.add_argument("--b", default=None, help="name of the second state in the spec")
-    p.set_defaults(fn=cmd_divergence)
 
     p = sub.add_parser("bound", help="evaluate one-shot bounds")
     common(p)
@@ -321,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--optimize", action="store_true",
                    help="grid-optimize over (alpha, R_J)")
-    p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("region", help="evaluate achievable rate regions")
     common(p)
@@ -333,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write boundary rows to this CSV")
     p.add_argument("--stealth", action="store_true",
                    help="drop the innocent-output covertness constraint")
-    p.set_defaults(fn=cmd_region)
 
     p = sub.add_parser("simulate", help="Monte Carlo verification of the bounds")
     common(p)
@@ -342,13 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--cap", type=_int_at_least(1), default=None,
                    help="codebook size cap override")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run randomized invariant suites")
     common(p, spec_required=False)
     p.add_argument("--suite", default="all",
                    choices=["pinching", "dataprocessing", "fm", "reduction", "all"])
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        config, results, verdicts = args.fn(args)
+        config, results, verdicts = globals()[f"cmd_{args.cmd}"](args)
         _emit(RunReport(args.cmd, config, results, verdicts, time.perf_counter() - t0),
               args.out)
     except Exception as exc:

@@ -53,6 +53,11 @@ class EmptyFeasibleSet(CovertqError):
     """Optimization grid contains no feasible point."""
 
 
+class RunParameterError(CovertqError, ValueError):
+    """A run parameter is out of its documented range (too few trials, a
+    missing Renyi order, an alpha or rate outside its range)."""
+
+
 class ParseError(CovertqError):
     """Problem spec file is malformed.
 

@@ -18,7 +18,7 @@ from .divergences import (
     cq_sandwiched_renyi,
     trace_distance,
 )
-from .errors import CsiMismatch, EmptyFeasibleSet, SupportViolation
+from .errors import CsiMismatch, EmptyFeasibleSet, RunParameterError, SupportViolation
 from .pinching import distinct_eigenspaces
 from .states import (
     CQState,
@@ -65,9 +65,9 @@ class ProtocolRates:
     def __post_init__(self):
         for name in ("R", "R_K", "R_J"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise RunParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+            raise RunParameterError(f"alpha must lie in (0, 1/2), got {self.alpha}")
 
     @property
     def total(self) -> float:
@@ -190,7 +190,7 @@ def resolvability_bound(cq_ue: CQState, rate: float, alpha: float,
     from the ensemble distribution.
     """
     if not (0.0 < alpha < 0.5):
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+        raise RunParameterError(f"alpha must lie in (0, 1/2), got {alpha}")
     dv = cq_sandwiched_renyi(cq_ue, 1.0 + alpha, cfg)
     if not dv.is_finite:
         raise SupportViolation("conditional outputs leave the average support")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT, Numerics
 from .divergences import fidelity
-from .errors import CapExceeded, DimMismatch
+from .errors import CapExceeded, DimMismatch, RunParameterError
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
 from .pinching import decoder_projector_blocks
@@ -292,7 +292,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     in chunks of at most ``cfg.codebook_cap`` codebook entries.
     """
     if trials < 30:
-        raise ValueError(f"trials must be >= 30, got {trials}")
+        raise RunParameterError(f"trials must be >= 30, got {trials}")
     st: InducedStates = induced_states(ensemble, instance.channel, cfg)
     nj, nk, nm = rates.sizes()
     effective = ProtocolRates(R=math.log2(nm), R_K=math.log2(nk),

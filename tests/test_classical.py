@@ -713,3 +713,95 @@ def test_oracle_matches_choice_loop_with_zero_cells(seed):
                                cfg=cfg)
     assert (res["estimate"], res["std_error"]) == \
         _oracle_reference(p_u, p_e_u, 1.0, n, 97, seed)
+
+
+def _product_rows_broadcast(rows):
+    """The broadcast product kernel: one (b, e^t, e) product per symbol."""
+    out = np.ones((rows.shape[0], 1))
+    for t in range(rows.shape[1]):
+        out = (out[:, :, None] * rows[:, t, None, :]).reshape(rows.shape[0], -1)
+    return out
+
+
+def _warden_pair_loop(codebook, problem, policy, p_u, cfg=DEFAULT):
+    """One pass per (state sequence, message) pair, each piece's product
+    rows built on its own with the broadcast kernel."""
+    n, (nj, nk, nm) = codebook.n, codebook.sizes
+    ns, ne = problem.q_s.shape[0], problem.w.shape[3]
+    w_e_us = np.einsum("usa,asx->usx", policy.p_a_us, problem.w_e())
+    ratio = policy.p_u_s / np.maximum(np.asarray(p_u, dtype=np.float64), 1e-300)
+    chunk = max(1, cfg.warden_cap // ne ** n)
+    p_hat = np.zeros(ne ** n)
+    for s_tuple in product(range(ns), repeat=n):
+        s_seq = np.asarray(s_tuple, dtype=np.intp)
+        q_seq = float(np.prod(problem.q_s[s_seq]))
+        if q_seq == 0.0:
+            continue
+        for m in range(nm):
+            flat = codebook.entries[:, :, m].transpose(2, 0, 1) \
+                + ratio.shape[1] * s_seq[:, None, None]
+            w = np.prod(ratio.ravel().take(flat), axis=0)
+            tot = float(w.sum())
+            probs = (w / tot).ravel() if tot > 0 else np.full(nj * nk, 1.0 / (nj * nk))
+            bins = np.flatnonzero(probs)
+            coef = q_seq * probs[bins] / nm
+            u_seqs = codebook.entries[:, :, m].reshape(nj * nk, n)[bins]
+            for lo in range(0, len(bins), chunk):
+                rows = w_e_us[u_seqs[lo:lo + chunk], s_seq]
+                p_hat += coef[lo:lo + chunk] @ _product_rows_broadcast(rows)
+    return p_hat
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (4, 0, 2), (3, 4, 1), (5, 1, 3), (1, 7, 2),
+                                   (309, 7, 2), (6, 3, 4)])
+def test_product_rows_matches_broadcast_kernel(shape):
+    rows = rng_for(600 + sum(shape)).dirichlet(np.ones(shape[2]), size=shape[:2])
+    got = classical._product_rows(rows)
+    assert got.shape == (shape[0], shape[2] ** shape[1])
+    if shape[0]:  # the broadcast kernel cannot reshape an empty batch
+        assert np.array_equal(got, _product_rows_broadcast(rows))
+
+
+# (seed, ns, ne, nu, sizes (J, K, M), n, sparse, zero q_s entry, warden_cap)
+WARDEN_CASES = [
+    (0, 2, 2, 4, (3, 5, 2), 4, True, False, 16),   # 1-bin pieces, one sequence per block
+    (1, 2, 2, 4, (3, 5, 2), 4, True, False, 32),   # 2-bin pieces
+    (2, 3, 2, 3, (2, 10, 2), 2, True, True, 160),  # 2-sequence blocks, runs of pieces
+    (3, 2, 3, 3, (4, 3, 1), 3, True, False, 162),  # |E| = 3 and M = 1
+    (4, 3, 3, 3, (5, 4, 3), 1, False, True, 6),    # n = 1
+    (5, 2, 2, 4, (3, 40, 2), 5, True, False, None),  # default cap: one block
+    (6, 3, 2, 4, (4, 6, 2), 3, False, True, 64),   # dense policy
+    (7, 2, 2, 3, (2, 2, 3), 6, True, False, 640),  # the last block is partial
+]
+
+
+@pytest.mark.parametrize("case", WARDEN_CASES, ids=[f"case{c[0]}" for c in WARDEN_CASES])
+def test_exact_warden_matches_pair_loop_bitwise(case):
+    seed, ns, ne, nu, sizes, n, sparse, zero_q, cap = case
+    rng = rng_for(620 + seed)
+    prob, pol, p_u = _random_instance(rng, ns=ns, ne=ne, nu=nu, sparse=sparse)
+    if zero_q:
+        q_s = prob.q_s.copy()
+        q_s[1] = 0.0
+        prob = ClassicalProblem(q_s / q_s.sum(), prob.w, x0=0)
+        p_u = prob.q_s @ pol.p_u_s
+    cfg = DEFAULT if cap is None else DEFAULT.replaced(warden_cap=cap)
+    cb = sample_classical_codebook(p_u, sizes, n, seed=seed)
+    res = exact_warden_distribution(cb, prob, pol, p_u, cfg=cfg)
+    ref = _warden_pair_loop(cb, prob, pol, p_u, cfg)
+    assert np.array_equal(res["distribution"], ref)
+    q0n = _product_rows_broadcast(np.tile(prob.q0(), (1, n, 1)))[0]
+    assert res["tv_from_innocent"] == total_variation(ref, q0n)
+    assert res["total_mass"] == float(ref.sum())
+
+
+def test_exact_warden_uniform_fallback_bitwise():
+    # every bin weight is zero, so every (s, m) pair takes the uniform law
+    prob = ClassicalProblem([0.0, 1.0], xor_problem().w, x0=0)
+    pol = stacked_policy()
+    p_u = prob.q_s @ pol.p_u_s
+    cb = ClassicalCodebook(np.zeros((3, 2, 2, 4), dtype=np.intp), (3, 2, 2), 4)
+    for cap in (2 ** 4, 2 * 2 ** 4, DEFAULT.warden_cap):
+        cfg = DEFAULT.replaced(warden_cap=cap)
+        res = exact_warden_distribution(cb, prob, pol, p_u, cfg=cfg)
+        assert np.array_equal(res["distribution"], _warden_pair_loop(cb, prob, pol, p_u, cfg))

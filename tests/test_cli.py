@@ -11,7 +11,10 @@ from conftest import assert_same
 from covertq import cli, specio
 from covertq.cli import main
 from covertq.config import DEFAULT
-from covertq.errors import ParseError, SelfCheckFailed
+from covertq.classical import resolvability_oracle
+from covertq.errors import ParseError, RunParameterError, SelfCheckFailed
+from covertq.oneshot import ProtocolRates, resolvability_bound
+from covertq.protocol import monte_carlo_verify
 from covertq.specio import load_spec
 from covertq.verify import suite_reduction
 
@@ -345,6 +348,56 @@ def test_internal_errors_exit_6_without_traceback(exc, message, monkeypatch, cap
     assert code == 6 and out == ""
     assert "Traceback" not in err
     assert err.strip() == message
+
+
+def test_bare_value_error_is_reported_as_internal(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("operands could not be broadcast")
+
+    monkeypatch.setattr(cli, "cmd_divergence", broken)
+    code, out, err = run_cli(capsys, "divergence", "--spec", DIAG, "--measure", "trace")
+    assert code == 6 and out == ""
+    assert err.strip() == "error: internal ValueError: operands could not be broadcast"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("divergence", "--spec", DIAG, "--measure", "sandwiched"),
+     "error: --order is required for the sandwiched measure"),
+    (("simulate", "--spec", QUBIT, "--target", "quantum", "--trials", "29"),
+     "error: trials must be >= 30, got 29"),
+], ids=["order", "trials"])
+def test_run_parameter_errors_exit_6_not_internal(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 6 and out == ""
+    assert err.strip() == message
+
+
+def test_documented_run_parameter_errors_are_typed():
+    with pytest.raises(RunParameterError, match=r"alpha must lie in \(0, 1/2\), got 0.7"):
+        ProtocolRates(1.0, 0.0, 0.0, 0.7)
+    with pytest.raises(RunParameterError, match="R_K must be >= 0, got -1.0"):
+        ProtocolRates(1.0, -1.0, 0.0, 0.2)
+    with pytest.raises(RunParameterError, match="alpha must lie in"):
+        resolvability_bound(None, 1.0, 0.5)
+    with pytest.raises(RunParameterError, match="trials must be >= 30, got 29"):
+        monte_carlo_verify(None, None, ProtocolRates(1.0, 0.0, 0.0, 0.2), 29, 0)
+    with pytest.raises(RunParameterError, match="mc mode needs at least 30 codebooks"):
+        resolvability_oracle(np.array([0.5, 0.5]), np.eye(2), 0.5, 2, trials=29)
+
+
+def test_main_twice_in_one_process_gives_identical_bodies(capsys):
+    argv = ("region", "--spec", CLASSICAL, "--which", "thm3", "--seed", "2")
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--spec", CLASSICAL, "--which", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, second, _ = run_cli(capsys, *argv)
+    assert code == 0
+    first, second = json.loads(first), json.loads(second)
+    del first["wall_clock_s"], second["wall_clock_s"]
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 CLASSICAL_SIMULATE = ("simulate", "--target", "classical", "--trials", "30")
