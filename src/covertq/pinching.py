@@ -35,23 +35,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PinchingBasis:
-    """Grouped eigenspaces of a reference state.
+    """Grouped eigenspaces of a reference state, or of each in a stack.
 
-    ``eigenvalues`` holds one representative value per group (ascending),
-    ``projectors`` the matching eigenspace projectors, one stack ``(v, d,
-    d)`` summing to the identity, and ``v`` the distinct-eigenvalue count.
+    ``v`` counts the groups, ``eigenvalues`` holds their values (ascending)
+    and ``projectors`` their projectors, summing to the identity; the group
+    axis comes first, and a stack pads to its largest v with NaN and zeros.
     """
 
+    v: int | np.ndarray
     eigenvalues: np.ndarray
     projectors: np.ndarray
-
-    @property
-    def v(self) -> int:
-        return len(self.projectors)
-
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[-1]
 
 
 def _group_values(w: np.ndarray, group_tol: float) -> np.ndarray:
@@ -61,34 +54,38 @@ def _group_values(w: np.ndarray, group_tol: float) -> np.ndarray:
     return np.flatnonzero(np.diff(w) > thr) + 1
 
 
-def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis | list[PinchingBasis]:
+def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis:
     """Eigenspace decomposition of a state with near-degenerate grouping.
 
     Eigenvalues within ``cfg.group_tol`` (relative to the largest) of each
     other merge into one eigenspace; merging is deliberately conservative
     because the count v enters bounds multiplicatively.  A stack
-    ``(k, d, d)`` gives a list of k bases from one eigensolver call.
+    ``(..., d, d)`` takes one eigensolver call and gives one stacked basis.
     """
     m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
     spec = eig_hermitian(m, cfg)
-    if m.ndim == 2:
-        return _grouped_basis(spec.eigenvalues, spec.eigenvectors, cfg.group_tol)
-    return [_grouped_basis(w, v, cfg.group_tol)
-            for w, v in zip(spec.eigenvalues, spec.eigenvectors)]
-
-
-def _grouped_basis(w: np.ndarray, v: np.ndarray, group_tol: float) -> PinchingBasis:
-    starts = _group_values(w, group_tol)
-    return PinchingBasis(np.array([g.mean() for g in np.split(w, starts)]),
-                         np.stack([c @ dagger(c) for c in np.split(v, starts, axis=1)]))
+    d, stack = m.shape[-1], m.shape[:-2]
+    rows = list(zip(spec.eigenvalues.reshape(-1, d), spec.eigenvectors.reshape(-1, d, d)))
+    edges = [[0, *_group_values(w, cfg.group_tol), d] for w, _ in rows]
+    v = np.array([len(e) - 1 for e in edges])
+    values = np.full((v.max(), len(rows)), np.nan)
+    projectors = np.zeros((v.max(), len(rows), d, d), dtype=np.complex128)
+    for k, ((w, c), e) in enumerate(zip(rows, edges)):
+        for g, (lo, hi) in enumerate(zip(e, e[1:])):  # per group: a masked product moves bits
+            values[g, k] = w[lo:hi].mean()
+            projectors[g, k] = c[:, lo:hi] @ dagger(c[:, lo:hi])
+    return PinchingBasis(v.reshape(stack) if stack else int(v[0]),
+                         values.reshape(-1, *stack), projectors.reshape(-1, *stack, d, d))
 
 
 def pinch_matrix(m: np.ndarray, basis: PinchingBasis) -> np.ndarray:
     """sum_i P_i m P_i for the eigenspace projectors of the basis, of a
-    matrix or of each in a stack ``(..., d, d)``."""
-    if m.shape[-1] != basis.dim:
-        raise DimMismatch(f"matrix dim {m.shape[-1]} != basis dim {basis.dim}")
-    p = np.expand_dims(basis.projectors, tuple(range(1, m.ndim - 1)))
+    matrix or of each in a stack ``(..., d, d)``; a stacked basis pinches the
+    matrices at its own trailing stack indices (its padding adds exact zeros)."""
+    p = basis.projectors
+    if m.shape[-1] != p.shape[-1]:
+        raise DimMismatch(f"matrix dim {m.shape[-1]} != basis dim {p.shape[-1]}")
+    p = p.reshape(p.shape[:1] + (1,) * (m.ndim + 1 - p.ndim) + p.shape[1:])
     return np.sum(p @ m @ p, axis=0)
 
 
@@ -171,8 +168,6 @@ def tensor_power_eigencount(sigma, n: int, cfg: Numerics = DEFAULT) -> int:
     products (one per occupation type), with the same relative grouping
     tolerance as :func:`distinct_eigenspaces`.
     """
-    m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
-    base = distinct_eigenspaces(m, cfg)
-    vals = sorted(prod(combo)
-                  for combo in combinations_with_replacement(base.eigenvalues, n))
+    base = distinct_eigenspaces(sigma, cfg)
+    vals = sorted(map(prod, combinations_with_replacement(base.eigenvalues, n)))
     return len(_group_values(np.asarray(vals, dtype=np.float64), cfg.group_tol)) + 1

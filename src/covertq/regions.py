@@ -125,10 +125,6 @@ class AuxiliaryPolicy:
         object.__setattr__(self, "p_u_s", np.maximum(p_u_s, 0.0))
         object.__setattr__(self, "p_a_us", np.maximum(p_a_us, 0.0))
 
-    @property
-    def num_u(self) -> int:
-        return self.p_u_s.shape[1]
-
 
 @dataclass(frozen=True)
 class RateRegion:

@@ -18,6 +18,8 @@ from .linalg import dagger, eigvals_hermitian, tensor
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
 
 __all__ = [
+    "ginibre_states",
+    "ginibre_kraus",
     "random_density",
     "random_unitary",
     "random_channel",
@@ -28,6 +30,26 @@ __all__ = [
 ]
 
 
+def ginibre_states(g: np.ndarray) -> np.ndarray:
+    """States G G^dag / tr(G G^dag) of the Ginibre matrices G = g[..., 0, :, :]
+    + i g[..., 1, :, :] of real normal draws ``g`` ``(..., 2, d, r)``; one
+    ``normal`` call fills in order, so a stack is one call per state."""
+    m = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    m = m @ dagger(m)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m
+
+
+def ginibre_kraus(g: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Kraus stacks ``(env, ..., d_out, d_in)`` of random CPTP maps, one per
+    Ginibre square ``(..., 2, d_out * env, d_out * env)`` of ``g``: the first
+    d_in columns of its Haar unitary (Q of QR, rephased by R's diagonal)."""
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    phase = np.diagonal(r, axis1=-2, axis2=-1)[..., None, :d_in]
+    iso = q[..., :d_in] * (phase / np.abs(phase))  # an isometry d_in -> d_out * env
+    return np.moveaxis(iso.reshape(*iso.shape[:-2], d_out, -1, d_in), -2, 0)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (g + dagger(g))
@@ -36,35 +58,27 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_density(rng: np.random.Generator, dim: int, factors=None,
                    rank: int | None = None) -> DensityMatrix:
     """Full-rank (by default) state from a Ginibre square."""
-    r = rank or dim
-    real, imag = rng.normal(size=(2, dim, r))  # one draw, the same stream as two
-    g = real + 1j * imag
-    m = g @ dagger(g)
-    m /= np.trace(m).real
-    return DensityMatrix(m, factors, validate=False)
+    g = rng.normal(size=(2, dim, rank or dim))
+    return DensityMatrix(ginibre_states(g), factors, validate=False)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    """Haar unitary: the one Kraus operator of a random channel with no environment."""
+    return ginibre_kraus(rng.normal(size=(2, dim, dim)), dim, dim)[0]
 
 
 def random_channel(rng: np.random.Generator, d_in: int, d_out: int,
                    env: int | None = None, in_factors=None, out_factors=None,
                    cfg: Numerics = DEFAULT) -> QuantumChannel:
-    """Random CPTP map from a Haar-ish isometry into output x environment."""
-    env = env or d_in
-    big = random_unitary(rng, d_out * env)
-    iso = big[:, :d_in]  # columns form an isometry d_in -> d_out * env
-    kraus = iso.reshape(d_out, env, d_in).swapaxes(0, 1)  # (env, d_out, d_in)
+    side = d_out * (env or d_in)
+    kraus = ginibre_kraus(rng.normal(size=(2, side, side)), d_in, d_out)
     return QuantumChannel(kraus, in_factors, out_factors, cfg=cfg)
 
 
 def random_cq(rng: np.random.Generator, num_labels: int, dim: int,
               factors=None) -> CQState:
     probs = rng.dirichlet(np.ones(num_labels))
-    conds = np.stack([random_density(rng, dim).matrix for _ in range(num_labels)])
+    conds = ginibre_states(rng.normal(size=(num_labels, 2, dim, dim)))
     return CQState(range(num_labels), probs, DensityMatrix(conds, factors, validate=False))
 
 
@@ -102,7 +116,7 @@ def matched_ensemble(rng: np.random.Generator, instance: ProblemInstance,
 
     probs = (np.full(num_labels, 1.0 / num_labels) if uniform_labels
              else rng.dirichlet(np.ones(num_labels)))
-    raw = np.stack([random_density(rng, d).matrix for _ in range(num_labels)])
+    raw = ginibre_states(rng.normal(size=(num_labels, 2, d, d)))
     deltas = raw - sum(p * t for p, t in zip(probs, raw))
     worst = float(np.max(np.abs(eigvals_hermitian(deltas))))
     eta = spread * floor / worst if worst > 0.0 else 0.0

@@ -232,7 +232,8 @@ class CQState:
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map in Kraus form; ``kraus`` is
-    one stack ``(operators, d_out, d_in)``."""
+    one stack ``(operators, d_out, d_in)``, or ``(operators, ..., d_out,
+    d_in)`` for a stack of channels sharing one set of factors."""
 
     kraus: np.ndarray
     in_factors: tuple[Factor, ...]
@@ -244,7 +245,7 @@ class QuantumChannel:
             raise DimMismatch("channel requires at least one Kraus operator")
         try:
             kraus = np.asarray(kraus, dtype=np.complex128)
-            _, d_out, d_in = kraus.shape
+            _, d_out, d_in = kraus.shape[-3:]
         except ValueError as exc:  # ragged, or not a stack of matrices
             raise DimMismatch("Kraus operators have inconsistent shapes") from exc
         if validate:
@@ -258,15 +259,18 @@ class QuantumChannel:
 
     @property
     def dim_in(self) -> int:
-        return self.kraus.shape[2]
+        return self.kraus.shape[-1]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus.shape[1]
+        return self.kraus.shape[-2]
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """sum_k K_k m K_k^dag, of a matrix or of each in a stack ``(..., d, d)``."""
-        k = np.expand_dims(self.kraus, tuple(range(1, np.ndim(m) - 1)))
+        """sum_k K_k m K_k^dag, of a matrix or of each in a stack ``(..., d,
+        d)``; a stack of channels maps each matrix with the channel at the
+        same trailing stack index."""
+        k = self.kraus
+        k = k.reshape(k.shape[:1] + (1,) * (np.ndim(m) + 1 - k.ndim) + k.shape[1:])
         return np.sum(k @ m @ dagger(k), axis=0)
 
 

@@ -25,7 +25,7 @@ from .divergences import (
 from .linalg import eigvals_hermitian
 from .pinching import distinct_eigenspaces, pinch_matrix, tensor_power_eigencount
 from .regions import fm_check
-from .sampling import random_channel, random_density
+from .sampling import ginibre_kraus, ginibre_states
 from .states import QuantumChannel, require_states
 
 __all__ = ["run_suite", "SUITES"]
@@ -58,13 +58,9 @@ class _Tally:
 
 
 def _per_case(fn, *columns: list[np.ndarray]) -> np.ndarray:
-    """``fn`` evaluated on stacks of equal-dimension cases, in case order.
-
-    ``columns`` hold one entry per case (a matrix or a number); cases are
-    grouped by the shape of their first column's entry, and ``fn`` maps
-    the stacked columns of one group to an array whose last axis runs
-    over the group's cases.
-    """
+    """``fn`` on the stacked ``columns`` (one entry per case) of each group of
+    cases whose first-column entries share a shape; ``fn`` returns an array
+    whose last axis runs over the group's cases, gathered here in case order."""
     shapes = [m.shape for m in columns[0]]
     out = None
     for shape in dict.fromkeys(shapes):
@@ -80,33 +76,30 @@ def suite_pinching(seed: int, cases: int = 200, cfg: Numerics = DEFAULT) -> dict
     """Pinching inequality, switching identities, tensor-power eigencounts."""
     rng = np.random.default_rng(seed)
     t = _Tally("pinching")
-    sigmas, rhos, rho2s = [], [], []
+    draws = []  # per case: the Ginibre draws of sigma, rho and rho2
     for _ in range(cases):
         d = int(rng.integers(2, 7))
-        sigmas.append(random_density(rng, d).matrix)
-        rhos.append(random_density(rng, d).matrix)
-        rho2s.append(random_density(rng, d).matrix)
+        draws.append(rng.normal(size=(3, 2, d, d)))
 
-    def check(sigma, rho, rho2):
-        bases = distinct_eigenspaces(sigma, cfg=cfg)
-        pinched = np.stack([pinch_matrix(r, b) for r, b in zip(rho, bases)])
-        pinched2 = np.stack([pinch_matrix(r, b) for r, b in zip(rho2, bases)])
-        v = np.array([b.v for b in bases])[:, None, None]
-        low = eigvals_hermitian(v * pinched - rho, cfg)[:, 0]
+    def check(g):
+        states = np.moveaxis(ginibre_states(g), 1, 0)
+        sigma, rho, rho2 = states
+        basis = distinct_eigenspaces(sigma, cfg=cfg)
+        pinched, pinched2 = pinch_matrix(states[1:], basis)
+        low = eigvals_hermitian(basis.v[:, None, None] * pinched - rho, cfg)[:, 0]
 
         def tr(a, b):
             return np.trace(a @ b, axis1=-2, axis2=-1).real
         return [low, np.abs(tr(pinched, rho2) - tr(rho, pinched2)),
                 np.abs(tr(pinched, sigma) - tr(rho, sigma))]
 
-    low, switch, trace = _per_case(check, sigmas, rhos, rho2s).tolist()
+    low, switch, trace = _per_case(check, draws).tolist()
     for i in range(cases):
         t.check(low[i] >= -1e-9, f"case {i}: blow-up inequality min eig {low[i]:.2e}")
         t.check(switch[i] <= 1e-10, f"case {i}: switch identity {switch[i]:.2e}")
         t.check(trace[i] <= 1e-10, f"case {i}: trace identity {trace[i]:.2e}")
     for d in (2, 3):
-        for n in (1, 2, 3, 4):
-            sigma = random_density(rng, d)
+        for n, sigma in enumerate(ginibre_states(rng.normal(size=(4, 2, d, d))), 1):
             v = tensor_power_eigencount(sigma, n, cfg=cfg)
             t.check(v <= (n + 1) ** d,
                     f"power count v={v} exceeds (n+1)^d={(n+1)**d} at n={n}, d={d}")
@@ -120,26 +113,24 @@ def suite_dataprocessing(seed: int, cases: int = 100, cfg: Numerics = DEFAULT,
     t = _Tally("dataprocessing")
     orders = (1.1, 1.25, 1.4)
     ladder = (0.5, 0.8, 1.2, 1.5)
-    rhos, sigmas, out_rs, out_ss = [], [], [], []
+    pairs, squares = [], []  # per case: rho's and sigma's draws, a random channel's or none
     for _ in range(cases):
         d = int(rng.integers(2, 5))
-        rho = random_density(rng, d)
-        sigma = random_density(rng, d)
-        ch = channel
-        if ch is None or ch.dim_in != d:
-            ch = random_channel(rng, d, d)
-        rhos.append(rho.matrix)
-        sigmas.append(sigma.matrix)
-        out_rs.append(ch.apply_matrix(rho.matrix))
-        out_ss.append(ch.apply_matrix(sigma.matrix))
+        pairs.append(rng.normal(size=(2, 2, d, d)))
+        squares.append(rng.normal(size=(2, d * d, d * d))
+                       if channel is None or channel.dim_in != d else np.empty(0))
 
-    def renyi(of: tuple[float, ...]):
-        return lambda r, s: [sandwiched_renyi(r, s, o, cfg).value for o in of]
+    def check(pair, square):
+        d = pair.shape[-1]
+        ch = QuantumChannel(ginibre_kraus(square, d, d)) if square.size else channel
+        states = np.moveaxis(ginibre_states(pair), 1, 0)
+        rho, sigma = states
+        out_r, out_s = ch.apply_matrix(states)
+        return ([sandwiched_renyi(rho, sigma, o, cfg).value for o in orders + ladder]
+                + [sandwiched_renyi(out_r, out_s, o, cfg).value for o in orders])
 
-    inputs = _per_case(renyi(orders + ladder), rhos, sigmas).T.tolist()
-    outputs = _per_case(renyi(orders), out_rs, out_ss).T.tolist()
-    for i, (values, after) in enumerate(zip(inputs, outputs)):
-        before, vals = values[:len(orders)], values[len(orders):]
+    for i, row in enumerate(_per_case(check, pairs, squares).T.tolist()):
+        before, vals, after = row[:3], row[3:7], row[7:]
         for order, b, a in zip(orders, before, after):
             t.check(a <= b + 1e-9, f"case {i}: order {order} grew {a - b:.2e}")
         t.check(all(vals[j] <= vals[j + 1] + 1e-9 for j in range(len(vals) - 1)),

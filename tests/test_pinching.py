@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import diag_state, rng_for
-from covertq.linalg import eigvals_hermitian
+from covertq.config import DEFAULT
+from covertq.linalg import eig_hermitian, eigvals_hermitian
 from covertq.oneshot import ProtocolRates, decoding_test_bounds
 from covertq.pinching import (
+    _group_values,
     decoder_projector,
     decoder_projector_blocks,
     distinct_eigenspaces,
@@ -14,7 +16,7 @@ from covertq.pinching import (
     projector_test_values,
     tensor_power_eigencount,
 )
-from covertq.sampling import random_cq, random_density
+from covertq.sampling import ginibre_states, random_cq, random_density, random_unitary
 
 
 def test_distinct_eigenspaces_counts():
@@ -47,6 +49,45 @@ def test_pinch_matrix_on_a_stack_matches_each_matrix():
     assert pinched.shape == stack.shape
     for m, out in zip(stack.reshape(4, 3, 3), pinched.reshape(4, 3, 3)):
         assert np.array_equal(out, pinch_matrix(m, basis))
+
+
+def _split_basis(sigma, cfg=DEFAULT):
+    """Per-state reference: the group values and projectors from np.split."""
+    spec = eig_hermitian(sigma, cfg)
+    starts = _group_values(spec.eigenvalues, cfg.group_tol)
+    values = np.array([g.mean() for g in np.split(spec.eigenvalues, starts)])
+    return values, np.stack([c @ c.conj().T
+                             for c in np.split(spec.eigenvectors, starts, axis=1)])
+
+
+def test_stacked_basis_and_pinching_match_per_state_reference():
+    # degenerate spectra in random bases: v differs within the stack, so the
+    # stacked basis is padded, and the padding must not move a single bit
+    rng = rng_for(22)
+    spectra = [(0.4, 0.2, 0.2, 0.2), (0.25,) * 4, (0.1, 0.2, 0.3, 0.4),
+               (0.35, 0.35, 0.15, 0.15), (0.5, 0.3, 0.1, 0.1)]
+    us = [random_unitary(rng, 4) for _ in spectra]
+    sigmas = np.stack([(u * np.array(s)) @ u.conj().T for s, u in zip(spectra, us)])
+    rhos = ginibre_states(rng.normal(size=(2, len(spectra), 2, 4, 4)))
+    basis = distinct_eigenspaces(sigmas)
+    assert basis.v.tolist() == [2, 1, 4, 2, 3]
+    assert basis.projectors.shape == (4, 5, 4, 4)
+    pinched = pinch_matrix(rhos, basis)
+    for i, sigma in enumerate(sigmas):
+        values, projectors = _split_basis(sigma)
+        v = len(values)
+        assert basis.eigenvalues[:v, i].tobytes() == values.tobytes()
+        assert np.isnan(basis.eigenvalues[v:, i]).all()
+        assert basis.projectors[:v, i].tobytes() == projectors.tobytes()
+        assert not basis.projectors[v:, i].any()
+        single = distinct_eigenspaces(sigma)
+        assert single.v == v and single.projectors.tobytes() == projectors.tobytes()
+        for rho, out in zip(rhos[:, i], pinched[:, i]):
+            assert out.tobytes() == np.sum(projectors @ rho @ projectors, axis=0).tobytes()
+            assert out.tobytes() == pinch_matrix(rho, single).tobytes()
+    column = distinct_eigenspaces(sigmas[:, None])  # a stack (5, 1)
+    assert column.v.shape == (5, 1)
+    assert column.projectors.tobytes() == basis.projectors.tobytes()
 
 
 def test_pinch_fixed_points():

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import rng_for
 from covertq import regions
 from covertq.config import DEFAULT
+from covertq.divergences import classical_info_terms, holevo_mutual_info
 from covertq.errors import CovertInfeasible
+from covertq.oneshot import induced_states
 from covertq.regions import (
     AuxiliaryPolicy,
     ClassicalProblem,
@@ -19,12 +23,16 @@ from covertq.regions import (
     fm_check,
     fm_projection_grid,
     induced_warden_distribution,
+    joint_table,
     optimize_auxiliary,
     superposition_transform,
     total_variation,
 )
 from covertq.sampling import matched_ensemble, random_problem_instance
+from covertq.specio import load_spec
 from covertq.states import CQState, DensityMatrix, QuantumChannel
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "covertq" / "fixtures"
 
 
 def xor_problem(eps=0.1, q=0.25, q_s=(0.5, 0.5)):
@@ -574,3 +582,57 @@ def test_region_vertices_are_hull_consistent():
                         for r in grid for k in grid if region.contains(r, k))
         best_vertex, _ = region.scalarized_max(w_r, w_rk)
         assert best_vertex >= best_grid - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Classical embedding: a classical problem is the commuting special case of
+# the quantum one, so the quantum terms must reproduce the classical ones.
+
+def _embedded(problem, policy):
+    """The policy's ensemble P(a, s | u) as diagonal states on A x S, and the
+    channel w as one Kraus operator sqrt(w[a, s, b, e]) |b e><a s| per entry."""
+    na, ns, nb, ne = problem.w.shape
+    joint = np.einsum("s,su,usa->uas", problem.q_s, policy.p_u_s, policy.p_a_us)
+    p_u = joint.sum(axis=(1, 2))
+    conds = [DensityMatrix(np.diag(joint[u].ravel() / p_u[u]).astype(complex),
+                           [("A", na), ("S", ns)]) for u in range(len(p_u))]
+    kraus = np.zeros((problem.w.size, nb * ne, na * ns))
+    for i, (a, s, b, e) in enumerate(np.ndindex(problem.w.shape)):
+        kraus[i, b * ne + e, a * ns + s] = np.sqrt(problem.w[a, s, b, e])
+    channel = QuantumChannel(kraus, [("A", na), ("S", ns)], [("B", nb), ("E", ne)])
+    return CQState(range(len(p_u)), p_u, conds), channel
+
+
+def _random_classical(rng, na, ns, nb, ne, nu):
+    w = rng.dirichlet(np.ones(nb * ne), size=(na, ns)).reshape(na, ns, nb, ne)
+    return (ClassicalProblem(rng.dirichlet(np.ones(ns)), w, x0=0),
+            AuxiliaryPolicy(rng.dirichlet(np.ones(nu), size=ns),
+                            rng.dirichlet(np.ones(na), size=(nu, ns))))
+
+
+def _classical_cases():
+    rng = rng_for(90)
+    cases = [(xor_problem(), dirty_paper_policy())]
+    spec = load_spec(FIXTURES / "classical_full_csi.json")
+    cases.append((spec.problem, spec.policy))
+    for sizes in [(2, 2, 2, 2, 3), (3, 2, 2, 3, 4), (2, 3, 3, 2, 2), (2, 1, 2, 2, 3)]:
+        cases.append(_random_classical(rng, *sizes))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_classical_embedding_reproduces_classical_terms(case):
+    problem, policy = _classical_cases()[case]
+    ensemble, channel = _embedded(problem, policy)
+    classical = classical_info_terms(joint_table(problem, policy))
+    st = induced_states(ensemble, channel)
+    for name, cq in (("I(U;B)", st.cq_ub), ("I(U;S)", st.cq_us), ("I(U;E)", st.cq_ue)):
+        assert abs(holevo_mutual_info(cq) - classical[name]) <= 1e-12, name
+    region = cc_csk_region(ensemble, channel)
+    iub, ius, iue = classical["I(U;B)"], classical["I(U;S)"], classical["I(U;E)"]
+    want = {"R": iub - ius, "R_K": iub - iue, "R+R_K": iub}
+    assert [label for label, _, _ in region.constraints] == list(want)
+    for label, _, bound in region.constraints:
+        assert abs(bound - want[label]) <= 1e-12, label
+    for name in ("I(U;B)", "I(U;S)", "I(U;E)"):
+        assert abs(region.meta[name] - classical[name]) <= 1e-12, name

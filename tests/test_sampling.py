@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
-from covertq.sampling import _cdf, _mean_se, _symbols, random_density
+from covertq.errors import NotPSD
+from covertq.linalg import eigvals_hermitian
+from covertq.sampling import (
+    _cdf,
+    _mean_se,
+    _symbols,
+    ginibre_kraus,
+    ginibre_states,
+    matched_ensemble,
+    random_channel,
+    random_cq,
+    random_density,
+    random_problem_instance,
+    random_unitary,
+)
+from covertq.states import QuantumChannel
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
@@ -47,3 +62,101 @@ def test_random_density_one_draw_matches_two(dim, rank):
     got = random_density(a, dim, rank=rank).matrix
     assert got.tobytes() == m.tobytes()
     assert a.random() == b.random()
+
+
+# ---------------------------------------------------------------------------
+# The Ginibre helpers evaluate a stack of draws at once; per-item loops of
+# the single-draw form are the reference, bit for bit, stream included.
+
+def _stack_sizes():
+    return [(dim, rank) for dim in range(1, 7) for rank in sorted({dim, max(1, dim - 2)})]
+
+
+@pytest.mark.parametrize("dim,rank", _stack_sizes())
+def test_ginibre_stack_matches_random_density_loop(dim, rank):
+    a, b = rng_for(730 + dim), rng_for(730 + dim)
+    got = ginibre_states(a.normal(size=(5, 2, dim, rank)))
+    want = np.stack([random_density(b, dim, rank=rank).matrix for _ in range(5)])
+    assert got.tobytes() == want.tobytes()
+    assert a.random() == b.random()
+
+
+def _loop_random_cq(rng, num_labels, dim):
+    probs = rng.dirichlet(np.ones(num_labels))
+    return probs, np.stack([random_density(rng, dim).matrix for _ in range(num_labels)])
+
+
+@pytest.mark.parametrize("labels,dim", [(1, 2), (3, 2), (4, 5)])
+def test_random_cq_draws_all_labels_at_once(labels, dim):
+    a, b = rng_for(740 + dim), rng_for(740 + dim)
+    got = random_cq(a, labels, dim)
+    probs, conds = _loop_random_cq(b, labels, dim)
+    assert got.probs.tobytes() == probs.tobytes()
+    assert got.matrices.tobytes() == conds.tobytes()
+    assert a.random() == b.random()
+
+
+def test_matched_ensemble_draws_all_labels_at_once():
+    # the former per-label draws, then the same perturbation arithmetic
+    inst = random_problem_instance(rng_for(750))
+    for uniform in (False, True):
+        a, b = rng_for(751), rng_for(751)
+        got = matched_ensemble(a, inst, 5, spread=0.9, uniform_labels=uniform)
+        probs = np.full(5, 0.2) if uniform else b.dirichlet(np.ones(5))
+        raw = np.stack([random_density(b, 4).matrix for _ in range(5)])
+        deltas = raw - sum(p * t for p, t in zip(probs, raw))
+        target = np.kron(inst.innocent.matrix, inst.csi_marginal().matrix)
+        eta = (0.9 * float(eigvals_hermitian(target)[0])
+               / float(np.max(np.abs(eigvals_hermitian(deltas)))))
+        assert got.probs.tobytes() == probs.tobytes()
+        assert got.matrices.tobytes() == (target + eta * deltas).tobytes()
+        assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_random_unitary_matches_two_square_draws(dim):
+    a, b = rng_for(760 + dim), rng_for(760 + dim)
+    g = b.normal(size=(dim, dim)) + 1j * b.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    want = q * (np.diag(r) / np.abs(np.diag(r)))
+    got = random_unitary(a, dim)
+    assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got @ got.conj().T - np.eye(dim))) < 1e-12
+    assert a.random() == b.random()
+
+
+def _loop_kraus(rng, d_in, d_out, env):
+    # the former random_channel: two square draws, QR, then the isometry's columns
+    side = d_out * env
+    q, r = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    big = q * (np.diag(r) / np.abs(np.diag(r)))
+    return big[:, :d_in].reshape(d_out, env, d_in).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("d_in,d_out,env", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 2, 4),
+                                            (2, 3, 1)])
+def test_stacked_channels_match_random_channel_loop(d_in, d_out, env):
+    # Kraus stack, trace-preservation check and output of k channels at once
+    a, b, c = (rng_for(770 + d_in) for _ in range(3))
+    k, side = 6, d_out * env
+    stacked = QuantumChannel(ginibre_kraus(a.normal(size=(k, 2, side, side)), d_in, d_out))
+    loop = [random_channel(b, d_in, d_out, env=env) for _ in range(k)]
+    for ch in loop:
+        assert ch.kraus.tobytes() == _loop_kraus(c, d_in, d_out, env).tobytes()
+    assert a.random() == b.random() == c.random()
+    assert stacked.kraus.shape == (env, k, d_out, d_in)
+    assert (stacked.dim_in, stacked.dim_out) == (d_in, d_out)
+    states = ginibre_states(a.normal(size=(3, k, 2, d_in, d_in)))
+    out = stacked.apply_matrix(states)  # (3, k): state i of a row to channel i
+    assert out.shape == (3, k, d_out, d_out)
+    for i, ch in enumerate(loop):
+        assert stacked.kraus[:, i].tobytes() == ch.kraus.tobytes()
+        for rho, o in zip(states[:, i], out[:, i]):
+            assert o.tobytes() == ch.apply_matrix(rho).tobytes()
+    one = stacked.apply_matrix(states[0, 0])  # a single matrix goes to every channel
+    assert [o.tobytes() for o in one] == [ch.apply_matrix(states[0, 0]).tobytes()
+                                          for ch in loop]
+    bad = stacked.kraus.copy()
+    bad[0, -1] *= 1.1
+    with pytest.raises(NotPSD):
+        QuantumChannel(bad)
