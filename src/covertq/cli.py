@@ -53,6 +53,7 @@ from .errors import (
 )
 from .oneshot import (
     ProtocolRates,
+    bound_orders,
     bound_report,
     decoding_test_bounds,
     default_alpha_grid,
@@ -160,6 +161,8 @@ def cmd_bound(args):
         if args.optimize:
             rj_grid = spec.run.get("rj_grid", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
             alpha_grid = spec.run.get("alpha_grid", default_alpha_grid().tolist())
+            for marginal, orders in zip("SBE", zip(*map(bound_orders, alpha_grid))):
+                st.fill(marginal, orders)  # the grid loop below only reads the cache
 
             def total(alpha: float, rj: float) -> float:
                 vb = verification_bounds(st, ProtocolRates(rates.R, rates.R_K, rj, alpha))
@@ -252,6 +255,8 @@ def cmd_simulate(args):
     seed = args.seed if args.seed is not None else spec.run.get("seed", 0)
     if trials < 30:
         raise RunParameterError(f"trials must be >= 30, got {trials}")
+    if trials > cfg.trial_cap:
+        raise CapExceeded(f"{trials} trials exceed trial_cap {cfg.trial_cap}")
 
     if args.target == "quantum":
         ensemble = _need(spec, "ensemble", "ensemble")

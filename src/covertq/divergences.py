@@ -57,7 +57,8 @@ class DivergenceValue:
 
     @property
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.value)))
+        v = self.value
+        return math.isfinite(v) if isinstance(v, float) else bool(np.all(np.isfinite(v)))
 
     def __float__(self) -> float:
         return self.value
@@ -221,22 +222,24 @@ def _weighted_conditionals(cq: CQState) -> tuple[np.ndarray, np.ndarray]:
     return cq.probs[keep], cq.matrices[keep]
 
 
-def cq_sandwiched_renyi(cq: CQState, order: float,
+def cq_sandwiched_renyi(cq: CQState, order,
                         cfg: Numerics = DEFAULT) -> DivergenceValue:
     """Sandwiched divergence of a cq state against the product of its marginals.
 
     For block-diagonal cq states the sandwiched trace splits into one term
     per label, so this costs one stacked eigenproblem over the labels
     instead of one large one.  Agrees with :func:`sandwiched_renyi` applied
-    to the full joint and product matrices.
+    to the full joint and product matrices.  An array of orders ``(k,)``
+    gives one value per order, bitwise those of one call per order: the
+    average is diagonalised and the support checked once for all of them.
     """
     alpha = _renyi_alpha(order)
     probs, conds = _weighted_conditionals(cq)
     s_spec = eig_hermitian(cq.average().matrix, cfg)
     violation = (alpha > 0.0) & _violates_support(conds, s_spec, cfg).any()
     w_op = _sigma_fn(s_spec, _sandwich_fn(alpha), violation, cfg)
-    terms = _sandwiched_trace(conds, w_op, alpha, cfg)
-    return _log_ratio(np.sum(probs * terms), alpha, violation)
+    terms = _sandwiched_trace(conds, w_op[..., None, :, :], alpha[..., None], cfg)
+    return _log_ratio(np.sum(probs * terms, axis=-1), alpha, violation)
 
 
 def von_neumann_entropy(rho, cfg: Numerics = DEFAULT):

@@ -94,13 +94,19 @@ class InducedStates:
     cfg: Numerics = DEFAULT
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def fill(self, which: str, orders) -> None:
+        """Cache one marginal's divergences at the orders not cached yet, in one call."""
+        todo = [o for o in dict.fromkeys(orders) if (which, o) not in self._cache]
+        if todo:
+            cq = {"S": self.cq_us, "B": self.cq_ub, "E": self.cq_ue}[which]
+            dv = cq_sandwiched_renyi(cq, np.array(todo), self.cfg)
+            for o, v, bad in zip(todo, dv.value.tolist(), dv.support_violation.tolist()):
+                self._cache[(which, o)] = DivergenceValue(v, bad)
+
     def divergence(self, which: str, order: float) -> DivergenceValue:
         """Cached sandwiched divergence of a marginal cq state vs its product."""
-        key = (which, order)
-        if key not in self._cache:
-            cq = {"S": self.cq_us, "B": self.cq_ub, "E": self.cq_ue}[which]
-            self._cache[key] = cq_sandwiched_renyi(cq, order, self.cfg)
-        return self._cache[key]
+        self.fill(which, [order])
+        return self._cache[(which, order)]
 
     def finite_divergence(self, which: str, order: float) -> float:
         dv = self.divergence(which, order)
@@ -215,6 +221,11 @@ def decoding_test_bounds(cq_ub: CQState, rates: ProtocolRates,
             common * pow2(-(1.0 - a) * rates.total))
 
 
+def bound_orders(alpha: float) -> tuple[float, float, float]:
+    """The orders of D(U;S), D(U;B) and D(U;E) in Theorems 1 and 5."""
+    return 1.0 + alpha, 1.0 - alpha, 1.0 + alpha
+
+
 def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, float]:
     """Every closed-form bound of Theorems 1 and 5 at one rate point.
 
@@ -224,9 +235,7 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, fl
     D_(1-a)(U;B) or D_(1+a)(U;E) is infinite.
     """
     a = rates.alpha
-    d_s = st.finite_divergence("S", 1.0 + a)
-    d_b = st.finite_divergence("B", 1.0 - a)
-    d_e = st.finite_divergence("E", 1.0 + a)
+    d_s, d_b, d_e = (st.finite_divergence(w, o) for w, o in zip("SBE", bound_orders(a)))
     enc = (2.0 * st.v_s ** a / a) * pow2(a * (-(rates.R_J + rates.R_K) + d_s))
     dec = 12.0 * st.v_b ** a * pow2(a * (rates.total - d_b))
     p2 = 2.0 * st.v_e ** a / a
@@ -265,7 +274,6 @@ def bound_report(ensemble: CQState, instance: ProblemInstance,
                  states: InducedStates | None = None) -> BoundReport:
     """Evaluate every one-shot bound for one ensemble and rate point."""
     st = _checked_states(ensemble, instance.channel, instance, states, cfg)
-    a = rates.alpha
     vb = verification_bounds(st, rates)
     _, matched = st.covert_gap(innocent_output(instance))
     return BoundReport(
@@ -274,11 +282,8 @@ def bound_report(ensemble: CQState, instance: ProblemInstance,
         secure_covert_bound=vb["message_key_trace"],
         components={"encoding": vb["error_encoding"], "decoding": vb["error_decoding"],
                     "covert_loose_prefactor": vb["key_trace_loose"]},
-        divergences={
-            "D_state": st.finite_divergence("S", 1.0 + a),
-            "D_receiver": st.finite_divergence("B", 1.0 - a),
-            "D_warden": st.finite_divergence("E", 1.0 + a),
-        },
+        divergences={name: st.finite_divergence(w, o) for name, w, o in zip(
+            ("D_state", "D_receiver", "D_warden"), "SBE", bound_orders(rates.alpha))},
         eigencounts={"v_S": st.v_s, "v_B": st.v_b, "v_E": st.v_e},
         flags={
             "covert_target_matched": matched,

@@ -72,7 +72,7 @@ def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis:
     projectors = np.zeros((v.max(), len(rows), d, d), dtype=np.complex128)
     for k, ((w, c), e) in enumerate(zip(rows, edges)):
         for g, (lo, hi) in enumerate(zip(e, e[1:])):  # per group: a masked product moves bits
-            values[g, k] = w[lo:hi].mean()
+            values[g, k] = w[lo:hi].sum() / (hi - lo)
             projectors[g, k] = c[:, lo:hi] @ dagger(c[:, lo:hi])
     return PinchingBasis(v.reshape(stack) if stack else int(v[0]),
                          values.reshape(-1, *stack), projectors.reshape(-1, *stack, d, d))

@@ -22,7 +22,7 @@ from .errors import CapExceeded, DimMismatch, RunParameterError
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
 from .pinching import decoder_projector_blocks
-from .sampling import _codeword_law, _draw, _mean_se
+from .sampling import _cdf, _codeword_law, _mean_se, _symbols
 from .states import CQState, DensityMatrix, ProblemInstance, innocent_output
 
 __all__ = [
@@ -57,15 +57,21 @@ class Codebook:
         return int(np.prod(self.sizes))
 
 
-def sample_codebook(p_u: np.ndarray, rates: ProtocolRates, seed,
-                    cfg: Numerics = DEFAULT) -> Codebook:
-    """Draw a codebook iid from p_U with floor(2^rate) entries per index."""
+def _codeword_cdf(p_u: np.ndarray, rates: ProtocolRates, cfg: Numerics) -> tuple:
+    """Codebook sizes, checked against the cap, and the CDF of p_U."""
     sizes = rates.sizes()
     if int(np.prod(sizes)) > cfg.codebook_cap:
         raise CapExceeded(
             f"codebook with {np.prod(sizes)} entries exceeds cap {cfg.codebook_cap}")
+    return sizes, _cdf(_codeword_law(p_u))
+
+
+def sample_codebook(p_u: np.ndarray, rates: ProtocolRates, seed,
+                    cfg: Numerics = DEFAULT) -> Codebook:
+    """Draw a codebook iid from p_U with floor(2^rate) entries per index."""
+    sizes, cdf = _codeword_cdf(p_u, rates, cfg)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    entries = _draw(_codeword_law(p_u), rng, sizes)
+    entries = _symbols(cdf, rng.random(sizes))
     return Codebook(entries, sizes, seed=None if isinstance(seed, np.random.Generator) else seed)
 
 
@@ -329,15 +335,16 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
                 "key_trace": d_key, "message_key_trace": d_mk, "paired": paired}
 
     # Each trial draws from its own child stream; trials are evaluated in
-    # chunks that together hold at most codebook_cap entries.
-    children = np.random.SeedSequence(seed).spawn(trials)
+    # chunks that together hold at most codebook_cap entries.  A chunk spawns
+    # its own children: spawning is sequential, so they are the same ones.
+    sizes, cdf = _codeword_cdf(ensemble.probs, rates, cfg)
+    root = np.random.SeedSequence(seed)
     chunk = max(1, cfg.codebook_cap // (nj * nk * nm))
     parts = []
     for start in range(0, trials, chunk):
-        entries = np.stack([sample_codebook(ensemble.probs, rates,
-                                            np.random.default_rng(child), cfg).entries
-                            for child in children[start:start + chunk]])
-        parts.append(evaluate(entries))
+        u = np.stack([np.random.default_rng(child).random(sizes)
+                      for child in root.spawn(min(chunk, trials - start))])
+        parts.append(evaluate(_symbols(cdf, u)))
     names = ["ideal_error", "penalty_p2", "split_lhs", "key_p2", "message_key_p2",
              "key_trace", "message_key_trace"]
     samples = {n: np.concatenate([p[n] for p in parts]).tolist() for n in names}

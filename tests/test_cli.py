@@ -455,6 +455,7 @@ def test_malformed_matrices_and_factors_exit_2(path, value, field, tmp_path, cap
     (CLASSICAL, CLASSICAL_SIMULATE, "codebook_cap", True),  # accepted as 1
     (CLASSICAL, CLASSICAL_SIMULATE, "warden_cap", 0),
     (CLASSICAL, CLASSICAL_SIMULATE, "warden_cap", 65536.0),
+    (QUBIT, ("simulate", "--target", "quantum", "--trials", "30"), "trial_cap", 0),
 ])
 def test_numerics_validated_at_parse(fixture, argv, name, value, tmp_path, capsys):
     spec = _mutated_spec(tmp_path, fixture, _set(("numerics",), {name: value}))
@@ -781,3 +782,30 @@ def test_bipartite_csi_matches_its_s_marginal(argv, exact, tmp_path, capsys):
         assert bodies[0] == bodies[1]
     else:  # the S-marginal is a partial trace, equal to the fixture's to rounding
         assert_same(bodies[1], bodies[0])
+
+
+@pytest.mark.parametrize("fixture,target,cap,trials", [
+    (QUBIT, "quantum", 40, 41),
+    (CLASSICAL, "classical", 40, 41),
+    (QUBIT, "quantum", None, 100_000_000),  # ran past 20 s, memory growing
+])
+def test_trials_over_the_trial_cap_exit_5_before_any_spawn(fixture, target, cap, trials,
+                                                           tmp_path, monkeypatch, capsys):
+    if cap is not None:
+        fixture = _mutated_spec(tmp_path, fixture, _set(("numerics",), {"trial_cap": cap}))
+    spawned = []
+
+    class RecordingSeq(np.random.SeedSequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    monkeypatch.setattr(np.random, "SeedSequence", RecordingSeq)
+    code, out, err = run_cli(capsys, "simulate", "--spec", fixture, "--target", target,
+                             "--trials", str(trials), "--seed", "1")
+    assert code == 5 and out == "" and spawned == []
+    assert err.strip() == f"error: {trials} trials exceed trial_cap {cap or DEFAULT.trial_cap}"
+    if cap is not None:  # the cap itself is allowed
+        code, _, _ = run_cli(capsys, "simulate", "--spec", fixture, "--target", target,
+                             "--trials", str(cap), "--seed", "1")
+        assert code == 0 and (target == "classical" or spawned)

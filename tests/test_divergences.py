@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,8 +18,13 @@ from covertq.divergences import (
 )
 from covertq import divergences
 from covertq.errors import NotADistribution, OrderOutOfRange, SelfCheckFailed
+from covertq.oneshot import default_alpha_grid, induced_states
 from covertq.sampling import random_channel, random_cq, random_density
+from covertq.specio import load_spec
 from covertq.states import CQState, DensityMatrix, apply_channel
+
+QUBIT = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures",
+                     "qubit_cnot.json")
 
 
 def test_trace_distance_basics():
@@ -137,6 +143,44 @@ def test_cq_sandwiched_matches_full_matrices():
         blockwise = cq_sandwiched_renyi(cq, order).value
         full = sandwiched_renyi(joint, prod, order).value
         assert blockwise == pytest.approx(full, abs=1e-10)
+
+
+def _stacked_equals_per_order(cq, orders):
+    stacked = cq_sandwiched_renyi(cq, np.array(orders))
+    single = [cq_sandwiched_renyi(cq, o) for o in orders]
+    assert all(type(dv.value) is float and type(dv.support_violation) is bool
+               for dv in single)
+    assert np.array_equal(stacked.value, [dv.value for dv in single])
+    assert np.array_equal(stacked.support_violation, [dv.support_violation for dv in single])
+    return stacked
+
+
+def test_cq_sandwiched_order_stack_equals_per_order_calls():
+    # the qubit_cnot marginals at every order the default --optimize grid reads
+    spec = load_spec(QUBIT)
+    st = induced_states(spec.ensemble, spec.instance.channel)
+    grid = default_alpha_grid()
+    for cq in (st.cq_us, st.cq_ub, st.cq_ue):
+        _stacked_equals_per_order(cq, [*(1.0 + grid), *(1.0 - grid)])
+    rng = rng_for(13)
+    for _ in range(40):
+        cq = random_cq(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        a = rng.uniform(1e-3, 0.499, 5)
+        dv = _stacked_equals_per_order(cq, [*(1.0 + a), *(1.0 - a)])
+        assert dv.is_finite and not dv.support_violation.any()
+
+
+def test_cq_sandwiched_order_stack_flags_support_violations_above_one_only():
+    # the second label's state lies outside the average's support: its
+    # weight puts the average's eigenvalue there below the relative cutoff
+    p, q = np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, 1.0])
+    cq = CQState([0, 1], [1.0 - 1e-12, 1e-12],
+                 DensityMatrix(np.stack([p, q]).astype(complex), validate=False))
+    dv = _stacked_equals_per_order(cq, [0.5, 0.9, 1.1, 1.5])
+    assert np.array_equal(dv.support_violation, [False, False, True, True])
+    assert np.all(np.isfinite(dv.value[:2])) and np.all(dv.value[2:] == math.inf)
+    assert not dv.is_finite
+    assert cq_sandwiched_renyi(cq, 0.9).is_finite and not cq_sandwiched_renyi(cq, 1.1).is_finite
 
 
 def test_von_neumann_entropy_values():

@@ -1,13 +1,18 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import diag_state, rng_for
+from covertq import oneshot
+from covertq.cli import main
 from covertq.divergences import cq_sandwiched_renyi
 from covertq.errors import CapExceeded, CsiMismatch, EmptyFeasibleSet
 from covertq.oneshot import (
     BoundReport,
+    bound_orders,
     ProtocolRates,
     bound_report,
     decoding_test_bounds,
@@ -21,7 +26,11 @@ from covertq.oneshot import (
     verification_bounds,
 )
 from covertq.sampling import matched_ensemble, random_problem_instance
+from covertq.specio import load_spec
 from covertq.states import CQState, DensityMatrix, QuantumChannel
+
+QUBIT = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures",
+                     "qubit_cnot.json")
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +260,55 @@ def test_optimizer_contracts(fixture_instance):
     for a in alphas:
         for rj in rjs:
             assert best_v <= total(float(a), float(rj)) + 1e-12
+
+
+@pytest.mark.parametrize("alpha_grid", [None, [0.3, 0.2, 0.1, 0.1, 0.45]])
+def test_optimize_fills_the_grid_in_one_stacked_call_per_marginal(alpha_grid, tmp_path,
+                                                                   monkeypatch, capsys):
+    with open(QUBIT) as fh:
+        doc = json.load(fh)
+    if alpha_grid is not None:  # repeats the spec's alpha 0.2 and the order 1.1
+        doc["run"]["alpha_grid"] = alpha_grid
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    shapes = []
+    real = oneshot.cq_sandwiched_renyi
+
+    def counting(cq, order, cfg):
+        shapes.append(np.shape(order))
+        return real(cq, order, cfg)
+
+    monkeypatch.setattr(oneshot, "cq_sandwiched_renyi", counting)
+    assert main(["bound", "--spec", str(path), "--which", "thm1", "--optimize"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["optimized"]
+    # bound_report reads the spec's alpha, then the grid takes one call per
+    # marginal, and the grid loop only reads the cache
+    grid = default_alpha_grid().tolist() if alpha_grid is None else alpha_grid
+    new = len(set(grid) - {doc["rates"]["alpha"]})
+    assert shapes == [(1,)] * 3 + [(new,)] * 3
+
+    # the reference evaluates every alpha on a fresh, unfilled cache
+    monkeypatch.undo()
+    spec = load_spec(str(path))
+    rates = spec.protocol_rates()
+    best = None
+    for a in sorted(grid):
+        st = induced_states(spec.ensemble, spec.instance.channel, spec.cfg)
+        for rj in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]:
+            vb = verification_bounds(st, ProtocolRates(rates.R, rates.R_K, rj, a))
+            value = vb["error_split"] + vb["key_trace"]
+            if best is None or value < best[2]:
+                best = (a, rj, value)
+    assert got == {"alpha": best[0], "R_J": best[1], "value": best[2]}
+
+
+def test_fill_caches_the_values_of_single_order_lookups(fixture_instance):
+    inst, ens = fixture_instance
+    filled, fresh = induced_states(ens, inst.channel), induced_states(ens, inst.channel)
+    alphas = default_alpha_grid(6)
+    for which, orders in zip("SBE", zip(*map(bound_orders, alphas.tolist()))):
+        filled.fill(which, orders)
+    assert len(filled._cache) == 3 * len(alphas)
+    for a in alphas.tolist():
+        for which, order in zip("SBE", (1.0 + a, 1.0 - a, 1.0 + a)):
+            assert filled._cache[(which, order)] == fresh.divergence(which, order)

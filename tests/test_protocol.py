@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import diag_state, rng_for
+from covertq import protocol
 from covertq.divergences import fidelity
 from covertq.config import DEFAULT
 from covertq.errors import CapExceeded, DimMismatch
@@ -462,3 +463,46 @@ def test_stacked_decoder_reports_first_failing_codebook():
     keys, elements, fail = _srm(entries[:1], blocks, DEFAULT)
     assert keys.tolist() == [1]
     assert np.allclose(elements[0], np.eye(4) / 2) and np.allclose(fail, 0.0)
+
+
+@pytest.mark.parametrize("trials, cap", [(41, None), (41, 20), (61, 24), (30, 4)])
+def test_monte_carlo_chunked_codebooks_equal_per_trial_draws(trials, cap, monkeypatch):
+    # qubit_cnot codebooks hold 4 entries: caps 20, 24 and 4 give chunks of
+    # 5, 6 and 1 trials, each spawning its own children of SeedSequence(seed)
+    spec = load_spec(QUBIT)
+    ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
+    cfg = DEFAULT if cap is None else DEFAULT.replaced(codebook_cap=cap)
+    drawn, spawned = [], []
+    real_srm, real_seq = protocol._srm, np.random.SeedSequence
+
+    def recording_srm(entries, blocks, cfg):
+        drawn.append(entries)
+        return real_srm(entries, blocks, cfg)
+
+    class RecordingSeq(real_seq):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    monkeypatch.setattr(protocol, "_srm", recording_srm)
+    monkeypatch.setattr(np.random, "SeedSequence", RecordingSeq)
+    monte_carlo_verify(ens, inst, rates, trials, 17, cfg=cfg)
+    monkeypatch.undo()
+    chunk = min(trials, (cap or DEFAULT.codebook_cap) // 4)
+    assert spawned == [chunk] * (trials // chunk) + [trials % chunk] * (trials % chunk > 0)
+    want = np.stack([sample_codebook(ens.probs, rates, np.random.default_rng(child)).entries
+                     for child in np.random.SeedSequence(17).spawn(trials)])
+    got = np.concatenate(drawn)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_monte_carlo_over_cap_message_is_sample_codebooks():
+    spec = load_spec(QUBIT)
+    ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
+    cfg = DEFAULT.replaced(codebook_cap=3)
+    message = "codebook with 4 entries exceeds cap 3"
+    with pytest.raises(CapExceeded) as one:
+        sample_codebook(ens.probs, rates, 0, cfg)
+    with pytest.raises(CapExceeded) as run:
+        monte_carlo_verify(ens, inst, rates, 30, 0, cfg=cfg)
+    assert str(one.value) == str(run.value) == message
