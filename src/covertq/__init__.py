@@ -17,9 +17,6 @@ from .oneshot import (
     ProtocolRates,
     bound_report,
     decoding_test_bounds,
-    one_shot_covert_bound,
-    one_shot_error_bound,
-    one_shot_secure_covert_bound,
     resolvability_bound,
 )
 from .protocol import Codebook, DecoderPOVM, SimulationReport, monte_carlo_verify

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT, Numerics, code_size, pow2
+from .config import DEFAULT, Numerics, check_codebook_cap, code_size, pow2
 from .errors import CapExceeded, EncodingFailure, RunParameterError
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
@@ -26,11 +25,8 @@ from .sampling import _cdf, _codeword_law, _draw, _mean_se, _symbols
 __all__ = [
     "ClassicalCodebook",
     "sample_classical_codebook",
-    "gp_encode",
-    "transmit",
     "receiver_likelihood",
     "warden_rows",
-    "ml_decode",
     "end_to_end_error",
     "exact_warden_distribution",
     "resolvability_oracle",
@@ -51,18 +47,12 @@ class ClassicalCodebook:
         return int(np.prod(self.sizes))
 
 
-def _check_codebook_cap(sizes, cfg: Numerics) -> None:
-    if int(np.prod(sizes)) > cfg.codebook_cap:
-        raise CapExceeded(f"codebook entries {np.prod(sizes)} exceed cap")
-
-
 def sample_classical_codebook(p_u: np.ndarray, sizes: tuple[int, int, int],
                               n: int, seed, cfg: Numerics = DEFAULT
                               ) -> ClassicalCodebook:
     """iid codewords of length n for every (j, k, m) bin."""
-    _check_codebook_cap(sizes, cfg)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    entries = _draw(_codeword_law(p_u), rng, (*sizes, n))
+    check_codebook_cap(sizes, cfg)
+    entries = _draw(_codeword_law(p_u), np.random.default_rng(seed), (*sizes, n))
     return ClassicalCodebook(entries, tuple(int(x) for x in sizes), int(n))
 
 
@@ -131,40 +121,10 @@ class _Encoder:
         raise ValueError(f"unknown encoding mode {mode!r}")
 
 
-def gp_encode(codebook: ClassicalCodebook, m: int, s_seq: np.ndarray,
-              policy: AuxiliaryPolicy, p_u: np.ndarray, rng: np.random.Generator,
-              mode: str = "likelihood", eps: float | None = None
-              ) -> tuple[int, int, np.ndarray]:
-    """Pick a (j, k) bin for message m against the observed state sequence.
-
-    "likelihood" samples bins proportionally to the per-symbol density
-    ratio (well defined at every blocklength); "typicality" draws
-    uniformly among bins whose codeword is jointly entropy-typical with
-    the state sequence and raises :class:`EncodingFailure` when no bin
-    qualifies.  The channel input is then drawn symbolwise.
-    """
-    s_seq = np.asarray(s_seq, dtype=np.intp)
-    enc = _Encoder(policy, p_u)
-    u_m = codebook.entries[:, :, m]
-    flat, law, u = enc.draw(u_m, s_seq, rng, mode, eps)
-    if law is not None:
-        flat = int(_symbols(_cdf(law, normalized=True), u))
-    j, k = divmod(flat, codebook.sizes[1])
-    a_seq = _symbols(enc.cdf_a[u_m[j, k], s_seq], rng.random(len(s_seq)))
-    return j, k, a_seq
-
-
 def _channel_cdf(problem: ClassicalProblem) -> np.ndarray:
     """CDF rows of the joint (b, e) output, flattened b-major, per (a, s)."""
     na, ns, nb, ne = problem.w.shape
     return _cdf(problem.w.reshape(na, ns, nb * ne))
-
-
-def transmit(problem: ClassicalProblem, a_seq: np.ndarray, s_seq: np.ndarray,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample receiver and warden sequences through the channel law."""
-    u = rng.random(len(a_seq))
-    return np.divmod(_symbols(_channel_cdf(problem)[a_seq, s_seq], u), problem.w.shape[3])
 
 
 def _state_posterior(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarray:
@@ -233,25 +193,6 @@ def _ml_indices(codes: np.ndarray, b: np.ndarray, ll_tab: np.ndarray,
     return ll.argmax(axis=1)  # first maximum wins
 
 
-def ml_decode(codebook: ClassicalCodebook, b_seq: np.ndarray,
-              likelihood: np.ndarray, s_seq: np.ndarray | None = None,
-              prior: np.ndarray | None = None) -> tuple[int, int, int]:
-    """Maximum-likelihood triple over all codebook entries.
-
-    ``likelihood`` is (U, B) or, with ``s_seq`` given, (U, B, S); an
-    optional ``prior`` ((U,) or (S, U)) multiplies per symbol, turning the
-    rule into MAP decoding.  Ties break toward the smallest (j, k, m).
-    """
-    codes = codebook.entries.reshape(1, codebook.num_entries, codebook.n)
-    s = None if s_seq is None else np.asarray(s_seq, dtype=np.intp)[None]
-    flat = int(_ml_indices(codes, np.asarray(b_seq, dtype=np.intp)[None],
-                           _log_table(likelihood), s,
-                           None if prior is None else _log_table(prior))[0])
-    j, rem = divmod(flat, codebook.sizes[1] * codebook.sizes[2])
-    k, m = divmod(rem, codebook.sizes[2])
-    return j, k, m
-
-
 def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
                      p_u: np.ndarray, sizes: tuple[int, int, int], n: int,
                      trials: int, seed: int, receiver_csi: bool = True,
@@ -262,11 +203,11 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     Each trial draws a fresh codebook, state sequence, message, bin, and
     channel noise; encoding failures count as errors.  The draws come from
     one ``default_rng(seed)`` stream, trial by trial, in the order of
-    ``sample_classical_codebook``, the state draw, ``gp_encode`` and
-    ``transmit``.  The rest is evaluated for chunks of trials holding at
-    most ``cfg.codebook_cap`` codebook entries.
+    ``sample_classical_codebook``, the state draw, the bin draw, and the
+    input and channel draws.  The rest is evaluated for chunks of trials
+    holding at most ``cfg.codebook_cap`` codebook entries.
     """
-    _check_codebook_cap(sizes, cfg)
+    check_codebook_cap(sizes, cfg)
     p_u = _codeword_law(p_u)
     nj, nk, nm = (int(x) for x in sizes)
     entries = nj * nk * nm
@@ -428,6 +369,8 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     for alpha in np.linspace(0.05, 0.45, 9):
         mass = 0.0
         for pu, row in zip(p_u, p_e_u):
+            if pu == 0.0:  # a label never drawn adds nothing, not 0 * inf
+                continue
             mask = row > 0.0
             mass += pu * float(np.sum(row[mask] ** (1 + alpha)
                                       * p_e[mask] ** (-alpha)))
@@ -443,8 +386,8 @@ def _codebook_divergences(u_mats: np.ndarray, p_e_u: np.ndarray,
                           q_n: np.ndarray) -> np.ndarray:
     """D(P_hat || q^n) of each codebook of a (codebooks, size, n) symbol stack."""
     c, size, n = u_mats.shape
-    p_hat = _product_rows(p_e_u[u_mats].reshape(c * size, n, -1)) \
-        .reshape(c, size, -1).mean(axis=1)
+    p_hat = _product_rows(p_e_u[u_mats].reshape(c * size, n, p_e_u.shape[1])) \
+        .reshape(c, size, q_n.size).mean(axis=1)
     out = np.empty(c)
     full = p_hat.all(axis=1)
     rows = p_hat if full.all() else p_hat[full]
@@ -456,12 +399,6 @@ def _codebook_divergences(u_mats: np.ndarray, p_e_u: np.ndarray,
         mask = p_hat[i] > 0.0
         out[i] = np.sum(p_hat[i, mask] * np.log2(p_hat[i, mask] / q_n[mask]))
     return out
-
-
-def _codebook_divergence(u_matrix: np.ndarray, p_e_u: np.ndarray,
-                         q_n: np.ndarray) -> float:
-    """D(P_hat || q^n) for one codebook given as a (size, n) symbol matrix."""
-    return float(_codebook_divergences(u_matrix[None], p_e_u, q_n)[0])
 
 
 def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
@@ -489,18 +426,23 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
 
     out = {"codewords": size, "n": n, "rate": rate}
     out.update(classical_resolvability_bound(p_u, p_e_u, rate, n, cfg=cfg))
+    chunk = cfg.warden_cap // (size * ne ** n)  # codebooks per warden_cap floats
 
     if mode == "exact":
         configs = nu ** (size * n)
         if configs > cfg.exact_resolvability_cap:
             raise CapExceeded(f"{configs} codebook configurations exceed cap")
+        # Every configuration in lexicographic order, first symbol most
+        # significant, a chunk at a time; zero-weight ones are skipped.
+        places = nu ** np.arange(size * n)[::-1]
         total = 0.0
-        for assignment in product(range(nu), repeat=size * n):
-            u_matrix = np.asarray(assignment, dtype=np.intp).reshape(size, n)
-            weight = float(np.prod(p_u[list(assignment)]))
-            if weight == 0.0:
-                continue
-            total += weight * _codebook_divergence(u_matrix, p_e_u, q_n)
+        for lo in range(0, configs, chunk):
+            digits = np.arange(lo, min(lo + chunk, configs))[:, None] // places % nu
+            weights = np.prod(p_u[digits], axis=1)
+            keep = weights != 0.0
+            vals = _codebook_divergences(digits[keep].reshape(-1, size, n), p_e_u, q_n)
+            for weight, value in zip(weights[keep].tolist(), vals.tolist()):
+                total += weight * value
         out.update({"estimate": total, "std_error": 0.0, "mode": "exact"})
         return out
 
@@ -509,11 +451,9 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
     if trials < 30:
         raise RunParameterError("mc mode needs at least 30 codebooks")
     # One rng.random((c, size, n)) call yields the doubles of c calls of
-    # rng.choice(nu, size=(size, n), p=p_u / p_u.sum()); a chunk of c
-    # codebooks holds at most warden_cap floats of product rows.
+    # rng.choice(nu, size=(size, n), p=p_u / p_u.sum()).
     rng = np.random.default_rng(seed)
     cdf = _cdf(p_u)
-    chunk = cfg.warden_cap // (size * ne ** n)
     vals = []
     for lo in range(0, trials, chunk):
         u_mats = _symbols(cdf, rng.random((min(chunk, trials - lo), size, n)))

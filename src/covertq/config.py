@@ -8,6 +8,7 @@ are applied to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import CapExceeded
@@ -49,3 +50,11 @@ def pow2(x: float) -> float:
 def code_size(bits: float) -> int:
     """Code size floor(2^bits), at least 1."""
     return max(1, int(pow2(bits)))
+
+
+def check_codebook_cap(sizes, cfg: Numerics) -> None:
+    """Raise :class:`CapExceeded` when a codebook of ``sizes`` (|J|, |K|, |M|)
+    holds more than ``cfg.codebook_cap`` entries."""
+    entries = math.prod(sizes)
+    if entries > cfg.codebook_cap:
+        raise CapExceeded(f"codebook with {entries} entries exceeds cap {cfg.codebook_cap}")

@@ -35,9 +35,6 @@ __all__ = [
     "InducedStates",
     "BoundReport",
     "induced_states",
-    "one_shot_error_bound",
-    "one_shot_covert_bound",
-    "one_shot_secure_covert_bound",
     "resolvability_bound",
     "decoding_test_bounds",
     "verification_bounds",
@@ -145,49 +142,6 @@ def _checked_states(ensemble: CQState, channel: QuantumChannel,
     return states or induced_states(ensemble, channel, cfg)
 
 
-def one_shot_error_bound(ensemble: CQState, channel: QuantumChannel,
-                         rates: ProtocolRates, *,
-                         instance: ProblemInstance | None = None,
-                         states: InducedStates | None = None,
-                         cfg: Numerics = DEFAULT) -> float:
-    """Upper bound on the decoding error of the one-shot scheme.
-
-    Sum of the encoding-mismatch term (decaying in R_J + R_K) and the
-    decoding term (growing in the total rate).
-    """
-    st = _checked_states(ensemble, channel, instance, states, cfg)
-    return verification_bounds(st, rates)["error_split"]
-
-
-def one_shot_covert_bound(ensemble: CQState, channel: QuantumChannel,
-                          rates: ProtocolRates, *,
-                          instance: ProblemInstance | None = None,
-                          states: InducedStates | None = None,
-                          cfg: Numerics = DEFAULT) -> float:
-    """Upper bound on the key-covertness trace distance.
-
-    Uses the conservative 2*sqrt(2) prefactor; the tighter prefactor-2
-    variant is exposed through :func:`verification_bounds`.
-    """
-    st = _checked_states(ensemble, channel, instance, states, cfg)
-    return verification_bounds(st, rates)["key_trace"]
-
-
-def one_shot_secure_covert_bound(ensemble: CQState, channel: QuantumChannel,
-                                 rates: ProtocolRates, *,
-                                 instance: ProblemInstance | None = None,
-                                 states: InducedStates | None = None,
-                                 cfg: Numerics = DEFAULT) -> float:
-    """Upper bound on the joint message-key covertness trace distance.
-
-    Only the local randomness R_J backs the resolvability exponent here;
-    the message no longer counts as usable randomness because it must be
-    secret itself.
-    """
-    st = _checked_states(ensemble, channel, instance, states, cfg)
-    return verification_bounds(st, rates)["message_key_trace"]
-
-
 def resolvability_bound(cq_ue: CQState, rate: float, alpha: float,
                         cfg: Numerics = DEFAULT) -> float:
     """Expected sandwiched divergence of a size-2^rate random mixture.
@@ -229,10 +183,10 @@ def bound_orders(alpha: float) -> tuple[float, float, float]:
 def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, float]:
     """Every closed-form bound of Theorems 1 and 5 at one rate point.
 
-    The one place the exponents and prefactors are evaluated: the bound
-    functions, :func:`bound_report` and the Monte Carlo verifier read this
-    table.  Raises :class:`SupportViolation` when D_(1+a)(U;S),
-    D_(1-a)(U;B) or D_(1+a)(U;E) is infinite.
+    The one place the exponents and prefactors are evaluated:
+    :func:`bound_report`, the ``bound --optimize`` sweep and the Monte
+    Carlo verifier read this table.  Raises :class:`SupportViolation` when
+    D_(1+a)(U;S), D_(1-a)(U;B) or D_(1+a)(U;E) is infinite.
     """
     a = rates.alpha
     d_s, d_b, d_e = (st.finite_divergence(w, o) for w, o in zip("SBE", bound_orders(a)))

@@ -1,12 +1,12 @@
 """Exact small-dimension simulation of the one-shot coding scheme.
 
-For a sampled codebook the decoder is the square-root normalization of
-the pinched projector blocks, the idealized decoding error and the
-encoder mismatch penalty are computed exactly, and covertness distances
-come out of the block-diagonal structure over the classical indices.
-Monte Carlo over codebooks then verifies the closed-form bounds; the
-per-codebook functions are the one-codebook case of the stacked
-evaluation that the Monte Carlo runs over many codebooks at once.
+Monte Carlo over codebooks verifies the closed-form bounds.  For each
+sampled codebook the decoder is the square-root normalization of the
+pinched projector blocks, the idealized decoding error and the encoder
+mismatch penalty are computed exactly, and covertness distances come out
+of the block-diagonal structure over the classical indices.  Every step
+is evaluated for a stack of codebooks at once; :func:`build_decoder` is
+the one-codebook case of the decoder build.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, Numerics, check_codebook_cap
 from .divergences import fidelity
-from .errors import CapExceeded, DimMismatch, RunParameterError
+from .errors import DimMismatch, RunParameterError
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
 from .pinching import decoder_projector_blocks
@@ -31,10 +31,6 @@ __all__ = [
     "SimulationReport",
     "sample_codebook",
     "build_decoder",
-    "ideal_error_prob",
-    "uhlmann_penalty",
-    "covert_distance",
-    "covert_p2",
     "monte_carlo_verify",
 ]
 
@@ -50,7 +46,6 @@ class Codebook:
 
     entries: np.ndarray
     sizes: tuple[int, int, int]
-    seed: object = None
 
     @property
     def num_entries(self) -> int:
@@ -60,9 +55,7 @@ class Codebook:
 def _codeword_cdf(p_u: np.ndarray, rates: ProtocolRates, cfg: Numerics) -> tuple:
     """Codebook sizes, checked against the cap, and the CDF of p_U."""
     sizes = rates.sizes()
-    if int(np.prod(sizes)) > cfg.codebook_cap:
-        raise CapExceeded(
-            f"codebook with {np.prod(sizes)} entries exceeds cap {cfg.codebook_cap}")
+    check_codebook_cap(sizes, cfg)
     return sizes, _cdf(_codeword_law(p_u))
 
 
@@ -70,9 +63,7 @@ def sample_codebook(p_u: np.ndarray, rates: ProtocolRates, seed,
                     cfg: Numerics = DEFAULT) -> Codebook:
     """Draw a codebook iid from p_U with floor(2^rate) entries per index."""
     sizes, cdf = _codeword_cdf(p_u, rates, cfg)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    entries = _symbols(cdf, rng.random(sizes))
-    return Codebook(entries, sizes, seed=None if isinstance(seed, np.random.Generator) else seed)
+    return Codebook(_symbols(cdf, np.random.default_rng(seed).random(sizes)), sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +127,8 @@ def _srm(entries: np.ndarray, blocks: np.ndarray,
 
 
 def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
-                  threshold_exponent: float | None = None, cfg: Numerics = DEFAULT,
-                  _blocks: np.ndarray | None = None) -> DecoderPOVM:
+                  threshold_exponent: float | None = None,
+                  cfg: Numerics = DEFAULT) -> DecoderPOVM:
     """Square-root normalization of the per-codeword projector blocks.
 
     The test operator for a codeword is the corresponding block of the
@@ -145,8 +136,8 @@ def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
     for diagnostics).
     """
     t = rates.total if threshold_exponent is None else threshold_exponent
-    blocks = _blocks if _blocks is not None else decoder_projector_blocks(cq_ub, t, cfg=cfg)
-    labels, elements, fail = _srm(codebook.entries[None], blocks, cfg)
+    labels, elements, fail = _srm(codebook.entries[None],
+                                  decoder_projector_blocks(cq_ub, t, cfg=cfg), cfg)
     return DecoderPOVM(codebook, {int(lab): el for lab, el in zip(labels, elements)}, fail[0])
 
 
@@ -164,44 +155,18 @@ def _ideal_errors(ops: np.ndarray, outputs: np.ndarray, match_mode: str) -> np.n
     return np.clip(1.0 - succ / np.prod(outputs.shape[1:4]), 0.0, 1.0)
 
 
-def ideal_error_prob(codebook: Codebook, povm: DecoderPOVM,
-                     b_conditionals: list[np.ndarray],
-                     match_mode: str = "message_key") -> float:
-    """Exact decoding-error probability under the idealized transmission.
-
-    The transmitted triple (j, k, m) is uniform, the receiver sees the
-    channel output for codeword u(j, k, m), and an error means the fired
-    element's indices miss the transmitted ones under ``match_mode``
-    ("message_key": key and message must match; "triple": all three).
-    """
-    entries = codebook.entries
-    ops = np.stack([povm.elements_by_label[int(u)] for u in entries.flat])
-    ops = ops.reshape(entries.shape + ops.shape[-2:])
-    outputs = np.asarray(b_conditionals)[entries]
-    return float(_ideal_errors(ops[None], outputs[None], match_mode)[0])
-
-
-def _penalties(entries: np.ndarray, s_conditionals: np.ndarray, m: int,
+def _penalties(entries: np.ndarray, s_conditionals: np.ndarray,
                rho_s: DensityMatrix, cfg: Numerics) -> np.ndarray:
-    """Encoder penalties of a stack of codebooks ``(T, nj, nk, nm)``; the
-    S-average sums in the j-major order of the codebook."""
-    tau = s_conditionals[entries[..., m]]
+    """Encoder penalties of a stack of codebooks ``(T, nj, nk, nm)``: the
+    squared purified distance of the message-0 sub-codebook S-average from
+    ``rho_s``, which the encoder's state-merging isometry pays (the
+    isometry itself is never built).  The S-average sums in the j-major
+    order of the codebook."""
+    tau = s_conditionals[entries[..., 0]]
     trials, nj, nk, d = tau.shape[:3] + tau.shape[-1:]
     tau = tau.reshape(trials, nj * nk, d, d).sum(axis=1) / (nj * nk)
     f = fidelity(tau, rho_s, cfg)
     return np.clip(1.0 - f * f, 0.0, 1.0)
-
-
-def uhlmann_penalty(codebook: Codebook, m: int, rho_s: DensityMatrix,
-                    s_conditionals: list[np.ndarray],
-                    cfg: Numerics = DEFAULT) -> float:
-    """Squared purified distance of the message-m sub-codebook S-average.
-
-    This is the exact penalty that the encoder's state-merging isometry
-    pays; the isometry itself is never constructed.
-    """
-    return float(_penalties(codebook.entries[None], np.asarray(s_conditionals), m,
-                            rho_s, cfg)[0])
 
 
 def _warden_blocks(entries: np.ndarray,
@@ -221,41 +186,11 @@ def _warden_blocks(entries: np.ndarray,
     return key, message_key
 
 
-def _mode_blocks(codebook: Codebook, e_conditionals, mode: str) -> np.ndarray:
-    if mode not in ("cc_csk", "csc_csk"):
-        raise ValueError(f"unknown mode {mode!r}")
-    key, message_key = _warden_blocks(codebook.entries[None], e_conditionals)
-    return (key if mode == "cc_csk" else message_key)[0]
-
-
 def _p2(fids: np.ndarray) -> np.ndarray:
     """Squared purified distance from the blockwise fidelities (last axis),
     by the direct-sum property of fidelity over the classical blocks."""
     f = np.mean(fids, axis=-1)
     return np.clip(1.0 - f * f, 0.0, 1.0)
-
-
-def covert_distance(codebook: Codebook, e_conditionals: list[np.ndarray],
-                    target: DensityMatrix, mode: str = "cc_csk",
-                    cfg: Numerics = DEFAULT) -> float:
-    """Exact trace distance between the induced warden state and the target.
-
-    Both induced and target states are block diagonal over the classical
-    indices (key only for "cc_csk", message and key for "csc_csk"), so the
-    distance is the average of blockwise trace norms.
-    """
-    blocks = _mode_blocks(codebook, e_conditionals, mode)
-    return float(np.mean(trace_norm(blocks - target.matrix, cfg)))
-
-
-def covert_p2(codebook: Codebook, e_conditionals: list[np.ndarray],
-              target: DensityMatrix, mode: str = "cc_csk",
-              cfg: Numerics = DEFAULT) -> float:
-    """Squared purified distance of the induced warden state to the target.
-
-    Uses the direct-sum property of fidelity over the classical blocks.
-    """
-    return float(_p2(fidelity(_mode_blocks(codebook, e_conditionals, mode), target, cfg)))
 
 
 @dataclass(frozen=True)
@@ -271,10 +206,6 @@ class SimulationReport:
     verdicts: dict[str, bool]
     flags: dict[str, bool]
     per_trial: dict[str, list[float]] = field(repr=False, default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.verdicts.values())
 
 
 def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
@@ -318,7 +249,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         trial = np.arange(len(entries))[:, None, None, None]
         ops = elements[np.searchsorted(keys, trial * len(blocks) + entries)]
         err = _ideal_errors(ops, b_stack[entries], match_mode)
-        pen = _penalties(entries, s_stack, 0, st.rho_s, cfg)
+        pen = _penalties(entries, s_stack, st.rho_s, cfg)
         key, message_key = _warden_blocks(entries, e_stack)
         nk_blocks = key.shape[1]
         warden = np.concatenate([key, message_key], axis=1)

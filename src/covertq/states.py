@@ -16,7 +16,6 @@ import numpy as np
 from .config import DEFAULT, Numerics
 from .errors import DimMismatch, NotADistribution, NotPSD
 from .linalg import (
-    block_diag,
     dagger,
     eigvals_hermitian,
     partial_trace,
@@ -214,10 +213,6 @@ class CQState:
             if p > 0.0:
                 acc += p * m
         return DensityMatrix(acc, self.stack.factors, validate=False)
-
-    def joint_matrix(self) -> np.ndarray:
-        """Block-diagonal matrix sum_u p(u) |u><u| (x) rho_u."""
-        return block_diag(self.probs[:, None, None] * self.matrices)
 
     def label_state(self) -> DensityMatrix:
         """diag(p_U) on the classical register."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -11,12 +12,9 @@ from covertq.classical import (
     classical_resolvability_bound,
     end_to_end_error,
     exact_warden_distribution,
-    gp_encode,
-    ml_decode,
     receiver_likelihood,
     resolvability_oracle,
     sample_classical_codebook,
-    transmit,
     warden_rows,
 )
 from covertq.config import DEFAULT
@@ -50,6 +48,16 @@ def stacked_policy():
     return AuxiliaryPolicy(p_u_s, p_a_us)
 
 
+def _encode(enc, u_m, s_seq, rng, mode="likelihood", eps=None):
+    """The flat (j, k) bin and the inputs that the encoder ``enc`` draws for
+    the codewords ``u_m`` (J, K, n) of one message."""
+    flat, law, u = enc.draw(u_m, s_seq, rng, mode, eps)
+    if law is not None:
+        flat = int(sampling._symbols(sampling._cdf(law, normalized=True), u))
+    u_seq = u_m[divmod(flat, u_m.shape[1])]
+    return flat, sampling._symbols(enc.cdf_a[u_seq, s_seq], rng.random(len(s_seq)))
+
+
 def test_codebook_sampling_and_cap():
     cb = sample_classical_codebook(np.array([0.5, 0.5]), (2, 2, 2), 4, seed=0)
     assert cb.entries.shape == (2, 2, 2, 4)
@@ -64,11 +72,12 @@ def test_gp_encode_flat_weights_uniform():
     pol = AuxiliaryPolicy(p_u_s, np.full((2, 2, 2), 0.5))
     p_u = np.array([0.5, 0.5])
     cb = sample_classical_codebook(p_u, (4, 4, 1), 6, seed=1)
-    counts = np.zeros((4, 4))
+    enc = classical._Encoder(pol, p_u)
+    counts = np.zeros(16)
     s_seq = rng.integers(0, 2, size=6)
     for _ in range(2000):
-        j, k, _a = gp_encode(cb, 0, s_seq, pol, p_u, rng, "likelihood")
-        counts[j, k] += 1
+        flat, _a = _encode(enc, cb.entries[:, :, 0], s_seq, rng, "likelihood")
+        counts[flat] += 1
     freq = counts / counts.sum()
     assert np.max(np.abs(freq - 1.0 / 16)) < 0.02
 
@@ -78,8 +87,9 @@ def test_gp_encode_single_bin():
     pol = stacked_policy()
     p_u = np.full(4, 0.25)
     cb = sample_classical_codebook(p_u, (1, 1, 1), 4, seed=2)
-    j, k, a_seq = gp_encode(cb, 0, np.zeros(4, dtype=int), pol, p_u, rng)
-    assert (j, k) == (0, 0)
+    flat, a_seq = _encode(classical._Encoder(pol, p_u), cb.entries[:, :, 0],
+                          np.zeros(4, dtype=int), rng)
+    assert flat == 0  # (j, k) = (0, 0)
     assert a_seq.shape == (4,)
 
 
@@ -87,6 +97,7 @@ def test_gp_encode_typicality_failure_and_success_trend():
     rng = rng_for(3)
     pol = stacked_policy()
     p_u = np.full(4, 0.25)
+    enc = classical._Encoder(pol, p_u)
     n = 8
     # tiny codebook: typically no bin matches the state sequence exactly
     failures_small, failures_big = 0, 0
@@ -94,21 +105,20 @@ def test_gp_encode_typicality_failure_and_success_trend():
         s_seq = rng.integers(0, 2, size=n)
         small = sample_classical_codebook(p_u, (1, 1, 1), n, seed=300 + t)
         try:
-            gp_encode(small, 0, s_seq, pol, p_u, rng, "typicality")
+            _encode(enc, small.entries[:, :, 0], s_seq, rng, "typicality")
         except EncodingFailure:
             failures_small += 1
         big = sample_classical_codebook(p_u, (64, 16, 1), n, seed=600 + t)
         try:
-            gp_encode(big, 0, s_seq, pol, p_u, rng, "typicality")
+            _encode(enc, big.entries[:, :, 0], s_seq, rng, "typicality")
         except EncodingFailure:
             failures_big += 1
     assert failures_big < failures_small
 
 
 def test_ml_decode_noiseless_recovery():
-    # distinct codewords through a noiseless receiver decode exactly
-    from covertq.classical import ClassicalCodebook
-
+    # distinct codewords through a noiseless receiver decode exactly; the
+    # four transmissions are one stack of trials of the same codebook
     prob = xor_problem(eps=0.0, q=0.25)
     pol = stacked_policy()
     rng = rng_for(4)
@@ -117,17 +127,15 @@ def test_ml_decode_noiseless_recovery():
     s_seq = np.array([0, 1, 0, 1])
     # codewords share the state copy (= s_seq) but differ in signal bits
     signals = [(0, 0, 0, 0), (1, 1, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0)]
-    entries = np.zeros((1, 2, 2, n), dtype=np.intp)
+    codes = np.zeros((1, 4, n), dtype=np.intp)  # entries (j, k, m) = (0, k, m)
     for idx, sig in enumerate(signals):
-        k, m = divmod(idx, 2)
-        entries[0, k, m] = [2 * ut + s for ut, s in zip(sig, s_seq)]
-    cb = ClassicalCodebook(entries, (1, 2, 2), n)
-    for k in range(2):
-        for m in range(2):
-            u_seq = cb.entries[0, k, m]
-            a_seq = np.array([(u // 2) ^ s for u, s in zip(u_seq, s_seq)])
-            b_seq, _ = transmit(prob, a_seq, s_seq, rng)
-            assert ml_decode(cb, b_seq, like, s_seq, pol.p_u_s) == (0, k, m)
+        codes[0, idx] = [2 * ut + s for ut, s in zip(sig, s_seq)]
+    a = (codes[0] // 2) ^ s_seq
+    s = np.tile(s_seq, (4, 1))
+    b = sampling._symbols(classical._channel_cdf(prob)[a, s], rng.random((4, n))) // 2
+    flat = classical._ml_indices(np.repeat(codes, 4, axis=0), b, classical._log_table(like),
+                                 s, classical._log_table(pol.p_u_s))
+    assert flat.tolist() == [0, 1, 2, 3]
 
 
 def test_warden_rows_and_likelihood_of_unused_label():
@@ -155,8 +163,9 @@ def test_ml_decode_tie_break_first_index():
     pol = stacked_policy()
     like = np.full((4, 2), 0.5)  # likelihood carries no information
     cb = sample_classical_codebook(np.full(4, 0.25), (2, 2, 2), 4, seed=6)
-    out = ml_decode(cb, np.zeros(4, dtype=int), like)
-    assert out == (0, 0, 0)
+    out = classical._ml_indices(cb.entries.reshape(1, 8, 4), np.zeros((1, 4), dtype=int),
+                                classical._log_table(like), None, None)
+    assert out.tolist() == [0]  # (j, k, m) = (0, 0, 0)
 
 
 def test_ml_decode_uninformative_channel_error_rate():
@@ -166,14 +175,15 @@ def test_ml_decode_uninformative_channel_error_rate():
     total = np.prod(sizes)
     like = np.full((4, 2), 0.5)
     cb = sample_classical_codebook(np.full(4, 0.25), sizes, 4, seed=7)
+    # one decoding per transmitted triple, all of the same received sequence
+    codes = np.broadcast_to(cb.entries.reshape(1, total, 4), (total, total, 4))
+    out = classical._ml_indices(codes, np.zeros((total, 4), dtype=int),
+                                classical._log_table(like), None, None)
     errors = 0
     cases = 0
-    for j in range(sizes[0]):
-        for k in range(sizes[1]):
-            for m in range(sizes[2]):
-                out = ml_decode(cb, np.zeros(4, dtype=int), like)
-                errors += 1 if out != (j, k, m) else 0
-                cases += 1
+    for flat, sent in zip(out, np.ndindex(sizes)):
+        errors += 1 if np.unravel_index(flat, sizes) != sent else 0
+        cases += 1
     assert errors / cases == pytest.approx(1.0 - 1.0 / total)
 
 
@@ -333,8 +343,9 @@ def _warden_reference(codebook, problem, policy, p_u):
 
 
 def _choice_loop(rows, rng, shape=None):
-    """One rng.choice call per row, as gp_encode and transmit drew symbols
-    (or one sized call for a single distribution, as codebooks were drawn)."""
+    """One rng.choice call per row, as the per-trial encoder and channel drew
+    symbols (or one sized call for a single distribution, as codebooks were
+    drawn)."""
     if shape is not None:
         return rng.choice(len(rows), size=shape, p=rows / rows.sum())
     return np.array([rng.choice(len(r), p=r / r.sum()) for r in rows], dtype=np.intp)
@@ -422,7 +433,7 @@ def _codebook_reference(p_u, sizes, n, rng):
 
 
 def _encode_reference(codebook, m, s_seq, policy, p_u, rng, mode, eps=None):
-    """gp_encode as a loop; returns (j, k, a_seq, bin weights were all zero)."""
+    """The encoder as a loop; returns (j, k, a_seq, bin weights were all zero)."""
     nj, nk, _ = codebook.sizes
     zero = False
     if mode == "likelihood":
@@ -513,6 +524,7 @@ def _end_to_end_reference(problem, policy, p_u, sizes, n, trials, seed,
 @pytest.mark.parametrize("mode", ["likelihood", "typicality"])
 def test_codebook_and_symbol_draws_match_choice_loop(mode):
     prob, pol, p_u = _random_instance(rng_for(540), na=3, nb=3, ne=2, nu=4)
+    enc, cdf_w = classical._Encoder(pol, p_u), classical._channel_cdf(prob)
     stacked, looped = [], []
     for out, ref in ((stacked, False), (looped, True)):
         rng = rng_for(541)
@@ -529,15 +541,28 @@ def test_codebook_and_symbol_draws_match_choice_loop(mode):
                     j, k, a_seq, _ = _encode_reference(cb, trial % 2, s_seq, pol, p_u, rng,
                                                        mode, eps=1.0)
                 else:
-                    j, k, a_seq = gp_encode(cb, trial % 2, s_seq, pol, p_u, rng, mode, eps=1.0)
+                    flat, a_seq = _encode(enc, cb.entries[:, :, trial % 2], s_seq, rng,
+                                          mode, eps=1.0)
+                    j, k = divmod(flat, 4)
             except EncodingFailure:
                 out.append(None)
                 continue
-            b_seq, e_seq = (_transmit_reference if ref else transmit)(prob, a_seq, s_seq, rng)
+            if ref:
+                b_seq, e_seq = _transmit_reference(prob, a_seq, s_seq, rng)
+            else:
+                b_seq, e_seq = np.divmod(sampling._symbols(cdf_w[a_seq, s_seq], rng.random(n)),
+                                         prob.w.shape[3])
             like = receiver_likelihood(prob, pol, trial % 3 == 0)
-            args = (cb, b_seq, like, s_seq if trial % 3 == 0 else None,
-                    None if trial % 4 == 0 else pol.p_u_s if trial % 3 == 0 else p_u)
-            decoded = (_decode_reference if ref else ml_decode)(*args)
+            s_dec = s_seq if trial % 3 == 0 else None
+            prior = None if trial % 4 == 0 else pol.p_u_s if trial % 3 == 0 else p_u
+            if ref:
+                decoded = _decode_reference(cb, b_seq, like, s_dec, prior)
+            else:
+                flat = classical._ml_indices(
+                    cb.entries.reshape(1, 32, n), b_seq[None], classical._log_table(like),
+                    None if s_dec is None else s_dec[None],
+                    None if prior is None else classical._log_table(prior))[0]
+                decoded = tuple(int(x) for x in np.unravel_index(flat, (4, 4, 2)))
             out.append((j, k, a_seq.tolist(), b_seq.tolist(), e_seq.tolist(), decoded))
         out.append(rng.random())
     assert stacked == looped
@@ -561,7 +586,7 @@ def test_codebook_divergence_matches_digit_loop():
         p *= p_e_u[u_matrix[:, t]][:, digits[:, t]]
     p_hat = p.mean(axis=0)
     ref = float(np.sum(p_hat * np.log2(p_hat / q_n)))
-    assert classical._codebook_divergence(u_matrix, p_e_u, q_n) == ref
+    assert classical._codebook_divergences(u_matrix[None], p_e_u, q_n)[0] == ref
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +738,56 @@ def test_oracle_matches_choice_loop_with_zero_cells(seed):
                                cfg=cfg)
     assert (res["estimate"], res["std_error"]) == \
         _oracle_reference(p_u, p_e_u, 1.0, n, 97, seed)
+
+
+def _exact_oracle_reference(p_u, p_e_u, rate, n):
+    """The exact estimate as one divergence call per codebook configuration,
+    in lexicographic order, zero-weight configurations skipped."""
+    size = max(1, int(2.0 ** (n * rate)))
+    q_n = classical._product_rows(np.tile(p_u @ p_e_u, (1, n, 1)))[0]
+    total = 0.0
+    for assignment in product(range(len(p_u)), repeat=size * n):
+        u_matrix = np.asarray(assignment, dtype=np.intp).reshape(size, n)
+        weight = float(np.prod(p_u[list(assignment)]))
+        if weight == 0.0:
+            continue
+        total += weight * float(classical._codebook_divergences(u_matrix[None], p_e_u, q_n)[0])
+    return total
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_exact_oracle_matches_per_configuration_loop(split):
+    # zero-probability labels, zero cells of P_hat and (split) a warden_cap
+    # that cuts the configurations into several uneven chunks
+    rng = rng_for(590 + split)
+    cases = 0
+    while cases < 20:
+        nu, ne, n = (int(x) for x in rng.integers(2, (5, 4, 4)))
+        rate = float(rng.choice([0.0, 0.5, 1.0]))
+        size = max(1, int(2.0 ** (n * rate)))
+        if nu ** (size * n) > 1000:
+            continue
+        cases += 1
+        p_e_u = rng.dirichlet(np.ones(ne), size=nu)
+        p_e_u[rng.random(p_e_u.shape) < 0.25] = 0.0
+        p_e_u[:, cases % ne] += 0.1
+        p_e_u /= p_e_u.sum(axis=1, keepdims=True)
+        p_u = rng.dirichlet(np.ones(nu))
+        if cases % 2:
+            p_u[0] = 0.0
+        cfg = DEFAULT.replaced(warden_cap=size * ne ** n * 3 + 1) if split else DEFAULT
+        res = resolvability_oracle(p_u, p_e_u, rate, n, mode="exact", cfg=cfg)
+        assert res["estimate"] == _exact_oracle_reference(p_u, p_e_u, rate, n)
+
+
+def test_resolvability_bound_skips_zero_probability_label():
+    # label 0 is never drawn, yet its row has mass where p_e is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classical_resolvability_bound([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]], 1.0, 2)
+    want = classical_resolvability_bound([1.0], [[0.0, 1.0]], 1.0, 2)
+    assert got == want
+    assert got["bound"] == 2.3469213033080227 and got["alpha"] == 0.45
 
 
 def _product_rows_broadcast(rows):

@@ -18,6 +18,7 @@ from covertq.divergences import (
 )
 from covertq import divergences
 from covertq.errors import NotADistribution, OrderOutOfRange, SelfCheckFailed
+from covertq.linalg import block_diag
 from covertq.oneshot import default_alpha_grid, induced_states
 from covertq.sampling import random_channel, random_cq, random_density
 from covertq.specio import load_spec
@@ -135,7 +136,8 @@ def test_sandwiched_data_processing():
 def test_cq_sandwiched_matches_full_matrices():
     rng = rng_for(11)
     cq = random_cq(rng, 3, 3)
-    joint = DensityMatrix(cq.joint_matrix(), [("U", 3), ("X", 3)], validate=False)
+    joint = DensityMatrix(block_diag(cq.probs[:, None, None] * cq.matrices),
+                          [("U", 3), ("X", 3)], validate=False)
     prod = DensityMatrix(np.kron(np.diag(cq.probs).astype(complex),
                                  cq.average().matrix),
                          [("U", 3), ("X", 3)], validate=False)

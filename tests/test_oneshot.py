@@ -18,9 +18,6 @@ from covertq.oneshot import (
     decoding_test_bounds,
     default_alpha_grid,
     induced_states,
-    one_shot_covert_bound,
-    one_shot_error_bound,
-    one_shot_secure_covert_bound,
     optimize_bound,
     resolvability_bound,
     verification_bounds,
@@ -97,7 +94,7 @@ def test_error_bound_formula_recomposition(fixture_instance):
     by_hand = (2.0 * st.v_s ** alpha / alpha) \
         * 2.0 ** (alpha * (-(rates.R_J + rates.R_K) + d_s)) \
         + 12.0 * st.v_b ** alpha * 2.0 ** (alpha * (rates.total - d_b))
-    got = one_shot_error_bound(ens, inst.channel, rates, states=st)
+    got = verification_bounds(st, rates)["error_split"]
     assert got == pytest.approx(by_hand, rel=1e-12)
 
 
@@ -105,7 +102,7 @@ def test_covert_bound_decay_and_closed_form(fixture_instance):
     inst, ens = fixture_instance
     st = induced_states(ens, inst.channel)
     rates = ProtocolRates(R=100.0, R_K=0.0, R_J=100.0, alpha=0.25)
-    assert one_shot_covert_bound(ens, inst.channel, rates, states=st) < 1e-6
+    assert verification_bounds(st, rates)["key_trace"] < 1e-6
 
     # U independent of E: every conditional equals the average
     cond = DensityMatrix(np.kron(np.eye(2) / 2, np.diag([0.7, 0.3])),
@@ -113,9 +110,8 @@ def test_covert_bound_decay_and_closed_form(fixture_instance):
     ens2 = CQState([0, 1], [0.5, 0.5], [cond, cond])
     st2 = induced_states(ens2, inst.channel)
     alpha, rj, r = 0.3, 1.0, 0.5
-    got = one_shot_covert_bound(ens2, inst.channel,
-                                ProtocolRates(R=r, R_K=0.0, R_J=rj, alpha=alpha),
-                                states=st2)
+    got = verification_bounds(st2, ProtocolRates(R=r, R_K=0.0, R_J=rj,
+                                                 alpha=alpha))["key_trace"]
     expected = (2.0 * math.sqrt(2.0) * st2.v_e ** (alpha / 2) / math.sqrt(alpha)) \
         * 2.0 ** (-(alpha / 2) * (rj + r))
     assert got == pytest.approx(expected, rel=1e-12)
@@ -126,7 +122,7 @@ def test_covert_bound_alpha_sweep_matches_grid(fixture_instance):
     st = induced_states(ens, inst.channel)
     for alpha in np.linspace(0.05, 0.45, 9):
         rates = ProtocolRates(R=1.0, R_K=0.0, R_J=1.0, alpha=float(alpha))
-        direct = one_shot_covert_bound(ens, inst.channel, rates, states=st)
+        direct = verification_bounds(st, rates)["key_trace"]
         d_e = st.finite_divergence("E", 1.0 + alpha)
         grid_val = (2.0 * math.sqrt(2.0) * st.v_e ** (alpha / 2) / math.sqrt(alpha)) \
             * 2.0 ** ((alpha / 2) * (-2.0 + d_e))
@@ -139,14 +135,14 @@ def test_secure_covert_bound_relations(fixture_instance):
     alpha = 0.25
     r = 2.0
     rates = ProtocolRates(R=r, R_K=0.5, R_J=1.0, alpha=alpha)
-    thm1 = one_shot_covert_bound(ens, inst.channel, rates, states=st)
-    thm5 = one_shot_secure_covert_bound(ens, inst.channel, rates, states=st)
+    vb = verification_bounds(st, rates)
+    thm1, thm5 = vb["key_trace"], vb["message_key_trace"]
     # the secure variant drops the message from the randomness pool and
     # the sqrt(2) prefactor: ratio is exactly 2^(alpha R / 2) / sqrt(2)
     assert thm5 / thm1 == pytest.approx(2.0 ** (alpha * r / 2.0) / math.sqrt(2.0),
                                         rel=1e-12)
     big_rj = ProtocolRates(R=0.0, R_K=0.0, R_J=200.0, alpha=alpha)
-    assert one_shot_secure_covert_bound(ens, inst.channel, big_rj, states=st) < 1e-6
+    assert verification_bounds(st, big_rj)["message_key_trace"] < 1e-6
 
     # U independent of E closed form
     cond = DensityMatrix(np.kron(np.eye(2) / 2, np.diag([0.7, 0.3])),
@@ -154,9 +150,8 @@ def test_secure_covert_bound_relations(fixture_instance):
     ens2 = CQState([0, 1], [0.5, 0.5], [cond, cond])
     st2 = induced_states(ens2, inst.channel)
     rj = 1.5
-    got = one_shot_secure_covert_bound(
-        ens2, inst.channel, ProtocolRates(R=1.0, R_K=0.0, R_J=rj, alpha=alpha),
-        states=st2)
+    got = verification_bounds(st2, ProtocolRates(R=1.0, R_K=0.0, R_J=rj,
+                                                 alpha=alpha))["message_key_trace"]
     expected = (2.0 * st2.v_e ** (alpha / 2) / math.sqrt(alpha)) \
         * 2.0 ** (-alpha * rj / 2.0)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -228,9 +223,7 @@ def test_csi_mismatch_raises(fixture_instance):
                              [("A", 2), ("S", 2)], validate=False)
     bad = CQState([0], [1.0], [bad_cond])
     with pytest.raises(CsiMismatch):
-        one_shot_error_bound(bad, inst.channel,
-                             ProtocolRates(R=0.1, R_K=0.1, R_J=0.1, alpha=0.2),
-                             instance=inst)
+        bound_report(bad, inst, ProtocolRates(R=0.1, R_K=0.1, R_J=0.1, alpha=0.2))
 
 
 def test_optimizer_contracts(fixture_instance):

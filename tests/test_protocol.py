@@ -13,15 +13,15 @@ from covertq.linalg import trace_norm
 from covertq.oneshot import ProtocolRates, induced_states
 from covertq.pinching import decoder_projector_blocks
 from covertq.protocol import (
+    _ideal_errors,
+    _p2,
+    _penalties,
     _srm,
+    _warden_blocks,
     Codebook,
     build_decoder,
-    covert_distance,
-    covert_p2,
-    ideal_error_prob,
     monte_carlo_verify,
     sample_codebook,
-    uhlmann_penalty,
 )
 from covertq.sampling import matched_ensemble, random_density, random_problem_instance
 from covertq.specio import load_spec
@@ -50,6 +50,15 @@ def relay_fixture():
                            [("A", 2), ("S", 2)])]
     ens = CQState([0, 1], [0.5, 0.5], conds)
     return inst, ens
+
+
+def _ideal_error(cb, povm, b_conds, match_mode="message_key"):
+    """Idealized decoding error of one codebook: the stacked evaluation on a
+    stack of one, with each entry's POVM element read through ``povm``."""
+    ops = np.stack([povm.element(*idx) for idx in np.ndindex(cb.sizes)])
+    ops = ops.reshape(cb.entries.shape + ops.shape[-2:])
+    outputs = np.asarray(b_conds)[cb.entries]
+    return float(_ideal_errors(ops[None], outputs[None], match_mode)[0])
 
 
 def test_sample_codebook_contracts():
@@ -141,7 +150,7 @@ def test_ideal_error_orthogonal_codewords():
     cb = Codebook(np.array([[[0, 1]]], dtype=np.intp), (1, 1, 2))
     povm = build_decoder(cb, st.cq_ub, rates)
     b_conds = [c.matrix for c in st.cq_ub.conditionals]
-    err = ideal_error_prob(cb, povm, b_conds, "message_key")
+    err = _ideal_error(cb, povm, b_conds, "message_key")
     assert err < 1e-6
 
 
@@ -153,7 +162,7 @@ def test_ideal_error_uniform_guessing():
     cb = Codebook(np.array([[[0, 1], [1, 0]]], dtype=np.intp), (1, 2, 2))
     rates = ProtocolRates(R=1.0, R_K=1.0, R_J=0.0, alpha=0.25)
     povm = build_decoder(cb, cq, rates, threshold_exponent=-60.0)
-    err = ideal_error_prob(cb, povm, [rho.matrix, rho.matrix], "message_key")
+    err = _ideal_error(cb, povm, [rho.matrix, rho.matrix], "message_key")
     assert err == pytest.approx(0.75, abs=1e-10)
 
 
@@ -164,7 +173,7 @@ def test_ideal_error_single_entry_is_fail_mass():
     cb = Codebook(np.zeros((1, 1, 1), dtype=np.intp), (1, 1, 1))
     povm = build_decoder(cb, st.cq_ub, rates, threshold_exponent=0.5)
     rho = st.cq_ub.conditionals[0].matrix
-    err = ideal_error_prob(cb, povm, [c.matrix for c in st.cq_ub.conditionals])
+    err = _ideal_error(cb, povm, st.cq_ub.matrices)
     assert err == pytest.approx(float(np.trace(povm.fail @ rho).real), abs=1e-12)
 
 
@@ -177,19 +186,19 @@ def test_ideal_error_triple_vs_message_key():
     cb = sample_codebook(ens.probs, rates, seed=9)
     povm = build_decoder(cb, st.cq_ub, rates, threshold_exponent=-60.0)
     b_conds = [c.matrix for c in st.cq_ub.conditionals]
-    e_mk = ideal_error_prob(cb, povm, b_conds, "message_key")
-    e_tr = ideal_error_prob(cb, povm, b_conds, "triple")
+    e_mk = _ideal_error(cb, povm, b_conds, "message_key")
+    e_tr = _ideal_error(cb, povm, b_conds, "triple")
     assert e_mk <= e_tr + 1e-12
 
 
 def test_uhlmann_penalty_limits():
     rho_s = diag_state(0.7, 0.3)
-    cb = Codebook(np.zeros((2, 2, 1), dtype=np.intp), (2, 2, 1))
-    assert uhlmann_penalty(cb, 0, rho_s, [rho_s.matrix, rho_s.matrix]) \
-        == pytest.approx(0.0, abs=1e-9)
+    entries = np.zeros((1, 2, 2, 1), dtype=np.intp)  # a stack of one codebook
+    same = np.stack([rho_s.matrix, rho_s.matrix])
+    assert _penalties(entries, same, rho_s, DEFAULT)[0] == pytest.approx(0.0, abs=1e-9)
     # sub-codebook average orthogonal to the target
-    orth = [np.diag([0.0, 1.0]).astype(complex)] * 2
-    assert uhlmann_penalty(cb, 0, diag_state(1.0, 0.0), orth) \
+    orth = np.stack([np.diag([0.0, 1.0]).astype(complex)] * 2)
+    assert _penalties(entries, orth, diag_state(1.0, 0.0), DEFAULT)[0] \
         == pytest.approx(1.0, abs=1e-9)
 
 
@@ -199,30 +208,29 @@ def test_uhlmann_penalty_shrinks_with_subcodebook_size():
     inst = random_problem_instance(rng)
     ens = matched_ensemble(rng, inst, 4, spread=1.0)
     st = induced_states(ens, inst.channel)
-    s_conds = [c.matrix for c in st.cq_us.conditionals]
     means = []
     for rj in (0.0, 2.0, 4.0):
         vals = []
         for seed in range(60):
             rates = ProtocolRates(R=0.0, R_K=1.0, R_J=rj, alpha=0.25)
             cb = sample_codebook(ens.probs, rates, seed=1000 + seed)
-            vals.append(uhlmann_penalty(cb, 0, st.rho_s, s_conds))
+            vals.append(_penalties(cb.entries[None], st.cq_us.matrices, st.rho_s, DEFAULT)[0])
         means.append(float(np.mean(vals)))
     assert means[0] > means[1] > means[2]
 
 
 def test_covert_distance_exact_zero_and_blocks():
+    # the key-covertness distance is the mean of the blockwise trace norms
     rho0 = diag_state(0.7, 0.3)
-    cb = Codebook(np.array([[[0, 1], [1, 0]]], dtype=np.intp), (1, 2, 2))
-    same = [rho0.matrix, rho0.matrix]
-    assert covert_distance(cb, same, rho0, "cc_csk") == pytest.approx(0.0, abs=1e-12)
+    entries = np.array([[[[0, 1], [1, 0]]]], dtype=np.intp)  # a stack of one codebook
+    key, _ = _warden_blocks(entries, [rho0.matrix, rho0.matrix])
+    assert np.mean(trace_norm(key[0] - rho0.matrix)) == pytest.approx(0.0, abs=1e-12)
 
     # block identity: distance equals the average of per-key block norms
     e0 = np.diag([1.0, 0.0]).astype(complex)
     e1 = np.diag([0.0, 1.0]).astype(complex)
-    conds = [e0, e1]
-    from covertq.linalg import trace_norm
-    d = covert_distance(cb, conds, rho0, "cc_csk")
+    key, _ = _warden_blocks(entries, [e0, e1])
+    d = np.mean(trace_norm(key[0] - rho0.matrix))
     blocks = [0.5 * (e0 + e1), 0.5 * (e1 + e0)]
     expected = np.mean([trace_norm(b - rho0.matrix) for b in blocks])
     assert d == pytest.approx(float(expected), abs=1e-12)
@@ -236,8 +244,9 @@ def test_covert_distance_mode_ordering():
     for seed in range(10):
         rates = ProtocolRates(R=1.0, R_K=1.0, R_J=1.0, alpha=0.25)
         cb = sample_codebook(np.array([0.5, 0.5]), rates, seed=seed)
-        d_cc = covert_distance(cb, conds, rho0, "cc_csk")
-        d_csc = covert_distance(cb, conds, rho0, "csc_csk")
+        key, message_key = _warden_blocks(cb.entries[None], conds)
+        d_cc = np.mean(trace_norm(key[0] - rho0.matrix))
+        d_csc = np.mean(trace_norm(message_key[0] - rho0.matrix))
         assert d_csc >= d_cc - 1e-10
 
 
@@ -247,9 +256,9 @@ def test_covert_p2_pairs_with_distance():
     target = random_density(rng, 2)
     rates = ProtocolRates(R=1.0, R_K=1.0, R_J=1.0, alpha=0.25)
     cb = sample_codebook(np.array([0.3, 0.3, 0.4]), rates, seed=3)
-    for mode in ("cc_csk", "csc_csk"):
-        d = covert_distance(cb, conds, target, mode)
-        p2 = covert_p2(cb, conds, target, mode)
+    for blocks in _warden_blocks(cb.entries[None], conds):  # cc_csk, then csc_csk
+        d = np.mean(trace_norm(blocks[0] - target.matrix))
+        p2 = _p2(fidelity(blocks[0], target))
         assert d <= 2.0 * math.sqrt(p2) + 1e-9
 
 
@@ -260,7 +269,7 @@ def test_monte_carlo_trivial_channel_all_zero():
     sim = monte_carlo_verify(ens, inst, rates, trials=40, seed=2)
     assert sim.means["key_p2"] == pytest.approx(0.0, abs=1e-9)
     assert sim.means["key_trace"] == pytest.approx(0.0, abs=1e-9)
-    assert sim.all_pass
+    assert all(sim.verdicts.values())
 
 
 def test_monte_carlo_relay_error_is_collision_rate():
@@ -287,7 +296,7 @@ def test_monte_carlo_vacuity_flagged():
     sim = monte_carlo_verify(ens, inst, rates, trials=40, seed=4)
     assert sim.flags["error_bound_vacuous"]
     assert sim.means["ideal_error"] > 0.9  # rates far above what the channel carries
-    assert sim.all_pass  # inequalities still hold
+    assert all(sim.verdicts.values())  # inequalities still hold
 
 
 def test_monte_carlo_seed_determinism():
@@ -440,14 +449,14 @@ def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
         pairs_ok &= (ref["key_trace"] <= 2.0 * math.sqrt(ref["key_p2_innocent"]) + 1e-9
                      and ref["message_key_trace"]
                      <= 2.0 * math.sqrt(ref["message_key_p2_innocent"]) + 1e-9)
-        # the one-codebook API is the same stacked code
-        povm = build_decoder(cb, st.cq_ub, rates, threshold_exponent=math.log2(nj * nk * nm),
-                             _blocks=blocks)
+        # the one-codebook decoder and a stack of one are the same stacked code
+        povm = build_decoder(cb, st.cq_ub, rates, threshold_exponent=math.log2(nj * nk * nm))
         assert povm.elements_by_label.keys() == elements.keys()
         for lab, el in elements.items():
             assert np.max(np.abs(povm.elements_by_label[lab] - el)) < 1e-12
-        assert ideal_error_prob(cb, povm, b_conds, match_mode) == pytest.approx(err, abs=1e-12)
-        assert uhlmann_penalty(cb, 0, st.rho_s, s_conds) == pytest.approx(pen, abs=1e-12)
+        assert _ideal_error(cb, povm, b_conds, match_mode) == pytest.approx(err, abs=1e-12)
+        assert _penalties(cb.entries[None], st.cq_us.matrices, st.rho_s, DEFAULT)[0] \
+            == pytest.approx(pen, abs=1e-12)
     assert len(sim.per_trial) == 7
     assert sim.verdicts["trace_pairing"] == pairs_ok
 
