@@ -1,0 +1,238 @@
+#!/usr/bin/env python3
+"""Time covertq layer by layer and call by call; write ``BENCH_<label>.json``.
+
+    python scripts/bench.py --label NAME [--root TREE] [--repeats N]
+
+``TREE`` (default: this checkout) is the source tree to time: ``covertq`` is
+imported from its ``src/`` and the workload calls from its
+``perfbench/workloads.py``, which is read, never changed.  So a second copy
+of an older commit (``git archive``) is timed with the same cases.
+
+Cases (each timed in every round, rounds repeated ``N`` times, so drifts in
+machine load reach every case alike):
+
+- ``pinching.distinct_eigenspaces``: the sigma stacks of the ``pinching``
+  verify suite (seed 1, one stack per dimension 2..6);
+- ``divergences.sandwiched_renyi.one_order`` and ``.six_orders``: the
+  ``dataprocessing`` suite's pairs (seed 1, one stack per dimension 2..4) at
+  order 1.25, and at its six batched orders as one order array;
+- ``regions.fm_projection_grid.n10`` / ``.n40`` / ``.n80``: one grid of n
+  points per rate axis;
+- ``specio.load_spec.<fixture>``: every bundled fixture, and the perfbench
+  synthetic A4 S8 B8 E4 spec (8 labels, generator seed 3);
+- ``verify.<suite>``: each invariant suite at seed 1;
+- ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1), checked
+  against its expected exit code.
+
+Each case reports the median and the interquartile range of its per-call
+seconds (a sample repeats a fast call until it spans about 2 ms), as wall
+time (``wall_*``) and scaled to nominal machine speed (``norm_*``) by the
+reference kernel of ``perfbench/speed.py``, timed before each sample: on a
+shared host the speed of one process drifts between runs, and runs of two
+trees are compared on the scaled times.  The file also records the machine,
+numpy and its BLAS, the BLAS thread variables (set to 1 here before numpy
+is imported) and ``sys.dont_write_bytecode``, and, per case, the ratio of
+its scaled median to that of the newest other ``BENCH_*.json`` at the root
+of this checkout, where the file is written.
+"""
+
+from __future__ import annotations
+
+import os
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:  # before numpy is imported, or BLAS has started its threads
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import glob  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+SEED = 1
+SAMPLE_S = 0.002  # a sample repeats a faster call until it spans this long
+DATAPROCESSING_ORDERS = (1.1, 1.25, 1.4, 0.8, 1.2, 1.5)
+
+
+def suite_stacks(np, ginibre_states):
+    """The pinching suite's sigma stacks and the dataprocessing suite's
+    (rho, sigma) pair stacks at seed 1, one per dimension, drawn as the
+    suites draw them."""
+    rng = np.random.default_rng(SEED)
+    sigmas: dict[int, list] = {}
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        sigmas.setdefault(d, []).append(rng.normal(size=(3, 2, d, d))[0])
+    rng = np.random.default_rng(SEED)
+    pairs: dict[int, list] = {}
+    for _ in range(100):
+        d = int(rng.integers(2, 5))
+        pairs.setdefault(d, []).append(rng.normal(size=(2, 2, d, d)))
+        rng.normal(size=(2, d * d, d * d))  # the case's random channel
+    return ([ginibre_states(np.stack(g)) for _, g in sorted(sigmas.items())],
+            [np.moveaxis(ginibre_states(np.stack(g)), 1, 0) for _, g in sorted(pairs.items())])
+
+
+def build_cases(root: str, workdir: str) -> dict:
+    """Case name -> zero-argument callable."""
+    import numpy as np
+
+    from covertq import cli
+    from covertq.divergences import sandwiched_renyi
+    from covertq.errors import CovertqError
+    from covertq.pinching import distinct_eigenspaces
+    from covertq.regions import fm_projection_grid
+    from covertq.sampling import ginibre_states
+    from covertq.specio import load_spec
+    from covertq.verify import SUITES, run_suite
+    import workloads
+
+    sigmas, pairs = suite_stacks(np, ginibre_states)
+    orders = np.array(DATAPROCESSING_ORDERS)[:, None]
+    cases = {
+        "pinching.distinct_eigenspaces": lambda: [distinct_eigenspaces(s) for s in sigmas],
+        "divergences.sandwiched_renyi.one_order":
+            lambda: [sandwiched_renyi(r, s, 1.25) for r, s in pairs],
+        "divergences.sandwiched_renyi.six_orders":
+            lambda: [sandwiched_renyi(r, s, orders) for r, s in pairs],
+    }
+    for n in (10, 40, 80):  # b = (n - 1) * step; a and c on the grid inside it
+        b = 0.02 * (n - 1)
+        a, c = 0.02 * round(0.3 * (n - 1)), 0.02 * round(0.4 * (n - 1))
+        cases[f"regions.fm_projection_grid.n{n}"] = \
+            lambda a=a, b=b, c=c: fm_projection_grid(a, b, c, 0.02)
+
+    specs = workloads.prepare_specs("fixtures_cli", root, workdir, SEED)
+    specs["synthetic"] = workloads.write_spec(workloads.synthetic_quantum_doc(3),
+                                              os.path.join(workdir, "synthetic.json"))
+
+    def load(path):
+        try:
+            load_spec(path)
+        except CovertqError:  # a fixture that is meant to be rejected
+            pass
+    for name, path in sorted(specs.items()):
+        cases[f"specio.load_spec.{name}"] = lambda path=path: load(path)
+    for suite in SUITES:
+        cases[f"verify.{suite}"] = lambda suite=suite: run_suite(suite, SEED)
+
+    def run_call(call):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(call.argv))
+        if code != call.expect_exit:
+            raise SystemExit(f"bench: {call.key} exited {code}, expected {call.expect_exit}")
+    for call in workloads.op_calls("fixtures_cli", specs, workdir, SEED):
+        cases[f"cli.{call.key}"] = lambda call=call: run_call(call)
+    return cases
+
+
+def measure(cases: dict, repeats: int) -> dict:
+    """Per case: median and IQR of its per-call seconds over ``repeats``
+    rounds, each round timing every case once, in wall seconds and scaled
+    to nominal machine speed by perfbench's reference kernel."""
+    import speed
+
+    inner = {}
+    for name, fn in cases.items():  # warm up and size the samples
+        t0 = time.perf_counter()
+        fn()
+        inner[name] = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
+    samples: dict[str, list[tuple[float, float]]] = {name: [] for name in cases}
+    probe = speed.SpeedProbe()
+    for _ in range(repeats):
+        for name, fn in cases.items():
+            n = inner[name]
+            res = probe.run(lambda: [fn() for _ in range(n)])
+            samples[name].append((res["wall_s"] / n, res["norm_s"] / n))
+    out = {}
+    for name, pairs in samples.items():
+        out[name] = {"calls_per_sample": inner[name], "samples": len(pairs)}
+        for key, xs in (("wall", [w for w, _ in pairs]), ("norm", [s for _, s in pairs])):
+            q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+            out[name].update({f"{key}_median_s": med, f"{key}_iqr_s": q3 - q1})
+    return out
+
+
+def cpu_model() -> str | None:
+    """The CPU model name that Linux reports, if any."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((line.split(":", 1)[1].strip() for line in fh
+                         if line.startswith("model name")), None)
+    except OSError:
+        return platform.processor() or None
+
+
+def environment() -> dict:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        blas = None
+    return {"machine": platform.machine(), "cpu": cpu_model(),
+            "system": platform.system(), "cpus": os.cpu_count(),
+            "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+            "python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "blas_threads": {v: os.environ.get(v) for v in THREAD_VARS},
+            "dont_write_bytecode": sys.dont_write_bytecode}
+
+
+def newest_baseline(label: str) -> str | None:
+    """The newest ``BENCH_*.json`` of this checkout other than ``label``'s."""
+    paths = [p for p in glob.glob(os.path.join(REPO, "BENCH_*.json"))
+             if os.path.basename(p) != f"BENCH_{label}.json"]
+    dated = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            dated.append((json.load(fh).get("created", ""), path))
+    return max(dated)[1] if dated else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--root", default=REPO, help="source tree to time (default: this one)")
+    parser.add_argument("--repeats", type=int, default=21)
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+
+    with tempfile.TemporaryDirectory() as workdir:
+        results = measure(build_cases(root, workdir), args.repeats)
+    doc = {"label": args.label, "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+           "repeats": args.repeats, "environment": environment(), "cases": results}
+    baseline = newest_baseline(args.label)
+    if baseline:
+        with open(baseline, encoding="utf-8") as fh:
+            base = json.load(fh)
+        doc["baseline"] = {
+            "label": base["label"],
+            "norm_median_ratio": {
+                name: res["norm_median_s"] / base["cases"][name]["norm_median_s"]
+                for name, res in results.items() if name in base["cases"]}}
+    path = os.path.join(REPO, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    width = max(map(len, results))
+    ratios = doc.get("baseline", {}).get("norm_median_ratio", {})
+    for name, res in results.items():
+        ratio = f"  x{ratios[name]:.3f}" if name in ratios else ""
+        print(f"{name:<{width}}  {res['norm_median_s'] * 1e3:9.3f} ms  "
+              f"iqr {res['norm_iqr_s'] * 1e3:7.3f} ms{ratio}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

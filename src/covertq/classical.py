@@ -310,7 +310,7 @@ def exact_warden_distribution(codebook: ClassicalCodebook,
         raise CapExceeded(f"alphabet powers exceed cap {cfg.warden_cap}")
 
     w_e_us = _output_given_us(policy, problem.w_e())  # P(e|u,s)
-    ratio = _density_ratio(policy.p_u_s, p_u)
+    ratio = _density_ratio(policy.p_u_s, _codeword_law(p_u))
     nj, nk, nm = codebook.sizes
     u_mb = codebook.entries.reshape(nj * nk, nm, n).transpose(1, 0, 2)  # (M, JK, n)
     chunk = max(1, cfg.warden_cap // ne ** n)
@@ -360,7 +360,7 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     to the n-fold product: the divergence term is additive and the
     distinct-eigenvalue count is taken over the product distribution.
     """
-    p_u = np.asarray(p_u, dtype=np.float64)
+    p_u = _codeword_law(p_u)
     p_e_u = np.asarray(p_e_u, dtype=np.float64)
     p_e = p_u @ p_e_u
     v = tensor_power_eigencount(np.diag(p_e).astype(complex), n, cfg=cfg)

@@ -182,6 +182,10 @@ def cmd_bound(args):
     return config, results, {}
 
 
+# Most scalarization weights of one region command: each is a report row.
+SWEEP_CAP = 10_000
+
+
 def _region_rows(region: RateRegion, sweep: int) -> list[dict]:
     rows = []
     for i in range(sweep):
@@ -196,6 +200,8 @@ def _region_rows(region: RateRegion, sweep: int) -> list[dict]:
 
 
 def cmd_region(args):
+    if args.sweep > SWEEP_CAP:
+        raise CapExceeded(f"--sweep {args.sweep} exceeds the sweep cap {SWEEP_CAP}")
     spec = load_spec(args.spec)
     which = args.which
     results: dict = {}

@@ -47,11 +47,21 @@ class PinchingBasis:
     projectors: np.ndarray
 
 
-def _group_values(w: np.ndarray, group_tol: float) -> np.ndarray:
-    """Start of every group of ascending values but the first: a group
-    ends wherever the gap to the next value exceeds the tolerance."""
-    thr = group_tol * float(np.max(np.abs(w), initial=0.0))
-    return np.flatnonzero(np.diff(w) > thr) + 1
+def _gaps(w: np.ndarray, group_tol: float) -> np.ndarray:
+    """Gap pattern of each row of ascending values (last axis): a group ends
+    wherever the gap to the next value exceeds the tolerance, relative to
+    the row's largest magnitude."""
+    thr = group_tol * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    return np.diff(w) > thr
+
+
+def _pattern_rows(gaps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | slice]]:
+    """Each distinct row of ``gaps`` with the rows that have it: a slice of
+    all rows when they share one pattern, as the states of a random stack do."""
+    if (gaps == gaps[:1]).all():
+        return [(gaps[0], slice(None))]
+    patterns, which = np.unique(gaps, axis=0, return_inverse=True)
+    return [(p, np.flatnonzero(which.reshape(-1) == k)) for k, p in enumerate(patterns)]
 
 
 def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis:
@@ -60,20 +70,24 @@ def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis:
     Eigenvalues within ``cfg.group_tol`` (relative to the largest) of each
     other merge into one eigenspace; merging is deliberately conservative
     because the count v enters bounds multiplicatively.  A stack
-    ``(..., d, d)`` takes one eigensolver call and gives one stacked basis.
+    ``(..., d, d)`` takes one eigensolver call and gives one stacked basis;
+    each group of each gap pattern is filled by one stacked product of column
+    slices (a masked product would move bits).
     """
     m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
     spec = eig_hermitian(m, cfg)
     d, stack = m.shape[-1], m.shape[:-2]
-    rows = list(zip(spec.eigenvalues.reshape(-1, d), spec.eigenvectors.reshape(-1, d, d)))
-    edges = [[0, *_group_values(w, cfg.group_tol), d] for w, _ in rows]
-    v = np.array([len(e) - 1 for e in edges])
-    values = np.full((v.max(), len(rows)), np.nan)
-    projectors = np.zeros((v.max(), len(rows), d, d), dtype=np.complex128)
-    for k, ((w, c), e) in enumerate(zip(rows, edges)):
-        for g, (lo, hi) in enumerate(zip(e, e[1:])):  # per group: a masked product moves bits
-            values[g, k] = w[lo:hi].sum() / (hi - lo)
-            projectors[g, k] = c[:, lo:hi] @ dagger(c[:, lo:hi])
+    w, c = spec.eigenvalues.reshape(-1, d), spec.eigenvectors.reshape(-1, d, d)
+    gaps = _gaps(w, cfg.group_tol)
+    v = np.count_nonzero(gaps, axis=-1) + 1
+    values = np.full((v.max(), len(w)), np.nan)
+    projectors = np.zeros((v.max(), len(w), d, d), dtype=np.complex128)
+    for pattern, rows in _pattern_rows(gaps):
+        edges = [0, *(np.flatnonzero(pattern) + 1), d]
+        for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            values[g, rows] = w[rows, lo:hi].sum(axis=-1) / (hi - lo)
+            cols = c[rows, :, lo:hi]
+            projectors[g, rows] = cols @ dagger(cols)
     return PinchingBasis(v.reshape(stack) if stack else int(v[0]),
                          values.reshape(-1, *stack), projectors.reshape(-1, *stack, d, d))
 
@@ -170,4 +184,4 @@ def tensor_power_eigencount(sigma, n: int, cfg: Numerics = DEFAULT) -> int:
     """
     base = distinct_eigenspaces(sigma, cfg)
     vals = sorted(map(prod, combinations_with_replacement(base.eigenvalues, n)))
-    return len(_group_values(np.asarray(vals, dtype=np.float64), cfg.group_tol)) + 1
+    return int(np.count_nonzero(_gaps(np.asarray(vals, dtype=np.float64), cfg.group_tol))) + 1

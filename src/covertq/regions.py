@@ -315,12 +315,12 @@ def degradedness_residual(problem: ClassicalProblem) -> float:
     a_mat = problem.w_b().reshape(na * ns, nb)
     y = problem.w_e().reshape(na * ns, ne)
     t, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
+    step = 1.0 / max(np.linalg.norm(a_mat.T @ a_mat), 1e-12)
     for _ in range(200):
         t = np.maximum(t, 0.0)
         rows = t.sum(axis=1, keepdims=True)
         t = np.where(rows > 0, t / rows, 1.0 / ne)
         grad = a_mat.T @ (a_mat @ t - y)
-        step = 1.0 / max(np.linalg.norm(a_mat.T @ a_mat), 1e-12)
         t = t - step * grad
     t = np.maximum(t, 0.0)
     rows = t.sum(axis=1, keepdims=True)
@@ -649,16 +649,20 @@ def fm_projection_grid(a: float, b: float, c: float, step: float
 
     def bound(x: float) -> int:
         # bounds beyond the reach of the index sums clip to one past it
-        return int(np.clip(x, -1, top + 1))
+        return int(min(max(x, -1), top + 1))
 
     lo_k = bound(np.ceil((a - tol) / step))
     hi = bound(np.floor((b + tol) / step))
     lo_r = bound(np.ceil((c - tol) / step))
     idx = np.arange(n, dtype=np.result_type(np.int8, np.min_scalar_type(top)))
-    i, k, j = idx[:, None, None], idx[None, :, None], idx[None, None, :]
-    swept = ((j + k >= lo_k) & (j + k + i <= hi) & (j + i >= lo_r)).any(axis=2)
-    rr, kk = np.meshgrid(r, rk, indexing="ij")
-    direct = (rr <= b - a + tol) & (kk <= b - c + tol) & (rr + kk <= b + tol)
+    pair = idx[:, None] + idx  # j + k and j + i: the sum of two index axes
+    # the cube has axes (j, i, k), so R_J is swept out along the leading axis
+    cube = pair[:, None, :] <= (hi - idx)[:, None]
+    cube &= (pair >= lo_k)[:, None, :]
+    cube &= (pair >= lo_r)[:, :, None]
+    swept = cube.any(axis=0)
+    direct = ((r[:, None] <= b - a + tol) & (rk <= b - c + tol)
+              & (r[:, None] + rk <= b + tol))
     return r, rk, swept, direct
 
 

@@ -34,12 +34,11 @@ def _expect(cond: bool, where: str, msg: str):
 
 def _numbers(node, where: str, name: str) -> np.ndarray:
     """Array ``name`` of spec node ``where`` as floats; strings, booleans,
-    nulls and ragged rows are parse errors."""
-    def numeric(x) -> bool:
-        return all(map(numeric, x)) if isinstance(x, list) else _is_number(x)
+    nulls and ragged rows (lists among the cells, or an error) are parse errors."""
     try:
-        if numeric(node):
-            return np.asarray(node, dtype=np.float64)
+        cells = np.array(node, dtype=object)
+        if set(map(type, cells.flat)) <= {int, float}:
+            return cells.astype(np.float64)
     except (ValueError, OverflowError):  # ragged rows, integers beyond the float range
         pass
     raise ParseError(f"{where}: {name} must be a rectangular array of JSON numbers")
@@ -60,7 +59,8 @@ def _matrix(node, where: str, shape: tuple[int, int] | None = None) -> np.ndarra
 
 
 def _array(node, where: str) -> list:
-    _expect(isinstance(node, list), where, f"must be an array, got {node!r}")
+    if not isinstance(node, list):  # the message renders the node only on failure
+        raise ParseError(f"{where}: must be an array, got {node!r}")
     return node
 
 

@@ -18,7 +18,7 @@ from covertq.classical import (
     warden_rows,
 )
 from covertq.config import DEFAULT
-from covertq.errors import CapExceeded, EncodingFailure
+from covertq.errors import CapExceeded, EncodingFailure, NotADistribution
 from covertq.regions import AuxiliaryPolicy, ClassicalProblem, total_variation
 
 
@@ -680,7 +680,7 @@ def test_end_to_end_checks_before_drawing():
     prob, pol, p_u = _e2e_instance("xor")
     with pytest.raises(CapExceeded):
         end_to_end_error(prob, pol, p_u, (64, 64, 2), 4, 30, 0)
-    with pytest.raises(ValueError, match="codeword distribution"):
+    with pytest.raises(NotADistribution, match="codeword distribution"):
         end_to_end_error(prob, pol, -p_u, (2, 2, 2), 4, 30, 0)
 
 
@@ -775,6 +775,7 @@ def test_exact_oracle_matches_per_configuration_loop(split):
         p_u = rng.dirichlet(np.ones(nu))
         if cases % 2:
             p_u[0] = 0.0
+            p_u /= p_u.sum()  # a codeword law sums to one
         cfg = DEFAULT.replaced(warden_cap=size * ne ** n * 3 + 1) if split else DEFAULT
         res = resolvability_oracle(p_u, p_e_u, rate, n, mode="exact", cfg=cfg)
         assert res["estimate"] == _exact_oracle_reference(p_u, p_e_u, rate, n)
@@ -880,3 +881,45 @@ def test_exact_warden_uniform_fallback_bitwise():
         cfg = DEFAULT.replaced(warden_cap=cap)
         res = exact_warden_distribution(cb, prob, pol, p_u, cfg=cfg)
         assert np.array_equal(res["distribution"], _warden_pair_loop(cb, prob, pol, p_u, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Every entry point that takes a codeword law checks that it sums to one
+
+def _law_calls():
+    prob, pol, p_u = _e2e_instance("xor")
+    p_e_u = warden_rows(prob, pol)
+    cb = sample_classical_codebook(p_u, (2, 2, 2), 2, 0)
+    return {
+        "sample_classical_codebook": lambda law: sample_classical_codebook(law, (2, 2, 2), 2, 0),
+        "end_to_end_error": lambda law: end_to_end_error(prob, pol, law, (2, 2, 2), 2, 30, 0),
+        "exact_warden_distribution": lambda law: exact_warden_distribution(cb, prob, pol, law),
+        "resolvability_oracle.mc": lambda law: resolvability_oracle(law, p_e_u, 1.0, 2,
+                                                                    trials=30),
+        "resolvability_oracle.exact": lambda law: resolvability_oracle(law, p_e_u, 0.5, 2,
+                                                                       mode="exact"),
+        "classical_resolvability_bound": lambda law: classical_resolvability_bound(
+            law, p_e_u, 1.0, 2),
+    }, p_u
+
+
+@pytest.mark.parametrize("entry", sorted(_law_calls()[0]))
+def test_codeword_law_must_sum_to_one(entry):
+    calls, p_u = _law_calls()
+    call = calls[entry]
+    assert abs(p_u.sum() - 1.0) < 1e-15
+    call(p_u)
+    call(p_u * (1.0 + 5e-10))  # within the slack AuxiliaryPolicy rows get
+    for bad in (2.0 * p_u, 0.5 * p_u, p_u * (1.0 + 2e-9), -p_u,
+                np.where(p_u == p_u.max(), np.nan, p_u)):
+        with pytest.raises(NotADistribution, match="codeword distribution"):
+            call(bad)
+
+
+def test_scaled_law_no_longer_moves_the_exact_oracle():
+    # scaling p_u by 2 moved the exact estimate from 0.1856 to -464.5
+    p_e_u = np.array([[0.9, 0.1], [0.2, 0.8]])
+    res = resolvability_oracle([0.3, 0.7], p_e_u, 1.0, 2, mode="exact")
+    assert res["estimate"] == pytest.approx(0.1856, abs=1e-4)
+    with pytest.raises(NotADistribution):
+        resolvability_oracle([0.6, 1.4], p_e_u, 1.0, 2, mode="exact")

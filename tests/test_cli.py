@@ -438,6 +438,10 @@ def test_rates_validated_at_parse(fixture, argv, name, value, tmp_path, capsys):
     (("innocent", "re", 0, 0), "0.5", ":innocent: 're'"),  # exited 0
     (("channel", "kraus", 0, "re", 0, 0), True, ":channel.kraus[0]: 're'"),  # exited 0
     (("ensemble", "probs", 0), "0.5713594349325903", ":ensemble: 'probs'"),  # exited 0
+    (("innocent", "re", 0, 0), None, ":innocent: 're'"),
+    (("innocent", "re", 0, 0), 10 ** 400, ":innocent: 're'"),
+    (("innocent", "re", 0, 0), [1.0], ":innocent: 're'"),
+    (("innocent", "re", 0), [[1, 0], 0], ":innocent: 're'"),
 ])
 def test_malformed_matrices_and_factors_exit_2(path, value, field, tmp_path, capsys):
     spec = _mutated_spec(tmp_path, QUBIT, _set(path, value))
@@ -809,3 +813,42 @@ def test_trials_over_the_trial_cap_exit_5_before_any_spawn(fixture, target, cap,
         code, _, _ = run_cli(capsys, "simulate", "--spec", fixture, "--target", target,
                              "--trials", str(cap), "--seed", "1")
         assert code == 0 and (target == "classical" or spawned)
+
+
+def test_sweep_beyond_the_cap_exits_5_before_any_row(tmp_path, capsys, monkeypatch):
+    # --sweep 100000000 built one report row per weight
+    def no_rows(*args):
+        raise AssertionError("rows built past the sweep cap")
+    monkeypatch.setattr(cli, "_region_rows", no_rows)
+    monkeypatch.setattr(cli, "load_spec", no_rows)
+    csv = tmp_path / "b.csv"
+    for sweep in (cli.SWEEP_CAP + 1, 100000000):
+        code, out, err = run_cli(capsys, "region", "--spec", QUBIT, "--which", "cc_csk",
+                                 "--sweep", str(sweep), "--csv", str(csv))
+        assert code == 5 and out == "" and not csv.exists()
+        assert err == f"error: --sweep {sweep} exceeds the sweep cap {cli.SWEEP_CAP}\n"
+
+
+def test_sweep_at_the_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "region", "--spec", QUBIT, "--which", "corollaries",
+                           "--sweep", str(cli.SWEEP_CAP))
+    assert code == 0 and json.loads(out)["config"]["sweep"] == cli.SWEEP_CAP
+
+
+def _policy_rows_off_by(delta):
+    def mutate(doc):
+        for row in doc["policy"]["p_u_s"]:
+            row[0] += delta
+    return mutate
+
+
+def test_policy_rows_within_the_law_slack_still_simulate(tmp_path, capsys):
+    # AuxiliaryPolicy accepts P(u|s) rows 1e-9 from one, so the codeword law
+    # q_s @ P(u|s) that simulate passes on may be that far from one too
+    spec = _mutated_spec(tmp_path, CLASSICAL, _policy_rows_off_by(5e-10))
+    parsed = load_spec(spec)
+    assert abs(float(np.sum(parsed.problem.q_s @ parsed.policy.p_u_s)) - 1.0) > 1e-12
+    code, out, err = run_cli(capsys, "simulate", "--spec", spec, "--target", "classical",
+                             "--trials", "30", "--seed", "3")
+    assert code in (0, 1) and err == ""
+    assert "end_to_end" in json.loads(out)["results"]

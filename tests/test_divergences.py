@@ -17,10 +17,11 @@ from covertq.divergences import (
     von_neumann_entropy,
 )
 from covertq import divergences
+from covertq.config import DEFAULT
 from covertq.errors import NotADistribution, OrderOutOfRange, SelfCheckFailed
 from covertq.linalg import block_diag
 from covertq.oneshot import default_alpha_grid, induced_states
-from covertq.sampling import random_channel, random_cq, random_density
+from covertq.sampling import ginibre_states, random_channel, random_cq, random_density
 from covertq.specio import load_spec
 from covertq.states import CQState, DensityMatrix, apply_channel
 
@@ -280,6 +281,32 @@ def test_stacked_divergences_equal_per_matrix_calls():
                                   [von_neumann_entropy(b) for b in sigmas])
     assert isinstance(von_neumann_entropy(s[0]), float)
     assert isinstance(sandwiched_renyi(r[0], s[0], 1.25).value, float)
+
+
+VERIFY_ORDERS = (1.1, 1.25, 1.4, 0.8, 1.2, 1.5)  # the dataprocessing suite's batched six
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT, DEFAULT.replaced(support_tol=0.5)],
+                         ids=["default", "support_tol=0.5"])
+def test_order_array_equals_per_order_calls_bitwise(cfg):
+    # orders[:, None] evaluates every order on every pair of a stack; orders
+    # 0.5 and 2.0 are left out (numpy's scalar-exponent fast path)
+    rng = rng_for(33)
+    orders = np.array([*VERIFY_ORDERS, *(1.0 + default_alpha_grid())])
+    for d in range(2, 9):
+        rho = ginibre_states(rng.normal(size=(10, 2, d, d)))
+        sigma = np.concatenate([ginibre_states(rng.normal(size=(7, 2, d, d))),
+                                ginibre_states(rng.normal(size=(3, 2, d, d - 1)))])
+        batched = sandwiched_renyi(rho, sigma, orders[:, None], cfg)
+        assert batched.value.shape == (len(orders), 10)
+        assert batched.support_violation[:, 7:].any()  # the rank-deficient sigmas
+        for k, order in enumerate(orders.tolist()):
+            single = sandwiched_renyi(rho, sigma, order, cfg)
+            assert batched.value[k].tobytes() == single.value.tobytes(), (d, order)
+            assert np.array_equal(batched.support_violation[k], single.support_violation)
+        pair = sandwiched_renyi(rho[0], sigma[0], orders[:, None], cfg).value
+        assert pair.tobytes() == np.array([sandwiched_renyi(rho[0], sigma[0], o, cfg).value
+                                           for o in orders.tolist()])[:, None].tobytes()
 
 
 def test_stacked_sandwiched_rejects_any_bad_order():

@@ -93,7 +93,7 @@ def jacobi_eig(m: np.ndarray, cfg=None, sweeps: int = 100) -> Spectrum:
 
 def _eigenspace_projectors(spec: Spectrum) -> list[np.ndarray]:
     """Projectors onto groups of near-equal eigenvalues (basis-free)."""
-    starts = pinching._group_values(spec.eigenvalues, 1e-8)
+    starts = np.flatnonzero(pinching._gaps(spec.eigenvalues, 1e-8)) + 1
     return [c @ dagger(c) for c in np.split(spec.eigenvectors, starts, axis=1)]
 
 

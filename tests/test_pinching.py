@@ -6,7 +6,7 @@ from covertq.config import DEFAULT
 from covertq.linalg import eig_hermitian, eigvals_hermitian
 from covertq.oneshot import ProtocolRates, decoding_test_bounds
 from covertq.pinching import (
-    _group_values,
+    _gaps,
     decoder_projector,
     decoder_projector_blocks,
     distinct_eigenspaces,
@@ -54,7 +54,7 @@ def test_pinch_matrix_on_a_stack_matches_each_matrix():
 def _split_basis(sigma, cfg=DEFAULT):
     """Per-state reference: the group values and projectors from np.split."""
     spec = eig_hermitian(sigma, cfg)
-    starts = _group_values(spec.eigenvalues, cfg.group_tol)
+    starts = np.flatnonzero(_gaps(spec.eigenvalues, cfg.group_tol)) + 1
     values = np.array([g.mean() for g in np.split(spec.eigenvalues, starts)])
     return values, np.stack([c @ c.conj().T
                              for c in np.split(spec.eigenvectors, starts, axis=1)])
@@ -88,6 +88,67 @@ def test_stacked_basis_and_pinching_match_per_state_reference():
     column = distinct_eigenspaces(sigmas[:, None])  # a stack (5, 1)
     assert column.v.shape == (5, 1)
     assert column.projectors.tobytes() == basis.projectors.tobytes()
+
+
+def _loop_basis(sigma, cfg=DEFAULT):
+    """The per-matrix, per-group loop that distinct_eigenspaces replaced,
+    kept as the bitwise reference: (v, values, projectors)."""
+    m = np.asarray(sigma, dtype=complex)
+    spec = eig_hermitian(m, cfg)
+    d, stack = m.shape[-1], m.shape[:-2]
+    rows = list(zip(spec.eigenvalues.reshape(-1, d), spec.eigenvectors.reshape(-1, d, d)))
+
+    def starts(w):
+        thr = cfg.group_tol * float(np.max(np.abs(w), initial=0.0))
+        return np.flatnonzero(np.diff(w) > thr) + 1
+    edges = [[0, *starts(w), d] for w, _ in rows]
+    v = np.array([len(e) - 1 for e in edges])
+    values = np.full((v.max(), len(rows)), np.nan)
+    projectors = np.zeros((v.max(), len(rows), d, d), dtype=np.complex128)
+    for k, ((w, c), e) in enumerate(zip(rows, edges)):
+        for g, (lo, hi) in enumerate(zip(e, e[1:])):
+            values[g, k] = w[lo:hi].sum() / (hi - lo)
+            projectors[g, k] = c[:, lo:hi] @ c[:, lo:hi].conj().T
+    return (v.reshape(stack) if stack else int(v[0]), values.reshape(-1, *stack),
+            projectors.reshape(-1, *stack, d, d))
+
+
+def _spectral_states(rng, d, levels, spread, count):
+    """States with eigenvalues drawn from ``levels`` (so degenerate), each
+    moved by a relative ``spread`` (near-degenerate), in Haar bases."""
+    out = []
+    for _ in range(count):
+        w = rng.choice(levels, size=d) * (1.0 + spread * rng.uniform(-1.0, 1.0, d))
+        u = random_unitary(rng, d)
+        out.append((u * (w / w.sum())) @ u.conj().T)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 12, 32])
+@pytest.mark.parametrize("cfg", [DEFAULT, DEFAULT.replaced(group_tol=0.05)],
+                         ids=["default", "group_tol=0.05"])
+def test_distinct_eigenspaces_match_per_matrix_loop_bitwise(d, cfg):
+    rng = rng_for(700 + d)
+    random = ginibre_states(rng.normal(size=(6, 2, d, d)))
+    degenerate = _spectral_states(rng, d, [1.0, 2.0, 3.0], 0.0, 6)
+    near = _spectral_states(rng, d, [1.0, 2.0], 1e-3, 6)  # groups only under 0.05
+    flat = np.eye(d, dtype=complex)[None] / d
+    mixed = np.concatenate([random[:2], degenerate[:2], near[:2], flat])
+    inputs = [random, degenerate, near, mixed, mixed.reshape(7, 1, d, d),
+              np.stack([mixed[:6:2], mixed[1:6:2]]), *mixed[[0, 2, 4, 6]]]
+    for sigma in inputs:
+        got = distinct_eigenspaces(sigma, cfg)
+        v, values, projectors = _loop_basis(sigma, cfg)
+        if np.ndim(sigma) == 2:
+            assert type(got.v) is int and got.v == v
+        else:
+            assert got.v.shape == sigma.shape[:-2] and np.array_equal(got.v, v)
+        assert got.eigenvalues.shape == values.shape
+        assert got.eigenvalues.tobytes() == values.tobytes()
+        assert got.projectors.shape == projectors.shape
+        assert got.projectors.tobytes() == projectors.tobytes()
+    if d > 1:  # the inputs cover more than one gap pattern per stack
+        assert len(set(distinct_eigenspaces(mixed, cfg).v.tolist())) > 1
 
 
 def test_pinch_fixed_points():

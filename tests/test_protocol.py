@@ -8,7 +8,7 @@ from conftest import diag_state, rng_for
 from covertq import protocol
 from covertq.divergences import fidelity
 from covertq.config import DEFAULT
-from covertq.errors import CapExceeded, DimMismatch
+from covertq.errors import CapExceeded, DimMismatch, NotADistribution
 from covertq.linalg import trace_norm
 from covertq.oneshot import ProtocolRates, induced_states
 from covertq.pinching import decoder_projector_blocks
@@ -91,6 +91,7 @@ def test_sample_codebook_draws_as_rng_choice():
         p = rng.dirichlet(np.ones(k)) * float(rng.uniform(0.5, 2.0))
         p[rng.random(k) < 0.3] = 0.0
         p[int(rng.integers(k))] += 0.25  # keep some mass
+        p /= p.sum()  # a codeword law sums to one
         rates = ProtocolRates(R=float(rng.integers(0, 4)), R_K=float(rng.integers(0, 3)),
                               R_J=float(rng.integers(0, 3)), alpha=0.25)
         a, b = rng_for(case), rng_for(case)
@@ -98,7 +99,7 @@ def test_sample_codebook_draws_as_rng_choice():
         want = b.choice(len(p), size=rates.sizes(), p=p / p.sum())
         assert got.shape == want.shape and np.array_equal(got, want)
         assert a.random() == b.random()
-    with pytest.raises(ValueError):
+    with pytest.raises(NotADistribution):
         sample_codebook(np.array([0.5, -0.5, 1.0]), rates, seed=0)
 
 
@@ -515,3 +516,15 @@ def test_monte_carlo_over_cap_message_is_sample_codebooks():
     with pytest.raises(CapExceeded) as run:
         monte_carlo_verify(ens, inst, rates, 30, 0, cfg=cfg)
     assert str(one.value) == str(run.value) == message
+
+
+def test_codeword_law_must_sum_to_one():
+    rates = ProtocolRates(R=1.0, R_K=0.0, R_J=0.0, alpha=0.3)
+    sample_codebook(np.array([0.4, 0.6 + 5e-10]), rates, seed=0)  # within the slack
+    inst, ens = relay_fixture()
+    for scale in (2.0, 0.5, 1.0 + 2e-9):
+        with pytest.raises(NotADistribution, match="codeword distribution"):
+            sample_codebook(np.array([0.4, 0.6]) * scale, rates, seed=0)
+        scaled = CQState(ens.labels, ens.probs * scale, ens.stack, validate=False)
+        with pytest.raises(NotADistribution, match="codeword distribution"):
+            monte_carlo_verify(scaled, inst, rates, trials=30, seed=0)

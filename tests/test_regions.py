@@ -237,6 +237,37 @@ def test_degradedness_residual_detects_non_degraded():
     assert degradedness_residual(prob) > 1e-3
 
 
+def _degradedness_reference(problem):
+    """degradedness_residual with its step recomputed in every iteration."""
+    na, ns, nb, ne = problem.w.shape
+    a_mat = problem.w_b().reshape(na * ns, nb)
+    y = problem.w_e().reshape(na * ns, ne)
+    t, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
+    for _ in range(200):
+        t = np.maximum(t, 0.0)
+        rows = t.sum(axis=1, keepdims=True)
+        t = np.where(rows > 0, t / rows, 1.0 / ne)
+        grad = a_mat.T @ (a_mat @ t - y)
+        step = 1.0 / max(np.linalg.norm(a_mat.T @ a_mat), 1e-12)
+        t = t - step * grad
+    t = np.maximum(t, 0.0)
+    rows = t.sum(axis=1, keepdims=True)
+    t = np.where(rows > 0, t / rows, 1.0 / ne)
+    return float(np.max(np.abs(a_mat @ t - y)))
+
+
+def test_degradedness_residual_matches_per_iteration_step():
+    fixture = Path(__file__).parent.parent / "src" / "covertq" / "fixtures"
+    problems = [load_spec(str(fixture / "classical_full_csi.json")).problem]
+    rng = rng_for(78)
+    for _ in range(20):
+        na, ns, nb, ne = (int(x) for x in rng.integers(2, 4, 4))
+        w = rng.dirichlet(np.ones(nb * ne), size=(na, ns)).reshape(na, ns, nb, ne)
+        problems.append(ClassicalProblem(rng.dirichlet(np.ones(ns)), w, x0=0))
+    for prob in problems:
+        assert degradedness_residual(prob) == _degradedness_reference(prob)
+
+
 def test_superposition_identities():
     rng = rng_for(3)
     for _ in range(20):
@@ -544,6 +575,29 @@ def test_fm_projection_grid_thresholds_beyond_the_grid():
         want = _fm_projection_grid_reference(a, b, c, 0.02)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (a, b, c)
+
+
+def _fm_index_sum_reference(a, b, c, step):
+    """The swept mask from the index-sum cube (j + k + i on the index dtype)
+    that the in-place comparison cube replaced, with its index bounds."""
+    tol = 1e-9
+    n = int(round(max(b, 0.0) / step)) + 1
+    top = 3 * (n - 1)
+    lo_k, hi, lo_r = (int(np.clip(x, -1, top + 1)) for x in (
+        np.ceil((a - tol) / step), np.floor((b + tol) / step), np.ceil((c - tol) / step)))
+    idx = np.arange(n, dtype=np.result_type(np.int8, np.min_scalar_type(top)))
+    i, k, j = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    return ((j + k >= lo_k) & (j + k + i <= hi) & (j + i >= lo_r)).any(axis=2)
+
+
+def test_fm_projection_grid_matches_index_sum_cube():
+    rng = rng_for(77)
+    triples = list(_fm_triples(rng, 0.02, 40))
+    triples += [(-5.0, 1.0, -5.0), (1e6, 1.0, 0.0), (0.0, 1.0, 1e6), (0.0, 0.0, 0.0)]
+    assert len(triples) >= 300
+    for a, b, c in triples:
+        swept = fm_projection_grid(a, b, c, 0.02)[2]
+        assert np.array_equal(swept, _fm_index_sum_reference(a, b, c, 0.02)), (a, b, c)
 
 
 def test_fm_check_random_grid_aligned():

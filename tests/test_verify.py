@@ -163,3 +163,18 @@ def test_run_suite_passes_cfg_and_channel(monkeypatch):
     assert seen["a"] == (3, LOOSE, "ch")
     with pytest.raises(ValueError):
         run_suite("nope", 0)
+
+
+@pytest.mark.parametrize("channel", [False, True], ids=["random", "qubit"])
+def test_dataprocessing_makes_three_divergence_calls_per_dimension(channel, monkeypatch):
+    # six orders in one call, order 0.5 in one more, and the three after-channel
+    # orders in a third, for each of the dimensions 2, 3 and 4
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0])[-1])
+        return sandwiched_renyi(*args, **kwargs)
+    monkeypatch.setattr(verify, "sandwiched_renyi", counted)
+    ch = load_spec(QUBIT).instance.channel if channel else None
+    suite_dataprocessing(0, channel=ch)
+    assert sorted(calls) == [2, 2, 2, 3, 3, 3, 4, 4, 4]
