@@ -7,13 +7,14 @@ Run from the repository root:
 
 The calls are those of the ``perfbench/workloads.py`` ops listed in
 ``GOLDEN``, run in process through ``covertq.cli.main``: every
-``fixtures_cli`` call at op seeds 0 and 1, and the four ``classical_n7``
-calls of op seed 1 (call seeds 4-7).  Each workload gets its own file
-under ``tests/golden``.  Each record keeps the argv with the fixture
-directory written as ``{fixtures}`` and the scratch directory (where the
-generated ``classical_n7`` spec is written) as ``{tmp}``, the exit code,
-and the stdout report without ``wall_clock_s`` (null when nothing is
-printed).  ``tests/test_golden.py`` replays them.
+``fixtures_cli`` call at op seeds 0, 1 and 7, the four ``classical_n7``
+calls of op seed 1 (call seeds 4-7), and the eight ``synthetic_quantum``
+calls of op seed 3 (its spec generated at seed 3, as ``perfbench/run.py``
+does).  Each workload gets its own file under ``tests/golden``.  Each
+record keeps the argv with the fixture directory written as ``{fixtures}``
+and the scratch directory (where generated specs are written) as
+``{tmp}``, the exit code, and the stdout report without ``wall_clock_s``
+(null when nothing is printed).  ``tests/test_golden.py`` replays them.
 """
 
 import contextlib
@@ -30,7 +31,7 @@ from covertq.cli import main as cli_main  # noqa: E402
 import workloads  # noqa: E402
 
 # workload -> op seeds whose calls are frozen
-GOLDEN = {"fixtures_cli": (0, 1), "classical_n7": (1,)}
+GOLDEN = {"fixtures_cli": (0, 1, 7), "classical_n7": (1,), "synthetic_quantum": (3,)}
 OUT_DIR = os.path.join(ROOT, "tests", "golden")
 
 
@@ -50,14 +51,14 @@ def main() -> None:
     fixtures = os.path.abspath(workloads.fixture_dir(ROOT))
     for workload, seeds in GOLDEN.items():
         records = []
-        with tempfile.TemporaryDirectory() as tmp:
-            specs = workloads.prepare_specs(workload, ROOT, tmp, 0)
-            specs = {k: os.path.abspath(v) for k, v in specs.items()}
-            for seed in seeds:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                specs = workloads.prepare_specs(workload, ROOT, tmp, seed)
+                specs = {k: os.path.abspath(v) for k, v in specs.items()}
                 for call in workloads.op_calls(workload, specs, tmp, seed):
                     code, body = run_call(list(call.argv))
-                    text = json.dumps({"key": call.key, "seed": seed, "argv": list(call.argv),
-                                       "exit": code, "body": body})
+                    text = json.dumps({"key": call.key, "seed": seed,
+                                       "argv": list(call.argv), "exit": code, "body": body})
                     text = text.replace(fixtures, "{fixtures}").replace(tmp, "{tmp}")
                     records.append(json.loads(text))
         out = os.path.join(OUT_DIR, workload + ".json")

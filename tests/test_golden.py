@@ -2,8 +2,9 @@
 
 Keys, strings, bools, ints and exit codes must match exactly; floats to
 1e-12 relative, so that other numpy and BLAS builds agree.  The generated
-``classical_n7`` spec is written under the test's scratch directory by
-``perfbench/workloads.py``, as when the records were made.
+``classical_n7`` and ``synthetic_quantum`` specs are written under the
+test's scratch directory by ``perfbench/workloads.py``, at the record's
+seed, as when the records were made.
 """
 
 import json
@@ -30,6 +31,7 @@ def _golden(workload):
 
 GOLDEN = _golden("fixtures_cli")
 CLASSICAL_N7 = _golden("classical_n7")
+SYNTHETIC = _golden("synthetic_quantum")
 
 
 def _replay(record, tmp_path, capsys):
@@ -57,4 +59,11 @@ def test_fixtures_cli_body_matches_golden(record, tmp_path, capsys):
                          ids=[f"{r['key']}-seed{r['seed']}" for r in CLASSICAL_N7])
 def test_classical_n7_body_matches_golden(record, tmp_path, capsys):
     workloads.prepare_specs("classical_n7", ROOT, str(tmp_path), 0)
+    _replay(record, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("record", SYNTHETIC,
+                         ids=[f"{r['key']}-seed{r['seed']}" for r in SYNTHETIC])
+def test_synthetic_quantum_body_matches_golden(record, tmp_path, capsys):
+    workloads.prepare_specs("synthetic_quantum", ROOT, str(tmp_path), record["seed"])
     _replay(record, tmp_path, capsys)
