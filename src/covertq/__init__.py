@@ -29,7 +29,6 @@ from .regions import (
     corollary_rates,
     csc_csk_region,
     fm_check,
-    optimize_auxiliary,
     superposition_transform,
 )
 from .states import (
@@ -42,7 +41,6 @@ from .states import (
     induced_cq_output,
     innocent_output,
     marginals,
-    normalize,
 )
 
 __version__ = "0.1.0"

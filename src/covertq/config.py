@@ -37,6 +37,12 @@ class Numerics:
 
 DEFAULT = Numerics()
 
+# Slack of the sum of a probability law: channel rows, policy rows, joint
+# tables and codeword laws.  ClassicalProblem holds q_s to within
+# min(prob_tol, LAW_SLACK) of one, so a spec that raises prob_tol still
+# yields laws within this slack, or fails as it loads.
+LAW_SLACK = 1e-9
+
 
 def pow2(x: float) -> float:
     """``2.0 ** x``; raises :class:`CapExceeded` when it overflows a float,

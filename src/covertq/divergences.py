@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, LAW_SLACK, Numerics
 from .errors import DimMismatch, NotADistribution, OrderOutOfRange, SelfCheckFailed
 from .linalg import (
     Spectrum,
@@ -289,7 +289,7 @@ def classical_info_terms(joint: np.ndarray, cfg: Numerics = DEFAULT) -> dict[str
         raise NotADistribution(f"expected a 4-axis (U,S,B,E) table, got {p.ndim} axes")
     if np.any(p < -cfg.prob_tol):
         raise NotADistribution(f"negative entry {p.min()}")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
+    if abs(float(p.sum()) - 1.0) > LAW_SLACK:
         raise NotADistribution(f"table sums to {p.sum()}, expected 1")
     p = np.maximum(p, 0.0)
 

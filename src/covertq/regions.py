@@ -3,31 +3,26 @@ Fourier-Motzkin projection check.
 
 Quantum regions are evaluated from Holevo information terms of a given
 ensemble; classical regions from entropic terms of a joint table built
-out of a state distribution, an auxiliary policy, and the channel.  The
-auxiliary-policy optimizer is a seeded random-restart search with
-coordinate-exchange refinement, reporting best-found values (lower bounds
-on the suprema).
+out of a state distribution, an auxiliary policy, and the channel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, LAW_SLACK, Numerics
 from .divergences import classical_info_terms, entropy_of_table, holevo_mutual_info
 from .errors import CovertInfeasible, DimMismatch, NotADistribution
 from .linalg import require_finite
-from .oneshot import _checked_states, induced_states
-from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel, innocent_output
+from .oneshot import _checked_states
+from .states import CQState, ProblemInstance, QuantumChannel, innocent_output
 
 __all__ = [
     "ClassicalProblem",
     "AuxiliaryPolicy",
     "RateRegion",
-    "SearchConfig",
     "cc_csk_region",
     "csc_csk_region",
     "corollary_rates",
@@ -37,9 +32,7 @@ __all__ = [
     "classical_region_evaluate",
     "degradedness_residual",
     "superposition_transform",
-    "optimize_auxiliary",
     "causal_rate",
-    "causal_rate_quantum",
     "fm_check",
     "fm_projection_grid",
 ]
@@ -70,10 +63,13 @@ class ClassicalProblem:
             raise NotADistribution("state distribution length must match channel S axis")
         require_finite(q_s, "state distribution", NotADistribution)
         require_finite(w, "channel table", NotADistribution)
-        if np.any(q_s < -cfg.prob_tol) or abs(float(q_s.sum()) - 1.0) > cfg.prob_tol:
-            raise NotADistribution("state distribution is not a distribution")
+        total, slack = float(q_s.sum()), min(cfg.prob_tol, LAW_SLACK)
+        if np.any(q_s < -cfg.prob_tol) or abs(total - 1.0) > slack:
+            raise NotADistribution(f"q_s is not a distribution: it needs nonnegative "
+                                   f"entries summing to one (within {slack:g}), "
+                                   f"got sum {total!r}")
         rows = w.sum(axis=(2, 3))
-        if np.any(w < -cfg.prob_tol) or np.max(np.abs(rows - 1.0)) > 1e-9:
+        if np.any(w < -cfg.prob_tol) or np.max(np.abs(rows - 1.0)) > LAW_SLACK:
             raise NotADistribution("channel rows must sum to one over (B, E)")
         if not 0 <= int(x0) < w.shape[0]:
             raise DimMismatch(f"innocent symbol {x0} outside input alphabet")
@@ -120,7 +116,7 @@ class AuxiliaryPolicy:
             require_finite(t, name, NotADistribution)
             if np.any(t < -cfg.prob_tol):
                 raise NotADistribution(f"{name} has negative entries")
-            if np.max(np.abs(t.sum(axis=-1) - 1.0)) > 1e-9:
+            if np.max(np.abs(t.sum(axis=-1) - 1.0)) > LAW_SLACK:
                 raise NotADistribution(f"{name} rows must sum to one")
         object.__setattr__(self, "p_u_s", np.maximum(p_u_s, 0.0))
         object.__setattr__(self, "p_a_us", np.maximum(p_a_us, 0.0))
@@ -414,164 +410,7 @@ def superposition_transform(problem: ClassicalProblem, policy: AuxiliaryPolicy,
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary-policy optimization
-
-@dataclass(frozen=True)
-class SearchConfig:
-    restarts: int = 40
-    refine_passes: int = 2
-    levels: int = 32
-    num_u: int | None = None  # default |A| * |S| + 3
-    seed: int = 0
-    repair_iters: int = 60
-
-
-def _project_simplex_rows(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each trailing-axis row onto the simplex."""
-    u = np.sort(x, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    ks = np.arange(1, x.shape[-1] + 1)
-    # k: the last position (1-based) where u - css / ks is positive
-    k = x.shape[-1] - np.argmax((u - css / ks > 0)[..., ::-1], axis=-1, keepdims=True)
-    return np.maximum(x - np.take_along_axis(css, k - 1, axis=-1) / k, 0.0)
-
-
-def _covert_repair(problem: ClassicalProblem, p_u_s: np.ndarray,
-                   p_a_us: np.ndarray, cfg: Numerics,
-                   iters: int) -> np.ndarray | None:
-    """Alternate projections onto the covertness-affine set and the simplex.
-
-    For fixed P(u|s) the warden distribution is affine in the flattened
-    P(a|u,s); the affine projection is a minimum-norm least-squares
-    correction.  Returns the repaired table or None when the iteration
-    stalls outside tolerance.
-    """
-    nu, ns, na = p_a_us.shape
-    ne = problem.w.shape[3]
-    w_e = problem.w_e()  # (a, s, e)
-    coef = np.einsum("s,su->us", problem.q_s, p_u_s)  # (u, s)
-    # a_mat[e, (u * ns + s) * na + a] = coef[u, s] * w_e[a, s, e]
-    a_mat = (coef[None, :, :, None] * w_e.transpose(2, 1, 0)[:, None]).reshape(ne, -1)
-    b = problem.q0()
-    pinv = np.linalg.pinv(a_mat)
-
-    x = p_a_us.reshape(-1).copy()
-    for _ in range(iters):
-        x = x + pinv @ (b - a_mat @ x)
-        x = _project_simplex_rows(x.reshape(nu * ns, na)).reshape(-1)
-        if total_variation(a_mat @ x, b) <= cfg.covert_tol:
-            return x.reshape(nu, ns, na)
-    return None
-
-
-def _objective(problem: ClassicalProblem, policy: AuxiliaryPolicy, which: str,
-               weights: tuple[float, float], stealth: bool,
-               cfg: Numerics) -> float:
-    try:
-        res = classical_region_evaluate(problem, policy, which,
-                                        stealth=stealth, cfg=cfg)
-    except CovertInfeasible:
-        return -math.inf
-    if isinstance(res, RateRegion):
-        return res.scalarized_max(*weights)[0]
-    return float(res)
-
-
-def optimize_auxiliary(problem: ClassicalProblem, weights: tuple[float, float],
-                       which: str, search: SearchConfig = SearchConfig(), *,
-                       stealth: bool = False,
-                       cfg: Numerics = DEFAULT) -> tuple[AuxiliaryPolicy, float]:
-    """Best-found policy for a scalarized region objective.
-
-    Seeded random restarts, each repaired onto the covertness constraint,
-    then coordinate-exchange refinement on a discretized simplex.  The
-    reported value is a lower bound on the supremum at the configured
-    auxiliary cardinality.  Raises :class:`CovertInfeasible` when no
-    restart reaches the covertness tolerance.
-    """
-    na, ns = problem.sizes["A"], problem.sizes["S"]
-    nu = search.num_u or (na * ns + 3)
-    rng = np.random.default_rng(search.seed)
-
-    best: tuple[float, bytes, AuxiliaryPolicy] | None = None
-
-    def consider(p_u_s: np.ndarray, p_a_us: np.ndarray):
-        nonlocal best
-        pol = AuxiliaryPolicy(p_u_s, p_a_us, cfg)
-        val = _objective(problem, pol, which, weights, stealth, cfg)
-        if val == -math.inf:
-            return None
-        key = np.concatenate([p_u_s.ravel(), p_a_us.ravel()]).tobytes()
-        if best is None or val > best[0] + 1e-12 or (abs(val - best[0]) <= 1e-12
-                                                     and key < best[1]):
-            best = (val, key, pol)
-        return val
-
-    for _ in range(search.restarts):
-        p_u_s = rng.dirichlet(np.ones(nu), size=ns)
-        p_a_us = rng.dirichlet(np.ones(na), size=(nu, ns))
-        if not stealth:
-            repaired = _covert_repair(problem, p_u_s, p_a_us, cfg,
-                                      search.repair_iters)
-            if repaired is None:
-                continue
-            p_a_us = repaired
-        consider(p_u_s, p_a_us)
-
-    if best is None:
-        raise CovertInfeasible("no restart satisfied the covertness constraint")
-
-    fracs = (1.0, 0.5, 0.25, 0.125, 1.0 / search.levels)
-    for _ in range(search.refine_passes):
-        cur_val, _, pol = best
-        cur_us, cur_aus = pol.p_u_s, pol.p_a_us
-        for table_id in (0, 1):
-            shape = (cur_us if table_id == 0 else cur_aus).shape
-            nrow = int(np.prod(shape[:-1]))
-            ncol = shape[-1]
-            for ridx in range(nrow):
-                for i in range(ncol):
-                    for j in range(ncol):
-                        if i == j:
-                            continue
-                        for frac in fracs:
-                            table = (cur_us if table_id == 0
-                                     else cur_aus).reshape(nrow, ncol).copy()
-                            if table[ridx, i] <= 1e-15:
-                                break
-                            move = frac * table[ridx, i]
-                            table[ridx, i] -= move
-                            table[ridx, j] += move
-                            cand = table.reshape(shape)
-                            trial_us = cand if table_id == 0 else cur_us
-                            trial_aus = cur_aus if table_id == 0 else cand
-                            if not stealth:
-                                rep = _covert_repair(problem, trial_us, trial_aus,
-                                                     cfg, search.repair_iters)
-                                if rep is None:
-                                    continue
-                                trial_aus = rep
-                            val = consider(trial_us, trial_aus)
-                            if val is not None and val > cur_val + 1e-9:
-                                cur_us, cur_aus, cur_val = trial_us, trial_aus, val
-                                break
-
-    return best[2], best[0]
-
-
-# ---------------------------------------------------------------------------
 # Causal rate
-
-def _best_causal(kept, stealth: bool) -> dict:
-    """Best I(U;B) over the (I(U;B), I(U;E)) pairs of the kept candidates
-    (the covert ones, or all under ``stealth``) with I(U;B) > I(U;E)."""
-    pairs = list(kept)
-    if not pairs and not stealth:
-        raise CovertInfeasible("no candidate policy is covert-feasible")
-    side = [iub for iub, iue in pairs if iub > iue - 1e-12]
-    return {"rate": max([0.0, *side]), "side_condition_met": bool(side),
-            "covert_feasible": bool(pairs)}
-
 
 def causal_rate(problem: ClassicalProblem, candidates, *, stealth: bool = False,
                 cfg: Numerics = DEFAULT) -> dict:
@@ -582,43 +421,18 @@ def causal_rate(problem: ClassicalProblem, candidates, *, stealth: bool = False,
     covert-feasible and satisfies I(U;B) > I(U;E).
     """
     ns = problem.sizes["S"]
-
-    def kept():
-        for p_u, w_a_us in candidates:
-            pol = AuxiliaryPolicy(np.tile(p_u, (ns, 1)), w_a_us, cfg)
-            tv = total_variation(induced_warden_distribution(problem, pol), problem.q0())
-            if stealth or tv <= cfg.covert_tol:
-                terms = classical_info_terms(joint_table(problem, pol), cfg)
-                yield terms["I(U;B)"], terms["I(U;E)"]
-
-    return _best_causal(kept(), stealth)
-
-
-def causal_rate_quantum(instance: ProblemInstance, candidates, *,
-                        stealth: bool = False, cfg: Numerics = DEFAULT) -> dict:
-    """Quantum version: candidates are (p_u, per-label channels Sbar -> A).
-
-    Each per-label channel acts on the transmitter's share of the
-    bipartite state, which must therefore be supplied in full.
-    """
-    csi = instance.csi
-    if set(csi.factor_names) != {"Sbar", "S"}:
-        raise DimMismatch("quantum causal evaluation needs the bipartite (Sbar, S) state")
-    rho0 = innocent_output(instance)
-    d_s = csi.factor_dim("S")
-
-    def kept():
-        for p_u, chans in candidates:
-            outs = [("A", chans[0].dim_out), ("S", d_s)]
-            conds = np.stack([QuantumChannel(np.kron(g.kraus, np.eye(d_s)), csi.factors,
-                                             outs, cfg=cfg).apply_matrix(csi.matrix)
-                              for g in chans])
-            ens = CQState(range(len(chans)), p_u, DensityMatrix(conds, outs, validate=False))
-            st = induced_states(ens, instance.channel, cfg)
-            if stealth or st.covert_gap(rho0)[1]:
-                yield holevo_mutual_info(st.cq_ub, cfg), holevo_mutual_info(st.cq_ue, cfg)
-
-    return _best_causal(kept(), stealth)
+    pairs = []  # (I(U;B), I(U;E)) of the kept candidates
+    for p_u, w_a_us in candidates:
+        pol = AuxiliaryPolicy(np.tile(p_u, (ns, 1)), w_a_us, cfg)
+        tv = total_variation(induced_warden_distribution(problem, pol), problem.q0())
+        if stealth or tv <= cfg.covert_tol:
+            terms = classical_info_terms(joint_table(problem, pol), cfg)
+            pairs.append((terms["I(U;B)"], terms["I(U;E)"]))
+    if not pairs and not stealth:
+        raise CovertInfeasible("no candidate policy is covert-feasible")
+    side = [iub for iub, iue in pairs if iub > iue - 1e-12]
+    return {"rate": max([0.0, *side]), "side_condition_met": bool(side),
+            "covert_feasible": bool(pairs)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, LAW_SLACK, Numerics
 from .errors import DimMismatch, NotADistribution
 from .linalg import dagger, eigvals_hermitian, tensor
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
@@ -129,18 +129,14 @@ def matched_ensemble(rng: np.random.Generator, instance: ProblemInstance,
 # ---------------------------------------------------------------------------
 # Categorical draws and sample statistics
 
-# Slack of a codeword law's sum: AuxiliaryPolicy accepts P(u|s) rows this far
-# from one, so the law q_s @ P(u|s) of a valid classical spec may be too.
-LAW_SLACK = 1e-9
-
-
 def _codeword_law(p_u) -> np.ndarray:
     """The codeword distribution as floats; raises :class:`NotADistribution`
     unless it is finite and nonnegative and sums to one within ``LAW_SLACK``."""
     p = np.asarray(p_u, dtype=np.float64)
     if not (np.all(np.isfinite(p) & (p >= 0.0)) and abs(p.sum() - 1.0) <= LAW_SLACK):
         raise NotADistribution("codeword distribution needs finite nonnegative entries "
-                               f"summing to one (within {LAW_SLACK:g}), got sum {p.sum()!r}")
+                               f"summing to one (within {LAW_SLACK:g}), "
+                               f"got sum {float(p.sum())!r}")
     return p
 
 

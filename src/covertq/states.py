@@ -33,7 +33,6 @@ __all__ = [
     "CQState",
     "QuantumChannel",
     "ProblemInstance",
-    "normalize",
     "apply_channel",
     "induced_cq_output",
     "innocent_output",
@@ -59,8 +58,7 @@ class DensityMatrix:
     """Validated unit-trace PSD Hermitian operator with named factors, or a
     stack ``(..., d, d)`` of them sharing one set of factors.
 
-    Construction rejects invalid matrices instead of repairing them; use
-    :func:`normalize` to project noisy data onto the state set first.
+    Construction rejects invalid matrices instead of repairing them.
     """
 
     matrix: np.ndarray
@@ -125,27 +123,6 @@ def require_states(m, cfg: Numerics = DEFAULT) -> np.ndarray:
         what, idx = name(bad)
         raise NotPSD(f"{what} has eigenvalue {float(low[idx]):.3e}")
     return m
-
-
-def normalize(matrix, factors=None, cfg: Numerics = DEFAULT) -> DensityMatrix:
-    """Project a noisy Hermitian matrix onto the state set.
-
-    Hermitizes, clips negative eigenvalues to zero, and rescales the trace
-    to one.  This is the explicit repair path; the ``DensityMatrix``
-    constructor itself never normalizes.
-    """
-    from .linalg import eig_hermitian
-
-    m = np.asarray(matrix, dtype=np.complex128)
-    m = 0.5 * (m + dagger(m))
-    spec = eig_hermitian(m, cfg)
-    w = np.maximum(spec.eigenvalues, 0.0)
-    tr = float(np.sum(w))
-    if tr <= 0.0:
-        raise NotPSD("matrix has no positive part to normalize")
-    v = spec.eigenvectors
-    out = (v * (w / tr)) @ dagger(v)
-    return DensityMatrix(0.5 * (out + dagger(out)), factors, validate=False)
 
 
 @dataclass(frozen=True, eq=False)

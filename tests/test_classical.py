@@ -19,7 +19,9 @@ from covertq.classical import (
 )
 from covertq.config import DEFAULT
 from covertq.errors import CapExceeded, EncodingFailure, NotADistribution
+from covertq.oneshot import resolvability_bound
 from covertq.regions import AuxiliaryPolicy, ClassicalProblem, total_variation
+from covertq.states import CQState, DensityMatrix
 
 
 def xor_problem(eps=0.03, q=0.25):
@@ -287,6 +289,34 @@ def test_classical_resolvability_bound_shape():
                                         rate=1.0, n=4)
     assert out["bound"] > 0.0
     assert 1 <= out["eigencount"] <= 5 ** 2
+
+
+def _resolvability_laws(count=300):
+    """Seeded (p_u, p_e_u, rate): 1-4 labels, 2-4 outputs, a zero cell in
+    every third law, rate from U(0, 2)."""
+    rng = rng_for(17)
+    for i in range(count):
+        nu, ne = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        p_u = rng.dirichlet(np.ones(nu))
+        p_e_u = rng.dirichlet(np.ones(ne), size=nu)
+        if i % 3 == 0:
+            p_e_u[rng.integers(nu), rng.integers(ne)] = 0.0
+            p_e_u /= p_e_u.sum(axis=1, keepdims=True)
+        yield p_u, p_e_u, float(rng.uniform(0.0, 2.0))
+
+
+def test_classical_resolvability_bound_is_the_commuting_case():
+    # at n = 1 the classical bound is the one-shot quantum bound on the
+    # diagonal cq embedding, minimised over the same alpha grid
+    alphas = np.linspace(0.05, 0.45, 9)
+    for p_u, p_e_u, rate in _resolvability_laws():
+        got = classical_resolvability_bound(p_u, p_e_u, rate, 1)
+        cq = CQState(range(len(p_u)), p_u,
+                     [DensityMatrix(np.diag(row).astype(complex)) for row in p_e_u])
+        vals = [resolvability_bound(cq, rate, float(a)) for a in alphas]
+        best = int(np.argmin(vals))
+        assert got["alpha"] == float(alphas[best])
+        assert abs(got["bound"] - vals[best]) <= 1e-12 * vals[best]
 
 
 def test_end_to_end_error_improves_with_blocklength():

@@ -12,7 +12,7 @@ from covertq import cli, specio
 from covertq.cli import main
 from covertq.config import DEFAULT
 from covertq.classical import resolvability_oracle
-from covertq.errors import ParseError, RunParameterError, SelfCheckFailed
+from covertq.errors import NotADistribution, ParseError, RunParameterError, SelfCheckFailed
 from covertq.oneshot import ProtocolRates, resolvability_bound
 from covertq.protocol import monte_carlo_verify
 from covertq.specio import load_spec
@@ -261,6 +261,43 @@ def test_non_finite_classical_table_exit_3(path, bad, tmp_path, capsys):
     code, out, err = run_cli(capsys, "region", "--spec", spec, "--which", "thm3")
     assert code == 3 and out == ""
     assert "non-finite" in err and "Traceback" not in err
+
+
+CLASSICAL_COMMANDS = [("simulate", "--target", "classical", "--trials", "30"),
+                      *(("region", "--which", w) for w in ("thm3", "thm4", "thm6", "causal"))]
+
+
+def _q_s_offset(offset, prob_tol=None):
+    def mutate(doc):
+        doc["q_s"] = [0.5 + offset / 2, 0.5 + offset / 2]
+        if prob_tol is not None:
+            doc["numerics"] = {"prob_tol": prob_tol}
+    return mutate
+
+
+def test_loose_q_s_refused_at_load(tmp_path, capsys):
+    # a raised prob_tol admits no q_s whose laws would miss LAW_SLACK, the sum
+    # slack of channel rows, policy rows, joint tables and codeword laws
+    spec = _mutated_spec(tmp_path, CLASSICAL, _q_s_offset(1e-6, prob_tol=1e-6))
+    with pytest.raises(NotADistribution, match=r"q_s .* got sum 1\.000001"):
+        load_spec(spec)
+    errs = set()
+    for command, *args in CLASSICAL_COMMANDS:
+        code, out, err = run_cli(capsys, command, "--spec", spec, *args, "--seed", "1")
+        assert code == 3 and out == ""
+        errs.add(err)
+    assert len(errs) == 1 and "q_s" in errs.pop()
+
+
+@pytest.mark.parametrize("offset, prob_tol, exit_code", [
+    (1e-13, None, 0), (1e-11, None, 3),  # default numerics: prob_tol 1e-12 decides
+    (4e-10, 1e-6, 0),  # a raised prob_tol still admits sums within LAW_SLACK
+])
+def test_q_s_sum_slack(offset, prob_tol, exit_code, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, CLASSICAL, _q_s_offset(offset, prob_tol))
+    for command, *args in CLASSICAL_COMMANDS:
+        code, _, err = run_cli(capsys, command, "--spec", spec, *args, "--seed", "1")
+        assert code == exit_code, err
 
 
 @pytest.mark.parametrize("blocklength", [0, -1, 2.5, True])

@@ -5,16 +5,13 @@ import pytest
 
 from conftest import rng_for
 from covertq import regions
-from covertq.config import DEFAULT
 from covertq.divergences import classical_info_terms, holevo_mutual_info
 from covertq.errors import CovertInfeasible
 from covertq.oneshot import induced_states
 from covertq.regions import (
     AuxiliaryPolicy,
     ClassicalProblem,
-    SearchConfig,
     causal_rate,
-    causal_rate_quantum,
     cc_csk_region,
     classical_region_evaluate,
     corollary_rates,
@@ -24,7 +21,6 @@ from covertq.regions import (
     fm_projection_grid,
     induced_warden_distribution,
     joint_table,
-    optimize_auxiliary,
     superposition_transform,
     total_variation,
 )
@@ -307,67 +303,6 @@ def test_superposition_raw_terms_match_loop_reference():
         assert raw["I(U;S)"] == regions._mutual_info_2d(merged_s)
 
 
-def _project_simplex_row(row):
-    """One row of regions._project_simplex_rows, by the sort-and-threshold
-    loop (reference)."""
-    u = np.sort(row)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(row) + 1)
-    k = ks[u - css / ks > 0][-1]
-    return np.maximum(row - css[k - 1] / k, 0.0)
-
-
-def test_project_simplex_rows_matches_row_reference():
-    rng = rng_for(33)
-    x = rng.normal(size=(3, 4, 5))
-    x[0, 0] = 0.2  # ties
-    x[1, 1] = [5.0, -5.0, 0.0, 0.0, 1.0]
-    got = regions._project_simplex_rows(x)
-    assert got.shape == x.shape
-    for row, out in zip(x.reshape(-1, 5), got.reshape(-1, 5)):
-        assert np.array_equal(out, _project_simplex_row(row))
-    assert np.allclose(got.sum(axis=-1), 1.0) and (got >= 0.0).all()
-
-
-def _covert_repair_loops(problem, p_u_s, p_a_us, cfg, iters):
-    """regions._covert_repair with its constraint matrix filled one column
-    at a time (reference)."""
-    nu, ns, na = p_a_us.shape
-    w_e = problem.w_e()
-    coef = np.einsum("s,su->us", problem.q_s, p_u_s)
-    a_mat = np.zeros((problem.w.shape[3], nu * ns * na))
-    for u in range(nu):
-        for s in range(ns):
-            for a in range(na):
-                a_mat[:, (u * ns + s) * na + a] = coef[u, s] * w_e[a, s, :]
-    b = problem.q0()
-    pinv = np.linalg.pinv(a_mat)
-    x = p_a_us.reshape(-1).copy()
-    for _ in range(iters):
-        x = x + pinv @ (b - a_mat @ x)
-        x = regions._project_simplex_rows(x.reshape(nu * ns, na)).reshape(-1)
-        if total_variation(a_mat @ x, b) <= cfg.covert_tol:
-            return x.reshape(nu, ns, na)
-    return None
-
-
-def test_covert_repair_matches_loop_reference():
-    rng = rng_for(32)
-    outcomes = set()
-    for na, ns, ne, nu in [(2, 2, 2, 3), (3, 2, 2, 4), (2, 3, 3, 5), (3, 3, 2, 2)] * 3:
-        w = rng.dirichlet(np.ones(2 * ne), size=(na, ns)).reshape(na, ns, 2, ne)
-        prob = ClassicalProblem(rng.dirichlet(np.ones(ns)), w, x0=0)
-        p_u_s = rng.dirichlet(np.ones(nu), size=ns)
-        p_a_us = rng.dirichlet(np.ones(na), size=(nu, ns))
-        got = regions._covert_repair(prob, p_u_s, p_a_us, DEFAULT, 60)
-        want = _covert_repair_loops(prob, p_u_s, p_a_us, DEFAULT, 60)
-        outcomes.add(got is None)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got, want)
-    assert False in outcomes  # some repairs converge
-
-
 def test_superposition_deterministic_state_is_identity():
     w = np.zeros((2, 1, 2, 2))
     w[:, 0] = np.full((2, 2, 2), 0.25)
@@ -379,60 +314,6 @@ def test_superposition_deterministic_state_is_identity():
     assert res["raw"]["I(U;B)"] == pytest.approx(terms["I(U;B)"], abs=1e-12)
     assert res["raw"]["I(U;S)"] == pytest.approx(0.0, abs=1e-12)
     assert res["raw"]["I(U;E)"] == pytest.approx(terms["I(U;E)"], abs=1e-12)
-
-
-def test_optimizer_beats_random_policies():
-    # E ignores the channel input: every policy is covert
-    rng = rng_for(4)
-    w = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for s in range(2):
-            for b in range(2):
-                pb = 0.9 if b == a else 0.1
-                for e in range(2):
-                    w[a, s, b, e] = pb * 0.5
-    prob = ClassicalProblem([0.5, 0.5], w, x0=0)
-    pol, val = optimize_auxiliary(prob, (1.0, 0.0), "thm6",
-                                  SearchConfig(restarts=12, refine_passes=1,
-                                               num_u=3, seed=1))
-    for _ in range(100):
-        rand = AuxiliaryPolicy(rng.dirichlet(np.ones(3), size=2),
-                               rng.dirichlet(np.ones(2), size=(3, 2)))
-        r = classical_region_evaluate(prob, rand, "thm6")
-        assert r.scalarized_max(1.0, 0.0)[0] <= val + 1e-9
-
-
-def test_optimizer_finds_noiseless_capacity():
-    # noiseless receiver, trivial state, oblivious warden: capacity log2 |A|
-    w = np.zeros((2, 1, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for e in range(2):
-                w[a, 0, b, e] = (1.0 if b == a else 0.0) * 0.5
-    prob = ClassicalProblem([1.0], w, x0=0)
-    _, val = optimize_auxiliary(prob, (1.0, 0.0), "thm6",
-                                SearchConfig(restarts=16, refine_passes=2,
-                                             num_u=3, seed=3))
-    assert val == pytest.approx(1.0, abs=0.05)
-
-
-def test_optimizer_infeasible_covertness():
-    # warden reads the input directly; only the innocent letter matches q0,
-    # and the repair cannot reach it within tolerance from generic starts
-    w = np.zeros((2, 1, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for e in range(2):
-                w[a, 0, b, e] = 0.5 * (1.0 if e == a else 0.0)
-    prob = ClassicalProblem([1.0], w, x0=0)
-    try:
-        _, val = optimize_auxiliary(prob, (1.0, 0.0), "thm6",
-                                    SearchConfig(restarts=6, refine_passes=0,
-                                                 num_u=2, seed=0))
-    except CovertInfeasible:
-        return
-    # if the repair reaches the constraint the only survivors sit at x0
-    assert val == pytest.approx(0.0, abs=0.05)
 
 
 def test_causal_rate_contracts():
@@ -481,29 +362,6 @@ def test_causal_rate_dominated_by_noncausal():
         terms = classical_region_evaluate(prob, pol, "thm6", stealth=True).meta
         best_noncausal = max(best_noncausal, terms["I(U;B)"] - terms["I(U;S)"])
     assert res["rate"] <= best_noncausal + 1e-9
-
-
-def test_causal_rate_quantum_matches_relay():
-    ch = QuantumChannel([np.eye(4, dtype=complex)], in_factors=[("A", 2), ("S", 2)],
-                        out_factors=[("B", 2), ("E", 2)])
-    phi0 = DensityMatrix(np.eye(2, dtype=complex) / 2, [("A", 2)])
-    bell = np.zeros((4, 4), dtype=complex)
-    v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    bell[:, :] = np.outer(v, v.conj())
-    csi = DensityMatrix(bell, [("Sbar", 2), ("S", 2)])
-    from covertq.states import ProblemInstance
-    inst = ProblemInstance(ch, phi0, csi)
-    # per-label channels replacing Sbar with a fixed orthogonal signal
-    def constant_channel(idx):
-        col = np.zeros((2, 1), dtype=complex)
-        col[idx, 0] = 1.0
-        return QuantumChannel([np.outer(col[:, 0], row) for row in np.eye(2)],
-                              in_factors=[("Sbar", 2)], out_factors=[("A", 2)])
-    cands = [(np.array([0.5, 0.5]), [constant_channel(0), constant_channel(1)])]
-    res = causal_rate_quantum(inst, cands)
-    # receiver sees the signal directly; warden sees only the S half
-    assert res["rate"] == pytest.approx(1.0, abs=1e-9)
-    assert res["side_condition_met"]
 
 
 def test_fm_check_cases():

@@ -22,7 +22,6 @@ from covertq.states import (
     induced_cq_output,
     innocent_output,
     marginals,
-    normalize,
     require_states,
 )
 
@@ -42,14 +41,10 @@ def test_density_matrix_rejects_negative():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
-def test_constructor_never_normalizes_but_helper_does():
+def test_constructor_never_normalizes():
     noisy = np.diag([1.2, 0.9, -1e-13]).astype(complex)
     with pytest.raises(DimMismatch):
         DensityMatrix(noisy)
-    fixed = normalize(noisy)
-    w = eigvals_hermitian(fixed.matrix)
-    assert w[0] >= 0.0
-    assert np.trace(fixed.matrix).real == pytest.approx(1.0)
 
 
 def test_marginal_by_name():
