@@ -21,8 +21,13 @@ machine load reach every case alike):
 - ``specio.load_spec.<fixture>``: every bundled fixture, and the perfbench
   synthetic A4 S8 B8 E4 spec (8 labels, generator seed 3);
 - ``verify.<suite>``: each invariant suite at seed 1;
-- ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1), checked
-  against its expected exit code.
+- ``classical.end_to_end_error.n7``, ``classical.exact_warden_distribution.n7``
+  and ``classical.resolvability_oracle.n7``: the three stages of a
+  ``simulate --target classical`` call on the ``classical_n7`` spec
+  (blocklength 7, 1000 trials, seed 1), called directly;
+- ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1), and
+  ``cli.classical_n7.<key>`` every call of one ``classical_n7`` op (seed 1),
+  each checked against its expected exit code.
 
 Each case reports the median and the interquartile range of its per-call
 seconds (a sample repeats a fast call until it spans about 2 ms), as wall
@@ -86,6 +91,10 @@ def build_cases(root: str, workdir: str) -> dict:
     import numpy as np
 
     from covertq import cli
+    from covertq.classical import (end_to_end_error, exact_warden_distribution,
+                                   resolvability_oracle, sample_classical_codebook,
+                                   warden_rows)
+    from covertq.config import code_size
     from covertq.divergences import sandwiched_renyi
     from covertq.errors import CovertqError
     from covertq.pinching import distinct_eigenspaces
@@ -124,6 +133,22 @@ def build_cases(root: str, workdir: str) -> dict:
     for suite in SUITES:
         cases[f"verify.{suite}"] = lambda suite=suite: run_suite(suite, SEED)
 
+    # the stages of simulate --target classical, with the arguments it derives
+    n7 = workloads.prepare_specs("classical_n7", root, workdir, SEED)
+    spec = load_spec(n7["classical_n7"])
+    problem, policy, cfg, n = spec.problem, spec.policy, spec.cfg, spec.run["blocklength"]
+    p_u = problem.q_s @ policy.p_u_s
+    sizes = tuple(code_size(n * spec.rate(name)) for name in ("R_J", "R_K", "R"))
+    codebook = sample_classical_codebook(p_u, sizes, n, SEED, cfg)
+    rows = warden_rows(problem, policy)
+    cases["classical.end_to_end_error.n7"] = \
+        lambda: end_to_end_error(problem, policy, p_u, sizes, n, 1000, SEED, cfg=cfg)
+    cases["classical.exact_warden_distribution.n7"] = \
+        lambda: exact_warden_distribution(codebook, problem, policy, p_u, cfg=cfg)
+    cases["classical.resolvability_oracle.n7"] = \
+        lambda: resolvability_oracle(p_u, rows, spec.rate("R"), n, mode="mc", trials=1000,
+                                     seed=SEED, cfg=cfg)
+
     def run_call(call):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(list(call.argv))
@@ -131,6 +156,8 @@ def build_cases(root: str, workdir: str) -> dict:
             raise SystemExit(f"bench: {call.key} exited {code}, expected {call.expect_exit}")
     for call in workloads.op_calls("fixtures_cli", specs, workdir, SEED):
         cases[f"cli.{call.key}"] = lambda call=call: run_call(call)
+    for call in workloads.op_calls("classical_n7", n7, workdir, SEED):
+        cases[f"cli.classical_n7.{call.key}"] = lambda call=call: run_call(call)
     return cases
 
 

@@ -8,9 +8,9 @@ Run from the repository root:
 The calls are those of the ``perfbench/workloads.py`` ops listed in
 ``GOLDEN``, run in process through ``covertq.cli.main``: every
 ``fixtures_cli`` call at op seeds 0, 1 and 7, the four ``classical_n7``
-calls of op seed 1 (call seeds 4-7), and the eight ``synthetic_quantum``
-calls of op seed 3 (its spec generated at seed 3, as ``perfbench/run.py``
-does).  Each workload gets its own file under ``tests/golden``.  Each
+calls of op seeds 1 and 7 (call seeds 4-7 and 28-31), and the eight
+``synthetic_quantum`` calls of op seed 3 (its spec generated at seed 3, as
+``perfbench/run.py`` does).  Each workload gets its own file under ``tests/golden``.  Each
 record keeps the argv with the fixture directory written as ``{fixtures}``
 and the scratch directory (where generated specs are written) as
 ``{tmp}``, the exit code, and the stdout report without ``wall_clock_s``
@@ -31,7 +31,7 @@ from covertq.cli import main as cli_main  # noqa: E402
 import workloads  # noqa: E402
 
 # workload -> op seeds whose calls are frozen
-GOLDEN = {"fixtures_cli": (0, 1, 7), "classical_n7": (1,), "synthetic_quantum": (3,)}
+GOLDEN = {"fixtures_cli": (0, 1, 7), "classical_n7": (1, 7), "synthetic_quantum": (3,)}
 OUT_DIR = os.path.join(ROOT, "tests", "golden")
 
 

@@ -205,7 +205,9 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     one ``default_rng(seed)`` stream, trial by trial, in the order of
     ``sample_classical_codebook``, the state draw, the bin draw, and the
     input and channel draws.  The rest is evaluated for chunks of trials
-    holding at most ``cfg.codebook_cap`` codebook entries.
+    holding at most ``cfg.warden_cap`` codebook symbols (trials x entries x
+    n, at least one trial), kept in the narrowest index dtype of the
+    codeword alphabet.  ``cfg.codebook_cap`` caps the entries of one codebook.
     """
     check_codebook_cap(sizes, cfg)
     p_u = _codeword_law(p_u)
@@ -221,13 +223,14 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
 
     errors = 0
     enc_failures = 0
-    chunk = max(1, cfg.codebook_cap // entries)
+    chunk = max(1, cfg.warden_cap // (entries * n))
+    code_dtype = np.min_scalar_type(len(p_u) - 1)
     for lo in range(0, trials, chunk):
         c = min(chunk, trials - lo)
         # Draw pass: the draws of each trial in stream order.  Besides the
         # codebook symbols only the bin weights of the sent message are
         # evaluated here, because they decide which draw comes next.
-        codes = np.empty((c, nj, nk, nm, n), dtype=np.intp)
+        codes = np.empty((c, nj, nk, nm, n), dtype=code_dtype)
         s = np.empty((c, n), dtype=np.intp)
         m = np.empty(c, dtype=np.intp)
         bins = np.zeros(c, dtype=np.intp)

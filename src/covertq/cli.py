@@ -64,11 +64,11 @@ from .oneshot import (
 )
 from .protocol import monte_carlo_verify
 from .regions import (
+    _quantum_region,
+    _quantum_terms,
     causal_rate,
-    cc_csk_region,
     classical_region_evaluate,
     corollary_rates,
-    csc_csk_region,
     RateRegion,
 )
 from .specio import RunReport, SpecFile, load_spec, write_region_csv
@@ -213,13 +213,12 @@ def cmd_region(args):
         if which == "corollaries":
             results = corollary_rates(ensemble, instance.channel, instance=instance,
                                       stealth=args.stealth, cfg=spec.cfg)
-        else:
-            fn = cc_csk_region if which == "cc_csk" else csc_csk_region
-            region = fn(ensemble, instance.channel, instance=instance,
-                        stealth=args.stealth, cfg=spec.cfg)
+        else:  # both regions from one evaluation of the Holevo terms
+            terms, flags = _quantum_terms(ensemble, instance.channel, instance,
+                                          args.stealth, spec.cfg)
+            region = _quantum_region(which, terms, flags)
             if which == "csc_csk":
-                other = cc_csk_region(ensemble, instance.channel, instance=instance,
-                                      stealth=args.stealth, cfg=spec.cfg)
+                other = _quantum_region("cc_csk", terms, flags)
                 results["nested_in_cc_csk"] = all(
                     other.contains(r, k) for r, k in region.boundary)
             results["region"] = region.to_dict()

@@ -28,7 +28,7 @@ class Numerics:
     povm_tol: float = 1e-8           # completeness slack for decoder POVMs
     codebook_cap: int = 4096         # max number of codebook entries
     trial_cap: int = 100000          # max Monte Carlo trials of one simulate run
-    warden_cap: int = 65536          # max |E|^n for exact warden distributions
+    warden_cap: int = 65536          # element budget of every classical evaluation buffer
     exact_resolvability_cap: int = 10**6  # max codebook configurations enumerated exactly
 
     def replaced(self, **kw) -> "Numerics":

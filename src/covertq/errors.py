@@ -2,7 +2,13 @@
 
 
 class CovertqError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``field``, when set, names the input the error is about (a spec field
+    such as ``q_s``), so that a spec loader reports it under that field.
+    """
+
+    field: str | None = None
 
 
 class NotHermitian(CovertqError):

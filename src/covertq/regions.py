@@ -8,13 +8,14 @@ out of a state distribution, an auxiliary policy, and the channel.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, LAW_SLACK, Numerics
 from .divergences import classical_info_terms, entropy_of_table, holevo_mutual_info
-from .errors import CovertInfeasible, DimMismatch, NotADistribution
+from .errors import CovertInfeasible, CovertqError, DimMismatch, NotADistribution
 from .linalg import require_finite
 from .oneshot import _checked_states
 from .states import CQState, ProblemInstance, QuantumChannel, innocent_output
@@ -41,6 +42,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Problem containers
 
+@contextmanager
+def _about(name: str):
+    """Tag the library errors raised in the block with the input ``name``."""
+    try:
+        yield
+    except CovertqError as exc:
+        exc.field = name
+        raise
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalProblem:
     """Finite state-dependent channel with an innocent input symbol.
@@ -57,22 +68,25 @@ class ClassicalProblem:
     def __init__(self, q_s, w, x0: int, cfg: Numerics = DEFAULT):
         q_s = np.asarray(q_s, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
-        if w.ndim != 4:
-            raise NotADistribution("channel table must have axes (A, S, B, E)")
-        if q_s.ndim != 1 or q_s.shape[0] != w.shape[1]:
-            raise NotADistribution("state distribution length must match channel S axis")
-        require_finite(q_s, "state distribution", NotADistribution)
-        require_finite(w, "channel table", NotADistribution)
-        total, slack = float(q_s.sum()), min(cfg.prob_tol, LAW_SLACK)
-        if np.any(q_s < -cfg.prob_tol) or abs(total - 1.0) > slack:
-            raise NotADistribution(f"q_s is not a distribution: it needs nonnegative "
-                                   f"entries summing to one (within {slack:g}), "
-                                   f"got sum {total!r}")
-        rows = w.sum(axis=(2, 3))
-        if np.any(w < -cfg.prob_tol) or np.max(np.abs(rows - 1.0)) > LAW_SLACK:
-            raise NotADistribution("channel rows must sum to one over (B, E)")
-        if not 0 <= int(x0) < w.shape[0]:
-            raise DimMismatch(f"innocent symbol {x0} outside input alphabet")
+        with _about("channel"):
+            if w.ndim != 4:
+                raise NotADistribution("channel table must have axes (A, S, B, E)")
+            require_finite(w, "channel table", NotADistribution)
+            rows = w.sum(axis=(2, 3))
+            if np.any(w < -cfg.prob_tol) or np.max(np.abs(rows - 1.0)) > LAW_SLACK:
+                raise NotADistribution("channel rows must sum to one over (B, E)")
+        with _about("q_s"):
+            if q_s.ndim != 1 or q_s.shape[0] != w.shape[1]:
+                raise NotADistribution("state distribution length must match channel S axis")
+            require_finite(q_s, "state distribution", NotADistribution)
+            total, slack = float(q_s.sum()), min(cfg.prob_tol, LAW_SLACK)
+            if np.any(q_s < -cfg.prob_tol) or abs(total - 1.0) > slack:
+                raise NotADistribution(f"q_s is not a distribution: it needs nonnegative "
+                                       f"entries summing to one (within {slack:g}), "
+                                       f"got sum {total!r}")
+        with _about("x0"):
+            if not 0 <= int(x0) < w.shape[0]:
+                raise DimMismatch(f"innocent symbol {x0} outside input alphabet")
         object.__setattr__(self, "q_s", q_s)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x0", int(x0))
@@ -213,6 +227,18 @@ def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
     return terms, flags
 
 
+def _quantum_region(which: str, terms: dict[str, float], flags: dict[str, bool]) -> RateRegion:
+    """The ``cc_csk`` or ``csc_csk`` region of the terms and flags of
+    :func:`_quantum_terms`."""
+    iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
+    if which == "cc_csk":
+        named = [("R", (1.0, 0.0), iub - ius), ("R_K", (0.0, 1.0), iub - iue),
+                 ("R+R_K", (1.0, 1.0), iub)]
+    else:
+        named = [("R", (1.0, 0.0), iub - ius), ("R+R_K", (1.0, 1.0), iub - iue)]
+    return _build_region(named, {**terms, **flags})
+
+
 def cc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
                   instance: ProblemInstance | None = None, stealth: bool = False,
                   cfg: Numerics = DEFAULT) -> RateRegion:
@@ -221,14 +247,7 @@ def cc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
     Constraints: R bounded by I(U;B) - I(U;S), R_K by I(U;B) - I(U;E),
     and the sum by I(U;B).
     """
-    terms, flags = _quantum_terms(ensemble, channel, instance, stealth, cfg)
-    iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
-    named = [
-        ("R", (1.0, 0.0), iub - ius),
-        ("R_K", (0.0, 1.0), iub - iue),
-        ("R+R_K", (1.0, 1.0), iub),
-    ]
-    return _build_region(named, {**terms, **flags})
+    return _quantum_region("cc_csk", *_quantum_terms(ensemble, channel, instance, stealth, cfg))
 
 
 def csc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
@@ -239,13 +258,7 @@ def csc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
     Constraints: R bounded by I(U;B) - I(U;S) and the sum by
     I(U;B) - I(U;E); always nested inside the cc_csk region.
     """
-    terms, flags = _quantum_terms(ensemble, channel, instance, stealth, cfg)
-    iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
-    named = [
-        ("R", (1.0, 0.0), iub - ius),
-        ("R+R_K", (1.0, 1.0), iub - iue),
-    ]
-    return _build_region(named, {**terms, **flags})
+    return _quantum_region("csc_csk", *_quantum_terms(ensemble, channel, instance, stealth, cfg))
 
 
 def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,

@@ -65,11 +65,14 @@ def _array(node, where: str) -> list:
 
 
 def _checked(where: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its errors prefixed by the spec field ``where``:
-    a well-formed but invalid value keeps its error type, a malformed one is a parse error."""
+    """``make(*args, **kwargs)``, its errors prefixed by the spec field ``where``
+    (and the error's own ``field`` below it): a well-formed but invalid value
+    keeps its error type, a malformed one is a parse error."""
     try:
         return make(*args, **kwargs)
     except CovertqError as exc:
+        if exc.field:
+            where = f"{where}:{exc.field}"
         raise type(exc)(f"{where}: {exc}") from exc
     except Exception as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -178,7 +181,7 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
     q_s = _numbers(doc["q_s"], path, "'q_s'")
     w = _numbers(doc["channel"], path, "'channel'")
     _expect(_is_int(doc["x0"], 0), f"{path}:x0", f"must be an integer >= 0, got {doc['x0']!r}")
-    out["problem"] = _checked(f"{path}:channel", ClassicalProblem, q_s, w, doc["x0"], cfg)
+    out["problem"] = _checked(path, ClassicalProblem, q_s, w, doc["x0"], cfg)
     if "policy" in doc:
         pol = doc["policy"]
         _expect(isinstance(pol, dict) and "p_u_s" in pol and "p_a_us" in pol,

@@ -660,12 +660,15 @@ E2E_CASES = {
     "xor_typicality": ("xor", 4, (3, 4, 2), True, "typicality", None),
     "m1": ("xor", 5, (3, 4, 1), True, "likelihood", None),
     "n1": ("xor", 1, (2, 2, 2), False, "likelihood", None),
-    # 40 entries per codebook, cap 120: 61 trials in chunks of 3
-    "uneven_chunks": ("xor", 4, (2, 10, 2), True, "likelihood", 120),
-    "random_sparse": (0, 5, (3, 4, 2), True, "likelihood", 50),
-    "random_typicality": (1, 3, (2, 3, 2), False, "typicality", 13),
+    # 40 entries x 4 symbols, warden_cap 500: 61 trials in chunks of 3
+    "uneven_chunks": ("xor", 4, (2, 10, 2), True, "likelihood", 500),
+    # 24 entries x 5 symbols, warden_cap 300: chunks of 2
+    "random_sparse": (0, 5, (3, 4, 2), True, "likelihood", 300),
+    # 12 entries x 3 symbols exceed warden_cap 30: chunks of the one-trial floor
+    "random_typicality": (1, 3, (2, 3, 2), False, "typicality", 30),
     "random_wide": (2, 4, (2, 3, 3), False, "likelihood", None),
 }
+E2E_CHUNK = {"uneven_chunks": 3, "random_sparse": 2, "random_typicality": 1}
 
 
 def _e2e_instance(name):
@@ -679,14 +682,23 @@ def _e2e_instance(name):
 
 
 @pytest.mark.parametrize("case", sorted(E2E_CASES))
-def test_end_to_end_matches_trial_loop(case):
+def test_end_to_end_matches_trial_loop(case, monkeypatch):
     inst, n, sizes, csi, mode, cap = E2E_CASES[case]
     prob, pol, p_u = _e2e_instance(inst)
-    cfg = DEFAULT if cap is None else DEFAULT.replaced(codebook_cap=cap)
+    cfg = DEFAULT if cap is None else DEFAULT.replaced(warden_cap=cap)
     trials = 61
     ref, zero_weight = _end_to_end_reference(prob, pol, p_u, sizes, n, trials, 11,
                                              csi, mode)
+    chunks, ml_indices = [], classical._ml_indices
+
+    def recorded(codes, *args):
+        chunks.append((len(codes), codes.dtype))
+        return ml_indices(codes, *args)
+    monkeypatch.setattr(classical, "_ml_indices", recorded)
     assert end_to_end_error(prob, pol, p_u, sizes, n, trials, 11, csi, mode, cfg=cfg) == ref
+    # the chunk boundaries the case is meant to cross, in uint8 codebook buffers
+    k = E2E_CHUNK.get(case, trials)
+    assert chunks == [(k, np.uint8)] * (trials // k) + [(trials % k, np.uint8)] * (trials % k > 0)
     if case.startswith("xor_") and mode == "likelihood":
         assert 0 < zero_weight < trials
     if mode == "typicality":

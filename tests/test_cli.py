@@ -127,6 +127,14 @@ def test_region_commands_and_csv(tmp_path, capsys):
     assert json.loads(out2)["results"]["nested_in_cc_csk"] is True
 
 
+def test_csc_csk_evaluates_the_terms_once(capsys, monkeypatch):
+    # the nesting check reuses the Holevo terms of the csc_csk region
+    calls, terms = [], cli._quantum_terms
+    monkeypatch.setattr(cli, "_quantum_terms", lambda *a: calls.append(a) or terms(*a))
+    code, _, _ = run_cli(capsys, "region", "--spec", QUBIT, "--which", "csc_csk")
+    assert code == 0 and len(calls) == 1
+
+
 def test_region_classical_and_causal(capsys):
     code, out, _ = run_cli(capsys, "region", "--spec", CLASSICAL, "--which", "thm6")
     assert code == 0
@@ -298,6 +306,20 @@ def test_q_s_sum_slack(offset, prob_tol, exit_code, tmp_path, capsys):
     for command, *args in CLASSICAL_COMMANDS:
         code, _, err = run_cli(capsys, command, "--spec", spec, *args, "--seed", "1")
         assert code == exit_code, err
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_set(("q_s",), [0.25, 0.25, 0.5]), ":q_s: state distribution length"),
+    (_q_s_offset(1e-6), ":q_s: q_s is not a distribution"),
+    (_set(("x0",), 5), ":x0: innocent symbol 5"),
+    (_set(("channel", 0, 0, 0, 0), 0.5), ":channel: channel rows"),
+], ids=["q_s-length", "q_s-sum", "x0", "channel"])
+def test_classical_spec_errors_name_their_field(mutate, field, tmp_path, capsys):
+    # each was reported under ':channel:'
+    spec = _mutated_spec(tmp_path, CLASSICAL, mutate)
+    code, out, err = run_cli(capsys, "region", "--spec", spec, "--which", "thm3")
+    assert code == 3 and out == ""
+    assert f"mutated.json{field}" in err
 
 
 @pytest.mark.parametrize("blocklength", [0, -1, 2.5, True])
