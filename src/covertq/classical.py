@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Numerics, check_codebook_cap, code_size, pow2
+from .divergences import cq_sandwiched_renyi
 from .errors import CapExceeded, EncodingFailure, RunParameterError
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
 from .sampling import _cdf, _codeword_law, _draw, _mean_se, _symbols
+from .states import CQState, DensityMatrix
 
 __all__ = [
     "ClassicalCodebook",
@@ -359,30 +361,22 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
                                   cfg: Numerics = DEFAULT) -> dict:
     """Closed-form bound on the expected codebook-to-product divergence.
 
-    Classical specialization of the one-shot resolvability bound applied
-    to the n-fold product: the divergence term is additive and the
-    distinct-eigenvalue count is taken over the product distribution.
+    :func:`oneshot.resolvability_bound` on the n-fold product of the diagonal
+    cq embedding (conditionals diag(p_e_u[u]), probabilities p_u), at the best
+    of nine alphas: n D_(1+alpha)(U;E) from one :func:`cq_sandwiched_renyi`
+    call and the eigencount of the n-fold tensor power of its average.
+    Supports follow the quantum rule (``support_tol``, ``support_mass_tol``):
+    a drawn label's row outside the average's support gives +inf, alpha None.
     """
     p_u = _codeword_law(p_u)
-    p_e_u = np.asarray(p_e_u, dtype=np.float64)
-    p_e = p_u @ p_e_u
-    v = tensor_power_eigencount(np.diag(p_e).astype(complex), n, cfg=cfg)
-    best = math.inf
-    best_alpha = None
-    for alpha in np.linspace(0.05, 0.45, 9):
-        mass = 0.0
-        for pu, row in zip(p_u, p_e_u):
-            if pu == 0.0:  # a label never drawn adds nothing, not 0 * inf
-                continue
-            mask = row > 0.0
-            mass += pu * float(np.sum(row[mask] ** (1 + alpha)
-                                      * p_e[mask] ** (-alpha)))
-        d_ue = math.log2(mass) / alpha
-        val = (v ** alpha / (alpha * math.log(2.0))) \
-            * pow2(alpha * (-n * rate + n * d_ue))
-        if val < best:
-            best, best_alpha = val, float(alpha)
-    return {"bound": best, "alpha": best_alpha, "eigencount": v}
+    conds = np.asarray(p_e_u, dtype=complex)[:, :, None] * np.eye(np.shape(p_e_u)[1])
+    cq = CQState(range(len(p_u)), p_u, DensityMatrix(conds, validate=False), validate=False)
+    alphas = np.linspace(0.05, 0.45, 9)
+    d_ue = cq_sandwiched_renyi(cq, 1.0 + alphas, cfg).value.tolist()
+    v = tensor_power_eigencount(cq.average(), n, cfg=cfg)
+    best, alpha = min(((v ** a / (a * math.log(2.0))) * pow2(a * (-n * rate + n * d)), a)
+                      for a, d in zip(alphas.tolist(), d_ue))
+    return {"bound": best, "alpha": alpha if best < math.inf else None, "eigencount": v}
 
 
 def _codebook_divergences(u_mats: np.ndarray, p_e_u: np.ndarray,

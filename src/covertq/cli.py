@@ -71,6 +71,7 @@ from .regions import (
     corollary_rates,
     RateRegion,
 )
+from .sampling import _verdict
 from .specio import RunReport, SpecFile, load_spec, write_region_csv
 from .verify import run_suite
 
@@ -279,8 +280,7 @@ def cmd_simulate(args):
         p_u = problem.q_s @ policy.p_u_s
         res = resolvability_oracle(p_u, warden_rows(problem, policy), spec.rate("R"), n,
                                    mode="mc", trials=trials, seed=seed, cfg=cfg)
-        verdicts = {"resolvability": res["estimate"] <= res["bound"]
-                    + 3.0 * res["std_error"] + 1e-12}
+        verdicts = {"resolvability": _verdict(res["estimate"], res["std_error"], res["bound"])}
         results = {"resolvability": res}
         if n <= 8:
             sizes = tuple(code_size(n * spec.rate(name)) for name in ("R_J", "R_K", "R"))

@@ -165,7 +165,8 @@ def _renyi_alpha(order) -> np.ndarray:
 
 
 def _sandwich_fn(alpha: np.ndarray):
-    expo = (-alpha / (2.0 * (1.0 + alpha)))[..., None]
+    # -a/(2(1+a)) to the last bit wherever 2(1+a) is finite, and finite beyond
+    expo = (-alpha / (1.0 + alpha) / 2.0)[..., None]
     return lambda w: w ** expo
 
 
@@ -179,21 +180,46 @@ def renyi_sandwich_power(sigma, order, cfg: Numerics = DEFAULT) -> np.ndarray:
                        cfg.support_tol)
 
 
-def _sandwiched_trace(rho_m: np.ndarray, w_op: np.ndarray, alpha: np.ndarray,
-                      cfg: Numerics) -> np.ndarray:
-    """tr[(w_op rho w_op)^(1+alpha)] over the eigenvalues above the cutoff."""
+def _sandwiched_eigenvalues(rho_m: np.ndarray, w_op: np.ndarray,
+                            cfg: Numerics) -> np.ndarray:
+    """Eigenvalues of w_op rho w_op, with those at or below the cutoff set to 0."""
     inner = w_op @ rho_m @ w_op
     w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
-    cut = support_cutoff(w, cfg.support_tol)
-    return np.sum(np.where(w > cut, w, 0.0) ** (1.0 + alpha)[..., None], axis=-1)
+    return np.where(w > support_cutoff(w, cfg.support_tol), w, 0.0)
 
 
-def _log_ratio(tr_term: np.ndarray, alpha: np.ndarray,
-               violation: np.ndarray) -> DivergenceValue:
+def _log_ratio(w: np.ndarray, alpha: np.ndarray, violation: np.ndarray,
+               probs: np.ndarray | None = None) -> DivergenceValue:
     """log2(tr_term) / alpha, and +inf with the flag on a support violation
-    or a vanishing trace."""
-    bad = violation | (tr_term <= 0.0)
-    value = np.where(bad, math.inf, np.log2(np.where(bad, 1.0, tr_term)) / alpha)
+    or a vanishing trace.  ``tr_term`` sums ``w^(1+alpha)`` over the last axis
+    of the sandwiched eigenvalues ``w``, then, given ``probs``, over the labels.
+
+    Where that overflows to inf, or underflows to 0 although some w > 0
+    (large orders), the largest w of all labels is factored out, and each
+    part divided by alpha on its own:
+    log2 tr_term = (1+alpha) log2 w_max + log2 sum (w / w_max)^(1+alpha).
+    """
+    axes = (-1,) if probs is None else (-2, -1)
+    lift = (..., *(None,) * len(axes))  # appends the summed axes
+    expo = (1.0 + alpha)[lift]
+
+    def trace(x: np.ndarray) -> np.ndarray:
+        t = np.sum(x ** expo, axis=-1)
+        return t if probs is None else np.sum(probs * t, axis=-1)
+
+    with np.errstate(over="ignore"):
+        tr_term = trace(w)
+        bad = violation | (tr_term <= 0.0)
+        value = np.where(bad, math.inf, np.log2(np.where(bad, 1.0, tr_term)) / alpha)
+        fix = np.isinf(value) & ~violation
+        if fix.any():
+            top = np.max(w, axis=axes)
+            fix &= top > 0.0
+            top = np.where(fix, top, 1.0)
+            rest = np.where(fix, trace(w / top[lift]), 1.0)
+            value = np.where(fix, np.log2(top) * ((1.0 + alpha) / alpha)
+                             + np.log2(rest) / alpha, value)
+            bad &= ~fix
     return _divergence(value, bad)
 
 
@@ -218,7 +244,7 @@ def sandwiched_renyi(rho, sigma, order, cfg: Numerics = DEFAULT,
     violation = (alpha > 0.0) & _violates_support(r, s_spec, cfg)
     if sigma_power is None:
         sigma_power = _sigma_fn(s_spec, _sandwich_fn(alpha), violation, cfg)
-    return _log_ratio(_sandwiched_trace(r, sigma_power, alpha, cfg), alpha, violation)
+    return _log_ratio(_sandwiched_eigenvalues(r, sigma_power, cfg), alpha, violation)
 
 
 def _weighted_conditionals(cq: CQState) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +271,8 @@ def cq_sandwiched_renyi(cq: CQState, order,
     s_spec = eig_hermitian(cq.average().matrix, cfg)
     violation = (alpha > 0.0) & _violates_support(conds, s_spec, cfg).any()
     w_op = _sigma_fn(s_spec, _sandwich_fn(alpha), violation, cfg)
-    terms = _sandwiched_trace(conds, w_op[..., None, :, :], alpha[..., None], cfg)
-    return _log_ratio(np.sum(probs * terms, axis=-1), alpha, violation)
+    w = _sandwiched_eigenvalues(conds, w_op[..., None, :, :], cfg)
+    return _log_ratio(w, alpha, violation, probs)
 
 
 def von_neumann_entropy(rho, cfg: Numerics = DEFAULT):

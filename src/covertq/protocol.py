@@ -22,7 +22,7 @@ from .errors import DimMismatch, RunParameterError
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
 from .pinching import decoder_projector_blocks
-from .sampling import _cdf, _codeword_law, _mean_se, _symbols
+from .sampling import _cdf, _codeword_law, _mean_se, _symbols, _verdict
 from .states import CQState, DensityMatrix, ProblemInstance, innocent_output
 
 __all__ = [
@@ -278,7 +278,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         parts.append(evaluate(_symbols(cdf, u)))
     names = ["ideal_error", "penalty_p2", "split_lhs", "key_p2", "message_key_p2",
              "key_trace", "message_key_trace"]
-    samples = {n: np.concatenate([p[n] for p in parts]).tolist() for n in names}
+    samples = {n: np.concatenate([p[n] for p in parts]) for n in names}
     pair_ok = bool(all(p["paired"].all() for p in parts))
 
     means, ses = {}, {}
@@ -286,7 +286,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         means[n], ses[n] = _mean_se(samples[n])
 
     def ok(metric: str, bound: str) -> bool:
-        return means[metric] + 3.0 * ses[metric] <= bounds[bound] + 1e-12
+        return _verdict(means[metric], ses[metric], bounds[bound])
 
     verdicts = {
         "error_split": ok("split_lhs", "error_split"),
@@ -308,5 +308,5 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     return SimulationReport(
         trials=trials, rates=rates, match_mode=match_mode,
         means=means, std_errors=ses, bounds=bounds, verdicts=verdicts,
-        flags=flags, per_trial=samples if keep_trials else {},
+        flags=flags, per_trial={n: v.tolist() for n, v in samples.items()} if keep_trials else {},
     )

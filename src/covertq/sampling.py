@@ -155,15 +155,17 @@ def _symbols(cdf: np.ndarray, u) -> np.ndarray:
 
     The last entry is skipped: it is x / x = 1 > u (or NaN for an empty
     row), so it is never counted.  Fewer uniforms than entries are compared
-    in one broadcast; otherwise the loop runs over the entries.
+    in one broadcast and give ``intp`` indices; otherwise the loop runs over
+    the entries and counts in ``np.min_scalar_type(k - 1)``, the narrowest
+    dtype that holds every index, which it returns.
     """
     k = cdf.shape[-1]
     if np.size(u) < k:
         return np.count_nonzero(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
-    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(k))
+    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(k - 1))
     for i in range(k - 1):
         idx += cdf[..., i] <= u
-    return idx.astype(np.intp)
+    return idx
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
@@ -178,11 +180,16 @@ def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:
     return _symbols(_cdf(p), rng.random(p.shape[:-1] if shape is None else shape))
 
 
-def _mean_se(xs: list[float]) -> tuple[float, float]:
-    """Sample mean and its standard error, by exactly rounded sums."""
+def _mean_se(xs) -> tuple[float, float]:
+    """Sample mean and its standard error, by exactly rounded sums (of a list or an array)."""
     n = len(xs)
     mean = math.fsum(xs) / n
     if n < 2:
         return mean, 0.0
     var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+def _verdict(mean: float, se: float, bound: float) -> bool:
+    """The Monte Carlo verdict of both simulators: mean + 3 SE <= bound, to 1e-12."""
+    return mean + 3.0 * se <= bound + 1e-12

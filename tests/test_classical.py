@@ -319,6 +319,46 @@ def test_classical_resolvability_bound_is_the_commuting_case():
         assert abs(got["bound"] - vals[best]) <= 1e-12 * vals[best]
 
 
+def _product_cq(p_u, p_e_u, n):
+    """The explicit n-fold product of the diagonal cq embedding: labels
+    U^n, probabilities p_u^(x n), conditionals diag of the product rows."""
+    probs, rows = np.ones(1), np.ones((1, 1))
+    for _ in range(n):
+        probs = np.kron(probs, p_u)
+        rows = np.einsum("ae,bf->abef", rows, p_e_u).reshape(len(probs), -1)
+    return CQState(range(len(probs)), probs,
+                   DensityMatrix(np.stack([np.diag(r) for r in rows]).astype(complex)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_resolvability_bound_is_the_commuting_case_of_the_product(n):
+    # the n-fold bound is the one-shot quantum bound on the product cq state
+    # at rate n*rate: n D_(1+a)(U;E) is D_(1+a)(U^n;E^n), and the tensor-power
+    # eigencount is the distinct-eigenvalue count of the product average
+    alphas = np.linspace(0.05, 0.45, 9)
+    checked = 0
+    for p_u, p_e_u, rate in _resolvability_laws():
+        if max(p_e_u.shape) > 3:
+            continue
+        got = classical_resolvability_bound(p_u, p_e_u, rate, n)
+        cq = _product_cq(p_u, p_e_u, n)
+        vals = [resolvability_bound(cq, n * rate, float(a)) for a in alphas]
+        best = int(np.argmin(vals))
+        assert got["alpha"] == float(alphas[best])
+        assert abs(got["bound"] - vals[best]) <= 1e-12 * vals[best]
+        checked += 1
+    assert checked > 100
+
+
+def test_classical_resolvability_bound_follows_the_quantum_support_rule():
+    # label 1 is drawn with p = 1e-12, so the average's second eigenvalue is
+    # below support_tol: its row lies outside the support and every
+    # divergence is infinite, as in the quantum bound (a Renyi sum over the
+    # outputs with p_e > 0 would give 2.346922482345545)
+    got = classical_resolvability_bound([1.0 - 1e-12, 1e-12], np.eye(2), 1.0, 2)
+    assert got["bound"] == math.inf and got["alpha"] is None
+
+
 def test_end_to_end_error_improves_with_blocklength():
     prob = xor_problem()
     pol = stacked_policy()

@@ -51,6 +51,25 @@ def test_divergence_matches_classical_oracle(capsys):
     assert got == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("order", ["1500", "1e20", "1e308"])
+def test_sandwiched_divergence_at_large_orders(order, capsys):
+    # w^(1+alpha) overflows for w_max = 0.7/0.4 (a RuntimeWarning fails the
+    # test); the value tends to D_max = log2(0.7 / 0.4) as the order grows
+    code, out, err = run_cli(capsys, "divergence", "--spec", DIAG,
+                             "--measure", "sandwiched", "--order", order,
+                             "--a", "rho", "--b", "sigma", "--seed", "0")
+    assert code == 0 and err == ""
+    res = json.loads(out)["results"]
+    alpha = float(order) - 1.0
+    # log2 of p^(1+a) q^-a per unit of a, for the two outputs
+    lo, hi = sorted((1.0 + alpha) * math.log2(p) / alpha - math.log2(q)
+                    for p, q in ((0.3, 0.6), (0.7, 0.4)))
+    want = hi + math.log2(1.0 + 2.0 ** (alpha * (lo - hi))) / alpha
+    assert not res["support_violation"]
+    assert abs(res["value"] - want) <= 1e-12 * want
+    assert res["value"] <= math.log2(0.7 / 0.4)
+
+
 def test_divergence_support_violation_flag(capsys):
     code, out, _ = run_cli(capsys, "divergence", "--spec", DIAG,
                            "--measure", "relent", "--a", "mix", "--b", "pure0")

@@ -186,6 +186,33 @@ def test_cq_sandwiched_order_stack_flags_support_violations_above_one_only():
     assert cq_sandwiched_renyi(cq, 0.9).is_finite and not cq_sandwiched_renyi(cq, 1.1).is_finite
 
 
+def _log_space_renyi(p_u, rows, q, alpha):
+    """log2(sum_u p_u sum_e rows[u, e]^(1+a) q[e]^-a) / a, summed in log
+    space per unit of a so that no term overflows."""
+    logs = np.log2(p_u)[:, None] / alpha + (1.0 + alpha) / alpha * np.log2(rows) - np.log2(q)
+    top = logs.max()
+    with np.errstate(over="ignore"):
+        rest = np.sum(np.exp2(alpha * (logs - top)))
+    return top + math.log2(float(rest)) / alpha
+
+
+@pytest.mark.parametrize("order", [1500.0, 1e20, 1e308])
+def test_sandwiched_at_large_orders_matches_the_log_space_sum(order):
+    # w^(1+alpha) overflows for the largest w: 0.7/0.4 for the pair, 0.7/0.6
+    # (label 0) for the cq state, whose largest w over both labels is
+    # factored out instead
+    rows = np.array([[0.3, 0.7], [0.9, 0.1]])
+    p_u = np.array([0.5, 0.5])
+    cq = CQState(range(2), p_u, [diag_state(*r) for r in rows])
+    pair = sandwiched_renyi(diag_state(0.3, 0.7), diag_state(0.6, 0.4), order)
+    joint = cq_sandwiched_renyi(cq, np.array([order]))
+    assert not pair.support_violation and not joint.support_violation.any()
+    want = _log_space_renyi(np.ones(1), rows[:1], np.array([0.6, 0.4]), order - 1.0)
+    assert abs(pair.value - want) <= 1e-12 * want
+    want = _log_space_renyi(p_u, rows, p_u @ rows, order - 1.0)
+    assert abs(joint.value[0] - want) <= 1e-12 * want
+
+
 def test_von_neumann_entropy_values():
     rng = rng_for(12)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)

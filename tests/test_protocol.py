@@ -23,7 +23,12 @@ from covertq.protocol import (
     monte_carlo_verify,
     sample_codebook,
 )
-from covertq.sampling import matched_ensemble, random_density, random_problem_instance
+from covertq.sampling import (
+    _mean_se,
+    matched_ensemble,
+    random_density,
+    random_problem_instance,
+)
 from covertq.specio import load_spec
 from covertq.states import (
     CQState,
@@ -460,6 +465,21 @@ def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
             == pytest.approx(pen, abs=1e-12)
     assert len(sim.per_trial) == 7
     assert sim.verdicts["trace_pairing"] == pairs_ok
+
+
+def test_monte_carlo_keeps_per_trial_lists_only_when_asked():
+    # the means and standard errors come from the sample arrays: the same
+    # doubles as from the per-trial lists, built only under keep_trials
+    ens, inst, rates = _seeded_unmatched()
+    kept = monte_carlo_verify(ens, inst, rates, 40, 3)
+    bare = monte_carlo_verify(ens, inst, rates, 40, 3, keep_trials=False)
+    assert bare.per_trial == {}
+    assert (bare.means, bare.std_errors, bare.verdicts) \
+        == (kept.means, kept.std_errors, kept.verdicts)
+    assert len(kept.per_trial) == 7
+    for name, series in kept.per_trial.items():
+        assert type(series) is list and {type(x) for x in series} == {float}
+        assert _mean_se(series) == (kept.means[name], kept.std_errors[name])
 
 
 def test_stacked_decoder_reports_first_failing_codebook():

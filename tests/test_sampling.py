@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from covertq.sampling import (
     _cdf,
     _mean_se,
     _symbols,
+    _verdict,
     ginibre_kraus,
     ginibre_states,
     matched_ensemble,
@@ -42,12 +45,35 @@ def test_symbols_counts_the_cdf_entries_at_or_below_u(k):
                                 for c, row in zip(cdf, u)])
 
 
+@pytest.mark.parametrize("k", [1, 2, 255, 256, 257])
+def test_symbols_loop_form_counts_in_the_narrowest_index_dtype(k):
+    # at least k uniforms take the loop over the entries, which returns its
+    # counts in the narrowest dtype holding k - 1 (uint8 up to k = 256)
+    rng = rng_for(705 + k)
+    cdf = _cdf(rng.random(k))
+    u = rng.random((3, k + 2))
+    got = _symbols(cdf, u)
+    assert got.dtype == np.min_scalar_type(k - 1)
+    assert np.array_equal(got, np.count_nonzero(cdf <= u[..., None], axis=-1))
+    if k > 1:  # fewer uniforms than entries: one broadcast, intp counts
+        assert _symbols(cdf, u[0, :1]).dtype == np.intp
+
+
 def test_mean_se_matches_the_sample_formulas():
     xs = rng_for(710).random(40).tolist()
     mean, se = _mean_se(xs)
     assert mean == pytest.approx(np.mean(xs), rel=1e-15)
     assert se == pytest.approx(np.std(xs, ddof=1) / np.sqrt(40), rel=1e-12)
     assert _mean_se([0.5]) == (0.5, 0.0)
+
+
+def test_verdict_is_mean_plus_three_standard_errors_within_the_bound():
+    # 0.5 + 3 * 0.125 = 0.875 exactly; the slack is 1e-12
+    assert _verdict(0.5, 0.125, 0.875)
+    assert _verdict(0.5, 0.125, 0.875 - 0.5e-12)
+    assert not _verdict(0.5, 0.125, 0.875 - 2e-12)
+    assert _verdict(5.0, 0.0, math.inf)
+    assert not _verdict(math.nan, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("dim,rank", [(1, None), (3, None), (4, 2), (6, 1)])
