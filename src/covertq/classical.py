@@ -374,7 +374,8 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     alphas = np.linspace(0.05, 0.45, 9)
     d_ue = cq_sandwiched_renyi(cq, 1.0 + alphas, cfg).value.tolist()
     v = tensor_power_eigencount(cq.average(), n, cfg=cfg)
-    best, alpha = min(((v ** a / (a * math.log(2.0))) * pow2(a * (-n * rate + n * d)), a)
+    best, alpha = min(((v ** a / (a * math.log(2.0))) * pow2(a * (-n * rate + n * d))
+                       if d < math.inf else math.inf, a)
                       for a, d in zip(alphas.tolist(), d_ue))
     return {"bound": best, "alpha": alpha if best < math.inf else None, "eigencount": v}
 
@@ -411,6 +412,8 @@ def resolvability_oracle(p_u: np.ndarray, p_e_u: np.ndarray, rate: float,
     p_u = _codeword_law(p_u)
     p_e_u = np.asarray(p_e_u, dtype=np.float64)
     nu, ne = p_e_u.shape
+    if n * ne > cfg.warden_cap:  # the (n, |E|) product rows; n * rate may overflow a float
+        raise CapExceeded(f"blocklength {n} x |E| = {n * ne} exceeds cap {cfg.warden_cap}")
     size = code_size(n * rate)
     if size > cfg.codebook_cap:
         raise CapExceeded(f"{size} codewords exceed cap {cfg.codebook_cap}")

@@ -72,7 +72,7 @@ from .regions import (
     RateRegion,
 )
 from .sampling import _verdict
-from .specio import RunReport, SpecFile, load_spec, write_region_csv
+from .specio import FIELDS, RunReport, SpecFile, load_spec, write_region_csv
 from .verify import run_suite
 
 # Exit code of each error type; the first matching row wins.  Exit 6 covers
@@ -100,15 +100,20 @@ def _emit(report: RunReport, out_path: str | None) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _int_at_least(least: int):
-    """argparse type: an integer >= ``least``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+def _rule(block: str, name: str):
+    """argparse type: a number that keeps the rule of spec field ``block.name``."""
+    what, ok = FIELDS[block][name]
+
+    def parse(text: str):
+        value = None
+        for kind in (int, float):
+            try:
+                value = kind(text)
+                break
+            except ValueError:
+                pass
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
     return parse
 
@@ -319,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, spec_required=True):
         p.add_argument("--spec", required=spec_required, help="problem spec JSON file")
         p.add_argument("--out", default=None, help="write the JSON report here as well")
-        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the run seed")
+        p.add_argument("--seed", type=_rule("run", "seed"), default=None,
+                       help="override the run seed")
 
     p = sub.add_parser("divergence", help="evaluate a distance or divergence")
     common(p)
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--which", required=True,
                    choices=["thm1", "thm5", "lemma1", "lemma2"])
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_rule("rates", "alpha"), default=None)
     p.add_argument("--optimize", action="store_true",
                    help="grid-optimize over (alpha, R_J)")
 
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True,
                    choices=["cc_csk", "csc_csk", "thm3", "thm4", "thm6",
                             "causal", "corollaries"])
-    p.add_argument("--sweep", type=_int_at_least(1), default=5,
+    p.add_argument("--sweep", type=_rule("run", "trials"), default=5,  # a count, like trials
                    help="number of scalarization weights for the boundary CSV")
     p.add_argument("--csv", default=None, help="write boundary rows to this CSV")
     p.add_argument("--stealth", action="store_true",
@@ -352,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", required=True, choices=["quantum", "classical"])
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--cap", type=_int_at_least(1), default=None,
+    p.add_argument("--alpha", type=_rule("rates", "alpha"), default=None)
+    p.add_argument("--cap", type=_rule("numerics", "codebook_cap"), default=None,
                    help="codebook size cap override")
 
     p = sub.add_parser("verify", help="run randomized invariant suites")

@@ -45,12 +45,16 @@ LAW_SLACK = 1e-9
 
 
 def pow2(x: float) -> float:
-    """``2.0 ** x``; raises :class:`CapExceeded` when it overflows a float,
-    so an absurd rate ends with the cap exit code instead of a traceback."""
+    """``2.0 ** x``; raises :class:`CapExceeded` when it is not a finite
+    float (it overflows, or ``x`` is inf or NaN), so an absurd rate ends
+    with the cap exit code instead of a traceback."""
     try:
-        return 2.0 ** x
+        y = 2.0 ** x
     except OverflowError:
-        raise CapExceeded(f"2^{x:g} exceeds every cap") from None
+        y = math.inf
+    if not math.isfinite(y):
+        raise CapExceeded(f"2^{x:g} exceeds every cap")
+    return y
 
 
 def code_size(bits: float) -> int:

@@ -43,8 +43,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def herm_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    """Largest entrywise deviation of ``m`` from its conjugate transpose;
+    inf, without a numpy warning, when an entry near the float range
+    overflows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
 def require_finite(a: np.ndarray, what: str, error: type[Exception]) -> None:
@@ -69,7 +72,7 @@ def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.nda
         raise DimMismatch(f"{what} must be square, got shape {m.shape}")
     require_finite(m, what, NotHermitian)
     dev = herm_deviation(m)
-    if dev > tol:
+    if not dev <= tol:  # NaN fails too
         raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
     return m
 

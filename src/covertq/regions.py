@@ -27,6 +27,7 @@ __all__ = [
     "cc_csk_region",
     "csc_csk_region",
     "corollary_rates",
+    "check_policy",
     "joint_table",
     "induced_warden_distribution",
     "total_variation",
@@ -284,12 +285,18 @@ def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,
 # ---------------------------------------------------------------------------
 # Classical joint tables and regions
 
-def joint_table(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarray:
-    """Joint distribution table with axes (U, S, B, E)."""
+def check_policy(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> None:
+    """Raise :class:`DimMismatch` unless the policy's S and A alphabets are
+    the problem's."""
     if policy.p_a_us.shape[2] != problem.w.shape[0]:
         raise DimMismatch("policy A alphabet does not match channel")
     if policy.p_u_s.shape[0] != problem.q_s.shape[0]:
         raise DimMismatch("policy S alphabet does not match state distribution")
+
+
+def joint_table(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarray:
+    """Joint distribution table with axes (U, S, B, E)."""
+    check_policy(problem, policy)
     return np.einsum("s,su,usa,asbe->usbe", problem.q_s, policy.p_u_s,
                      policy.p_a_us, problem.w, optimize=True)
 

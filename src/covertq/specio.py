@@ -8,6 +8,7 @@ time is the one field excluded from that contract.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -19,10 +20,10 @@ import numpy as np
 from .config import DEFAULT, Numerics
 from .errors import CovertqError, DimMismatch, ParseError
 from .oneshot import ProtocolRates
-from .regions import AuxiliaryPolicy, ClassicalProblem
+from .regions import AuxiliaryPolicy, ClassicalProblem, check_policy
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
 
-__all__ = ["SpecFile", "load_spec", "RunReport", "write_region_csv"]
+__all__ = ["FIELDS", "SpecFile", "load_spec", "RunReport", "write_region_csv"]
 
 SUPPORTED_VERSIONS = ("1",)
 
@@ -30,6 +31,50 @@ SUPPORTED_VERSIONS = ("1",)
 def _expect(cond: bool, where: str, msg: str):
     if not cond:
         raise ParseError(f"{where}: {msg}")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number; a bool is not one."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
+def _each(what: str, ok):
+    """The rule of a non-empty array whose every entry keeps ``(what, ok)``."""
+    return (f"a non-empty array, each entry {what}",
+            lambda v: type(v) is list and len(v) > 0 and all(map(ok, v)))
+
+
+# The rule of every scalar spec field, FIELDS[block][name] = (what, test),
+# block "" being the top level.  ``test`` takes the decoded JSON value; one
+# that fails it is a parse error "<path>:<block>.<name>: must be <what>,
+# got <value!r>".  The numeric CLI flags take their argparse types from the
+# same rows.
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_INDEX = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_NONNEG = ("a finite number >= 0", lambda v: _finite(v) and v >= 0.0)
+_OPEN_HALF = ("a number in (0, 1/2)", lambda v: _finite(v) and 0.0 < v < 0.5)
+FIELDS = {
+    # a cap is an integer, a tolerance a float
+    "numerics": {f.name: _COUNT if type(f.default) is int else _NONNEG
+                 for f in dataclasses.fields(Numerics)},
+    "rates": {"R": _NONNEG, "R_K": _NONNEG, "R_J": _NONNEG, "alpha": _OPEN_HALF},
+    "run": {"blocklength": _COUNT, "seed": _INDEX, "trials": _COUNT,
+            "rj_grid": _each(*_NONNEG), "alpha_grid": _each(*_OPEN_HALF)},
+    "factors": {"A": _COUNT, "S": _COUNT, "B": _COUNT, "E": _COUNT},
+    "": {"x0": _INDEX},
+}
+
+
+def _check_fields(node: dict, block: str, path: str) -> None:
+    """Check the fields of ``node``, spec block ``block``, against their
+    FIELDS rows; other keys are left to the block's parser."""
+    for name, (what, ok) in FIELDS[block].items():
+        if name in node and not ok(node[name]):
+            where = f"{block}.{name}" if block else name
+            raise ParseError(f"{path}:{where}: must be {what}, got {node[name]!r}")
 
 
 def _numbers(node, where: str, name: str) -> np.ndarray:
@@ -55,7 +100,8 @@ def _matrix(node, where: str, shape: tuple[int, int] | None = None) -> np.ndarra
     _expect(im.shape == re.shape, where, "'im' shape differs from 're'")
     if shape is not None and re.shape != shape:
         raise DimMismatch(f"{where}: shape {re.shape}, expected {shape}")
-    return re + 1j * im
+    with np.errstate(invalid="ignore"):  # 1j * inf; the state check names the entry
+        return re + 1j * im
 
 
 def _array(node, where: str) -> list:
@@ -101,34 +147,31 @@ class SpecFile:
         return float(self.rates.get(name, 0.0))
 
     def protocol_rates(self, alpha: float | None = None) -> ProtocolRates:
+        """The rates block, its alpha replaced by ``alpha`` when given."""
         _expect(bool(self.rates), f"{self.path}:rates", "spec carries no rates block")
         a = alpha if alpha is not None else self.rates.get("alpha")
         _expect(a is not None, f"{self.path}:rates", "no alpha given (flag or spec)")
-        try:
-            return ProtocolRates(R=self.rate("R"), R_K=self.rate("R_K"),
-                                 R_J=self.rate("R_J"), alpha=float(a))
-        except ValueError as exc:
-            raise ParseError(f"{self.path}:rates: {exc}") from exc
+        return ProtocolRates(R=self.rate("R"), R_K=self.rate("R_K"),
+                             R_J=self.rate("R_J"), alpha=float(a))
 
 
 def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     out: dict = {}
     states = doc.get("states", {})
     _expect(isinstance(states, dict), f"{path}:states", "must be an object")
-    out["states"] = {name: DensityMatrix(_matrix(node, f"{path}:states.{name}"), cfg=cfg)
+    out["states"] = {name: _checked(f"{path}:states.{name}", DensityMatrix,
+                                    _matrix(node, f"{path}:states.{name}"), cfg=cfg)
                      for name, node in states.items()}
     if "channel" not in doc:
         _expect("ensemble" not in doc, f"{path}:ensemble",
                 "an ensemble needs a channel block")
         return out
 
-    where = f"{path}:factors"
     factors = doc.get("factors")
-    _expect(isinstance(factors, dict), where, "missing factor dimension map")
-    for name in ("A", "S", "B", "E"):
-        _expect(name in factors, where, f"missing factor {name!r}")
-        _expect(_is_int(factors[name], 1), f"{where}.{name}",
-                f"must be an integer >= 1, got {factors[name]!r}")
+    _expect(isinstance(factors, dict), f"{path}:factors", "missing factor dimension map")
+    for name in FIELDS["factors"]:
+        _expect(name in factors, f"{path}:factors", f"missing factor {name!r}")
+    _check_fields(factors, "factors", path)
     d_a, d_s, d_b, d_e = (factors[name] for name in ("A", "S", "B", "E"))
 
     ch_node = doc.get("channel")
@@ -136,27 +179,30 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
             "missing Kraus list")
     kraus = [_matrix(k, f"{path}:channel.kraus[{i}]", (d_b * d_e, d_a * d_s))
              for i, k in enumerate(_array(ch_node["kraus"], f"{path}:channel.kraus"))]
-    channel = QuantumChannel(kraus, in_factors=[("A", d_a), ("S", d_s)],
-                             out_factors=[("B", d_b), ("E", d_e)], cfg=cfg)
+    channel = _checked(f"{path}:channel", QuantumChannel, kraus,
+                       in_factors=[("A", d_a), ("S", d_s)],
+                       out_factors=[("B", d_b), ("E", d_e)], cfg=cfg)
 
     _expect("innocent" in doc, f"{path}:innocent", "missing innocent state")
-    innocent = DensityMatrix(_matrix(doc["innocent"], f"{path}:innocent", (d_a, d_a)),
-                             [("A", d_a)], cfg=cfg)
+    innocent = _checked(f"{path}:innocent", DensityMatrix,
+                        _matrix(doc["innocent"], f"{path}:innocent", (d_a, d_a)),
+                        [("A", d_a)], cfg=cfg)
     csi_node, where = doc.get("csi"), f"{path}:csi"
     _expect(isinstance(csi_node, dict), where, "missing csi state")
     csi_factors = csi_node.get("factors", ["S"])
     _expect(csi_factors in (["S"], ["Sbar", "S"]), f"{where}.factors",
             f"must be ['S'] or ['Sbar', 'S'], got {csi_factors!r}")
     if csi_factors == ["S"]:
-        csi = DensityMatrix(_matrix(csi_node, where, (d_s, d_s)), [("S", d_s)], cfg=cfg)
+        csi_mat, csi_dims = _matrix(csi_node, where, (d_s, d_s)), [("S", d_s)]
     else:
         csi_mat = _matrix(csi_node, where)
         side = csi_mat.shape[0]
         if csi_mat.shape != (side, side) or side % d_s:
             raise DimMismatch(f"{where}: shape {csi_mat.shape}, expected a square "
                               f"of side a multiple of the S dimension {d_s}")
-        csi = DensityMatrix(csi_mat, [("Sbar", side // d_s), ("S", d_s)], cfg=cfg)
-    out["instance"] = ProblemInstance(channel, innocent, csi)
+        csi_dims = [("Sbar", side // d_s), ("S", d_s)]
+    csi = _checked(where, DensityMatrix, csi_mat, csi_dims, cfg=cfg)
+    out["instance"] = _checked(path, ProblemInstance, channel, innocent, csi)
 
     if "ensemble" in doc:
         ens, where = doc["ensemble"], f"{path}:ensemble"
@@ -170,7 +216,7 @@ def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
                          [("A", d_a), ("S", d_s)], cfg=cfg)
         probs = _numbers(ens["probs"], where, "'probs'")
         _expect(probs.ndim == 1, where, f"'probs' must be a 1-D array, got {ens['probs']!r}")
-        out["ensemble"] = CQState(range(len(nodes)), probs, conds, cfg=cfg)
+        out["ensemble"] = _checked(where, CQState, range(len(nodes)), probs, conds, cfg=cfg)
     return out
 
 
@@ -180,81 +226,17 @@ def _parse_classical(doc: dict, cfg: Numerics, path: str) -> dict:
             "classical spec needs 'q_s', 'channel', 'x0'")
     q_s = _numbers(doc["q_s"], path, "'q_s'")
     w = _numbers(doc["channel"], path, "'channel'")
-    _expect(_is_int(doc["x0"], 0), f"{path}:x0", f"must be an integer >= 0, got {doc['x0']!r}")
+    _check_fields(doc, "", path)
     out["problem"] = _checked(path, ClassicalProblem, q_s, w, doc["x0"], cfg)
     if "policy" in doc:
-        pol = doc["policy"]
+        pol, where = doc["policy"], f"{path}:policy"
         _expect(isinstance(pol, dict) and "p_u_s" in pol and "p_a_us" in pol,
-                f"{path}:policy", "needs 'p_u_s' and 'p_a_us'")
-        p_u_s = _numbers(pol["p_u_s"], f"{path}:policy", "'p_u_s'")
-        p_a_us = _numbers(pol["p_a_us"], f"{path}:policy", "'p_a_us'")
-        out["policy"] = _checked(f"{path}:policy", AuxiliaryPolicy, p_u_s, p_a_us, cfg)
+                where, "needs 'p_u_s' and 'p_a_us'")
+        p_u_s = _numbers(pol["p_u_s"], where, "'p_u_s'")
+        p_a_us = _numbers(pol["p_a_us"], where, "'p_a_us'")
+        out["policy"] = _checked(where, AuxiliaryPolicy, p_u_s, p_a_us, cfg)
+        _checked(where, check_policy, out["problem"], out["policy"])
     return out
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number (not a bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite_number(value) -> float | None:
-    """``value`` as a float if it is a finite JSON number (not a bool)."""
-    if not _is_number(value):
-        return None
-    try:
-        x = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return None
-    return x if math.isfinite(x) else None
-
-
-def _is_int(value, least: int) -> bool:
-    """Whether ``value`` is a JSON integer >= ``least`` (not a bool)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _check_numerics(nums: dict, path: str) -> None:
-    """Tolerances must be finite numbers >= 0 and caps integers >= 1;
-    unknown keys are left to ``Numerics.replaced``."""
-    for name, value in nums.items():
-        default = getattr(DEFAULT, name, None)
-        if isinstance(default, int):
-            _expect(_is_int(value, 1), f"{path}:numerics.{name}",
-                    f"must be an integer >= 1, got {value!r}")
-        elif isinstance(default, float):
-            x = _finite_number(value)
-            _expect(x is not None and x >= 0.0, f"{path}:numerics.{name}",
-                    f"must be a finite number >= 0, got {value!r}")
-
-
-# The range of a rate and of the Renyi knob alpha: (what, test on a finite float).
-_RATE = ("a finite number >= 0", lambda x: x >= 0.0)
-_ALPHA = ("a number in (0, 1/2)", lambda x: 0.0 < x < 0.5)
-
-
-def _in_range(value, ok) -> bool:
-    x = _finite_number(value)
-    return x is not None and ok(x)
-
-
-def _check_rates(rates: dict, path: str) -> None:
-    for name, (what, ok) in (("R", _RATE), ("R_K", _RATE), ("R_J", _RATE), ("alpha", _ALPHA)):
-        if name in rates:
-            _expect(_in_range(rates[name], ok), f"{path}:rates.{name}",
-                    f"must be {what}, got {rates[name]!r}")
-
-
-def _check_run(run: dict, path: str) -> None:
-    for name, least in (("blocklength", 1), ("seed", 0), ("trials", 1)):
-        if name in run:
-            _expect(_is_int(run[name], least), f"{path}:run.{name}",
-                    f"must be an integer >= {least}, got {run[name]!r}")
-    for name, (what, ok) in (("rj_grid", _RATE), ("alpha_grid", _ALPHA)):
-        if name in run:
-            grid = run[name]
-            _expect(isinstance(grid, list) and len(grid) > 0
-                    and all(_in_range(x, ok) for x in grid), f"{path}:run.{name}",
-                    f"must be a non-empty array, each entry {what}, got {grid!r}")
 
 
 def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
@@ -276,23 +258,19 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
     _expect(kind in ("quantum", "classical"), f"{path}:kind",
             "kind must be 'quantum' or 'classical'")
 
-    nums = doc.get("numerics", {})
-    _expect(isinstance(nums, dict), f"{path}:numerics", "must be an object")
-    _check_numerics(nums, path)
+    blocks = {}
+    for block in ("numerics", "rates", "run"):
+        blocks[block] = node = doc.get(block, {})
+        _expect(isinstance(node, dict), f"{path}:{block}", "must be an object")
+        _check_fields(node, block, path)
     try:
-        cfg = cfg.replaced(**nums)
-    except (TypeError, ValueError) as exc:
+        cfg = cfg.replaced(**blocks["numerics"])
+    except (TypeError, ValueError) as exc:  # a key that is not a Numerics field
         raise ParseError(f"{path}:numerics: {exc}") from exc
 
-    rates, run = doc.get("rates", {}), doc.get("run", {})
-    _expect(isinstance(rates, dict), f"{path}:rates", "must be an object")
-    _expect(isinstance(run, dict), f"{path}:run", "must be an object")
-    _check_rates(rates, path)
-    _check_run(run, path)
-
     parsed = (_parse_quantum if kind == "quantum" else _parse_classical)(doc, cfg, path)
-    return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=rates, run=run,
-                    **parsed)
+    return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=blocks["rates"],
+                    run=blocks["run"], **parsed)
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,9 @@ class QuantumChannel:
             raise DimMismatch("Kraus operators have inconsistent shapes") from exc
         if validate:
             require_finite(kraus, "Kraus operators", NotPSD)
-            dev = float(np.max(np.abs(np.sum(dagger(kraus) @ kraus, axis=0) - np.eye(d_in))))
-            if dev > cfg.herm_tol:
+            with np.errstate(over="ignore", invalid="ignore"):  # entries near the float range
+                dev = float(np.max(np.abs(np.sum(dagger(kraus) @ kraus, axis=0) - np.eye(d_in))))
+            if not dev <= cfg.herm_tol:  # NaN fails too
                 raise NotPSD(f"channel is not trace preserving: |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "in_factors", _as_factors(in_factors, d_in))

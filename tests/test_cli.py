@@ -10,9 +10,10 @@ from conftest import assert_same
 
 from covertq import cli, specio
 from covertq.cli import main
-from covertq.config import DEFAULT
+from covertq.config import DEFAULT, pow2
 from covertq.classical import resolvability_oracle
-from covertq.errors import NotADistribution, ParseError, RunParameterError, SelfCheckFailed
+from covertq.errors import (CapExceeded, NotADistribution, ParseError, RunParameterError,
+                             SelfCheckFailed)
 from covertq.oneshot import ProtocolRates, resolvability_bound
 from covertq.protocol import monte_carlo_verify
 from covertq.specio import load_spec
@@ -930,3 +931,138 @@ def test_policy_rows_within_the_law_slack_still_simulate(tmp_path, capsys):
                              "--trials", "30", "--seed", "3")
     assert code in (0, 1) and err == ""
     assert "end_to_end" in json.loads(out)["results"]
+
+
+def _policy_a1(doc):
+    doc["policy"]["p_a_us"] = [[[1.0] for _ in row] for row in doc["policy"]["p_a_us"]]
+
+
+def _policy_s3(doc):
+    pol = doc["policy"]
+    pol["p_u_s"].append(pol["p_u_s"][0])
+    for row in pol["p_a_us"]:
+        row.append(row[0])
+
+
+def _channel_a1(doc):
+    del doc["channel"][1:]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_policy_a1, "policy A alphabet does not match channel"),  # exited 0, warden_tv 7.5
+    (_policy_s3, "policy S alphabet does not match state distribution"),  # exited 6
+    (_channel_a1, "policy A alphabet does not match channel"),  # exited 6, IndexError
+], ids=["p_a_us-A1", "policy-S3", "channel-A1"])
+@pytest.mark.parametrize("argv", [CLASSICAL_SIMULATE, ("region", "--which", "causal")],
+                         ids=["simulate", "causal"])
+def test_policy_alphabets_must_match_the_channel(mutate, message, argv, tmp_path, capsys):
+    spec = _mutated_spec(tmp_path, CLASSICAL, mutate)
+    code, out, err = run_cli(capsys, *argv, "--spec", spec, "--seed", "1")
+    assert code == 3 and out == ""
+    assert err == f"error: {spec}:policy: {message}\n"
+
+
+def test_pow2_refuses_a_non_finite_power(tmp_path, capsys):
+    for x in (math.inf, math.nan, 1e308):
+        with pytest.raises(CapExceeded):
+            pow2(x)
+    assert pow2(-math.inf) == 0.0
+    # n * rate is inf at blocklength 4: exited 6, internal OverflowError from int(inf)
+    spec = _mutated_spec(tmp_path, CLASSICAL, _set(("rates", "R"), 1e308))
+    code, out, err = run_cli(capsys, *CLASSICAL_SIMULATE, "--spec", spec, "--seed", "1")
+    assert code == 5 and out == "" and err == "error: 2^inf exceeds every cap\n"
+
+
+def test_blocklength_beyond_the_float_range_exits_5(tmp_path, capsys):
+    # n * rate exited 6, internal OverflowError: int too large to convert to float
+    spec = _mutated_spec(tmp_path, CLASSICAL, _set(("run", "blocklength"), 10 ** 400))
+    code, out, err = run_cli(capsys, *CLASSICAL_SIMULATE, "--spec", spec, "--seed", "1")
+    assert code == 5 and out == ""
+    assert err.startswith("error: blocklength 1000") and err.endswith("exceeds cap 65536\n")
+
+
+def _huge_entries(path, values):
+    def mutate(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        for (i, j), value in values.items():
+            node[i][j] = value
+    return mutate
+
+
+HUGE_ENTRIES = [
+    # re + 1j * im with an inf in im
+    (DIAG, ("states", "sigma", "im"), {(0, 1): math.inf}, ":states.sigma: state has non-finite"),
+    # m - m^dag overflows in the Hermiticity check
+    (QUBIT, ("innocent", "re"), {(0, 1): 1e308, (1, 0): -1e308},
+     ":innocent: state deviates from Hermitian by inf"),
+    (QUBIT, ("innocent", "im"), {(0, 1): 1e308, (1, 0): 1e308},
+     ":innocent: state deviates from Hermitian by inf"),
+    # the trace-preservation check of a Kraus operator
+    (QUBIT, ("channel", "kraus", 0, "re"), {(1, 0): 1e308},
+     ":channel: channel is not trace preserving"),
+]
+
+
+@pytest.mark.parametrize("fixture,path,values,message", HUGE_ENTRIES,
+                         ids=["im-inf", "re-1e308", "im-1e308", "kraus-1e308"])
+def test_huge_spec_entries_exit_3_without_numpy_warnings(fixture, path, values, message,
+                                                        tmp_path, capsys):
+    # each printed a RuntimeWarning, and under error::RuntimeWarning exited 6
+    spec = _mutated_spec(tmp_path, fixture, _huge_entries(path, values))
+    argv = QUANTUM_NODES[0][2][0] if fixture == DIAG else BOUND_THM1
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_huge_spec_entry_leaves_only_the_error_line_on_stderr(tmp_path):
+    spec = _mutated_spec(tmp_path, QUBIT, _huge_entries(("innocent", "im"), {(0, 1): math.inf}))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "covertq.cli", *BOUND_THM1, "--spec", spec],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: {spec}:innocent: state has non-finite entries at [(0, 1)]\n"
+
+
+def test_alpha_flag_has_its_own_rule(capsys):
+    # was reported as "qubit_cnot.json:rates: alpha must lie in (0, 1/2)", exit 2
+    with pytest.raises(SystemExit) as exc:
+        main([*BOUND_THM1, "--spec", QUBIT, "--alpha", "0.7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --alpha: must be a number in (0, 1/2), got '0.7'" in err
+    assert "qubit_cnot.json" not in err
+
+
+FIELD_ERRORS = [
+    (DIAG, QUANTUM_NODES[0][2][0], _set(("states", "rho", "re", 0, 1), math.nan),
+     ":states.rho: state has non-finite entries"),
+    (QUBIT, BOUND_THM1, _set(("innocent", "re", 0, 1), math.inf),
+     ":innocent: state has non-finite entries"),
+    (QUBIT, BOUND_THM1, _set(("csi", "re", 0, 0), 1.65), ":csi: state trace is 2.0"),
+    (QUBIT, BOUND_THM1, _set(("channel", "kraus", 0, "re", 0, 0), 1.2),
+     ":channel: channel is not trace preserving"),
+    (QUBIT, BOUND_THM1, _set(("ensemble", "conditionals", 2, "re", 0, 0), -0.5),
+     ":ensemble.conditionals: state 2 trace is"),
+    (QUBIT, BOUND_THM1, _set(("ensemble", "probs", 0), 0.9), ":ensemble: probabilities sum to"),
+    (CLASSICAL, CLASSICAL_THM3, _q_s_offset(1e-6), ":q_s: q_s is not a distribution"),
+    (CLASSICAL, CLASSICAL_THM3, _set(("channel", 0, 0, 0, 0), 0.5), ":channel: channel rows"),
+    (CLASSICAL, CLASSICAL_THM3, _set(("x0",), 5), ":x0: innocent symbol 5"),
+    (CLASSICAL, CLASSICAL_THM3, _set(("policy", "p_u_s", 0, 0), 0.9),
+     ":policy: P(u|s) rows must sum to one"),
+    (CLASSICAL, CLASSICAL_THM3, _policy_a1, ":policy: policy A alphabet"),
+]
+
+
+@pytest.mark.parametrize("fixture,argv,mutate,field", FIELD_ERRORS,
+                         ids=[f"{c[3].split(':')[1]}-{i}" for i, c in enumerate(FIELD_ERRORS)])
+def test_every_spec_node_error_names_its_field(fixture, argv, mutate, field, tmp_path, capsys):
+    # the states, innocent, csi, channel, ensemble and policy errors named no field
+    spec = _mutated_spec(tmp_path, fixture, mutate)
+    code, out, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {spec}{field}") and len(err.splitlines()) == 1
