@@ -25,6 +25,11 @@ machine load reach every case alike):
   and ``classical.resolvability_oracle.n7``: the three stages of a
   ``simulate --target classical`` call on the ``classical_n7`` spec
   (blocklength 7, 1000 trials, seed 1), called directly;
+- ``sampling._symbols.codebook_n7`` and ``sampling._symbols.bins_n7``: the
+  inverse-CDF sampler's two forms on the draws of that simulation: one
+  trial's (3, 103, 2, 7) codebook block under the codeword CDF (the loop over
+  entries), and one 15-trial chunk's bin draw, 15 uniforms under 15 CDFs of
+  J*K = 309 bins (the broadcast);
 - ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1), and
   ``cli.classical_n7.<key>`` every call of one ``classical_n7`` op (seed 1),
   each checked against its expected exit code.
@@ -99,7 +104,7 @@ def build_cases(root: str, workdir: str) -> dict:
     from covertq.errors import CovertqError
     from covertq.pinching import distinct_eigenspaces
     from covertq.regions import fm_projection_grid
-    from covertq.sampling import ginibre_states
+    from covertq.sampling import _cdf, _symbols, ginibre_states
     from covertq.specio import load_spec
     from covertq.verify import SUITES, run_suite
     import workloads
@@ -148,6 +153,11 @@ def build_cases(root: str, workdir: str) -> dict:
     cases["classical.resolvability_oracle.n7"] = \
         lambda: resolvability_oracle(p_u, rows, spec.rate("R"), n, mode="mc", trials=1000,
                                      seed=SEED, cfg=cfg)
+    rng = np.random.default_rng(SEED)
+    cdf_u, u_code = _cdf(p_u), rng.random((*sizes, n))
+    cdf_bins, u_bins = _cdf(rng.random((15, sizes[0] * sizes[1]))), rng.random(15)
+    cases["sampling._symbols.codebook_n7"] = lambda: _symbols(cdf_u, u_code)
+    cases["sampling._symbols.bins_n7"] = lambda: _symbols(cdf_bins, u_bins)
 
     def run_call(call):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -63,45 +63,59 @@ def _density_ratio(p_u_s: np.ndarray, p_u) -> np.ndarray:
     return p_u_s / np.maximum(np.asarray(p_u, dtype=np.float64), 1e-300)
 
 
-def _bin_weights(ratio: np.ndarray, u_m: np.ndarray, s_seq: np.ndarray) -> np.ndarray:
-    """Unnormalized soft-covering weights of the bins whose codewords are
-    ``u_m`` (J, K, n): the product 1*r_0*r_1*... over symbols, in symbol
-    order, of the density ratio ``ratio[s_t, u_t]`` = P(u|s) / P(u)."""
-    flat = u_m.transpose(2, 0, 1) + ratio.shape[1] * s_seq[:, None, None]
-    return np.prod(ratio.ravel().take(flat), axis=0)
-
-
 class _Encoder:
-    """Lookup tables of the binning encoder for one policy and codeword law.
+    """Lookup tables of the binning encoder for one policy and codeword law,
+    and the scratch buffers of its bin weights for codebooks of shape
+    ``(J, K, n)``.
 
     Each entry is computed with the arithmetic the encoder applies per
-    symbol, so gathering from the tables gives the same doubles.
+    symbol, so gathering from the tables gives the same doubles.  State
+    sequences come in ``index_dtype``, the narrowest dtype that holds every
+    flat (s, u) index s*U + u, so the bin weights' index arithmetic runs in
+    one dtype.
     """
 
-    def __init__(self, policy: AuxiliaryPolicy, p_u: np.ndarray):
+    def __init__(self, policy: AuxiliaryPolicy, p_u: np.ndarray, shape: tuple[int, int, int]):
         p_u_s = policy.p_u_s
-        self.ratio = _density_ratio(p_u_s, p_u)
+        ns, nu = p_u_s.shape
+        self.ratio = _density_ratio(p_u_s, p_u).ravel()  # P(u|s) / P(u) at s*U + u
         self.allowed = p_u_s > 0.0
         self.surprisal = np.where(self.allowed, -np.log2(np.maximum(p_u_s, 1e-300)), 0.0)
         # per-state conditional entropy, which centers the typicality window
         self.entropy = [-float(np.sum(row[row > 0.0] * np.log2(row[row > 0.0])))
                         for row in p_u_s]
         self.cdf_a = _cdf(policy.p_a_us)  # (U, S, A)
+        self.index_dtype = np.min_scalar_type(ns * nu - 1)
+        self.nu = self.index_dtype.type(nu)
+        nj, nk, n = shape
+        self.offsets = np.empty(n, dtype=self.index_dtype)
+        self.index = np.empty((n, nj, nk), dtype=self.index_dtype)
+        self.factors = np.empty((n, nj, nk))
 
     def draw(self, u_m: np.ndarray, s_seq: np.ndarray, rng: np.random.Generator,
-             mode: str, eps: float | None = None) -> tuple[int, np.ndarray | None, float]:
-        """The bin draw for the codewords ``u_m`` (J, K, n) of one message.
+             mode: str, weights: np.ndarray, eps: float | None = None
+             ) -> tuple[int, float, float]:
+        """The bin draw for the codewords ``u_m`` (J, K, n) of one message
+        under the state sequence ``s_seq``, both in dtypes no wider than
+        ``index_dtype``.
 
-        Returns ``(flat, None, 0.0)`` when the flat (j, k) index is already
-        drawn, or ``(-1, law, u)`` when it is ``_symbols(_cdf(law, normalized=True), u)``.
+        Likelihood encoding writes the unnormalized soft-covering weights of
+        the bins into ``weights`` (J*K,): the product 1*r_0*r_1*... over
+        symbols, in symbol order, of the density ratio ``r_t = P(u_t|s_t) /
+        P(u_t)``.  Returns ``(flat, tot, 0.0)`` when the flat (j, k) index is
+        already drawn, or ``(-1, tot, u)`` when it is ``_symbols(_cdf(weights
+        / tot, normalized=True), u)``, where ``tot`` is the weights' sum.
         Raises :class:`EncodingFailure` when no bin is typical.
         """
         if mode == "likelihood":
-            w = _bin_weights(self.ratio, u_m, s_seq)
-            tot = float(w.sum())
+            np.multiply(s_seq, self.nu, out=self.offsets)
+            np.add(u_m.transpose(2, 0, 1), self.offsets[:, None, None], out=self.index)
+            self.ratio.take(self.index, out=self.factors, mode="clip")  # indices < S*U
+            np.multiply.reduce(self.factors, axis=0, out=weights.reshape(u_m.shape[:2]))
+            tot = float(np.add.reduce(weights))
             if tot <= 0.0:
-                return int(rng.integers(w.size)), None, 0.0
-            return -1, (w / tot).ravel(), rng.random()
+                return int(rng.integers(weights.size)), tot, 0.0
+            return -1, tot, rng.random()
         if mode == "typicality":
             cond_ent = 0.0
             for s in s_seq:
@@ -119,7 +133,7 @@ class _Encoder:
             hits = np.flatnonzero(ok)
             if hits.size == 0:
                 raise EncodingFailure("no jointly typical bin for this state sequence")
-            return int(hits[rng.integers(hits.size)]), None, 0.0
+            return int(hits[rng.integers(hits.size)]), 0.0, 0.0
         raise ValueError(f"unknown encoding mode {mode!r}")
 
 
@@ -206,22 +220,27 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     channel noise; encoding failures count as errors.  The draws come from
     one ``default_rng(seed)`` stream, trial by trial, in the order of
     ``sample_classical_codebook``, the state draw, the bin draw, and the
-    input and channel draws.  The rest is evaluated for chunks of trials
+    input and channel draws, into buffers allocated once per chunk of trials
     holding at most ``cfg.warden_cap`` codebook symbols (trials x entries x
     n, at least one trial), kept in the narrowest index dtype of the
-    codeword alphabet.  ``cfg.codebook_cap`` caps the entries of one codebook.
+    codeword alphabet.  The rest, the bin laws' normalization included, is
+    evaluated for the chunk at once.  ``cfg.codebook_cap`` caps the entries
+    of one codebook.
     """
     check_codebook_cap(sizes, cfg)
     p_u = _codeword_law(p_u)
     nj, nk, nm = (int(x) for x in sizes)
     entries = nj * nk * nm
     rng = np.random.default_rng(seed)
-    enc = _Encoder(policy, p_u)
+    enc = _Encoder(policy, p_u, (nj, nk, n))
     cdf_u, cdf_w = _cdf(p_u), _channel_cdf(problem)
     cdf_s = _cdf(problem.q_s, normalized=True)  # rng.choice(S, p=q_s): no renormalization
     ll_tab = _log_table(receiver_likelihood(problem, policy, receiver_csi))
     prior_tab = _log_table(policy.p_u_s if receiver_csi else p_u)
     ne = problem.w.shape[3]
+    uniforms = np.empty(entries * n + n)  # one trial's codebook, then state uniforms
+    u_code = uniforms[:entries * n].reshape(nj, nk, nm, n)
+    u_state = uniforms[entries * n:]
 
     errors = 0
     enc_failures = 0
@@ -229,37 +248,38 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     code_dtype = np.min_scalar_type(len(p_u) - 1)
     for lo in range(0, trials, chunk):
         c = min(chunk, trials - lo)
-        # Draw pass: the draws of each trial in stream order.  Besides the
-        # codebook symbols only the bin weights of the sent message are
-        # evaluated here, because they decide which draw comes next.
+        # Draw pass: the draws of each trial in stream order, written into
+        # the chunk's buffers.  Besides the codebook symbols only the bin
+        # weights of the sent message are evaluated here, because they
+        # decide which draw comes next.
         codes = np.empty((c, nj, nk, nm, n), dtype=code_dtype)
-        s = np.empty((c, n), dtype=np.intp)
+        s = np.empty((c, n), dtype=enc.index_dtype)
         m = np.empty(c, dtype=np.intp)
-        bins = np.zeros(c, dtype=np.intp)
+        bins = np.zeros(c, dtype=np.intp)  # -1: drawn from its law in the stacked pass
         laws = np.empty((c, nj * nk))
+        tot = np.empty(c)
         u_bin = np.zeros(c)
         u_io = np.zeros((c, 2, n))  # input then channel uniforms
-        pending = np.zeros(c, dtype=bool)
         sent = np.ones(c, dtype=bool)
         for i in range(c):
-            codes[i] = _symbols(cdf_u, rng.random((nj, nk, nm, n)))
-            s[i] = _symbols(cdf_s, rng.random(n))
+            rng.random(out=uniforms)
+            _symbols(cdf_u, u_code, out=codes[i])
+            _symbols(cdf_s, u_state, out=s[i])
             m[i] = rng.integers(nm)
             try:
-                flat, law, u_bin[i] = enc.draw(codes[i, :, :, m[i]], s[i], rng, mode)
+                bins[i], tot[i], u_bin[i] = enc.draw(codes[i, :, :, m[i]], s[i], rng, mode,
+                                                     laws[i])
             except EncodingFailure:
                 sent[i] = False
                 continue
-            if law is None:
-                bins[i] = flat
-            else:
-                laws[i], pending[i] = law, True
             rng.random(out=u_io[i])
 
         # Stacked pass.  Trials whose encoding failed run through it with
         # bin 0 and zero uniforms and are left out of the count.
         enc_failures += c - int(sent.sum())
-        bins[pending] = _symbols(_cdf(laws[pending], normalized=True), u_bin[pending])
+        pending = bins < 0
+        bins[pending] = _symbols(_cdf(laws[pending] / tot[pending, None], normalized=True),
+                                 u_bin[pending])
         codes = codes.reshape(c, entries, n)
         u_seq = codes[np.arange(c), bins * nm + m]
         a = _symbols(enc.cdf_a[u_seq, s], u_io[:, 0])

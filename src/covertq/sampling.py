@@ -149,7 +149,7 @@ def _cdf(p: np.ndarray, normalized: bool = False) -> np.ndarray:
     return cdf
 
 
-def _symbols(cdf: np.ndarray, u) -> np.ndarray:
+def _symbols(cdf: np.ndarray, u, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF indices: the number of entries of ``cdf`` (last axis,
     broadcast against ``u``) that are <= u, as ``choice`` counts them.
 
@@ -157,15 +157,34 @@ def _symbols(cdf: np.ndarray, u) -> np.ndarray:
     row), so it is never counted.  Fewer uniforms than entries are compared
     in one broadcast and give ``intp`` indices; otherwise the loop runs over
     the entries and counts in ``np.min_scalar_type(k - 1)``, the narrowest
-    dtype that holds every index, which it returns.
+    dtype that holds every index, which it returns.  The loop adds each
+    comparison as a uint8 view: into uint8 counts that is a same-dtype add,
+    into wider ones an add with a cast.  With ``out`` (shaped like ``u``)
+    the indices are written there.
+
+    Both forms are kept because each is far slower on the other's draws.
+    Timed in both forms on the draws of the ``sampling._symbols`` cases of
+    scripts/bench.py (2 vCPUs): a ``classical_n7`` trial's codebook block
+    (4326 uniforms, 4 entries) takes 9 us in the loop and 152 us in the
+    broadcast; a chunk's bin draw (15 uniforms, 309 entries) takes 16 us in
+    the broadcast and 583 us in the loop.
     """
     k = cdf.shape[-1]
     if np.size(u) < k:
-        return np.count_nonzero(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
-    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(k - 1))
+        idx = np.count_nonzero(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
+        if out is None:
+            return idx
+        out[...] = idx
+        return out
+    if out is None:
+        out = np.empty(np.shape(u), dtype=np.min_scalar_type(k - 1))
+    hit = np.empty(out.shape, dtype=bool)
+    ones = hit.view(np.uint8)
+    out.fill(0)
     for i in range(k - 1):
-        idx += cdf[..., i] <= u
-    return idx
+        np.less_equal(cdf[..., i], u, out=hit)
+        np.add(out, ones, out=out)
+    return out
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:

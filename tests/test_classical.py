@@ -53,9 +53,11 @@ def stacked_policy():
 def _encode(enc, u_m, s_seq, rng, mode="likelihood", eps=None):
     """The flat (j, k) bin and the inputs that the encoder ``enc`` draws for
     the codewords ``u_m`` (J, K, n) of one message."""
-    flat, law, u = enc.draw(u_m, s_seq, rng, mode, eps)
-    if law is not None:
-        flat = int(sampling._symbols(sampling._cdf(law, normalized=True), u))
+    weights = np.empty(u_m.shape[0] * u_m.shape[1])
+    flat, tot, u = enc.draw(u_m.astype(enc.index_dtype), s_seq.astype(enc.index_dtype), rng,
+                            mode, weights, eps)
+    if flat < 0:
+        flat = int(sampling._symbols(sampling._cdf(weights / tot, normalized=True), u))
     u_seq = u_m[divmod(flat, u_m.shape[1])]
     return flat, sampling._symbols(enc.cdf_a[u_seq, s_seq], rng.random(len(s_seq)))
 
@@ -74,7 +76,7 @@ def test_gp_encode_flat_weights_uniform():
     pol = AuxiliaryPolicy(p_u_s, np.full((2, 2, 2), 0.5))
     p_u = np.array([0.5, 0.5])
     cb = sample_classical_codebook(p_u, (4, 4, 1), 6, seed=1)
-    enc = classical._Encoder(pol, p_u)
+    enc = classical._Encoder(pol, p_u, (4, 4, 6))
     counts = np.zeros(16)
     s_seq = rng.integers(0, 2, size=6)
     for _ in range(2000):
@@ -89,7 +91,7 @@ def test_gp_encode_single_bin():
     pol = stacked_policy()
     p_u = np.full(4, 0.25)
     cb = sample_classical_codebook(p_u, (1, 1, 1), 4, seed=2)
-    flat, a_seq = _encode(classical._Encoder(pol, p_u), cb.entries[:, :, 0],
+    flat, a_seq = _encode(classical._Encoder(pol, p_u, (1, 1, 4)), cb.entries[:, :, 0],
                           np.zeros(4, dtype=int), rng)
     assert flat == 0  # (j, k) = (0, 0)
     assert a_seq.shape == (4,)
@@ -99,8 +101,8 @@ def test_gp_encode_typicality_failure_and_success_trend():
     rng = rng_for(3)
     pol = stacked_policy()
     p_u = np.full(4, 0.25)
-    enc = classical._Encoder(pol, p_u)
     n = 8
+    enc = classical._Encoder(pol, p_u, (64, 16, n))
     # tiny codebook: typically no bin matches the state sequence exactly
     failures_small, failures_big = 0, 0
     for t in range(200):
@@ -594,7 +596,7 @@ def _end_to_end_reference(problem, policy, p_u, sizes, n, trials, seed,
 @pytest.mark.parametrize("mode", ["likelihood", "typicality"])
 def test_codebook_and_symbol_draws_match_choice_loop(mode):
     prob, pol, p_u = _random_instance(rng_for(540), na=3, nb=3, ne=2, nu=4)
-    enc, cdf_w = classical._Encoder(pol, p_u), classical._channel_cdf(prob)
+    cdf_w = classical._channel_cdf(prob)
     stacked, looped = [], []
     for out, ref in ((stacked, False), (looped, True)):
         rng = rng_for(541)
@@ -611,6 +613,7 @@ def test_codebook_and_symbol_draws_match_choice_loop(mode):
                     j, k, a_seq, _ = _encode_reference(cb, trial % 2, s_seq, pol, p_u, rng,
                                                        mode, eps=1.0)
                 else:
+                    enc = classical._Encoder(pol, p_u, (4, 4, n))
                     flat, a_seq = _encode(enc, cb.entries[:, :, trial % 2], s_seq, rng,
                                           mode, eps=1.0)
                     j, k = divmod(flat, 4)
@@ -707,14 +710,28 @@ E2E_CASES = {
     # 12 entries x 3 symbols exceed warden_cap 30: chunks of the one-trial floor
     "random_typicality": (1, 3, (2, 3, 2), False, "typicality", 30),
     "random_wide": (2, 4, (2, 3, 3), False, "likelihood", None),
+    # every ratio is 2 or 2e-200: each bin with two mismatched symbols
+    # underflows to 0.0, and in most trials every bin does
+    "underflow": ("underflow", 6, (2, 2, 2), True, "likelihood", None),
+    # 300 codeword labels: uint16 codebook buffers; 80 entries x 4 symbols
+    # are at least one uniform per CDF entry, so the codebook takes the loop
+    "wide_alphabet": ("wide", 4, (40, 1, 2), False, "likelihood", None),
 }
 E2E_CHUNK = {"uneven_chunks": 3, "random_sparse": 2, "random_typicality": 1}
+E2E_DTYPE = {"wide_alphabet": np.uint16}
 
 
 def _e2e_instance(name):
     if name == "xor":
         prob, pol = xor_problem(), stacked_policy()
         return prob, pol, prob.q_s @ pol.p_u_s
+    if name == "underflow":  # u = s with P(u|s) = 1, else 1e-200
+        prob = xor_problem()
+        pol = AuxiliaryPolicy(np.array([[1.0, 1e-200], [1e-200, 1.0]]),
+                              np.eye(2)[:, None, :].repeat(2, axis=1))
+        return prob, pol, prob.q_s @ pol.p_u_s
+    if name == "wide":
+        return _random_instance(rng_for(563), nu=300)
     rng = rng_for(560 + name)
     # alphabets of 8 to 12 joint outputs and up to 9 codeword symbols
     return _random_instance(rng, na=2 + name, ns=2 + name % 2, nb=4, ne=2 + name,
@@ -736,11 +753,16 @@ def test_end_to_end_matches_trial_loop(case, monkeypatch):
         return ml_indices(codes, *args)
     monkeypatch.setattr(classical, "_ml_indices", recorded)
     assert end_to_end_error(prob, pol, p_u, sizes, n, trials, 11, csi, mode, cfg=cfg) == ref
-    # the chunk boundaries the case is meant to cross, in uint8 codebook buffers
-    k = E2E_CHUNK.get(case, trials)
-    assert chunks == [(k, np.uint8)] * (trials // k) + [(trials % k, np.uint8)] * (trials % k > 0)
-    if case.startswith("xor_") and mode == "likelihood":
+    # the chunk boundaries the case is meant to cross, in uint8 codebook
+    # buffers (uint16 for the wide alphabet)
+    k, dtype = E2E_CHUNK.get(case, trials), E2E_DTYPE.get(case, np.uint8)
+    assert chunks == [(k, dtype)] * (trials // k) + [(trials % k, dtype)] * (trials % k > 0)
+    if (case.startswith("xor_") and mode == "likelihood") or case == "underflow":
         assert 0 < zero_weight < trials
+    if case == "underflow":  # all bins 0.0 by underflow, not by a zero factor
+        assert np.all(classical._density_ratio(pol.p_u_s, p_u) > 0.0)
+    if case in ("underflow", "wide_alphabet"):  # decodings both right and wrong
+        assert 0.0 < ref["error_rate"] < 1.0
     if mode == "typicality":
         assert 0.0 < ref["encoding_failure_rate"] < 1.0
 
@@ -752,10 +774,14 @@ def test_bin_weights_match_symbol_loop():
         n = 2 + 2 * seed  # up to 12 factors
         cb = sample_classical_codebook(p_u, (3, 7, 2), n, rng)
         s_seq = rng.integers(3, size=n)
-        ratio = classical._density_ratio(pol.p_u_s, p_u)
+        enc = classical._Encoder(pol, p_u, (3, 7, n))
+        weights = np.empty(21)
         for m in range(2):
-            assert np.array_equal(classical._bin_weights(ratio, cb.entries[:, :, m], s_seq),
-                                  _bin_weights_reference(cb, m, s_seq, pol.p_u_s, p_u))
+            _, tot, _ = enc.draw(cb.entries[:, :, m].astype(enc.index_dtype),
+                                 s_seq.astype(enc.index_dtype), rng, "likelihood", weights)
+            ref = _bin_weights_reference(cb, m, s_seq, pol.p_u_s, p_u)
+            assert np.array_equal(weights.reshape(3, 7), ref)
+            assert tot == float(ref.sum())
 
 
 def test_end_to_end_checks_before_drawing():

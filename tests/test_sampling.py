@@ -59,6 +59,36 @@ def test_symbols_loop_form_counts_in_the_narrowest_index_dtype(k):
         assert _symbols(cdf, u[0, :1]).dtype == np.intp
 
 
+@pytest.mark.parametrize("k", [1, 2, 256, 257])
+def test_symbols_kernel_matches_the_broadcast_count(k):
+    # stacked CDF rows, one of them empty (0 / 0 gives a NaN last entry),
+    # with enough uniforms per row for the loop; also written into ``out``
+    rng = rng_for(720 + k)
+    laws = rng.random((4, k))
+    laws[rng.random(laws.shape) < 0.3] = 0.0
+    laws[1] = 0.0
+    with np.errstate(invalid="ignore"):
+        cdf = _cdf(laws)[:, None, :]
+    assert np.isnan(cdf[1, 0, -1])
+    u = rng.random((4, k + 3))
+    want = np.count_nonzero(cdf[..., :-1] <= u[..., None], -1)
+    assert not want[1].any()
+    got = _symbols(cdf, u)
+    assert got.dtype == np.min_scalar_type(k - 1)
+    assert got.dtype == (np.uint8 if k <= 256 else np.uint16)
+    assert np.array_equal(got, want)
+    out = np.full(u.shape, 7, dtype=got.dtype)
+    assert _symbols(cdf, u, out=out) is out
+    assert np.array_equal(out, want)
+    if k > 1:  # fewer uniforms than entries: the broadcast, also into ``out``
+        rows = slice(0, 4 if k > 4 else 1)
+        few = u[rows, :1]
+        out = np.full(few.shape, 7, dtype=np.uint16)
+        assert _symbols(cdf[rows], few, out=out) is out
+        assert np.array_equal(out, want[rows, :1])
+        assert _symbols(cdf[rows], few).dtype == np.intp
+
+
 def test_mean_se_matches_the_sample_formulas():
     xs = rng_for(710).random(40).tolist()
     mean, se = _mean_se(xs)
