@@ -32,7 +32,17 @@ machine load reach every case alike):
   J*K = 309 bins (the broadcast);
 - ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1), and
   ``cli.classical_n7.<key>`` every call of one ``classical_n7`` op (seed 1),
-  each checked against its expected exit code.
+  each checked against its expected exit code;
+- ``startup.load_fixtures`` and ``startup.cli.<key>``: one fresh interpreter
+  per sample, timed from its start to its exit.  The first runs the set-up
+  probe of ``perfbench/setup_probe.py`` (import covertq, load the four
+  fixtures); the others run one ``fixtures_cli`` call each (``divergence``,
+  ``bound --which lemma1``, ``region --which thm6`` and ``simulate --target
+  classical``) as the console script does.  Each records
+  ``bytecode_written``: whether the tree held this interpreter's compiled
+  covertq modules after the case ran, so that every sample after the first
+  read them instead of compiling the source (``PYTHONDONTWRITEBYTECODE``
+  decides it, unless an earlier run left them there).
 
 Each case reports the median and the interquartile range of its per-call
 seconds (a sample repeats a fast call until it spans about 2 ms), as wall
@@ -61,6 +71,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -70,6 +81,9 @@ REPO = os.path.dirname(HERE)
 SEED = 1
 SAMPLE_S = 0.002  # a sample repeats a faster call until it spans this long
 DATAPROCESSING_ORDERS = (1.1, 1.25, 1.4, 0.8, 1.2, 1.5)
+# fixtures_cli calls timed in fresh interpreters
+STARTUP_CALLS = ("divergence.sandwiched", "bound.lemma1", "region.thm6", "simulate.classical")
+CONSOLE = "import sys; from covertq.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def suite_stacks(np, ginibre_states):
@@ -125,6 +139,7 @@ def build_cases(root: str, workdir: str) -> dict:
             lambda a=a, b=b, c=c: fm_projection_grid(a, b, c, 0.02)
 
     specs = workloads.prepare_specs("fixtures_cli", root, workdir, SEED)
+    fixtures = list(specs.values())  # what the fixtures_cli set-up probe loads
     specs["synthetic"] = workloads.write_spec(workloads.synthetic_quantum_doc(3),
                                               os.path.join(workdir, "synthetic.json"))
 
@@ -166,9 +181,38 @@ def build_cases(root: str, workdir: str) -> dict:
             raise SystemExit(f"bench: {call.key} exited {code}, expected {call.expect_exit}")
     for call in workloads.op_calls("fixtures_cli", specs, workdir, SEED):
         cases[f"cli.{call.key}"] = lambda call=call: run_call(call)
+        if call.key in STARTUP_CALLS:
+            cases[f"startup.cli.{call.key}"] = lambda call=call: fresh_interpreter(
+                root, ["-c", CONSOLE, *call.argv], call.expect_exit, call.key)
     for call in workloads.op_calls("classical_n7", n7, workdir, SEED):
         cases[f"cli.classical_n7.{call.key}"] = lambda call=call: run_call(call)
+    probe = [os.path.join(root, "perfbench", "setup_probe.py"), os.path.join(root, "src")]
+
+    def load_fixtures():
+        out = fresh_interpreter(root, probe + fixtures, 0, "the set-up probe")
+        if json.loads(out.splitlines()[-1])["rejected"] != 1:
+            raise SystemExit(f"bench: the set-up probe did not reject one fixture: {out}")
+    cases["startup.load_fixtures"] = load_fixtures
     return cases
+
+
+def fresh_interpreter(root: str, argv: list[str], expect_exit: int, what: str) -> str:
+    """Run ``python argv`` with ``root``'s ``src/`` first on the path; check
+    its exit code and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                         timeout=120)
+    if res.returncode != expect_exit:
+        raise SystemExit(f"bench: {what} in a fresh interpreter exited {res.returncode}, "
+                         f"expected {expect_exit}: {res.stderr.strip()[-400:]}")
+    return res.stdout
+
+
+def bytecode_written(root: str) -> bool:
+    """Whether ``root``'s ``src/covertq`` holds this interpreter's compiled modules."""
+    tag = sys.implementation.cache_tag
+    return bool(glob.glob(os.path.join(root, "src", "covertq", "__pycache__", f"*.{tag}.pyc")))
 
 
 def measure(cases: dict, repeats: int) -> dict:
@@ -246,6 +290,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as workdir:
         results = measure(build_cases(root, workdir), args.repeats)
+    for name in results:
+        if name.startswith("startup."):
+            results[name]["bytecode_written"] = bytecode_written(root)
     doc = {"label": args.label, "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
            "repeats": args.repeats, "environment": environment(), "cases": results}
     baseline = newest_baseline(args.label)

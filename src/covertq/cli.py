@@ -9,7 +9,9 @@ error (reported on one line, without a traceback).
 
 Each ``cmd_*`` loads its spec, computes, and returns ``(config, results,
 verdicts)``; :func:`main` alone times the command, builds and emits the
-report, and chooses the exit code.
+report, and chooses the exit code.  Each ``cmd_*`` imports the analysis
+modules it calls once its spec has loaded, so one invocation compiles only
+what its command runs.
 """
 
 from __future__ import annotations
@@ -20,24 +22,11 @@ import functools
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classical import (
-    end_to_end_error,
-    exact_warden_distribution,
-    resolvability_oracle,
-    sample_classical_codebook,
-    warden_rows,
-)
-from .config import DEFAULT, code_size
-from .divergences import (
-    fidelity,
-    purified_distance,
-    relative_entropy,
-    sandwiched_renyi,
-    trace_distance,
-)
+from .config import DEFAULT, ProtocolRates, code_size
 from .errors import (
     CapExceeded,
     CovertInfeasible,
@@ -51,29 +40,10 @@ from .errors import (
     RunParameterError,
     SupportViolation,
 )
-from .oneshot import (
-    ProtocolRates,
-    bound_orders,
-    bound_report,
-    decoding_test_bounds,
-    default_alpha_grid,
-    induced_states,
-    optimize_bound,
-    resolvability_bound,
-    verification_bounds,
-)
-from .protocol import monte_carlo_verify
-from .regions import (
-    _quantum_region,
-    _quantum_terms,
-    causal_rate,
-    classical_region_evaluate,
-    corollary_rates,
-    RateRegion,
-)
-from .sampling import _verdict
 from .specio import FIELDS, RunReport, SpecFile, load_spec, write_region_csv
-from .verify import run_suite
+
+if TYPE_CHECKING:
+    from .regions import RateRegion
 
 # Exit code of each error type; the first matching row wins.  Exit 6 covers
 # a bad run parameter (RunParameterError) and the other library errors.  Any
@@ -127,6 +97,8 @@ def _need(spec: SpecFile, attr: str, what: str):
 
 def cmd_divergence(args):
     spec = load_spec(args.spec)
+    from .divergences import (fidelity, purified_distance, relative_entropy,
+                              sandwiched_renyi, trace_distance)
     names = sorted(spec.states)
     a_name = args.a or (names[0] if names else None)
     b_name = args.b or (names[1] if len(names) > 1 else None)
@@ -156,6 +128,9 @@ def cmd_divergence(args):
 
 def cmd_bound(args):
     spec = load_spec(args.spec)
+    from .oneshot import (bound_orders, bound_report, decoding_test_bounds, default_alpha_grid,
+                          induced_states, optimize_bound, resolvability_bound,
+                          verification_bounds)
     ensemble = _need(spec, "ensemble", "ensemble")
     instance = _need(spec, "instance", "channel instance")
     which = args.which
@@ -209,6 +184,8 @@ def cmd_region(args):
     if args.sweep > SWEEP_CAP:
         raise CapExceeded(f"--sweep {args.sweep} exceeds the sweep cap {SWEEP_CAP}")
     spec = load_spec(args.spec)
+    from .regions import (RateRegion, _quantum_region, _quantum_terms, causal_rate,
+                          classical_region_evaluate, corollary_rates)
     which = args.which
     results: dict = {}
     rows: list[dict] = []
@@ -270,6 +247,7 @@ def cmd_simulate(args):
         raise CapExceeded(f"{trials} trials exceed trial_cap {cfg.trial_cap}")
 
     if args.target == "quantum":
+        from .protocol import monte_carlo_verify
         ensemble = _need(spec, "ensemble", "ensemble")
         instance = _need(spec, "instance", "channel instance")
         rates = spec.protocol_rates(args.alpha)
@@ -279,6 +257,9 @@ def cmd_simulate(args):
         del results["per_trial"]
         verdicts = sim.verdicts
     else:  # classical
+        from .classical import (end_to_end_error, exact_warden_distribution,
+                                resolvability_oracle, sample_classical_codebook, warden_rows)
+        from .sampling import _verdict
         problem = _need(spec, "problem", "classical problem")
         policy = _need(spec, "policy", "auxiliary policy")
         n = spec.run.get("blocklength", 4)
@@ -301,6 +282,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
     config, channel, cfg, run = {"suite": args.suite}, None, DEFAULT, {}
     if args.spec:
         spec = load_spec(args.spec)

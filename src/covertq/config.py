@@ -1,4 +1,4 @@
-"""Shared numerical tolerances and size caps.
+"""Shared numerical tolerances, size caps, and the protocol rate container.
 
 Every tolerance that appears in a contract lives here so spec files can
 override them in one place (see ``specio``).  Support and grouping
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import CapExceeded
+from .errors import CapExceeded, RunParameterError
 
 
 @dataclass(frozen=True)
@@ -68,3 +68,32 @@ def check_codebook_cap(sizes, cfg: Numerics) -> None:
     entries = math.prod(sizes)
     if entries > cfg.codebook_cap:
         raise CapExceeded(f"codebook with {entries} entries exceeds cap {cfg.codebook_cap}")
+
+
+@dataclass(frozen=True)
+class ProtocolRates:
+    """Message, key, and local-randomness rates in bits plus the Renyi knob.
+
+    ``alpha`` must lie strictly inside (0, 1/2).  Rates are nonnegative
+    reals; the simulator floors 2^rate when it needs integer code sizes.
+    """
+
+    R: float
+    R_K: float
+    R_J: float
+    alpha: float
+
+    def __post_init__(self):
+        for name in ("R", "R_K", "R_J"):
+            if getattr(self, name) < 0.0:
+                raise RunParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (0.0 < self.alpha < 0.5):
+            raise RunParameterError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+
+    @property
+    def total(self) -> float:
+        return self.R + self.R_K + self.R_J
+
+    def sizes(self) -> tuple[int, int, int]:
+        """Floor code sizes (|J|, |K|, |M|)."""
+        return code_size(self.R_J), code_size(self.R_K), code_size(self.R)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics, code_size, pow2
+from .config import DEFAULT, Numerics, ProtocolRates, pow2
 from .divergences import (
     DivergenceValue,
     cq_sandwiched_renyi,
@@ -44,35 +44,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class ProtocolRates:
-    """Message, key, and local-randomness rates in bits plus the Renyi knob.
-
-    ``alpha`` must lie strictly inside (0, 1/2).  Rates are nonnegative
-    reals; the simulator floors 2^rate when it needs integer code sizes.
-    """
-
-    R: float
-    R_K: float
-    R_J: float
-    alpha: float
-
-    def __post_init__(self):
-        for name in ("R", "R_K", "R_J"):
-            if getattr(self, name) < 0.0:
-                raise RunParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not (0.0 < self.alpha < 0.5):
-            raise RunParameterError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-
-    @property
-    def total(self) -> float:
-        return self.R + self.R_K + self.R_J
-
-    def sizes(self) -> tuple[int, int, int]:
-        """Floor code sizes (|J|, |K|, |M|)."""
-        return code_size(self.R_J), code_size(self.R_K), code_size(self.R)
 
 
 @dataclass(eq=False)

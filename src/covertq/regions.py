@@ -8,17 +8,16 @@ out of a state distribution, an auxiliary policy, and the channel.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, LAW_SLACK, Numerics
+from .config import DEFAULT, Numerics
 from .divergences import classical_info_terms, entropy_of_table, holevo_mutual_info
-from .errors import CovertInfeasible, CovertqError, DimMismatch, NotADistribution
-from .linalg import require_finite
+from .errors import CovertInfeasible
 from .oneshot import _checked_states
-from .states import CQState, ProblemInstance, QuantumChannel, innocent_output
+from .states import (AuxiliaryPolicy, ClassicalProblem, CQState, ProblemInstance,
+                     QuantumChannel, check_policy, innocent_output)
 
 __all__ = [
     "ClassicalProblem",
@@ -38,103 +37,6 @@ __all__ = [
     "fm_check",
     "fm_projection_grid",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Problem containers
-
-@contextmanager
-def _about(name: str):
-    """Tag the library errors raised in the block with the input ``name``."""
-    try:
-        yield
-    except CovertqError as exc:
-        exc.field = name
-        raise
-
-
-@dataclass(frozen=True, eq=False)
-class ClassicalProblem:
-    """Finite state-dependent channel with an innocent input symbol.
-
-    ``w[a, s, b, e]`` is the channel law P(b, e | a, s); ``q_s`` the state
-    distribution; ``x0`` the innocent input.  The no-communication warden
-    distribution q0 is induced, never supplied.
-    """
-
-    q_s: np.ndarray
-    w: np.ndarray
-    x0: int
-
-    def __init__(self, q_s, w, x0: int, cfg: Numerics = DEFAULT):
-        q_s = np.asarray(q_s, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
-        with _about("channel"):
-            if w.ndim != 4:
-                raise NotADistribution("channel table must have axes (A, S, B, E)")
-            require_finite(w, "channel table", NotADistribution)
-            rows = w.sum(axis=(2, 3))
-            if np.any(w < -cfg.prob_tol) or np.max(np.abs(rows - 1.0)) > LAW_SLACK:
-                raise NotADistribution("channel rows must sum to one over (B, E)")
-        with _about("q_s"):
-            if q_s.ndim != 1 or q_s.shape[0] != w.shape[1]:
-                raise NotADistribution("state distribution length must match channel S axis")
-            require_finite(q_s, "state distribution", NotADistribution)
-            total, slack = float(q_s.sum()), min(cfg.prob_tol, LAW_SLACK)
-            if np.any(q_s < -cfg.prob_tol) or abs(total - 1.0) > slack:
-                raise NotADistribution(f"q_s is not a distribution: it needs nonnegative "
-                                       f"entries summing to one (within {slack:g}), "
-                                       f"got sum {total!r}")
-        with _about("x0"):
-            if not 0 <= int(x0) < w.shape[0]:
-                raise DimMismatch(f"innocent symbol {x0} outside input alphabet")
-        object.__setattr__(self, "q_s", q_s)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x0", int(x0))
-
-    @property
-    def sizes(self) -> dict[str, int]:
-        na, ns, nb, ne = self.w.shape
-        return {"A": na, "S": ns, "B": nb, "E": ne}
-
-    def w_e(self) -> np.ndarray:
-        """Warden marginal channel P(e | a, s)."""
-        return self.w.sum(axis=2)
-
-    def w_b(self) -> np.ndarray:
-        """Receiver marginal channel P(b | a, s)."""
-        return self.w.sum(axis=3)
-
-    def q0(self) -> np.ndarray:
-        """Warden distribution induced by the innocent symbol."""
-        return np.einsum("s,se->e", self.q_s, self.w_e()[self.x0])
-
-
-@dataclass(frozen=True, eq=False)
-class AuxiliaryPolicy:
-    """Auxiliary-variable policy P(u|s), P(a|u,s).
-
-    ``p_u_s[s, u]`` and ``p_a_us[u, s, a]``; every row is a distribution.
-    """
-
-    p_u_s: np.ndarray
-    p_a_us: np.ndarray
-
-    def __init__(self, p_u_s, p_a_us, cfg: Numerics = DEFAULT):
-        p_u_s = np.asarray(p_u_s, dtype=np.float64)
-        p_a_us = np.asarray(p_a_us, dtype=np.float64)
-        if p_u_s.ndim != 2 or p_a_us.ndim != 3:
-            raise NotADistribution("policy tables must be (S,U) and (U,S,A)")
-        if p_u_s.shape[1] != p_a_us.shape[0] or p_u_s.shape[0] != p_a_us.shape[1]:
-            raise DimMismatch("policy table shapes disagree on U or S")
-        for t, name in ((p_u_s, "P(u|s)"), (p_a_us, "P(a|u,s)")):
-            require_finite(t, name, NotADistribution)
-            if np.any(t < -cfg.prob_tol):
-                raise NotADistribution(f"{name} has negative entries")
-            if np.max(np.abs(t.sum(axis=-1) - 1.0)) > LAW_SLACK:
-                raise NotADistribution(f"{name} rows must sum to one")
-        object.__setattr__(self, "p_u_s", np.maximum(p_u_s, 0.0))
-        object.__setattr__(self, "p_a_us", np.maximum(p_a_us, 0.0))
 
 
 @dataclass(frozen=True)
@@ -284,15 +186,6 @@ def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,
 
 # ---------------------------------------------------------------------------
 # Classical joint tables and regions
-
-def check_policy(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> None:
-    """Raise :class:`DimMismatch` unless the policy's S and A alphabets are
-    the problem's."""
-    if policy.p_a_us.shape[2] != problem.w.shape[0]:
-        raise DimMismatch("policy A alphabet does not match channel")
-    if policy.p_u_s.shape[0] != problem.q_s.shape[0]:
-        raise DimMismatch("policy S alphabet does not match state distribution")
-
 
 def joint_table(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarray:
     """Joint distribution table with axes (U, S, B, E)."""

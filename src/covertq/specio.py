@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics
+from .config import DEFAULT, Numerics, ProtocolRates
 from .errors import CovertqError, DimMismatch, ParseError
-from .oneshot import ProtocolRates
-from .regions import AuxiliaryPolicy, ClassicalProblem, check_policy
-from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
+from .states import (AuxiliaryPolicy, ClassicalProblem, CQState, DensityMatrix,
+                     ProblemInstance, QuantumChannel, check_policy)
 
 __all__ = ["FIELDS", "SpecFile", "load_spec", "RunReport", "write_region_csv"]
 

@@ -42,13 +42,15 @@ class _Tally:
         self.failures = 0
         self.details: list[str] = []
 
-    def check(self, ok: bool, detail: str):
+    def check(self, ok: bool, detail: str, *args):
+        """Count one check; a failing one's detail is ``detail.format(*args)``,
+        formatted only then."""
         if ok:
             self.passes += 1
             return
         self.failures += 1
         if self.failures <= self.max_details:
-            self.details.append(detail)
+            self.details.append(detail.format(*args))
         elif self.failures == self.max_details + 1:
             self.details.append("...")
 
@@ -95,14 +97,14 @@ def suite_pinching(seed: int, cases: int = 200, cfg: Numerics = DEFAULT) -> dict
 
     low, switch, trace = _per_case(check, draws).tolist()
     for i in range(cases):
-        t.check(low[i] >= -1e-9, f"case {i}: blow-up inequality min eig {low[i]:.2e}")
-        t.check(switch[i] <= 1e-10, f"case {i}: switch identity {switch[i]:.2e}")
-        t.check(trace[i] <= 1e-10, f"case {i}: trace identity {trace[i]:.2e}")
+        t.check(low[i] >= -1e-9, "case {}: blow-up inequality min eig {:.2e}", i, low[i])
+        t.check(switch[i] <= 1e-10, "case {}: switch identity {:.2e}", i, switch[i])
+        t.check(trace[i] <= 1e-10, "case {}: trace identity {:.2e}", i, trace[i])
     for d in (2, 3):
         for n, sigma in enumerate(ginibre_states(rng.normal(size=(4, 2, d, d))), 1):
             v = tensor_power_eigencount(sigma, n, cfg=cfg)
             t.check(v <= (n + 1) ** d,
-                    f"power count v={v} exceeds (n+1)^d={(n+1)**d} at n={n}, d={d}")
+                    "power count v={} exceeds (n+1)^d={} at n={}, d={}", v, (n + 1) ** d, n, d)
     return t.result()
 
 
@@ -137,9 +139,9 @@ def suite_dataprocessing(seed: int, cases: int = 100, cfg: Numerics = DEFAULT,
     for i, row in enumerate(_per_case(check, pairs, squares).T.tolist()):
         before, vals, after = row[:3], row[3:7], row[7:]
         for order, b, a in zip(orders, before, after):
-            t.check(a <= b + 1e-9, f"case {i}: order {order} grew {a - b:.2e}")
+            t.check(a <= b + 1e-9, "case {}: order {} grew {:.2e}", i, order, a - b)
         t.check(all(vals[j] <= vals[j + 1] + 1e-9 for j in range(len(vals) - 1)),
-                f"case {i}: order monotonicity broken {vals}")
+                "case {}: order monotonicity broken {}", i, vals)
     return t.result()
 
 
@@ -152,7 +154,7 @@ def suite_fm(seed: int, cases: int = 50, step: float = 0.02) -> dict:
         a = step * int(rng.integers(0, 40))
         b = step * int(rng.integers(0, 80))
         c = step * int(rng.integers(0, 40))
-        t.check(fm_check(a, b, c, step), f"case {i}: triple ({a}, {b}, {c})")
+        t.check(fm_check(a, b, c, step), "case {}: triple ({}, {}, {})", i, a, b, c)
     return t.result()
 
 
@@ -188,12 +190,12 @@ def suite_reduction(seed: int, cases: int = 100, cfg: Numerics = DEFAULT) -> dic
 
     values = _per_case(evaluate, ps, qs, alphas).T.tolist()
     for i, (tdist, fid, rel, q_ren, q_ent, pd, td, f, kl, ren, ent) in enumerate(values):
-        t.check(abs(tdist - td) <= 1e-9, f"case {i}: trace distance")
-        t.check(abs(fid - f) <= 1e-9, f"case {i}: fidelity")
-        t.check(abs(rel - kl) <= 1e-9, f"case {i}: relative entropy")
-        t.check(abs(q_ren - ren) <= 1e-9, f"case {i}: renyi order {1 + alphas[i]:.3f}")
-        t.check(abs(q_ent - ent) <= 1e-9, f"case {i}: entropy")
-        t.check(tdist <= 2.0 * pd + 1e-12, f"case {i}: distance pairing")
+        t.check(abs(tdist - td) <= 1e-9, "case {}: trace distance", i)
+        t.check(abs(fid - f) <= 1e-9, "case {}: fidelity", i)
+        t.check(abs(rel - kl) <= 1e-9, "case {}: relative entropy", i)
+        t.check(abs(q_ren - ren) <= 1e-9, "case {}: renyi order {:.3f}", i, 1 + alphas[i])
+        t.check(abs(q_ent - ent) <= 1e-9, "case {}: entropy", i)
+        t.check(tdist <= 2.0 * pd + 1e-12, "case {}: distance pairing", i)
     return t.result()
 
 

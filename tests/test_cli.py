@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import assert_same
 
-from covertq import cli, specio
+from covertq import cli, regions, specio
 from covertq.cli import main
 from covertq.config import DEFAULT, pow2
 from covertq.classical import resolvability_oracle
@@ -149,8 +149,8 @@ def test_region_commands_and_csv(tmp_path, capsys):
 
 def test_csc_csk_evaluates_the_terms_once(capsys, monkeypatch):
     # the nesting check reuses the Holevo terms of the csc_csk region
-    calls, terms = [], cli._quantum_terms
-    monkeypatch.setattr(cli, "_quantum_terms", lambda *a: calls.append(a) or terms(*a))
+    calls, terms = [], regions._quantum_terms
+    monkeypatch.setattr(regions, "_quantum_terms", lambda *a: calls.append(a) or terms(*a))
     code, _, _ = run_cli(capsys, "region", "--spec", QUBIT, "--which", "csc_csk")
     assert code == 0 and len(calls) == 1
 
