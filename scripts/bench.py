@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Time covertq layer by layer and call by call; write ``BENCH_<label>.json``.
 
-    python scripts/bench.py --label NAME [--root TREE] [--repeats N]
+    python scripts/bench.py --label NAME [--root TREE] [--against OTHER] [--repeats N]
 
 ``TREE`` (default: this checkout) is the source tree to time: ``covertq`` is
 imported from its ``src/`` and the workload calls from its
 ``perfbench/workloads.py``, which is read, never changed.  So a second copy
-of an older commit (``git archive``) is timed with the same cases.
+of an older commit (``git archive``) is timed with the same cases.  With
+``--against OTHER``, TREE and OTHER are timed in one run by two worker
+processes whose rounds alternate (TREE first in even rounds, OTHER first in
+odd ones), so both see the same drifts of machine load; the file then
+holds, per case, both medians and their ratio.
 
 Cases (each timed in every round, rounds repeated ``N`` times, so drifts in
 machine load reach every case alike):
@@ -25,6 +29,8 @@ machine load reach every case alike):
   and ``classical.resolvability_oracle.n7``: the three stages of a
   ``simulate --target classical`` call on the ``classical_n7`` spec
   (blocklength 7, 1000 trials, seed 1), called directly;
+- ``classical._ml_indices.n7``: the stacked decode of that simulation's
+  first chunk (15 trials at seed 1), with the arguments it is called with;
 - ``sampling._symbols.codebook_n7`` and ``sampling._symbols.bins_n7``: the
   inverse-CDF sampler's two forms on the draws of that simulation: one
   trial's (3, 103, 2, 7) codebook block under the codeword CDF (the loop over
@@ -109,7 +115,7 @@ def build_cases(root: str, workdir: str) -> dict:
     """Case name -> zero-argument callable."""
     import numpy as np
 
-    from covertq import cli
+    from covertq import classical, cli
     from covertq.classical import (end_to_end_error, exact_warden_distribution,
                                    resolvability_oracle, sample_classical_codebook,
                                    warden_rows)
@@ -168,6 +174,13 @@ def build_cases(root: str, workdir: str) -> dict:
     cases["classical.resolvability_oracle.n7"] = \
         lambda: resolvability_oracle(p_u, rows, spec.rate("R"), n, mode="mc", trials=1000,
                                      seed=SEED, cfg=cfg)
+    chunk, ml_indices = [], classical._ml_indices
+    classical._ml_indices = lambda *args: chunk.append(args) or ml_indices(*args)
+    try:  # the first chunk: 15 trials at this blocklength and warden_cap
+        end_to_end_error(problem, policy, p_u, sizes, n, 15, SEED, cfg=cfg)
+    finally:
+        classical._ml_indices = ml_indices
+    cases["classical._ml_indices.n7"] = lambda: ml_indices(*chunk[0])
     rng = np.random.default_rng(SEED)
     cdf_u, u_code = _cdf(p_u), rng.random((*sizes, n))
     cdf_bins, u_bins = _cdf(rng.random((15, sizes[0] * sizes[1]))), rng.random(15)
@@ -215,31 +228,103 @@ def bytecode_written(root: str) -> bool:
     return bool(glob.glob(os.path.join(root, "src", "covertq", "__pycache__", f"*.{tag}.pyc")))
 
 
-def measure(cases: dict, repeats: int) -> dict:
-    """Per case: median and IQR of its per-call seconds over ``repeats``
-    rounds, each round timing every case once, in wall seconds and scaled
-    to nominal machine speed by perfbench's reference kernel."""
-    import speed
-
+def sample_sizes(cases: dict) -> dict:
+    """Warm every case up; return the calls per sample that span ``SAMPLE_S``."""
     inner = {}
-    for name, fn in cases.items():  # warm up and size the samples
+    for name, fn in cases.items():
         t0 = time.perf_counter()
         fn()
         inner[name] = max(1, int(SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
-    samples: dict[str, list[tuple[float, float]]] = {name: [] for name in cases}
-    probe = speed.SpeedProbe()
-    for _ in range(repeats):
-        for name, fn in cases.items():
-            n = inner[name]
-            res = probe.run(lambda: [fn() for _ in range(n)])
-            samples[name].append((res["wall_s"] / n, res["norm_s"] / n))
+    return inner
+
+
+def one_round(cases: dict, inner: dict, probe) -> dict:
+    """One sample of every case: its (wall, scaled) seconds per call."""
     out = {}
-    for name, pairs in samples.items():
+    for name, fn in cases.items():
+        n = inner[name]
+        res = probe.run(lambda: [fn() for _ in range(n)])
+        out[name] = (res["wall_s"] / n, res["norm_s"] / n)
+    return out
+
+
+def summarize(rounds: list[dict], inner: dict) -> dict:
+    """Per case: median and IQR of its per-call seconds over the rounds, in
+    wall seconds and scaled to nominal machine speed."""
+    out = {}
+    for name in rounds[0]:
+        pairs = [r[name] for r in rounds]
         out[name] = {"calls_per_sample": inner[name], "samples": len(pairs)}
         for key, xs in (("wall", [w for w, _ in pairs]), ("norm", [s for _, s in pairs])):
             q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
             out[name].update({f"{key}_median_s": med, f"{key}_iqr_s": q3 - q1})
     return out
+
+
+def measure(cases: dict, repeats: int) -> dict:
+    """Median and IQR of every case over ``repeats`` rounds, each round
+    timing every case once, under perfbench's reference kernel."""
+    import speed
+
+    inner = sample_sizes(cases)
+    probe = speed.SpeedProbe()
+    return summarize([one_round(cases, inner, probe) for _ in range(repeats)], inner)
+
+
+def serve(root: str) -> int:
+    """Worker of ``--against``: build and size the cases of ``root``, then
+    time one round per ``round`` line read from stdin, answering each with
+    one JSON line; everything else the cases print goes to stderr."""
+    import speed
+
+    reply = os.fdopen(os.dup(1), "w")
+    os.dup2(2, 1)
+    with reply, tempfile.TemporaryDirectory() as workdir:
+        cases = build_cases(root, workdir)
+        inner = sample_sizes(cases)
+        probe = speed.SpeedProbe()
+        print(json.dumps({"inner": inner, "bytecode_written": bytecode_written(root)}),
+              file=reply, flush=True)
+        for line in sys.stdin:
+            if line.strip() != "round":
+                break
+            print(json.dumps(one_round(cases, inner, probe)), file=reply, flush=True)
+    return 0
+
+
+def measure_against(roots: tuple[str, str], repeats: int) -> list[dict]:
+    """Results of the two trees, timed by two workers whose rounds alternate."""
+    def ask(worker, line=None):
+        if line is not None:
+            worker.stdin.write(line + "\n")
+            worker.stdin.flush()
+        reply = worker.stdout.readline()
+        if not reply:
+            raise SystemExit(f"bench: the worker timing {worker.args[-1]} stopped")
+        return json.loads(reply)
+    workers, heads = [], []
+    try:
+        for root in roots:  # one after the other, so that their warm-ups do not overlap
+            workers.append(subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--worker", "--label", "worker",
+                 "--root", root], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
+            heads.append(ask(workers[-1]))
+        rounds: list[list[dict]] = [[], []]
+        for r in range(repeats):
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                rounds[i].append(ask(workers[i], "round"))
+    finally:
+        for w in workers:
+            w.stdin.close()
+            w.wait()
+    results = []
+    for head, rs in zip(heads, rounds):
+        res = summarize(rs, head["inner"])
+        for name in res:
+            if name.startswith("startup."):
+                res[name]["bytecode_written"] = head["bytecode_written"]
+        results.append(res)
+    return results
 
 
 def cpu_model() -> str | None:
@@ -283,18 +368,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--root", default=REPO, help="source tree to time (default: this one)")
+    parser.add_argument("--against", help="a second source tree, timed in alternating rounds")
     parser.add_argument("--repeats", type=int, default=21)
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    if args.worker:
+        return serve(root)
 
-    with tempfile.TemporaryDirectory() as workdir:
-        results = measure(build_cases(root, workdir), args.repeats)
-    for name in results:
-        if name.startswith("startup."):
-            results[name]["bytecode_written"] = bytecode_written(root)
     doc = {"label": args.label, "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-           "repeats": args.repeats, "environment": environment(), "cases": results}
+           "repeats": args.repeats, "environment": environment()}
+    if args.against:
+        other = os.path.abspath(args.against)
+        results, theirs = measure_against((root, other), args.repeats)
+        doc["against"] = {
+            "tree": os.path.basename(other.rstrip(os.sep)) or other, "cases": theirs,
+            "norm_median_ratio": {name: res["norm_median_s"] / theirs[name]["norm_median_s"]
+                                  for name, res in results.items() if name in theirs}}
+    else:
+        with tempfile.TemporaryDirectory() as workdir:
+            results = measure(build_cases(root, workdir), args.repeats)
+        for name in results:
+            if name.startswith("startup."):
+                results[name]["bytecode_written"] = bytecode_written(root)
+    doc["cases"] = results
     baseline = newest_baseline(args.label)
     if baseline:
         with open(baseline, encoding="utf-8") as fh:
@@ -310,8 +408,11 @@ def main(argv=None) -> int:
         fh.write("\n")
     width = max(map(len, results))
     ratios = doc.get("baseline", {}).get("norm_median_ratio", {})
+    against = doc.get("against", {}).get("norm_median_ratio", {})
     for name, res in results.items():
         ratio = f"  x{ratios[name]:.3f}" if name in ratios else ""
+        if name in against:
+            ratio += f"  against x{against[name]:.3f}"
         print(f"{name:<{width}}  {res['norm_median_s'] * 1e3:9.3f} ms  "
               f"iqr {res['norm_iqr_s'] * 1e3:7.3f} ms{ratio}")
     print(f"wrote {path}")

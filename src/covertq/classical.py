@@ -21,7 +21,7 @@ from .divergences import cq_sandwiched_renyi
 from .errors import CapExceeded, EncodingFailure, RunParameterError
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
-from .sampling import _cdf, _codeword_law, _draw, _mean_se, _symbols
+from .sampling import _cdf, _codeword_law, _draw, _mean_se, _Sampler, _symbols
 from .states import CQState, DensityMatrix
 
 __all__ = [
@@ -189,7 +189,9 @@ def _ml_indices(codes: np.ndarray, b: np.ndarray, ll_tab: np.ndarray,
 
     ``codes`` is (c, entries, n): the codebook of each trial; ``b`` and
     ``s`` are (c, n).  Per symbol the log-likelihood and then the
-    log-prior of every entry are added, in symbol order from 0.
+    log-prior of every entry are added, in symbol order from 0.  The sums
+    of the first p symbols, for the largest p <= n with U^p <= entries,
+    are tabulated per trial by those additions and gathered once by prefix.
     """
     c, entries, n = codes.shape
     nu = ll_tab.shape[0]
@@ -199,9 +201,21 @@ def _ml_indices(codes: np.ndarray, b: np.ndarray, ll_tab: np.ndarray,
     else:  # likelihood (U, B, S), prior (S, U)
         ll_rows = ll_tab.transpose(1, 2, 0)[b, s]
         pr_rows = None if prior_tab is None else prior_tab[s]
+    p = max(t for t in range(n + 1) if nu ** t <= entries)  # the tabulated prefix length
     offsets = (np.arange(c) * nu)[:, None]  # into the (c, U) rows of one symbol
-    ll = np.zeros((c, entries))
-    for t in range(n):
+    ll = np.zeros((c, 1 if p else entries))
+    for t in range(p):  # the sums of (u_0, ..., u_t) at u_0 + U u_1 + ... + U^t u_t
+        ll = ll[:, None, :] + ll_rows[:, t, :, None]
+        if pr_rows is not None:
+            ll += pr_rows[:, t, :, None]
+        ll = ll.reshape(c, -1)
+    if p:
+        prefix = codes[:, :, p - 1] + offsets  # Horner's rule, into each trial's row
+        for t in range(p - 2, -1, -1):
+            prefix *= nu
+            prefix += codes[:, :, t]
+        ll = ll.ravel().take(prefix)
+    for t in range(p, n):
         idx = codes[:, :, t] + offsets
         ll += ll_rows[:, t].ravel().take(idx)
         if pr_rows is not None:
@@ -220,12 +234,13 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     channel noise; encoding failures count as errors.  The draws come from
     one ``default_rng(seed)`` stream, trial by trial, in the order of
     ``sample_classical_codebook``, the state draw, the bin draw, and the
-    input and channel draws, into buffers allocated once per chunk of trials
+    input and channel draws, by two inverse-CDF samplers prepared once per
+    call, into buffers allocated once per call for a chunk of trials
     holding at most ``cfg.warden_cap`` codebook symbols (trials x entries x
-    n, at least one trial), kept in the narrowest index dtype of the
-    codeword alphabet.  The rest, the bin laws' normalization included, is
-    evaluated for the chunk at once.  ``cfg.codebook_cap`` caps the entries
-    of one codebook.
+    n, at least one trial), the codebook in the narrowest index dtype of
+    the codeword alphabet: no per-trial array is allocated.  The rest, the
+    bin laws' normalization included, is evaluated for the chunk at once.
+    ``cfg.codebook_cap`` caps the entries of one codebook.
     """
     check_codebook_cap(sizes, cfg)
     p_u = _codeword_law(p_u)
@@ -241,36 +256,35 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     uniforms = np.empty(entries * n + n)  # one trial's codebook, then state uniforms
     u_code = uniforms[:entries * n].reshape(nj, nk, nm, n)
     u_state = uniforms[entries * n:]
+    draw_code, draw_state = _Sampler(cdf_u, u_code.shape), _Sampler(cdf_s, u_state.shape)
 
     errors = 0
     enc_failures = 0
-    chunk = max(1, cfg.warden_cap // (entries * n))
-    code_dtype = np.min_scalar_type(len(p_u) - 1)
+    chunk = max(1, min(trials, cfg.warden_cap // (entries * n)))
+    # codes, states, messages, bins (-1: drawn from its law in the stacked pass),
+    # bin weights, sums and uniforms, input then channel uniforms, sent or not
+    buffers = [np.empty((chunk, *shape), dtype=dtype) for shape, dtype in (
+        ((nj, nk, nm, n), np.min_scalar_type(len(p_u) - 1)), ((n,), enc.index_dtype),
+        ((), np.intp), ((), np.intp), ((nj * nk,), float), ((), float), ((), float),
+        ((2, n), float), ((), bool))]
     for lo in range(0, trials, chunk):
         c = min(chunk, trials - lo)
+        codes, s, m, bins, laws, tot, u_bin, u_io, sent = (buf[:c] for buf in buffers)
+        sent.fill(True)
         # Draw pass: the draws of each trial in stream order, written into
         # the chunk's buffers.  Besides the codebook symbols only the bin
         # weights of the sent message are evaluated here, because they
         # decide which draw comes next.
-        codes = np.empty((c, nj, nk, nm, n), dtype=code_dtype)
-        s = np.empty((c, n), dtype=enc.index_dtype)
-        m = np.empty(c, dtype=np.intp)
-        bins = np.zeros(c, dtype=np.intp)  # -1: drawn from its law in the stacked pass
-        laws = np.empty((c, nj * nk))
-        tot = np.empty(c)
-        u_bin = np.zeros(c)
-        u_io = np.zeros((c, 2, n))  # input then channel uniforms
-        sent = np.ones(c, dtype=bool)
         for i in range(c):
             rng.random(out=uniforms)
-            _symbols(cdf_u, u_code, out=codes[i])
-            _symbols(cdf_s, u_state, out=s[i])
+            draw_code(u_code, out=codes[i])
+            draw_state(u_state, out=s[i])
             m[i] = rng.integers(nm)
             try:
                 bins[i], tot[i], u_bin[i] = enc.draw(codes[i, :, :, m[i]], s[i], rng, mode,
                                                      laws[i])
             except EncodingFailure:
-                sent[i] = False
+                sent[i], bins[i], u_io[i] = False, 0, 0.0
                 continue
             rng.random(out=u_io[i])
 

@@ -107,19 +107,14 @@ def cmd_divergence(args):
     rho, sigma = spec.states[a_name], spec.states[b_name]
     measure = args.measure
     support_violation = False
-    if measure == "trace":
-        value = trace_distance(rho, sigma, spec.cfg)
-    elif measure == "fidelity":
-        value = fidelity(rho, sigma, spec.cfg)
-    elif measure == "purified":
-        value = purified_distance(rho, sigma, spec.cfg)
-    elif measure == "relent":
-        dv = relative_entropy(rho, sigma, spec.cfg)
-        value, support_violation = dv.value, dv.support_violation
-    else:  # sandwiched
-        if args.order is None:
+    if measure in ("trace", "fidelity", "purified"):
+        value = {"trace": trace_distance, "fidelity": fidelity,
+                 "purified": purified_distance}[measure](rho, sigma, spec.cfg)
+    else:  # relent, sandwiched
+        if measure == "sandwiched" and args.order is None:
             raise RunParameterError("--order is required for the sandwiched measure")
-        dv = sandwiched_renyi(rho, sigma, args.order, spec.cfg)
+        dv = (relative_entropy(rho, sigma, spec.cfg) if measure == "relent"
+              else sandwiched_renyi(rho, sigma, args.order, spec.cfg))
         value, support_violation = dv.value, dv.support_violation
     config = {"spec": spec.path, "measure": measure, "order": args.order,
               "a": a_name, "b": b_name}
@@ -206,26 +201,23 @@ def cmd_region(args):
                     other.contains(r, k) for r, k in region.boundary)
             results["region"] = region.to_dict()
             rows = _region_rows(region, args.sweep)
-    elif which in ("thm3", "thm4", "thm6"):
+    else:  # thm3, thm4, thm6, causal
         problem = _need(spec, "problem", "classical problem")
         policy = _need(spec, "policy", "auxiliary policy")
-        key = {"thm3": "thm3", "thm4": "thm4_degraded", "thm6": "thm6"}[which]
-        res = classical_region_evaluate(problem, policy, key,
-                                        stealth=args.stealth, cfg=spec.cfg)
-        if isinstance(res, RateRegion):
-            results["region"] = res.to_dict()
-            rows = _region_rows(res, args.sweep)
+        if which == "causal":
+            results = causal_rate(problem, [(problem.q_s @ policy.p_u_s, policy.p_a_us)],
+                                  stealth=args.stealth, cfg=spec.cfg)
+            rows = [{"w_R": 1.0, "w_RK": 0.0, "R": results["rate"], "R_K": 0.0,
+                     "active": [], "value": results["rate"]}]
         else:
-            results["value"] = res
-    else:  # causal
-        problem = _need(spec, "problem", "classical problem")
-        policy = _need(spec, "policy", "auxiliary policy")
-        p_u = problem.q_s @ policy.p_u_s
-        res = causal_rate(problem, [(p_u, policy.p_a_us)],
-                          stealth=args.stealth, cfg=spec.cfg)
-        results = res
-        rows = [{"w_R": 1.0, "w_RK": 0.0, "R": res["rate"], "R_K": 0.0,
-                 "active": [], "value": res["rate"]}]
+            key = {"thm3": "thm3", "thm4": "thm4_degraded", "thm6": "thm6"}[which]
+            res = classical_region_evaluate(problem, policy, key,
+                                            stealth=args.stealth, cfg=spec.cfg)
+            if isinstance(res, RateRegion):
+                results["region"] = res.to_dict()
+                rows = _region_rows(res, args.sweep)
+            else:
+                results["value"] = res
 
     if rows:
         results["sweep"] = rows
@@ -275,6 +267,9 @@ def cmd_simulate(args):
             wd = exact_warden_distribution(cb, problem, policy, p_u, cfg=cfg)
             results["end_to_end"] = err
             results["warden_tv"] = wd["tv_from_innocent"]
+        else:
+            results["skipped"] = {"results": ["end_to_end", "warden_tv"],
+                                  "reason": f"blocklength {n} is above 8, the largest they run at"}
         results["seed"] = seed
     config = {"spec": spec.path, "target": args.target, "trials": trials,
               "seed": seed, "cap": args.cap}

@@ -15,7 +15,6 @@ import numpy as np
 from .config import DEFAULT, Numerics
 from .divergences import classical_info_terms, entropy_of_table, holevo_mutual_info
 from .errors import CovertInfeasible
-from .oneshot import _checked_states
 from .states import (AuxiliaryPolicy, ClassicalProblem, CQState, ProblemInstance,
                      QuantumChannel, check_policy, innocent_output)
 
@@ -117,6 +116,7 @@ def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
     With an instance, the CSI guard runs and, unless ``stealth``, the
     induced warden marginal must match the innocent output.
     """
+    from .oneshot import _checked_states  # only the quantum regions need oneshot
     st = _checked_states(ensemble, channel, instance, None, cfg)
     terms = {"I(U;B)": holevo_mutual_info(st.cq_ub, cfg),
              "I(U;S)": holevo_mutual_info(st.cq_us, cfg),
@@ -225,15 +225,12 @@ def degradedness_residual(problem: ClassicalProblem) -> float:
     y = problem.w_e().reshape(na * ns, ne)
     t, *_ = np.linalg.lstsq(a_mat, y, rcond=None)
     step = 1.0 / max(np.linalg.norm(a_mat.T @ a_mat), 1e-12)
-    for _ in range(200):
+    for i in range(201):  # 200 projected gradient steps, then the last projection
         t = np.maximum(t, 0.0)
         rows = t.sum(axis=1, keepdims=True)
         t = np.where(rows > 0, t / rows, 1.0 / ne)
-        grad = a_mat.T @ (a_mat @ t - y)
-        t = t - step * grad
-    t = np.maximum(t, 0.0)
-    rows = t.sum(axis=1, keepdims=True)
-    t = np.where(rows > 0, t / rows, 1.0 / ne)
+        if i < 200:
+            t = t - step * (a_mat.T @ (a_mat @ t - y))
     return float(np.max(np.abs(a_mat @ t - y)))
 
 
@@ -383,11 +380,11 @@ def fm_projection_grid(a: float, b: float, c: float, step: float
     lo_r = bound(np.ceil((c - tol) / step))
     idx = np.arange(n, dtype=np.result_type(np.int8, np.min_scalar_type(top)))
     pair = idx[:, None] + idx  # j + k and j + i: the sum of two index axes
-    # the cube has axes (j, i, k), so R_J is swept out along the leading axis
-    cube = pair[:, None, :] <= (hi - idx)[:, None]
-    cube &= (pair >= lo_k)[:, None, :]
-    cube &= (pair >= lo_r)[:, :, None]
-    swept = cube.any(axis=0)
+    # j + k <= hi - i, each (j, k) below lo_k pushed past every bound and each
+    # (j, i) below lo_r given the bound -1; R_J is swept along the cube's axis j
+    jk = np.where(pair >= lo_k, pair, hi + 1)
+    ji = np.where(pair >= lo_r, hi - idx, -1)
+    swept = (jk[:, None, :] <= ji[:, :, None]).any(axis=0)
     direct = ((r[:, None] <= b - a + tol) & (rk <= b - c + tol)
               & (r[:, None] + rk <= b + tol))
     return r, rk, swept, direct

@@ -149,42 +149,59 @@ def _cdf(p: np.ndarray, normalized: bool = False) -> np.ndarray:
     return cdf
 
 
+_BLOCK = 8  # thresholds per comparison: the mask never outgrows the float64 uniforms
+
+
+class _Sampler:
+    """:func:`_symbols` prepared for uniforms of one shape: the thresholds
+    (the CDF entries but the last, axis first) and mask are built once.  A
+    call compares each block of at most ``_BLOCK`` thresholds with all the
+    uniforms and counts the hits by one uint8 ``add.reduce`` over the block.
+    """
+
+    def __init__(self, cdf: np.ndarray, shape: tuple[int, ...]):
+        k, batch = cdf.shape[-1], cdf.shape[:-1]
+        # one entry alone is 1 (or NaN), never <= u; the CDF axes align with u's last ones
+        thr = cdf[..., :max(k - 1, 1)].transpose(-1, *range(len(batch)))
+        thr = thr.reshape(-1, *(1,) * (len(shape) - len(batch)), *batch)
+        hit = np.empty((min(len(thr), _BLOCK), *shape), dtype=bool)
+        blocks = [(thr[lo:lo + _BLOCK], hit[:len(thr) - lo]) for lo in range(0, len(thr), _BLOCK)]
+        self.blocks = [(t, h, h.view(np.uint8)) for t, h in blocks]
+        self.part = np.empty(shape, dtype=np.uint8) if len(thr) > _BLOCK else None
+
+    def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for i, (thr, hit, ones) in enumerate(self.blocks):
+            np.less_equal(thr, u, out=hit)
+            np.add.reduce(ones, axis=0, out=self.part if i else out)  # in the dtype of out
+            if i:
+                np.add(out, self.part, out=out)
+        return out
+
+
 def _symbols(cdf: np.ndarray, u, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF indices: the number of entries of ``cdf`` (last axis,
     broadcast against ``u``) that are <= u, as ``choice`` counts them.
 
     The last entry is skipped: it is x / x = 1 > u (or NaN for an empty
     row), so it is never counted.  Fewer uniforms than entries are compared
-    in one broadcast and give ``intp`` indices; otherwise the loop runs over
-    the entries and counts in ``np.min_scalar_type(k - 1)``, the narrowest
-    dtype that holds every index, which it returns.  The loop adds each
-    comparison as a uint8 view: into uint8 counts that is a same-dtype add,
-    into wider ones an add with a cast.  With ``out`` (shaped like ``u``)
-    the indices are written there.
+    in one broadcast and give ``intp`` indices.  Otherwise :class:`_Sampler`
+    counts threshold-major, in ``np.min_scalar_type(k - 1)``, the narrowest
+    dtype that holds every index, which it returns.  With ``out`` (shaped
+    like ``u``) the indices are written there.
 
-    Both forms are kept because each is far slower on the other's draws.
-    Timed in both forms on the draws of the ``sampling._symbols`` cases of
-    scripts/bench.py (2 vCPUs): a ``classical_n7`` trial's codebook block
-    (4326 uniforms, 4 entries) takes 9 us in the loop and 152 us in the
-    broadcast; a chunk's bin draw (15 uniforms, 309 entries) takes 16 us in
-    the broadcast and 583 us in the loop.
+    Both forms are kept because each is far slower on the other's draws.  On
+    the ``sampling._symbols`` cases of scripts/bench.py (2 vCPUs), a chunk's
+    bin draw (15 uniforms, 309 entries) takes 16 us in the broadcast and 583
+    us in a loop over the entries; a ``classical_n7`` trial's codebook block
+    (4326 uniforms, 4 entries) 152 us in the broadcast and 17 us here (x1.35
+    that loop: the set-up), or 4.4 us (wall) from a prepared :class:`_Sampler`.
     """
     k = cdf.shape[-1]
-    if np.size(u) < k:
-        idx = np.count_nonzero(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
-        if out is None:
-            return idx
-        out[...] = idx
-        return out
+    if np.size(u) < k:  # counted in intp, or in the dtype of ``out``
+        return np.sum(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1, out=out)
     if out is None:
         out = np.empty(np.shape(u), dtype=np.min_scalar_type(k - 1))
-    hit = np.empty(out.shape, dtype=bool)
-    ones = hit.view(np.uint8)
-    out.fill(0)
-    for i in range(k - 1):
-        np.less_equal(cdf[..., i], u, out=hit)
-        np.add(out, ones, out=out)
-    return out
+    return _Sampler(cdf, out.shape)(u, out)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator, shape=None) -> np.ndarray:

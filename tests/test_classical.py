@@ -191,6 +191,42 @@ def test_ml_decode_uninformative_channel_error_rate():
     assert errors / cases == pytest.approx(1.0 - 1.0 / total)
 
 
+def _ml_reference(codes, b, ll_tab, s, prior_tab):
+    """Per trial, the first entry of largest sum over symbols of its
+    log-likelihood and then its log-prior, added one by one from 0."""
+    out = []
+    for i, words in enumerate(codes.tolist()):
+        sums = []
+        for word in words:
+            ll = 0.0
+            for t, u in enumerate(word):
+                ll += ll_tab[u, b[i, t]] if s is None else ll_tab[u, b[i, t], s[i, t]]
+                if prior_tab is not None:
+                    ll += prior_tab[u] if s is None else prior_tab[s[i, t], u]
+            sums.append(ll)
+        out.append(sums.index(max(sums)))
+    return out
+
+
+@pytest.mark.parametrize("nu, p, n", [(2, 3, 5), (2, 3, 3), (3, 2, 4), (4, 4, 7), (300, 1, 3)])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("csi", [True, False])
+@pytest.mark.parametrize("prior", [True, False])
+def test_ml_indices_match_the_symbol_loop(nu, p, n, delta, csi, prior):
+    # entries U^p - 1, U^p and U^p + 1 tabulate p - 1, p and p symbols (at
+    # most n); tables of five values make ties and near-ties common
+    rng = rng_for(580 + nu + 10 * p + n)
+    c, entries, nb, ns = 3, nu ** p + delta, 3, 2
+    values = np.array([-0.1, -0.2, -0.3, -0.6, -1.0])
+    ll_tab = rng.choice(values, size=(nu, nb, ns) if csi else (nu, nb))
+    prior_tab = rng.choice(values, size=(ns, nu) if csi else nu) if prior else None
+    codes = rng.integers(nu, size=(c, entries, n)).astype(np.min_scalar_type(nu - 1))
+    b = rng.integers(nb, size=(c, n))
+    s = rng.integers(ns, size=(c, n)).astype(np.uint8) if csi else None
+    got = classical._ml_indices(codes, b, ll_tab, s, prior_tab)
+    assert got.tolist() == _ml_reference(codes, b, ll_tab, s, prior_tab)
+
+
 def test_exact_warden_all_innocent_rows():
     # every input induces exactly the innocent warden row: TV = 0
     w = np.zeros((2, 1, 2, 2))

@@ -220,6 +220,25 @@ def test_simulate_classical_caps_exit_5(rates, tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_simulate_classical_names_what_it_skips_above_blocklength_8(n, tmp_path, capsys):
+    with open(CLASSICAL) as fh:
+        doc = json.load(fh)
+    doc["run"]["blocklength"] = n
+    spec = tmp_path / f"n{n}.json"
+    spec.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "simulate", "--spec", str(spec),
+                           "--target", "classical", "--trials", "30", "--seed", "1")
+    assert code == 0
+    results = json.loads(out)["results"]
+    if n == 8:
+        assert {"end_to_end", "warden_tv"} <= set(results) and "skipped" not in results
+    else:
+        assert not {"end_to_end", "warden_tv"} & set(results)
+        assert results["skipped"]["results"] == ["end_to_end", "warden_tv"]
+        assert results["skipped"]["reason"].startswith("blocklength 9 is above 8")
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "fm", "--seed", "2")
     assert code == 0

@@ -77,13 +77,14 @@ for path in {[QUBIT, DIAG, CLASSICAL, FAULTY]!r}:
     (("bound", "--spec", QUBIT, "--which", "lemma1"), ANALYSIS),
     (("bound", "--spec", QUBIT, "--which", "thm1", "--optimize"), ANALYSIS),
     (("region", "--spec", QUBIT, "--which", "csc_csk"), ANALYSIS | {"regions"}),
-    (("region", "--spec", CLASSICAL, "--which", "thm6"), ANALYSIS | {"regions"}),
+    # the classical regions, the classical simulation and the suites need no oneshot
+    (("region", "--spec", CLASSICAL, "--which", "thm6"), {"divergences", "regions"}),
     (("simulate", "--spec", QUBIT, "--target", "quantum", "--trials", "30"),
      ANALYSIS | {"protocol", "sampling"}),
     (("simulate", "--spec", CLASSICAL, "--target", "classical", "--trials", "30"),
-     ANALYSIS | {"classical", "regions", "sampling"}),
+     {"divergences", "pinching", "classical", "regions", "sampling"}),
     (("verify", "--suite", "fm", "--spec", QUBIT),
-     ANALYSIS | {"regions", "sampling", "verify"}),
+     {"divergences", "pinching", "regions", "sampling", "verify"}),
     (("bound", "--spec", FAULTY, "--which", "thm1"), set()),  # rejected as it loads
 ], ids=["divergence", "bound.lemma1", "bound.optimize", "region.csc_csk", "region.thm6",
         "simulate.quantum", "simulate.classical", "verify", "bound.faulty"])

@@ -8,6 +8,7 @@ from covertq.errors import NotPSD
 from covertq.linalg import eigvals_hermitian
 from covertq.sampling import (
     _cdf,
+    _Sampler,
     _mean_se,
     _symbols,
     _verdict,
@@ -87,6 +88,42 @@ def test_symbols_kernel_matches_the_broadcast_count(k):
         assert _symbols(cdf[rows], few, out=out) is out
         assert np.array_equal(out, want[rows, :1])
         assert _symbols(cdf[rows], few).dtype == np.intp
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9, 17, 300])
+def test_prepared_sampler_matches_choice_and_the_broadcast_count(k):
+    # 1 to 8 thresholds take one comparison block, 9 to 16 two, 299 thirty-eight
+    rng = rng_for(740 + k)
+    law = rng.random(k)
+    law[rng.random(k) < 0.3] = 0.0
+    law[0] += 1e-3
+    cdf = _cdf(law)
+    shape = (3, 2 * k + 5)  # at least one uniform per entry: the threshold-major form
+    draw = _Sampler(cdf, shape)
+    dtype = np.uint8 if k <= 256 else np.uint16
+    for seed in range(3):  # one prepared sampler, reused
+        want = np.random.default_rng(seed).choice(k, size=shape, p=law / law.sum())
+        u = np.random.default_rng(seed).random(shape)
+        assert np.array_equal(draw(u, np.empty(shape, dtype=dtype)), want)
+        assert _symbols(cdf, u).dtype == dtype and np.array_equal(_symbols(cdf, u), want)
+    # non-contiguous uniforms, also written into uint8 and uint16 ``out``
+    wide = rng.random((shape[1], 2 * shape[0]))
+    u = wide.T[::2]
+    assert not u.flags.c_contiguous
+    want = np.count_nonzero(cdf[:-1] <= u[..., None], axis=-1)
+    assert np.array_equal(_symbols(cdf, u), want)
+    for dtype in (np.uint8, np.uint16):
+        if np.iinfo(dtype).max < k - 1:
+            continue
+        out = np.full(shape, 7, dtype=dtype)
+        assert draw(u, out=out) is out and np.array_equal(out, want)
+        out[...] = 7
+        assert _symbols(cdf, u, out=out) is out and np.array_equal(out, want)
+    # stacked CDF rows against the trailing axis of the uniforms
+    rows = _cdf(rng.random((shape[1], k)))
+    u = rng.random(shape)
+    assert np.array_equal(_Sampler(rows, shape)(u, np.empty(shape, dtype=np.uint16)),
+                          np.count_nonzero(rows[:, :-1] <= u[..., None], axis=-1))
 
 
 def test_mean_se_matches_the_sample_formulas():
