@@ -10,7 +10,9 @@ of an older commit (``git archive``) is timed with the same cases.  With
 ``--against OTHER``, TREE and OTHER are timed in one run by two worker
 processes whose rounds alternate (TREE first in even rounds, OTHER first in
 odd ones), so both see the same drifts of machine load; the file then
-holds, per case, both medians and their ratio.
+holds, per case, both medians and their ratio, and the median and IQR of
+the per-round ratios (``against.norm_round_ratio``): a ratio of medians
+further from 1 than that IQR is a change, one within it is noise.
 
 Cases (each timed in every round, rounds repeated ``N`` times, so drifts in
 machine load reach every case alike):
@@ -248,6 +250,12 @@ def one_round(cases: dict, inner: dict, probe) -> dict:
     return out
 
 
+def spread(xs: list[float]) -> tuple[float, float]:
+    """Median and interquartile range of ``xs``."""
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return med, q3 - q1
+
+
 def summarize(rounds: list[dict], inner: dict) -> dict:
     """Per case: median and IQR of its per-call seconds over the rounds, in
     wall seconds and scaled to nominal machine speed."""
@@ -256,8 +264,8 @@ def summarize(rounds: list[dict], inner: dict) -> dict:
         pairs = [r[name] for r in rounds]
         out[name] = {"calls_per_sample": inner[name], "samples": len(pairs)}
         for key, xs in (("wall", [w for w, _ in pairs]), ("norm", [s for _, s in pairs])):
-            q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-            out[name].update({f"{key}_median_s": med, f"{key}_iqr_s": q3 - q1})
+            med, iqr = spread(xs)
+            out[name].update({f"{key}_median_s": med, f"{key}_iqr_s": iqr})
     return out
 
 
@@ -292,8 +300,10 @@ def serve(root: str) -> int:
     return 0
 
 
-def measure_against(roots: tuple[str, str], repeats: int) -> list[dict]:
-    """Results of the two trees, timed by two workers whose rounds alternate."""
+def measure_against(roots: tuple[str, str], repeats: int) -> tuple[list[dict], dict]:
+    """Results of the two trees, timed by two workers whose rounds alternate,
+    and per case the median and IQR of the per-round ratios of their scaled
+    times (first tree over second)."""
     def ask(worker, line=None):
         if line is not None:
             worker.stdin.write(line + "\n")
@@ -324,7 +334,11 @@ def measure_against(roots: tuple[str, str], repeats: int) -> list[dict]:
             if name.startswith("startup."):
                 res[name]["bytecode_written"] = head["bytecode_written"]
         results.append(res)
-    return results
+    ratios = {}
+    for name in (n for n in results[0] if n in results[1]):
+        med, iqr = spread([a[name][1] / b[name][1] for a, b in zip(*rounds)])
+        ratios[name] = {"median": med, "iqr": iqr}
+    return results, ratios
 
 
 def cpu_model() -> str | None:
@@ -381,11 +395,12 @@ def main(argv=None) -> int:
            "repeats": args.repeats, "environment": environment()}
     if args.against:
         other = os.path.abspath(args.against)
-        results, theirs = measure_against((root, other), args.repeats)
+        (results, theirs), round_ratio = measure_against((root, other), args.repeats)
         doc["against"] = {
             "tree": os.path.basename(other.rstrip(os.sep)) or other, "cases": theirs,
             "norm_median_ratio": {name: res["norm_median_s"] / theirs[name]["norm_median_s"]
-                                  for name, res in results.items() if name in theirs}}
+                                  for name, res in results.items() if name in theirs},
+            "norm_round_ratio": round_ratio}
     else:
         with tempfile.TemporaryDirectory() as workdir:
             results = measure(build_cases(root, workdir), args.repeats)
@@ -409,10 +424,12 @@ def main(argv=None) -> int:
     width = max(map(len, results))
     ratios = doc.get("baseline", {}).get("norm_median_ratio", {})
     against = doc.get("against", {}).get("norm_median_ratio", {})
+    round_ratio = doc.get("against", {}).get("norm_round_ratio", {})
     for name, res in results.items():
         ratio = f"  x{ratios[name]:.3f}" if name in ratios else ""
         if name in against:
-            ratio += f"  against x{against[name]:.3f}"
+            ratio += (f"  against x{against[name]:.3f} (rounds x{round_ratio[name]['median']:.3f}"
+                      f" iqr {round_ratio[name]['iqr']:.3f})")
         print(f"{name:<{width}}  {res['norm_median_s'] * 1e3:9.3f} ms  "
               f"iqr {res['norm_iqr_s'] * 1e3:7.3f} ms{ratio}")
     print(f"wrote {path}")

@@ -123,12 +123,13 @@ def cmd_divergence(args):
 
 def cmd_bound(args):
     spec = load_spec(args.spec)
-    from .oneshot import (bound_orders, bound_report, decoding_test_bounds, default_alpha_grid,
-                          induced_states, optimize_bound, resolvability_bound,
-                          verification_bounds)
+    which = args.which
+    if args.optimize and which not in ("thm1", "thm5"):
+        raise RunParameterError(f"--optimize applies to --which thm1 and thm5, not {which}")
+    from .oneshot import (bound_orders, bound_report, default_alpha_grid, induced_states,
+                          optimize_bound, verification_bounds)
     ensemble = _need(spec, "ensemble", "ensemble")
     instance = _need(spec, "instance", "channel instance")
-    which = args.which
     rates = spec.protocol_rates(args.alpha)
     st = induced_states(ensemble, instance.channel, spec.cfg)
     if which in ("thm1", "thm5"):
@@ -141,17 +142,18 @@ def cmd_bound(args):
                 st.fill(marginal, orders)  # the grid loop below only reads the cache
 
             def total(alpha: float, rj: float) -> float:
-                vb = verification_bounds(st, ProtocolRates(rates.R, rates.R_K, rj, alpha))
+                vb = verification_bounds(st, ProtocolRates(rates.R, rates.R_K, rj, alpha),
+                                         ("error_split", "key_trace"))
                 return vb["error_split"] + vb["key_trace"]
 
             best_a, best_rj, best_v = optimize_bound(total, alpha_grid, rj_grid)
             results["optimized"] = {"alpha": best_a, "R_J": best_rj, "value": best_v}
     elif which == "lemma1":
-        results = {"bound": resolvability_bound(st.cq_ue, rates.R, rates.alpha, spec.cfg),
+        results = {"bound": verification_bounds(st, rates, ("resolvability",))["resolvability"],
                    "rate": rates.R, "alpha": rates.alpha}
     else:  # lemma2
-        miss, alarm = decoding_test_bounds(st.cq_ub, rates, spec.cfg)
-        results = {"miss_bound": miss, "false_alarm_bound": alarm,
+        vb = verification_bounds(st, rates, ("miss", "false_alarm"))
+        results = {"miss_bound": vb["miss"], "false_alarm_bound": vb["false_alarm"],
                    "total_rate": rates.total, "alpha": rates.alpha}
     config = {"spec": spec.path, "which": which, "alpha": args.alpha,
               "optimize": bool(args.optimize)}

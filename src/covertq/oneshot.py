@@ -1,8 +1,8 @@
 """Closed-form one-shot achievability bounds with alpha / R_J optimization.
 
 Bound values are plain upper-bound evaluations in bits; nothing here
-samples codebooks.  ``protocol`` consumes the same expressions as Monte
-Carlo verification targets.
+samples codebooks.  Each bound is one row of :data:`ROWS`, read by
+``protocol`` too, as its Monte Carlo verification targets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .divergences import (
     cq_sandwiched_renyi,
     trace_distance,
 )
-from .errors import CsiMismatch, EmptyFeasibleSet, RunParameterError, SupportViolation
+from .errors import CsiMismatch, EmptyFeasibleSet, SupportViolation
 from .pinching import distinct_eigenspaces
 from .states import (
     CQState,
@@ -73,7 +73,8 @@ class InducedStates:
 
     def divergence(self, which: str, order: float) -> DivergenceValue:
         """Cached sandwiched divergence of a marginal cq state vs its product."""
-        self.fill(which, [order])
+        if (which, order) not in self._cache:
+            self.fill(which, [order])
         return self._cache[(which, order)]
 
     def finite_divergence(self, which: str, order: float) -> float:
@@ -113,71 +114,76 @@ def _checked_states(ensemble: CQState, channel: QuantumChannel,
     return states or induced_states(ensemble, channel, cfg)
 
 
+def bound_orders(alpha: float) -> tuple[float, float, float]:
+    """The orders of D(U;S), D(U;B) and D(U;E) in Lemmas 1-2 and Theorems 1, 5."""
+    return 1.0 + alpha, 1.0 - alpha, 1.0 + alpha
+
+
+# One row per one-shot bound (Lemmas 1-2, Theorems 1 and 5): the marginal X of
+# the D(U;X) it reads at X's order from bound_orders, its vacuity limit (1 for
+# a probability or squared purified distance, 2 for a trace distance, none for
+# a divergence), and its value from (v_X, alpha, rates, D).
+ROWS = {
+    "resolvability": ("E", math.inf, lambda v, a, r, d: v ** a / (a * LN2) * pow2(a * (d - r.R))),
+    "miss": ("B", 1.0, lambda v, a, r, d: v ** a * pow2(-a * d) * pow2(a * r.total)),
+    "false_alarm": ("B", 1.0, lambda v, a, r, d: v ** a * pow2(-a * d)
+                    * pow2((a - 1.0) * r.total)),
+    "error_encoding": ("S", 1.0, lambda v, a, r, d: 2.0 * v ** a / a
+                       * pow2(a * (d - (r.R_J + r.R_K)))),
+    "error_decoding": ("B", 1.0, lambda v, a, r, d: 12.0 * v ** a * pow2(a * (r.total - d))),
+    "key_p2": ("E", 1.0, lambda v, a, r, d: 2.0 * v ** a / a * pow2(a * (d - (r.R_J + r.R)))),
+    "message_key_p2": ("E", 1.0, lambda v, a, r, d: 2.0 * v ** a / a * pow2(a * (d - r.R_J))),
+    "key_trace": ("E", 2.0, lambda v, a, r, d: 2.0 * math.sqrt(2.0)
+                  * (v ** (a / 2.0) / math.sqrt(a)) * pow2(a / 2.0 * (d - (r.R_J + r.R)))),
+    "key_trace_loose": ("E", 2.0, lambda v, a, r, d: 2.0 * (v ** (a / 2.0) / math.sqrt(a))
+                        * pow2(a / 2.0 * (d - (r.R_J + r.R)))),
+    "message_key_trace": ("E", 2.0, lambda v, a, r, d: 2.0 * (v ** (a / 2.0) / math.sqrt(a))
+                          * pow2(a / 2.0 * (d - r.R_J))),
+}
+SPLIT = ("error_encoding", "error_decoding")  # error_split, Theorem 1's bound, is their sum
+THEOREM_ROWS = ("error_split", *list(ROWS)[3:])  # every row but those of Lemmas 1 and 2
+
+
+def verification_bounds(st: InducedStates, rates: ProtocolRates,
+                        rows=THEOREM_ROWS) -> dict[str, float]:
+    """The bounds ``rows`` (of :data:`ROWS`, or ``error_split``) at one rate
+    point: the one evaluator of a one-shot bound.  Only those rows are
+    evaluated, after every divergence they read is fetched (S, B, E), so an
+    infinite one raises :class:`SupportViolation` before an overflow can."""
+    names = dict.fromkeys(p for n in rows for p in (SPLIT if n == "error_split" else (n,)))
+    need = {ROWS[n][0] for n in names}
+    d = {m: st.finite_divergence(m, o) for m, o in zip("SBE", bound_orders(rates.alpha))
+         if m in need}
+    v = {"S": st.v_s, "B": st.v_b, "E": st.v_e}
+    vals = {n: ROWS[n][2](v[ROWS[n][0]], rates.alpha, rates, d[ROWS[n][0]]) for n in names}
+    return {n: vals[SPLIT[0]] + vals[SPLIT[1]] if n == "error_split" else vals[n] for n in rows}
+
+
+def vacuous(bounds: dict[str, float]) -> dict[str, bool]:
+    """Whether each bound exceeds its row's limit (error_split: the error rows')."""
+    return {n: x > ROWS[SPLIT[0] if n == "error_split" else n][1] for n, x in bounds.items()}
+
+
+def _one_marginal(cq: CQState, rates: ProtocolRates, rows, cfg: Numerics) -> list[float]:
+    """The bounds ``rows`` of one marginal, whose cq state ``cq`` stands for all three."""
+    rho = cq.average()
+    v = distinct_eigenspaces(rho, cfg=cfg).v
+    st = InducedStates(cq, cq, cq, rho, rho, rho, v, v, v, cfg)
+    return list(verification_bounds(st, rates, rows).values())
+
+
 def resolvability_bound(cq_ue: CQState, rate: float, alpha: float,
                         cfg: Numerics = DEFAULT) -> float:
-    """Expected sandwiched divergence of a size-2^rate random mixture.
-
-    Bounds E[ D_(1+alpha)(mixture || average) ] for codewords drawn iid
-    from the ensemble distribution.
-    """
-    if not (0.0 < alpha < 0.5):
-        raise RunParameterError(f"alpha must lie in (0, 1/2), got {alpha}")
-    dv = cq_sandwiched_renyi(cq_ue, 1.0 + alpha, cfg)
-    if not dv.is_finite:
-        raise SupportViolation("conditional outputs leave the average support")
-    v_e = distinct_eigenspaces(cq_ue.average(), cfg=cfg).v
-    return (v_e ** alpha / (alpha * LN2)) * pow2(alpha * (-rate + dv.value))
+    """Lemma 1: bounds E[ D_(1+alpha)(mixture || average) ] for a mixture of
+    2^rate codewords drawn iid from the ensemble distribution."""
+    return _one_marginal(cq_ue, ProtocolRates(rate, 0.0, 0.0, alpha), ("resolvability",), cfg)[0]
 
 
 def decoding_test_bounds(cq_ub: CQState, rates: ProtocolRates,
                          cfg: Numerics = DEFAULT) -> tuple[float, float]:
-    """Upper bounds for the two decoding-projector traces.
-
-    First value bounds the miss probability tr[(I - Pi) rho_UB], second
-    the false-alarm trace tr[Pi (rho_U x rho_B)].
-    """
-    a = rates.alpha
-    dv = cq_sandwiched_renyi(cq_ub, 1.0 - a, cfg)
-    if not dv.is_finite:
-        raise SupportViolation("divergence at order 1 - alpha is infinite")
-    v_b = distinct_eigenspaces(cq_ub.average(), cfg=cfg).v
-    common = v_b ** a * pow2(-a * dv.value)
-    return (common * pow2(a * rates.total),
-            common * pow2(-(1.0 - a) * rates.total))
-
-
-def bound_orders(alpha: float) -> tuple[float, float, float]:
-    """The orders of D(U;S), D(U;B) and D(U;E) in Theorems 1 and 5."""
-    return 1.0 + alpha, 1.0 - alpha, 1.0 + alpha
-
-
-def verification_bounds(st: InducedStates, rates: ProtocolRates) -> dict[str, float]:
-    """Every closed-form bound of Theorems 1 and 5 at one rate point.
-
-    The one place the exponents and prefactors are evaluated:
-    :func:`bound_report`, the ``bound --optimize`` sweep and the Monte
-    Carlo verifier read this table.  Raises :class:`SupportViolation` when
-    D_(1+a)(U;S), D_(1-a)(U;B) or D_(1+a)(U;E) is infinite.
-    """
-    a = rates.alpha
-    d_s, d_b, d_e = (st.finite_divergence(w, o) for w, o in zip("SBE", bound_orders(a)))
-    enc = (2.0 * st.v_s ** a / a) * pow2(a * (-(rates.R_J + rates.R_K) + d_s))
-    dec = 12.0 * st.v_b ** a * pow2(a * (rates.total - d_b))
-    p2 = 2.0 * st.v_e ** a / a
-    base = st.v_e ** (a / 2.0) / math.sqrt(a)
-    strict, loose = 2.0 * math.sqrt(2.0) * base, 2.0 * base
-    key_expo = -(rates.R_J + rates.R) + d_e
-    msg_expo = -rates.R_J + d_e
-    return {
-        "error_split": enc + dec,
-        "error_encoding": enc,
-        "error_decoding": dec,
-        "key_p2": p2 * pow2(a * key_expo),
-        "message_key_p2": p2 * pow2(a * msg_expo),
-        "key_trace": strict * pow2((a / 2.0) * key_expo),
-        "key_trace_loose": loose * pow2((a / 2.0) * key_expo),
-        "message_key_trace": loose * pow2((a / 2.0) * msg_expo),
-    }
+    """Lemma 2: bounds on the miss probability tr[(I - Pi) rho_UB] and the
+    false-alarm trace tr[Pi (rho_U x rho_B)] of the decoding projector."""
+    return tuple(_one_marginal(cq_ub, rates, ("miss", "false_alarm"), cfg))
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,7 @@ def bound_report(ensemble: CQState, instance: ProblemInstance,
     """Evaluate every one-shot bound for one ensemble and rate point."""
     st = _checked_states(ensemble, instance.channel, instance, states, cfg)
     vb = verification_bounds(st, rates)
+    over = vacuous(vb)
     _, matched = st.covert_gap(innocent_output(instance))
     return BoundReport(
         pe_bound=vb["error_split"],
@@ -210,11 +217,8 @@ def bound_report(ensemble: CQState, instance: ProblemInstance,
         divergences={name: st.finite_divergence(w, o) for name, w, o in zip(
             ("D_state", "D_receiver", "D_warden"), "SBE", bound_orders(rates.alpha))},
         eigencounts={"v_S": st.v_s, "v_B": st.v_b, "v_E": st.v_e},
-        flags={
-            "covert_target_matched": matched,
-            "pe_vacuous": vb["error_split"] > 1.0,
-            "covert_vacuous": vb["key_trace"] > 2.0,
-        },
+        flags={"covert_target_matched": matched, "pe_vacuous": over["error_split"],
+               "covert_vacuous": over["key_trace"]},
         rates=rates,
     )
 
@@ -224,19 +228,16 @@ def default_alpha_grid(points: int = 24) -> np.ndarray:
     return np.geomspace(1e-3, 0.499, points)
 
 
-def optimize_bound(evaluate, alpha_grid, rj_grid, feasible=None
-                   ) -> tuple[float, float, float]:
+def optimize_bound(evaluate, alpha_grid, rj_grid) -> tuple[float, float, float]:
     """Grid argmin of a bound over (alpha, R_J).
 
     ``evaluate(alpha, rj)`` returns the bound value; points raising
-    :class:`SupportViolation` or failing ``feasible`` are skipped.  Ties
-    break toward the smallest alpha then the smallest R_J.
+    :class:`SupportViolation` are skipped.  Ties break toward the smallest
+    alpha then the smallest R_J.
     """
     best = None
     for a in sorted(float(x) for x in alpha_grid):
         for rj in sorted(float(x) for x in rj_grid):
-            if feasible is not None and not feasible(a, rj):
-                continue
             try:
                 val = evaluate(a, rj)
             except SupportViolation:

@@ -20,7 +20,7 @@ from .config import DEFAULT, Numerics, check_codebook_cap
 from .divergences import fidelity
 from .errors import DimMismatch, RunParameterError
 from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
-from .oneshot import InducedStates, ProtocolRates, induced_states, verification_bounds
+from .oneshot import InducedStates, ProtocolRates, induced_states, vacuous, verification_bounds
 from .pinching import decoder_projector_blocks
 from .sampling import _cdf, _codeword_law, _mean_se, _symbols, _verdict
 from .states import CQState, DensityMatrix, ProblemInstance, innocent_output
@@ -298,13 +298,10 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         verdicts["key_trace"] = ok("key_trace", "key_trace")
         verdicts["message_key_trace"] = ok("message_key_trace", "message_key_trace")
 
-    flags = {
-        "covert_target_matched": covert_applicable,
-        "error_bound_vacuous": bounds["error_split"] > 1.0,
-        "key_p2_bound_vacuous": bounds["key_p2"] > 1.0,
-        "message_key_p2_bound_vacuous": bounds["message_key_p2"] > 1.0,
-        "key_trace_bound_vacuous": bounds["key_trace"] > 2.0,
-    }
+    over = vacuous(bounds)
+    flags = {"covert_target_matched": covert_applicable,
+             "error_bound_vacuous": over["error_split"],
+             **{f"{n}_bound_vacuous": over[n] for n in ("key_p2", "message_key_p2", "key_trace")}}
     return SimulationReport(
         trials=trials, rates=rates, match_mode=match_mode,
         means=means, std_errors=ses, bounds=bounds, verdicts=verdicts,

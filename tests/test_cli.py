@@ -463,7 +463,12 @@ def test_bare_value_error_is_reported_as_internal(monkeypatch, capsys):
      "error: --order is required for the sandwiched measure"),
     (("simulate", "--spec", QUBIT, "--target", "quantum", "--trials", "29"),
      "error: trials must be >= 30, got 29"),
-], ids=["order", "trials"])
+    # --optimize on a lemma exited 0, echoed "optimize": true and optimized nothing
+    (("bound", "--spec", QUBIT, "--which", "lemma1", "--optimize"),
+     "error: --optimize applies to --which thm1 and thm5, not lemma1"),
+    (("bound", "--spec", QUBIT, "--which", "lemma2", "--optimize"),
+     "error: --optimize applies to --which thm1 and thm5, not lemma2"),
+], ids=["order", "trials", "optimize-lemma1", "optimize-lemma2"])
 def test_run_parameter_errors_exit_6_not_internal(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 6 and out == ""

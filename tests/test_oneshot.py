@@ -9,7 +9,7 @@ from conftest import diag_state, rng_for
 from covertq import oneshot
 from covertq.cli import main
 from covertq.divergences import cq_sandwiched_renyi
-from covertq.errors import CapExceeded, CsiMismatch, EmptyFeasibleSet
+from covertq.errors import CapExceeded, CsiMismatch, EmptyFeasibleSet, SupportViolation
 from covertq.oneshot import (
     BoundReport,
     bound_orders,
@@ -22,6 +22,7 @@ from covertq.oneshot import (
     resolvability_bound,
     verification_bounds,
 )
+from covertq.protocol import monte_carlo_verify
 from covertq.sampling import matched_ensemble, random_problem_instance
 from covertq.specio import load_spec
 from covertq.states import CQState, DensityMatrix, QuantumChannel
@@ -234,9 +235,12 @@ def test_optimizer_contracts(fixture_instance):
     _, rj, _ = optimize_bound(lambda a, rj: 1.0 / (1.0 + rj), [0.1], [0.0, 1.0, 2.0])
     assert rj == 2.0
 
-    # empty feasible set
+    # empty feasible set: every grid point reads an infinite divergence
+    def infinite(a, rj):
+        raise SupportViolation("divergence for E is infinite")
+
     with pytest.raises(EmptyFeasibleSet):
-        optimize_bound(lambda a, rj: a, [0.1], [0.0], feasible=lambda a, rj: False)
+        optimize_bound(infinite, [0.1, 0.2], [0.0, 1.0])
 
     # grid argmin dominates every grid point on a real objective
     inst, ens = fixture_instance
@@ -305,3 +309,42 @@ def test_fill_caches_the_values_of_single_order_lookups(fixture_instance):
     for a in alphas.tolist():
         for which, order in zip("SBE", (1.0 + a, 1.0 - a, 1.0 + a)):
             assert filled._cache[(which, order)] == fresh.divergence(which, order)
+
+
+@pytest.mark.parametrize("which", ["lemma1", "lemma2"])
+def test_lemma_commands_read_the_induced_states_cache(which, monkeypatch, capsys):
+    # one divergence at the lemma's order, and only the three eigencounts
+    # of induced_states: the lemma does not diagonalise its marginal again
+    calls = {"cq_sandwiched_renyi": 0, "distinct_eigenspaces": 0}
+    for name in calls:
+        def counting(*args, real=getattr(oneshot, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(oneshot, name, counting)
+    assert main(["bound", "--spec", QUBIT, "--which", which]) == 0
+    capsys.readouterr()
+    assert calls == {"cq_sandwiched_renyi": 1, "distinct_eigenspaces": 3}
+
+
+def test_every_vacuity_flag_is_its_bound_above_the_table_limit():
+    # a rate point where the flags differ: the error bound is vacuous, the
+    # covertness bounds are not
+    spec = load_spec(QUBIT)
+    rates = ProtocolRates(R=1.0, R_K=0.0, R_J=10.0, alpha=0.45)
+    limit = {name: row[1] for name, row in oneshot.ROWS.items()}
+    limit["error_split"] = limit[oneshot.SPLIT[0]]
+    assert (limit["error_split"], limit["key_p2"], limit["key_trace"]) == (1.0, 1.0, 2.0)
+
+    rep = bound_report(spec.ensemble, spec.instance, rates, spec.cfg)
+    want = {"pe_vacuous": rep.pe_bound > limit["error_split"],
+            "covert_vacuous": rep.covert_bound > limit["key_trace"]}
+    assert {k: v for k, v in rep.flags.items() if k.endswith("_vacuous")} == want
+    assert want == {"pe_vacuous": True, "covert_vacuous": False}
+
+    sim = monte_carlo_verify(spec.ensemble, spec.instance, rates, 30, 1, cfg=spec.cfg)
+    flagged = {"error_bound_vacuous": "error_split", "key_p2_bound_vacuous": "key_p2",
+               "message_key_p2_bound_vacuous": "message_key_p2",
+               "key_trace_bound_vacuous": "key_trace"}
+    want = {flag: sim.bounds[name] > limit[name] for flag, name in flagged.items()}
+    assert {k: v for k, v in sim.flags.items() if k.endswith("_vacuous")} == want
+    assert [flag for flag, on in want.items() if on] == ["error_bound_vacuous"]
