@@ -22,6 +22,9 @@ machine load reach every case alike):
 - ``divergences.sandwiched_renyi.one_order`` and ``.six_orders``: the
   ``dataprocessing`` suite's pairs (seed 1, one stack per dimension 2..4) at
   order 1.25, and at its six batched orders as one order array;
+- ``linalg.eig_hermitian.d<d>`` and ``.d<d>x64``: the eigensolver on one
+  seeded Ginibre state of dimension d = 2, 4, 8, 16, 32, and on a seeded
+  stack of 64 of them;
 - ``regions.fm_projection_grid.n10`` / ``.n40`` / ``.n80``: one grid of n
   points per rate axis;
 - ``specio.load_spec.<fixture>``: every bundled fixture, and the perfbench
@@ -124,6 +127,7 @@ def build_cases(root: str, workdir: str) -> dict:
     from covertq.config import code_size
     from covertq.divergences import sandwiched_renyi
     from covertq.errors import CovertqError
+    from covertq.linalg import eig_hermitian
     from covertq.pinching import distinct_eigenspaces
     from covertq.regions import fm_projection_grid
     from covertq.sampling import _cdf, _symbols, ginibre_states
@@ -140,6 +144,12 @@ def build_cases(root: str, workdir: str) -> dict:
         "divergences.sandwiched_renyi.six_orders":
             lambda: [sandwiched_renyi(r, s, orders) for r, s in pairs],
     }
+    rng = np.random.default_rng(SEED)
+    for d in (2, 4, 8, 16, 32):
+        one = ginibre_states(rng.normal(size=(2, d, d)))
+        stack = ginibre_states(rng.normal(size=(64, 2, d, d)))
+        cases[f"linalg.eig_hermitian.d{d}"] = lambda m=one: eig_hermitian(m)
+        cases[f"linalg.eig_hermitian.d{d}x64"] = lambda m=stack: eig_hermitian(m)
     for n in (10, 40, 80):  # b = (n - 1) * step; a and c on the grid inside it
         b = 0.02 * (n - 1)
         a, c = 0.02 * round(0.3 * (n - 1)), 0.02 * round(0.4 * (n - 1))

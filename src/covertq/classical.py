@@ -1,10 +1,11 @@
 """Finite-blocklength simulation of the classical covert coding scheme and
 an exact resolvability oracle.
 
-The encoder is the two-layer binning scheme: given the message and the
-state sequence it picks a (local randomness, key) bin whose codeword fits
-the state, then transmits symbolwise through the input policy.  Exact
-warden distributions are computed by enumerating state sequences and bin
+The encoder is the two-layer binning scheme with likelihood encoding:
+given the message and the state sequence it draws a (local randomness,
+key) bin with the soft-covering weight of its codeword under the state,
+then transmits symbolwise through the input policy.  Exact warden
+distributions are computed by enumerating state sequences and bin
 choices; resolvability experiments average the relative entropy of the
 codebook-induced output over random codebooks.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT, Numerics, check_codebook_cap, code_size, pow2
 from .divergences import cq_sandwiched_renyi
-from .errors import CapExceeded, EncodingFailure, RunParameterError
+from .errors import CapExceeded, RunParameterError
 from .pinching import tensor_power_eigencount
 from .regions import AuxiliaryPolicy, ClassicalProblem, total_variation
 from .sampling import _cdf, _codeword_law, _draw, _mean_se, _Sampler, _symbols
@@ -64,8 +65,8 @@ def _density_ratio(p_u_s: np.ndarray, p_u) -> np.ndarray:
 
 
 class _Encoder:
-    """Lookup tables of the binning encoder for one policy and codeword law,
-    and the scratch buffers of its bin weights for codebooks of shape
+    """Lookup tables of the likelihood encoder for one policy and codeword
+    law, and the scratch buffers of its bin weights for codebooks of shape
     ``(J, K, n)``.
 
     Each entry is computed with the arithmetic the encoder applies per
@@ -79,11 +80,6 @@ class _Encoder:
         p_u_s = policy.p_u_s
         ns, nu = p_u_s.shape
         self.ratio = _density_ratio(p_u_s, p_u).ravel()  # P(u|s) / P(u) at s*U + u
-        self.allowed = p_u_s > 0.0
-        self.surprisal = np.where(self.allowed, -np.log2(np.maximum(p_u_s, 1e-300)), 0.0)
-        # per-state conditional entropy, which centers the typicality window
-        self.entropy = [-float(np.sum(row[row > 0.0] * np.log2(row[row > 0.0])))
-                        for row in p_u_s]
         self.cdf_a = _cdf(policy.p_a_us)  # (U, S, A)
         self.index_dtype = np.min_scalar_type(ns * nu - 1)
         self.nu = self.index_dtype.type(nu)
@@ -93,48 +89,27 @@ class _Encoder:
         self.factors = np.empty((n, nj, nk))
 
     def draw(self, u_m: np.ndarray, s_seq: np.ndarray, rng: np.random.Generator,
-             mode: str, weights: np.ndarray, eps: float | None = None
-             ) -> tuple[int, float, float]:
+             weights: np.ndarray) -> tuple[int, float, float]:
         """The bin draw for the codewords ``u_m`` (J, K, n) of one message
         under the state sequence ``s_seq``, both in dtypes no wider than
         ``index_dtype``.
 
-        Likelihood encoding writes the unnormalized soft-covering weights of
-        the bins into ``weights`` (J*K,): the product 1*r_0*r_1*... over
-        symbols, in symbol order, of the density ratio ``r_t = P(u_t|s_t) /
-        P(u_t)``.  Returns ``(flat, tot, 0.0)`` when the flat (j, k) index is
-        already drawn, or ``(-1, tot, u)`` when it is ``_symbols(_cdf(weights
-        / tot, normalized=True), u)``, where ``tot`` is the weights' sum.
-        Raises :class:`EncodingFailure` when no bin is typical.
+        Writes the unnormalized soft-covering weights of the bins into
+        ``weights`` (J*K,): the product 1*r_0*r_1*... over symbols, in
+        symbol order, of the density ratio ``r_t = P(u_t|s_t) / P(u_t)``.
+        Returns ``(flat, tot, 0.0)`` when the flat (j, k) index is already
+        drawn (uniformly, when every weight is 0), or ``(-1, tot, u)`` when
+        it is ``_symbols(_cdf(weights / tot, normalized=True), u)``, where
+        ``tot`` is the weights' sum.
         """
-        if mode == "likelihood":
-            np.multiply(s_seq, self.nu, out=self.offsets)
-            np.add(u_m.transpose(2, 0, 1), self.offsets[:, None, None], out=self.index)
-            self.ratio.take(self.index, out=self.factors, mode="clip")  # indices < S*U
-            np.multiply.reduce(self.factors, axis=0, out=weights.reshape(u_m.shape[:2]))
-            tot = float(np.add.reduce(weights))
-            if tot <= 0.0:
-                return int(rng.integers(weights.size)), tot, 0.0
-            return -1, tot, rng.random()
-        if mode == "typicality":
-            cond_ent = 0.0
-            for s in s_seq:
-                cond_ent += self.entropy[s]
-            cond_ent /= len(s_seq)
-            if eps is None:
-                eps = 0.1 * max(cond_ent, 1e-12)
-            scores = np.zeros(u_m.shape[:2])
-            ok = np.ones(u_m.shape[:2], dtype=bool)
-            for t, s in enumerate(s_seq):
-                u_t = u_m[:, :, t]
-                ok &= self.allowed[s, u_t]
-                scores += self.surprisal[s, u_t]
-            ok &= np.abs(scores / len(s_seq) - cond_ent) <= eps
-            hits = np.flatnonzero(ok)
-            if hits.size == 0:
-                raise EncodingFailure("no jointly typical bin for this state sequence")
-            return int(hits[rng.integers(hits.size)]), 0.0, 0.0
-        raise ValueError(f"unknown encoding mode {mode!r}")
+        np.multiply(s_seq, self.nu, out=self.offsets)
+        np.add(u_m.transpose(2, 0, 1), self.offsets[:, None, None], out=self.index)
+        self.ratio.take(self.index, out=self.factors, mode="clip")  # indices < S*U
+        np.multiply.reduce(self.factors, axis=0, out=weights.reshape(u_m.shape[:2]))
+        tot = float(np.add.reduce(weights))
+        if tot <= 0.0:
+            return int(rng.integers(weights.size)), tot, 0.0
+        return -1, tot, rng.random()
 
 
 def _channel_cdf(problem: ClassicalProblem) -> np.ndarray:
@@ -226,12 +201,11 @@ def _ml_indices(codes: np.ndarray, b: np.ndarray, ll_tab: np.ndarray,
 def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
                      p_u: np.ndarray, sizes: tuple[int, int, int], n: int,
                      trials: int, seed: int, receiver_csi: bool = True,
-                     mode: str = "likelihood",
                      cfg: Numerics = DEFAULT) -> dict:
     """Empirical (key, message) error of the full scheme over random codebooks.
 
     Each trial draws a fresh codebook, state sequence, message, bin, and
-    channel noise; encoding failures count as errors.  The draws come from
+    channel noise; ``trials`` must be at least 1.  The draws come from
     one ``default_rng(seed)`` stream, trial by trial, in the order of
     ``sample_classical_codebook``, the state draw, the bin draw, and the
     input and channel draws, by two inverse-CDF samplers prepared once per
@@ -243,6 +217,8 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     ``cfg.codebook_cap`` caps the entries of one codebook.
     """
     check_codebook_cap(sizes, cfg)
+    if trials < 1:
+        raise RunParameterError(f"trials must be >= 1, got {trials}")
     p_u = _codeword_law(p_u)
     nj, nk, nm = (int(x) for x in sizes)
     entries = nj * nk * nm
@@ -259,18 +235,16 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
     draw_code, draw_state = _Sampler(cdf_u, u_code.shape), _Sampler(cdf_s, u_state.shape)
 
     errors = 0
-    enc_failures = 0
     chunk = max(1, min(trials, cfg.warden_cap // (entries * n)))
     # codes, states, messages, bins (-1: drawn from its law in the stacked pass),
-    # bin weights, sums and uniforms, input then channel uniforms, sent or not
+    # bin weights, sums and uniforms, input then channel uniforms
     buffers = [np.empty((chunk, *shape), dtype=dtype) for shape, dtype in (
         ((nj, nk, nm, n), np.min_scalar_type(len(p_u) - 1)), ((n,), enc.index_dtype),
         ((), np.intp), ((), np.intp), ((nj * nk,), float), ((), float), ((), float),
-        ((2, n), float), ((), bool))]
+        ((2, n), float))]
     for lo in range(0, trials, chunk):
         c = min(chunk, trials - lo)
-        codes, s, m, bins, laws, tot, u_bin, u_io, sent = (buf[:c] for buf in buffers)
-        sent.fill(True)
+        codes, s, m, bins, laws, tot, u_bin, u_io = (buf[:c] for buf in buffers)
         # Draw pass: the draws of each trial in stream order, written into
         # the chunk's buffers.  Besides the codebook symbols only the bin
         # weights of the sent message are evaluated here, because they
@@ -280,17 +254,10 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
             draw_code(u_code, out=codes[i])
             draw_state(u_state, out=s[i])
             m[i] = rng.integers(nm)
-            try:
-                bins[i], tot[i], u_bin[i] = enc.draw(codes[i, :, :, m[i]], s[i], rng, mode,
-                                                     laws[i])
-            except EncodingFailure:
-                sent[i], bins[i], u_io[i] = False, 0, 0.0
-                continue
+            bins[i], tot[i], u_bin[i] = enc.draw(codes[i, :, :, m[i]], s[i], rng, laws[i])
             rng.random(out=u_io[i])
 
-        # Stacked pass.  Trials whose encoding failed run through it with
-        # bin 0 and zero uniforms and are left out of the count.
-        enc_failures += c - int(sent.sum())
+        # Stacked pass: the rest of each trial, for the chunk at once.
         pending = bins < 0
         bins[pending] = _symbols(_cdf(laws[pending] / tot[pending, None], normalized=True),
                                  u_bin[pending])
@@ -300,13 +267,13 @@ def end_to_end_error(problem: ClassicalProblem, policy: AuxiliaryPolicy,
         b = _symbols(cdf_w[a, s], u_io[:, 1]) // ne
         flat = _ml_indices(codes, b, ll_tab, s if receiver_csi else None, prior_tab)
         wrong = (flat // nm % nk != bins % nk) | (flat % nm != m)
-        errors += int(np.count_nonzero(wrong & sent))
-    errors += enc_failures
+        errors += int(np.count_nonzero(wrong))
     p_err = errors / trials
     return {
         "error_rate": p_err,
         "std_error": math.sqrt(max(p_err * (1 - p_err), 1e-12) / trials),
-        "encoding_failure_rate": enc_failures / trials,
+        # 0.0: the encoder sends even when every bin weight is 0; kept for stable bodies
+        "encoding_failure_rate": 0.0,
         "trials": trials,
     }
 

@@ -47,10 +47,6 @@ class CapExceeded(CovertqError):
     """Requested computation exceeds a configured size cap."""
 
 
-class EncodingFailure(CovertqError):
-    """Typicality encoder found no admissible bin."""
-
-
 class CovertInfeasible(CovertqError):
     """No policy (or the given policy) meets the covertness constraint."""
 

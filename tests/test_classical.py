@@ -18,7 +18,7 @@ from covertq.classical import (
     warden_rows,
 )
 from covertq.config import DEFAULT
-from covertq.errors import CapExceeded, EncodingFailure, NotADistribution
+from covertq.errors import CapExceeded, NotADistribution, RunParameterError
 from covertq.oneshot import resolvability_bound
 from covertq.regions import AuxiliaryPolicy, ClassicalProblem, total_variation
 from covertq.states import CQState, DensityMatrix
@@ -50,12 +50,12 @@ def stacked_policy():
     return AuxiliaryPolicy(p_u_s, p_a_us)
 
 
-def _encode(enc, u_m, s_seq, rng, mode="likelihood", eps=None):
+def _encode(enc, u_m, s_seq, rng):
     """The flat (j, k) bin and the inputs that the encoder ``enc`` draws for
     the codewords ``u_m`` (J, K, n) of one message."""
     weights = np.empty(u_m.shape[0] * u_m.shape[1])
     flat, tot, u = enc.draw(u_m.astype(enc.index_dtype), s_seq.astype(enc.index_dtype), rng,
-                            mode, weights, eps)
+                            weights)
     if flat < 0:
         flat = int(sampling._symbols(sampling._cdf(weights / tot, normalized=True), u))
     u_seq = u_m[divmod(flat, u_m.shape[1])]
@@ -80,7 +80,7 @@ def test_gp_encode_flat_weights_uniform():
     counts = np.zeros(16)
     s_seq = rng.integers(0, 2, size=6)
     for _ in range(2000):
-        flat, _a = _encode(enc, cb.entries[:, :, 0], s_seq, rng, "likelihood")
+        flat, _a = _encode(enc, cb.entries[:, :, 0], s_seq, rng)
         counts[flat] += 1
     freq = counts / counts.sum()
     assert np.max(np.abs(freq - 1.0 / 16)) < 0.02
@@ -97,27 +97,26 @@ def test_gp_encode_single_bin():
     assert a_seq.shape == (4,)
 
 
-def test_gp_encode_typicality_failure_and_success_trend():
+def test_gp_encode_all_zero_weights_still_sends():
+    # every codeword copies state 1 at symbol 0 while the state is 0, so
+    # P(u|s) = 0 zeroes every bin weight; the encoder still picks a bin,
+    # uniformly, and sends its inputs: it has no failure outcome
     rng = rng_for(3)
     pol = stacked_policy()
     p_u = np.full(4, 0.25)
-    n = 8
-    enc = classical._Encoder(pol, p_u, (64, 16, n))
-    # tiny codebook: typically no bin matches the state sequence exactly
-    failures_small, failures_big = 0, 0
-    for t in range(200):
-        s_seq = rng.integers(0, 2, size=n)
-        small = sample_classical_codebook(p_u, (1, 1, 1), n, seed=300 + t)
-        try:
-            _encode(enc, small.entries[:, :, 0], s_seq, rng, "typicality")
-        except EncodingFailure:
-            failures_small += 1
-        big = sample_classical_codebook(p_u, (64, 16, 1), n, seed=600 + t)
-        try:
-            _encode(enc, big.entries[:, :, 0], s_seq, rng, "typicality")
-        except EncodingFailure:
-            failures_big += 1
-    assert failures_big < failures_small
+    enc = classical._Encoder(pol, p_u, (4, 4, 3))
+    u_m = 2 * rng.integers(0, 2, size=(4, 4, 3)) + 1  # state copy 1 everywhere
+    s_seq = np.array([0, 1, 1])
+    weights = np.empty(16)
+    counts = np.zeros(16)
+    for _ in range(3200):
+        flat, tot, u = enc.draw(u_m.astype(enc.index_dtype), s_seq.astype(enc.index_dtype),
+                                rng, weights)
+        assert (tot, u) == (0.0, 0.0) and not weights.any()
+        counts[flat] += 1
+    assert np.max(np.abs(counts / counts.sum() - 1.0 / 16)) < 0.02
+    flat, a_seq = _encode(enc, u_m, s_seq, rng)
+    assert np.array_equal(a_seq, (u_m[divmod(flat, 4)] // 2) ^ s_seq)  # signal xor state
 
 
 def test_ml_decode_noiseless_recovery():
@@ -540,35 +539,14 @@ def _codebook_reference(p_u, sizes, n, rng):
     return rng.choice(len(p_u), size=(*sizes, n), p=p_u / p_u.sum())
 
 
-def _encode_reference(codebook, m, s_seq, policy, p_u, rng, mode, eps=None):
+def _encode_reference(codebook, m, s_seq, policy, p_u, rng):
     """The encoder as a loop; returns (j, k, a_seq, bin weights were all zero)."""
     nj, nk, _ = codebook.sizes
-    zero = False
-    if mode == "likelihood":
-        w = _bin_weights_reference(codebook, m, s_seq, policy.p_u_s, p_u)
-        tot = float(w.sum())
-        zero = tot <= 0.0
-        flat = rng.integers(nj * nk) if zero else rng.choice(nj * nk, p=(w / tot).ravel())
-        j, k = divmod(int(flat), nk)
-    else:
-        cond_ent = 0.0
-        for s in s_seq:
-            row = policy.p_u_s[s][policy.p_u_s[s] > 0.0]
-            cond_ent += -float(np.sum(row * np.log2(row)))
-        cond_ent /= len(s_seq)
-        if eps is None:
-            eps = 0.1 * max(cond_ent, 1e-12)
-        scores = np.zeros((nj, nk))
-        ok = np.ones((nj, nk), dtype=bool)
-        for t, s in enumerate(s_seq):
-            p_t = policy.p_u_s[s, codebook.entries[:, :, m, t]]
-            ok &= p_t > 0.0
-            scores += np.where(p_t > 0.0, -np.log2(np.maximum(p_t, 1e-300)), 0.0)
-        ok &= np.abs(scores / len(s_seq) - cond_ent) <= eps
-        hits = np.argwhere(ok)
-        if hits.shape[0] == 0:
-            raise EncodingFailure("no typical bin")
-        j, k = (int(x) for x in hits[rng.integers(hits.shape[0])])
+    w = _bin_weights_reference(codebook, m, s_seq, policy.p_u_s, p_u)
+    tot = float(w.sum())
+    zero = tot <= 0.0
+    flat = rng.integers(nj * nk) if zero else rng.choice(nj * nk, p=(w / tot).ravel())
+    j, k = divmod(int(flat), nk)
     a_seq = _choice_loop(policy.p_a_us[codebook.entries[j, k, m], s_seq], rng)
     return j, k, a_seq, zero
 
@@ -598,22 +576,17 @@ def _decode_reference(codebook, b_seq, likelihood, s_seq=None, prior=None):
 
 
 def _end_to_end_reference(problem, policy, p_u, sizes, n, trials, seed,
-                          receiver_csi=True, mode="likelihood"):
+                          receiver_csi=True):
     """The per-trial loop; also returns how many trials had all bin weights 0."""
     rng = np.random.default_rng(seed)
     like = receiver_likelihood(problem, policy, receiver_csi)
     prior = policy.p_u_s if receiver_csi else p_u
-    errors = enc_failures = zero_weight = 0
+    errors = zero_weight = 0
     for _ in range(trials):
         cb = ClassicalCodebook(_codebook_reference(p_u, sizes, n, rng), sizes, n)
         s_seq = rng.choice(problem.q_s.shape[0], size=n, p=problem.q_s)
         m = int(rng.integers(sizes[2]))
-        try:
-            j, k, a_seq, zero = _encode_reference(cb, m, s_seq, policy, p_u, rng, mode)
-        except EncodingFailure:
-            enc_failures += 1
-            errors += 1
-            continue
+        j, k, a_seq, zero = _encode_reference(cb, m, s_seq, policy, p_u, rng)
         zero_weight += zero
         b_seq, _ = _transmit_reference(problem, a_seq, s_seq, rng)
         _, k_hat, m_hat = _decode_reference(cb, b_seq, like,
@@ -624,38 +597,30 @@ def _end_to_end_reference(problem, policy, p_u, sizes, n, trials, seed,
     return {
         "error_rate": p_err,
         "std_error": math.sqrt(max(p_err * (1 - p_err), 1e-12) / trials),
-        "encoding_failure_rate": enc_failures / trials,
+        "encoding_failure_rate": 0.0,
         "trials": trials,
     }, zero_weight
 
 
-@pytest.mark.parametrize("mode", ["likelihood", "typicality"])
-def test_codebook_and_symbol_draws_match_choice_loop(mode):
+def test_codebook_and_symbol_draws_match_choice_loop():
     prob, pol, p_u = _random_instance(rng_for(540), na=3, nb=3, ne=2, nu=4)
     cdf_w = classical._channel_cdf(prob)
     stacked, looped = [], []
     for out, ref in ((stacked, False), (looped, True)):
         rng = rng_for(541)
         for trial in range(40):
-            # n = 0 draws nothing; the typicality window needs n >= 1
-            n = trial % 7 if mode == "likelihood" else 1 + trial % 6
+            n = trial % 7  # n = 0 draws nothing
             if ref:
                 cb = ClassicalCodebook(_codebook_reference(p_u, (4, 4, 2), n, rng), (4, 4, 2), n)
             else:
                 cb = sample_classical_codebook(p_u, (4, 4, 2), n, rng)
             s_seq = rng.choice(2, size=n, p=prob.q_s)
-            try:
-                if ref:
-                    j, k, a_seq, _ = _encode_reference(cb, trial % 2, s_seq, pol, p_u, rng,
-                                                       mode, eps=1.0)
-                else:
-                    enc = classical._Encoder(pol, p_u, (4, 4, n))
-                    flat, a_seq = _encode(enc, cb.entries[:, :, trial % 2], s_seq, rng,
-                                          mode, eps=1.0)
-                    j, k = divmod(flat, 4)
-            except EncodingFailure:
-                out.append(None)
-                continue
+            if ref:
+                j, k, a_seq, _ = _encode_reference(cb, trial % 2, s_seq, pol, p_u, rng)
+            else:
+                enc = classical._Encoder(pol, p_u, (4, 4, n))
+                flat, a_seq = _encode(enc, cb.entries[:, :, trial % 2], s_seq, rng)
+                j, k = divmod(flat, 4)
             if ref:
                 b_seq, e_seq = _transmit_reference(prob, a_seq, s_seq, rng)
             else:
@@ -675,7 +640,6 @@ def test_codebook_and_symbol_draws_match_choice_loop(mode):
             out.append((j, k, a_seq.tolist(), b_seq.tolist(), e_seq.tolist(), decoded))
         out.append(rng.random())
     assert stacked == looped
-    assert any(o is not None for o in stacked[:-1])
 
 
 def test_codebook_divergence_matches_digit_loop():
@@ -734,26 +698,25 @@ def test_resolvability_codebook_buffer_capped(mode):
 
 E2E_CASES = {
     # n = 6 with 20 bins: all bin weights are zero in about 73% of trials
-    "xor_csi": ("xor", 6, (2, 10, 2), True, "likelihood", None),
-    "xor_no_csi": ("xor", 6, (2, 10, 2), False, "likelihood", None),
-    "xor_typicality": ("xor", 4, (3, 4, 2), True, "typicality", None),
-    "m1": ("xor", 5, (3, 4, 1), True, "likelihood", None),
-    "n1": ("xor", 1, (2, 2, 2), False, "likelihood", None),
+    "xor_csi": ("xor", 6, (2, 10, 2), True, None),
+    "xor_no_csi": ("xor", 6, (2, 10, 2), False, None),
+    "m1": ("xor", 5, (3, 4, 1), True, None),
+    "n1": ("xor", 1, (2, 2, 2), False, None),
     # 40 entries x 4 symbols, warden_cap 500: 61 trials in chunks of 3
-    "uneven_chunks": ("xor", 4, (2, 10, 2), True, "likelihood", 500),
+    "uneven_chunks": ("xor", 4, (2, 10, 2), True, 500),
     # 24 entries x 5 symbols, warden_cap 300: chunks of 2
-    "random_sparse": (0, 5, (3, 4, 2), True, "likelihood", 300),
+    "random_sparse": (0, 5, (3, 4, 2), True, 300),
     # 12 entries x 3 symbols exceed warden_cap 30: chunks of the one-trial floor
-    "random_typicality": (1, 3, (2, 3, 2), False, "typicality", 30),
-    "random_wide": (2, 4, (2, 3, 3), False, "likelihood", None),
+    "random_one_trial_chunks": (1, 3, (2, 3, 2), False, 30),
+    "random_wide": (2, 4, (2, 3, 3), False, None),
     # every ratio is 2 or 2e-200: each bin with two mismatched symbols
     # underflows to 0.0, and in most trials every bin does
-    "underflow": ("underflow", 6, (2, 2, 2), True, "likelihood", None),
+    "underflow": ("underflow", 6, (2, 2, 2), True, None),
     # 300 codeword labels: uint16 codebook buffers; 80 entries x 4 symbols
     # are at least one uniform per CDF entry, so the codebook takes the loop
-    "wide_alphabet": ("wide", 4, (40, 1, 2), False, "likelihood", None),
+    "wide_alphabet": ("wide", 4, (40, 1, 2), False, None),
 }
-E2E_CHUNK = {"uneven_chunks": 3, "random_sparse": 2, "random_typicality": 1}
+E2E_CHUNK = {"uneven_chunks": 3, "random_sparse": 2, "random_one_trial_chunks": 1}
 E2E_DTYPE = {"wide_alphabet": np.uint16}
 
 
@@ -776,31 +739,28 @@ def _e2e_instance(name):
 
 @pytest.mark.parametrize("case", sorted(E2E_CASES))
 def test_end_to_end_matches_trial_loop(case, monkeypatch):
-    inst, n, sizes, csi, mode, cap = E2E_CASES[case]
+    inst, n, sizes, csi, cap = E2E_CASES[case]
     prob, pol, p_u = _e2e_instance(inst)
     cfg = DEFAULT if cap is None else DEFAULT.replaced(warden_cap=cap)
     trials = 61
-    ref, zero_weight = _end_to_end_reference(prob, pol, p_u, sizes, n, trials, 11,
-                                             csi, mode)
+    ref, zero_weight = _end_to_end_reference(prob, pol, p_u, sizes, n, trials, 11, csi)
     chunks, ml_indices = [], classical._ml_indices
 
     def recorded(codes, *args):
         chunks.append((len(codes), codes.dtype))
         return ml_indices(codes, *args)
     monkeypatch.setattr(classical, "_ml_indices", recorded)
-    assert end_to_end_error(prob, pol, p_u, sizes, n, trials, 11, csi, mode, cfg=cfg) == ref
+    assert end_to_end_error(prob, pol, p_u, sizes, n, trials, 11, csi, cfg=cfg) == ref
     # the chunk boundaries the case is meant to cross, in uint8 codebook
     # buffers (uint16 for the wide alphabet)
     k, dtype = E2E_CHUNK.get(case, trials), E2E_DTYPE.get(case, np.uint8)
     assert chunks == [(k, dtype)] * (trials // k) + [(trials % k, dtype)] * (trials % k > 0)
-    if (case.startswith("xor_") and mode == "likelihood") or case == "underflow":
+    if case.startswith("xor_") or case == "underflow":
         assert 0 < zero_weight < trials
     if case == "underflow":  # all bins 0.0 by underflow, not by a zero factor
         assert np.all(classical._density_ratio(pol.p_u_s, p_u) > 0.0)
     if case in ("underflow", "wide_alphabet"):  # decodings both right and wrong
         assert 0.0 < ref["error_rate"] < 1.0
-    if mode == "typicality":
-        assert 0.0 < ref["encoding_failure_rate"] < 1.0
 
 
 def test_bin_weights_match_symbol_loop():
@@ -814,7 +774,7 @@ def test_bin_weights_match_symbol_loop():
         weights = np.empty(21)
         for m in range(2):
             _, tot, _ = enc.draw(cb.entries[:, :, m].astype(enc.index_dtype),
-                                 s_seq.astype(enc.index_dtype), rng, "likelihood", weights)
+                                 s_seq.astype(enc.index_dtype), rng, weights)
             ref = _bin_weights_reference(cb, m, s_seq, pol.p_u_s, p_u)
             assert np.array_equal(weights.reshape(3, 7), ref)
             assert tot == float(ref.sum())
@@ -826,6 +786,17 @@ def test_end_to_end_checks_before_drawing():
         end_to_end_error(prob, pol, p_u, (64, 64, 2), 4, 30, 0)
     with pytest.raises(NotADistribution, match="codeword distribution"):
         end_to_end_error(prob, pol, -p_u, (2, 2, 2), 4, 30, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_end_to_end_needs_a_trial(trials, monkeypatch):
+    prob, pol, p_u = _e2e_instance("xor")
+
+    def no_draws(seed):
+        raise AssertionError("drew before checking trials")
+    monkeypatch.setattr(classical.np.random, "default_rng", no_draws)
+    with pytest.raises(RunParameterError, match="trials must be >= 1"):
+        end_to_end_error(prob, pol, p_u, (2, 2, 2), 4, trials, 0)
 
 
 def _oracle_reference(p_u, p_e_u, rate, n, trials, seed):
