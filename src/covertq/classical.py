@@ -45,10 +45,6 @@ class ClassicalCodebook:
     sizes: tuple[int, int, int]
     n: int
 
-    @property
-    def num_entries(self) -> int:
-        return int(np.prod(self.sizes))
-
 
 def sample_classical_codebook(p_u: np.ndarray, sizes: tuple[int, int, int],
                               n: int, seed, cfg: Numerics = DEFAULT

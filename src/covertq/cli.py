@@ -59,10 +59,19 @@ ERROR_CODES = (
 )
 
 
+def _write(flag: str, path: str, write) -> None:
+    """``write(path)``; a path that cannot be written is a bad run parameter
+    that names the flag (the atomic write leaves no temp file behind)."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise RunParameterError(f"{flag} {path!r}: {exc.strerror or exc}") from None
+
+
 def _emit(report: RunReport, out_path: str | None) -> None:
     """Write ``--out``, then print; a closed stdout ends the printing quietly."""
     if out_path:
-        report.write(out_path)
+        _write("--out", out_path, report.write)
     try:
         print(report.to_json(), flush=True)
     except BrokenPipeError:
@@ -102,8 +111,12 @@ def cmd_divergence(args):
     names = sorted(spec.states)
     a_name = args.a or (names[0] if names else None)
     b_name = args.b or (names[1] if len(names) > 1 else None)
-    if a_name not in spec.states or b_name not in spec.states:
-        raise ParseError(f"{spec.path}: states block must provide {args.a!r} and {args.b!r}")
+    missing = [repr(n) for n in (a_name, b_name) if n is not None and n not in spec.states]
+    if missing:
+        raise ParseError(f"{spec.path}: the states block has no state {' or '.join(missing)}")
+    if a_name is None or b_name is None:
+        raise ParseError(f"{spec.path}: the spec holds {len(names)} named states, "
+                         "fewer than the two a divergence compares")
     rho, sigma = spec.states[a_name], spec.states[b_name]
     measure = args.measure
     support_violation = False
@@ -224,7 +237,7 @@ def cmd_region(args):
     if rows:
         results["sweep"] = rows
     if args.csv and rows:
-        write_region_csv(args.csv, rows)
+        _write("--csv", args.csv, lambda path: write_region_csv(path, rows))
     config = {"spec": spec.path, "which": which, "stealth": bool(args.stealth),
               "sweep": args.sweep}
     return config, results, {}

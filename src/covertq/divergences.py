@@ -60,9 +60,6 @@ class DivergenceValue:
         v = self.value
         return math.isfinite(v) if isinstance(v, float) else bool(np.all(np.isfinite(v)))
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _divergence(value: np.ndarray, violation: np.ndarray) -> DivergenceValue:
     if np.ndim(value) == 0:
@@ -159,8 +156,10 @@ def relative_entropy(rho, sigma, cfg: Numerics = DEFAULT) -> DivergenceValue:
 
 def _renyi_alpha(order) -> np.ndarray:
     alpha = np.asarray(order, dtype=np.float64) - 1.0
-    if not np.all(np.isfinite(alpha) & (alpha > -1.0) & (alpha != 0.0)):
-        raise OrderOutOfRange(f"order {order} outside (0,1) u (1,inf)")
+    bad = ~(np.isfinite(alpha) & (alpha > -1.0) & (alpha != 0.0))
+    if bad.any():  # the first bad order, as a float even when the orders are stacked
+        raise OrderOutOfRange(f"order {float(np.ravel(order)[np.argmax(bad)])} "
+                              "outside (0,1) u (1,inf)")
     return alpha
 
 

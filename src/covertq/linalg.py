@@ -29,10 +29,8 @@ __all__ = [
     "eigvals_hermitian",
     "mat_fn",
     "spectral_fn",
-    "support_projector",
     "tensor",
     "partial_trace",
-    "block_diag",
     "trace_norm",
 ]
 
@@ -88,10 +86,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
 
     def reconstruct(self, values: np.ndarray | None = None) -> np.ndarray:
         """``V @ diag(values) @ V^dag``, by default with the eigenvalues."""
@@ -168,11 +162,6 @@ def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
     return 0.5 * (out + dagger(out))
 
 
-def support_projector(m: np.ndarray, cfg: Numerics = DEFAULT) -> np.ndarray:
-    """Orthogonal projector onto the support of a PSD matrix."""
-    return mat_fn(m, lambda _x: 1.0, cfg=cfg)
-
-
 def tensor(*ms: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices."""
     out = np.asarray(ms[0], dtype=np.complex128)
@@ -210,16 +199,6 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],
                     [..., *(rows[i] for i in keep), *(cols[i] for i in keep)])
     d_keep = int(np.prod([dims[i] for i in keep]))
     return res.reshape(stack + (d_keep, d_keep))
-
-
-def block_diag(stack: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix with the matrices of a stack ``(n, d, d)`` on
-    its diagonal, in stack order."""
-    n, d, _ = stack.shape
-    out = np.zeros((n, d, n, d), dtype=stack.dtype)
-    i = np.arange(n)
-    out[i, :, i, :] = stack
-    return out.reshape(n * d, n * d)
 
 
 def trace_norm(m: np.ndarray, cfg: Numerics = DEFAULT):

@@ -17,17 +17,15 @@ import numpy as np
 
 from .config import DEFAULT, Numerics
 from .errors import DimMismatch
-from .linalg import block_diag, dagger, eig_hermitian
+from .linalg import dagger, eig_hermitian
 from .states import CQState, DensityMatrix
 
 __all__ = [
     "PinchingBasis",
     "distinct_eigenspaces",
-    "pinch",
     "pinch_matrix",
     "projector_geq",
     "decoder_projector_blocks",
-    "decoder_projector",
     "projector_test_values",
     "tensor_power_eigencount",
 ]
@@ -103,13 +101,6 @@ def pinch_matrix(m: np.ndarray, basis: PinchingBasis) -> np.ndarray:
     return np.sum(p @ m @ p, axis=0)
 
 
-def pinch(rho, basis: PinchingBasis):
-    """Pinch a state; returns the same type that was passed in."""
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(pinch_matrix(rho.matrix, basis), rho.factors, validate=False)
-    return pinch_matrix(np.asarray(rho, dtype=np.complex128), basis)
-
-
 def projector_geq(a: np.ndarray, b: np.ndarray, cfg: Numerics = DEFAULT) -> np.ndarray:
     """Spectral projector onto the nonnegative part of a - b.
 
@@ -149,12 +140,6 @@ def decoder_projector_blocks(cq_ub: CQState, threshold_exponent: float,
     return np.stack([projector_geq(m, thresh * rho_b.matrix, cfg) if p > 0.0
                      else np.eye(cq_ub.quantum_dim, dtype=np.complex128)
                      for p, m in zip(cq_ub.probs, pinched)])
-
-
-def decoder_projector(cq_ub: CQState, threshold_exponent: float,
-                      cfg: Numerics = DEFAULT) -> np.ndarray:
-    """Full decoding projector on the (label x quantum) space."""
-    return block_diag(decoder_projector_blocks(cq_ub, threshold_exponent, cfg=cfg))
 
 
 def projector_test_values(cq_ub: CQState, threshold_exponent: float,

@@ -141,16 +141,15 @@ def build_decoder(codebook: Codebook, cq_ub: CQState, rates: ProtocolRates,
     return DecoderPOVM(codebook, {int(lab): el for lab, el in zip(labels, elements)}, fail[0])
 
 
-def _ideal_errors(ops: np.ndarray, outputs: np.ndarray, match_mode: str) -> np.ndarray:
+def _ideal_errors(ops: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     """Idealized decoding errors of a stack of codebooks.
 
     ``ops`` and ``outputs`` hold, per codebook entry ``(T, nj, nk, nm)``,
     the entry's POVM element and the receiver's state for its codeword.
+    The receiver decodes (k, m): an element of any j that fires for the
+    right (k, m) is a success.
     """
-    if match_mode not in ("message_key", "triple"):
-        raise ValueError(f"unknown match_mode {match_mode!r}")
-    if match_mode == "message_key":  # any j fires for the right (k, m)
-        ops = ops.sum(axis=1, keepdims=True)
+    ops = ops.sum(axis=1, keepdims=True)
     succ = np.sum((ops * outputs.swapaxes(-1, -2)).real, axis=(1, 2, 3, 4, 5))
     return np.clip(1.0 - succ / np.prod(outputs.shape[1:4]), 0.0, 1.0)
 
@@ -199,7 +198,7 @@ class SimulationReport:
 
     trials: int
     rates: ProtocolRates
-    match_mode: str
+    match_mode: str = field(default="message_key", init=False)  # the receiver decodes (k, m)
     means: dict[str, float]
     std_errors: dict[str, float]
     bounds: dict[str, float]
@@ -210,7 +209,6 @@ class SimulationReport:
 
 def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
                        rates: ProtocolRates, trials: int, seed: int,
-                       match_mode: str = "message_key",
                        keep_trials: bool = True,
                        cfg: Numerics = DEFAULT) -> SimulationReport:
     """Sample codebooks and check every bound at mean + 3 standard errors.
@@ -248,7 +246,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         keys, elements, _ = _srm(entries, blocks, cfg)
         trial = np.arange(len(entries))[:, None, None, None]
         ops = elements[np.searchsorted(keys, trial * len(blocks) + entries)]
-        err = _ideal_errors(ops, b_stack[entries], match_mode)
+        err = _ideal_errors(ops, b_stack[entries])
         pen = _penalties(entries, s_stack, st.rho_s, cfg)
         key, message_key = _warden_blocks(entries, e_stack)
         nk_blocks = key.shape[1]
@@ -303,7 +301,7 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
              "error_bound_vacuous": over["error_split"],
              **{f"{n}_bound_vacuous": over[n] for n in ("key_p2", "message_key_p2", "key_trace")}}
     return SimulationReport(
-        trials=trials, rates=rates, match_mode=match_mode,
+        trials=trials, rates=rates,
         means=means, std_errors=ses, bounds=bounds, verdicts=verdicts,
         flags=flags, per_trial={n: v.tolist() for n, v in samples.items()} if keep_trials else {},
     )

@@ -265,6 +265,44 @@ def test_report_roundtrip(tmp_path, capsys):
     assert json.loads(json.dumps(on_disk, sort_keys=True)) == on_disk
 
 
+@pytest.mark.parametrize("flag,argv", [
+    ("--out", ("divergence", "--spec", DIAG, "--measure", "trace", "--a", "rho", "--b", "sigma")),
+    ("--csv", ("region", "--spec", QUBIT, "--which", "cc_csk")),
+])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_path_is_a_bad_run_parameter(flag, argv, where, tmp_path, capsys):
+    # exited 6 reported as a defect: "internal FileNotFoundError" or
+    # "internal IsADirectoryError"
+    target = tmp_path / "missing" / "r.out" if where == "missing_dir" else tmp_path / "dir"
+    if where == "directory":
+        target.mkdir()
+    code, out, err = run_cli(capsys, *argv, flag, str(target))
+    assert code == 6 and out == ""
+    assert len(err.splitlines()) == 1 and "internal" not in err
+    assert err.startswith(f"error: {flag} {str(target)!r}: ")
+    # the atomic write left no temp file behind
+    assert [p.name for p in tmp_path.iterdir()] == (["dir"] if where == "directory" else [])
+
+
+def test_divergence_without_two_named_states_says_which(capsys):
+    # printed "states block must provide None and None"
+    code, out, err = run_cli(capsys, "divergence", "--spec", QUBIT, "--measure", "trace")
+    assert code == 2 and out == ""
+    assert "None" not in err and "holds 0 named states, fewer than the two" in err
+    code, out, err = run_cli(capsys, "divergence", "--spec", DIAG, "--measure", "trace",
+                             "--a", "rho", "--b", "nope")
+    assert code == 2 and out == ""
+    assert "no state 'nope'" in err and "'rho'" not in err
+
+
+def test_stacked_order_out_of_range_prints_a_float(capsys):
+    # 1 +- 1e-320 rounds to 1 in the stacked orders: printed "order [1.] outside ..."
+    code, out, err = run_cli(capsys, "bound", "--spec", QUBIT, "--which", "thm1",
+                             "--alpha", "1e-320")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: order 1.0 outside (0,1) u (1,inf)"]
+
+
 def test_verify_all_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "3")
     assert code == 0

@@ -19,7 +19,6 @@ from covertq.divergences import (
 from covertq import divergences
 from covertq.config import DEFAULT
 from covertq.errors import NotADistribution, OrderOutOfRange, SelfCheckFailed
-from covertq.linalg import block_diag
 from covertq.oneshot import default_alpha_grid, induced_states
 from covertq.sampling import ginibre_states, random_channel, random_cq, random_density
 from covertq.specio import load_spec
@@ -134,10 +133,15 @@ def test_sandwiched_data_processing():
             assert after <= before + 1e-9
 
 
+def _block_diag(stack: np.ndarray) -> np.ndarray:
+    """The matrices of a stack ``(n, d, d)`` on the diagonal of one matrix."""
+    return sum(np.kron(np.diag(np.eye(len(stack))[i]), m) for i, m in enumerate(stack))
+
+
 def test_cq_sandwiched_matches_full_matrices():
     rng = rng_for(11)
     cq = random_cq(rng, 3, 3)
-    joint = DensityMatrix(block_diag(cq.probs[:, None, None] * cq.matrices),
+    joint = DensityMatrix(_block_diag(cq.probs[:, None, None] * cq.matrices),
                           [("U", 3), ("X", 3)], validate=False)
     prod = DensityMatrix(np.kron(np.diag(cq.probs).astype(complex),
                                  cq.average().matrix),

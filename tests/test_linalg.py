@@ -15,9 +15,7 @@ from covertq.linalg import (
     eig_hermitian,
     eigvals_hermitian,
     mat_fn,
-    block_diag,
     partial_trace,
-    support_projector,
     tensor,
     trace_norm,
 )
@@ -198,7 +196,7 @@ def test_stacked_calls_match_single_calls():
     g = rng.normal(size=(5, 3, 2)) + 1j * rng.normal(size=(5, 3, 2))
     psd = g @ dagger(g)
     spec = eig_hermitian(herm)
-    assert spec.eigenvalues.shape == (5, 3) and spec.dim == 3
+    assert spec.eigenvalues.shape == (5, 3) and spec.eigenvectors.shape == (5, 3, 3)
     assert np.max(np.abs(spec.reconstruct() - herm)) < 1e-12
     roots = mat_fn(psd, math.sqrt)
     norms = trace_norm(herm)
@@ -310,16 +308,6 @@ def test_partial_trace_has_no_subsystem_cap():
     assert np.allclose(partial_trace(tensor(a, b), dims, [15, 7]), tensor(a, b))
 
 
-def test_block_diag():
-    stack = np.arange(12.0).reshape(3, 2, 2) + 1.0
-    out = block_diag(stack)
-    assert out.shape == (6, 6) and out.dtype == stack.dtype
-    for i in range(3):
-        assert np.array_equal(out[2 * i:2 * i + 2, 2 * i:2 * i + 2], stack[i])
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 0.0
-    assert not out.any()
-
-
 def test_partial_trace_dim_mismatch():
     with pytest.raises(DimMismatch):
         partial_trace(np.eye(5, dtype=complex), [2, 2], [0])
@@ -365,11 +353,3 @@ def test_trace_norm_triangle_inequality():
         b = random_hermitian(rng, 4)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
 
-
-def test_support_projector_idempotent():
-    rng = rng_for(23)
-    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    psd = g @ dagger(g)  # rank 2
-    p = support_projector(psd)
-    assert np.max(np.abs(p @ p - p)) < 1e-10
-    assert np.trace(p).real == pytest.approx(2.0, abs=1e-9)

@@ -7,10 +7,8 @@ from covertq.linalg import eig_hermitian, eigvals_hermitian
 from covertq.oneshot import ProtocolRates, decoding_test_bounds
 from covertq.pinching import (
     _gaps,
-    decoder_projector,
     decoder_projector_blocks,
     distinct_eigenspaces,
-    pinch,
     pinch_matrix,
     projector_geq,
     projector_test_values,
@@ -168,10 +166,10 @@ def test_pinch_output_commutes_and_preserves_trace():
     sig = random_density(rng, 4)
     rho = random_density(rng, 4)
     basis = distinct_eigenspaces(sig)
-    out = pinch(rho, basis)
-    comm = out.matrix @ sig.matrix - sig.matrix @ out.matrix
+    out = pinch_matrix(rho.matrix, basis)
+    comm = out @ sig.matrix - sig.matrix @ out
     assert np.max(np.abs(comm)) < 1e-9
-    assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pinch_blowup_inequality():
@@ -208,9 +206,10 @@ def test_projector_geq_idempotent_and_positive_mass():
 
 def test_decoder_projector_extreme_thresholds():
     cq = random_cq(rng_for(7), 3, 2)
-    full = decoder_projector(cq, -60.0)
-    assert np.max(np.abs(full - np.eye(6))) < 1e-9
-    empty = decoder_projector(cq, 60.0)
+    full = decoder_projector_blocks(cq, -60.0)
+    assert full.shape == (3, 2, 2)
+    assert np.max(np.abs(full - np.eye(2))) < 1e-9
+    empty = decoder_projector_blocks(cq, 60.0)
     assert np.max(np.abs(empty)) < 1e-9
 
 
@@ -221,14 +220,6 @@ def test_decoder_projector_miss_below_bound():
     miss_bound, alarm_bound = decoding_test_bounds(cq, rates)
     assert miss <= miss_bound + 1e-9
     assert alarm <= alarm_bound + 1e-9
-
-
-def test_decoder_blocks_match_full_projector():
-    cq = random_cq(rng_for(9), 3, 2)
-    blocks = decoder_projector_blocks(cq, 1.0)
-    full = decoder_projector(cq, 1.0)
-    for i, blk in enumerate(blocks):
-        assert np.allclose(full[2 * i:2 * i + 2, 2 * i:2 * i + 2], blk)
 
 
 def test_switch_and_trace_identities():

@@ -57,13 +57,13 @@ def relay_fixture():
     return inst, ens
 
 
-def _ideal_error(cb, povm, b_conds, match_mode="message_key"):
+def _ideal_error(cb, povm, b_conds):
     """Idealized decoding error of one codebook: the stacked evaluation on a
     stack of one, with each entry's POVM element read through ``povm``."""
     ops = np.stack([povm.element(*idx) for idx in np.ndindex(cb.sizes)])
     ops = ops.reshape(cb.entries.shape + ops.shape[-2:])
     outputs = np.asarray(b_conds)[cb.entries]
-    return float(_ideal_errors(ops[None], outputs[None], match_mode)[0])
+    return float(_ideal_errors(ops[None], outputs[None])[0])
 
 
 def test_sample_codebook_contracts():
@@ -156,7 +156,7 @@ def test_ideal_error_orthogonal_codewords():
     cb = Codebook(np.array([[[0, 1]]], dtype=np.intp), (1, 1, 2))
     povm = build_decoder(cb, st.cq_ub, rates)
     b_conds = [c.matrix for c in st.cq_ub.conditionals]
-    err = _ideal_error(cb, povm, b_conds, "message_key")
+    err = _ideal_error(cb, povm, b_conds)
     assert err < 1e-6
 
 
@@ -168,7 +168,7 @@ def test_ideal_error_uniform_guessing():
     cb = Codebook(np.array([[[0, 1], [1, 0]]], dtype=np.intp), (1, 2, 2))
     rates = ProtocolRates(R=1.0, R_K=1.0, R_J=0.0, alpha=0.25)
     povm = build_decoder(cb, cq, rates, threshold_exponent=-60.0)
-    err = _ideal_error(cb, povm, [rho.matrix, rho.matrix], "message_key")
+    err = _ideal_error(cb, povm, [rho.matrix, rho.matrix])
     assert err == pytest.approx(0.75, abs=1e-10)
 
 
@@ -192,8 +192,11 @@ def test_ideal_error_triple_vs_message_key():
     cb = sample_codebook(ens.probs, rates, seed=9)
     povm = build_decoder(cb, st.cq_ub, rates, threshold_exponent=-60.0)
     b_conds = [c.matrix for c in st.cq_ub.conditionals]
-    e_mk = _ideal_error(cb, povm, b_conds, "message_key")
-    e_tr = _ideal_error(cb, povm, b_conds, "triple")
+    e_mk = _ideal_error(cb, povm, b_conds)
+    # matching the full triple (j, k, m) succeeds less often than (k, m)
+    succ = sum(np.trace(povm.element(*idx) @ b_conds[int(cb.entries[idx])]).real
+               for idx in np.ndindex(cb.sizes))
+    e_tr = min(1.0, max(0.0, 1.0 - succ / cb.num_entries))
     assert e_mk <= e_tr + 1e-12
 
 
@@ -392,15 +395,14 @@ def _loop_decoder(cb, blocks, cfg):
     return {int(lab): s_inv_sqrt @ blocks[int(lab)] @ s_inv_sqrt for lab in labels}
 
 
-def _loop_ideal_error(cb, elements, b_conds, match_mode):
+def _loop_ideal_error(cb, elements, b_conds):
     nj, nk, nm = cb.sizes
     succ = 0.0
     for k in range(nk):
         for m in range(nm):
             w = sum(elements[int(cb.entries[jp, k, m])] for jp in range(nj))
             for j in range(nj):
-                op = w if match_mode == "message_key" else elements[int(cb.entries[j, k, m])]
-                succ += float(np.real(np.trace(op @ b_conds[int(cb.entries[j, k, m])])))
+                succ += float(np.real(np.trace(w @ b_conds[int(cb.entries[j, k, m])])))
     return min(1.0, max(0.0, 1.0 - succ / cb.num_entries))
 
 
@@ -420,9 +422,8 @@ def _seeded_unmatched():
 
 
 @pytest.mark.parametrize("case", ["qubit_cnot", "seeded"])
-@pytest.mark.parametrize("match_mode", ["message_key", "triple"])
 @pytest.mark.parametrize("cap", [None, 20])
-def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
+def test_monte_carlo_matches_per_trial_loop(case, cap):
     if case == "qubit_cnot":
         spec = load_spec(QUBIT)
         ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
@@ -432,7 +433,7 @@ def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
     # 4 entries per codebook) or 2 (seeded, 8 entries), the last one short.
     cfg = DEFAULT if cap is None else DEFAULT.replaced(codebook_cap=cap)
     trials, seed = 41, 5
-    sim = monte_carlo_verify(ens, inst, rates, trials, seed, match_mode=match_mode, cfg=cfg)
+    sim = monte_carlo_verify(ens, inst, rates, trials, seed, cfg=cfg)
     st = induced_states(ens, inst.channel)
     rho0 = innocent_output(inst)
     nj, nk, nm = rates.sizes()
@@ -446,7 +447,7 @@ def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
         if case == "seeded":
             assert min(cb.sizes) > 1
         elements = _loop_decoder(cb, blocks, DEFAULT)
-        err = _loop_ideal_error(cb, elements, b_conds, match_mode)
+        err = _loop_ideal_error(cb, elements, b_conds)
         pen = _loop_penalty(cb, st.rho_s, s_conds)
         ref = _per_block_covertness(cb, e_conds, st.rho_e, rho0)
         ref.update(ideal_error=err, penalty_p2=pen, split_lhs=2.0 * err + 2.0 * pen)
@@ -460,7 +461,7 @@ def test_monte_carlo_matches_per_trial_loop(case, match_mode, cap):
         assert povm.elements_by_label.keys() == elements.keys()
         for lab, el in elements.items():
             assert np.max(np.abs(povm.elements_by_label[lab] - el)) < 1e-12
-        assert _ideal_error(cb, povm, b_conds, match_mode) == pytest.approx(err, abs=1e-12)
+        assert _ideal_error(cb, povm, b_conds) == pytest.approx(err, abs=1e-12)
         assert _penalties(cb.entries[None], st.cq_us.matrices, st.rho_s, DEFAULT)[0] \
             == pytest.approx(pen, abs=1e-12)
     assert len(sim.per_trial) == 7
