@@ -222,6 +222,23 @@ def test_decoder_projector_miss_below_bound():
     assert alarm <= alarm_bound + 1e-9
 
 
+def test_decoder_blocks_match_full_projector():
+    # the projector built on the whole (label x quantum) space, pinching
+    # rho_UB by rho_U x rho_B, is block diagonal with the per-label blocks
+    cq = random_cq(rng_for(9), 3, 2)
+    blocks = decoder_projector_blocks(cq, 1.0)
+    labels = np.eye(3)
+    joint = sum(np.kron(np.diag(labels[u]), p * m)
+                for u, (p, m) in enumerate(zip(cq.probs, cq.matrices)))
+    prod = np.kron(np.diag(cq.probs), cq.average().matrix)
+    pinched = pinch_matrix(joint, distinct_eigenspaces(prod))
+    full = projector_geq(pinched, 2.0 * prod)
+    for i, blk in enumerate(blocks):
+        assert np.allclose(full[2 * i:2 * i + 2, 2 * i:2 * i + 2], blk)
+    mask = np.kron(labels, np.ones((2, 2))) == 0.0
+    assert np.max(np.abs(full[mask])) < 1e-9
+
+
 def test_switch_and_trace_identities():
     rng = rng_for(10)
     sig = random_density(rng, 4)
