@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Numerics, check_codebook_cap, code_size, pow2
+from .config import DEFAULT, ROWS, Numerics, ProtocolRates, check_codebook_cap, code_size
 from .divergences import cq_sandwiched_renyi
 from .errors import CapExceeded, RunParameterError
 from .pinching import tensor_power_eigencount
@@ -360,8 +360,9 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
 
     :func:`oneshot.resolvability_bound` on the n-fold product of the diagonal
     cq embedding (conditionals diag(p_e_u[u]), probabilities p_u), at the best
-    of nine alphas: n D_(1+alpha)(U;E) from one :func:`cq_sandwiched_renyi`
-    call and the eigencount of the n-fold tensor power of its average.
+    of nine alphas: the row ``config.ROWS["resolvability"]`` at rate n*rate,
+    with n D_(1+alpha)(U;E) from one :func:`cq_sandwiched_renyi` call and the
+    eigencount of the n-fold tensor power of its average.
     Supports follow the quantum rule (``support_tol``, ``support_mass_tol``):
     a drawn label's row outside the average's support gives +inf, alpha None.
     """
@@ -371,7 +372,8 @@ def classical_resolvability_bound(p_u: np.ndarray, p_e_u: np.ndarray,
     alphas = np.linspace(0.05, 0.45, 9)
     d_ue = cq_sandwiched_renyi(cq, 1.0 + alphas, cfg).value.tolist()
     v = tensor_power_eigencount(cq.average(), n, cfg=cfg)
-    best, alpha = min(((v ** a / (a * math.log(2.0))) * pow2(a * (-n * rate + n * d))
+    row = ROWS["resolvability"][2]
+    best, alpha = min((row(v, a, ProtocolRates(n * rate, 0.0, 0.0, a), n * d)
                        if d < math.inf else math.inf, a)
                       for a, d in zip(alphas.tolist(), d_ue))
     return {"bound": best, "alpha": alpha if best < math.inf else None, "eigencount": v}

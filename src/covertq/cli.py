@@ -193,8 +193,10 @@ def _region_rows(region: RateRegion, sweep: int) -> list[dict]:
 def cmd_region(args):
     if args.sweep > SWEEP_CAP:
         raise CapExceeded(f"--sweep {args.sweep} exceeds the sweep cap {SWEEP_CAP}")
+    if args.csv and args.which in ("corollaries", "thm3"):
+        raise RunParameterError(f"--csv writes boundary rows, which --which {args.which} has none")
     spec = load_spec(args.spec)
-    from .regions import (RateRegion, _quantum_region, _quantum_terms, causal_rate,
+    from .regions import (RateRegion, _build_region, _quantum_rows, _quantum_terms, causal_rate,
                           classical_region_evaluate, corollary_rates)
     which = args.which
     results: dict = {}
@@ -207,11 +209,11 @@ def cmd_region(args):
             results = corollary_rates(ensemble, instance.channel, instance=instance,
                                       stealth=args.stealth, cfg=spec.cfg)
         else:  # both regions from one evaluation of the Holevo terms
-            terms, flags = _quantum_terms(ensemble, instance.channel, instance,
-                                          args.stealth, spec.cfg)
-            region = _quantum_region(which, terms, flags)
+            terms, meta = _quantum_terms(ensemble, instance.channel, instance,
+                                         args.stealth, spec.cfg)
+            region = _build_region(_quantum_rows(which, terms), meta)
             if which == "csc_csk":
-                other = _quantum_region("cc_csk", terms, flags)
+                other = _build_region(_quantum_rows("cc_csk", terms), meta)
                 results["nested_in_cc_csk"] = all(
                     other.contains(r, k) for r, k in region.boundary)
             results["region"] = region.to_dict()
@@ -236,7 +238,7 @@ def cmd_region(args):
 
     if rows:
         results["sweep"] = rows
-    if args.csv and rows:
+    if args.csv:
         _write("--csv", args.csv, lambda path: write_region_csv(path, rows))
     config = {"spec": spec.path, "which": which, "stealth": bool(args.stealth),
               "sweep": args.sweep}
@@ -342,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "causal", "corollaries"])
     p.add_argument("--sweep", type=_rule("run", "trials"), default=5,  # a count, like trials
                    help="number of scalarization weights for the boundary CSV")
-    p.add_argument("--csv", default=None, help="write boundary rows to this CSV")
+    p.add_argument("--csv", default=None,
+                   help="write boundary rows to this CSV (corollaries and thm3 have none)")
     p.add_argument("--stealth", action="store_true",
                    help="drop the innocent-output covertness constraint")
 

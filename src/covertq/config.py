@@ -1,4 +1,5 @@
-"""Shared numerical tolerances, size caps, and the protocol rate container.
+"""Shared numerical tolerances, size caps, the protocol rate container, and
+the table of one-shot bounds that the quantum and classical paths read.
 
 Every tolerance that appears in a contract lives here so spec files can
 override them in one place (see ``specio``).  Support and grouping
@@ -97,3 +98,41 @@ class ProtocolRates:
     def sizes(self) -> tuple[int, int, int]:
         """Floor code sizes (|J|, |K|, |M|)."""
         return code_size(self.R_J), code_size(self.R_K), code_size(self.R)
+
+
+LN2 = math.log(2.0)
+
+
+def bound_orders(alpha: float) -> tuple[float, float, float]:
+    """The orders of D(U;S), D(U;B) and D(U;E) in Lemmas 1-2 and Theorems 1, 5."""
+    return 1.0 + alpha, 1.0 - alpha, 1.0 + alpha
+
+
+# One row per one-shot bound (Lemmas 1-2, Theorems 1 and 5): the marginal X of
+# the D(U;X) it reads at X's order from bound_orders, its vacuity limit (1 for
+# a probability or squared purified distance, 2 for a trace distance, none for
+# a divergence), and its value from (v_X, alpha, rates, D).
+ROWS = {
+    "resolvability": ("E", math.inf, lambda v, a, r, d: v ** a / (a * LN2) * pow2(a * (d - r.R))),
+    "miss": ("B", 1.0, lambda v, a, r, d: v ** a * pow2(-a * d) * pow2(a * r.total)),
+    "false_alarm": ("B", 1.0, lambda v, a, r, d: v ** a * pow2(-a * d)
+                    * pow2((a - 1.0) * r.total)),
+    "error_encoding": ("S", 1.0, lambda v, a, r, d: 2.0 * v ** a / a
+                       * pow2(a * (d - (r.R_J + r.R_K)))),
+    "error_decoding": ("B", 1.0, lambda v, a, r, d: 12.0 * v ** a * pow2(a * (r.total - d))),
+    "key_p2": ("E", 1.0, lambda v, a, r, d: 2.0 * v ** a / a * pow2(a * (d - (r.R_J + r.R)))),
+    "message_key_p2": ("E", 1.0, lambda v, a, r, d: 2.0 * v ** a / a * pow2(a * (d - r.R_J))),
+    "key_trace": ("E", 2.0, lambda v, a, r, d: 2.0 * math.sqrt(2.0)
+                  * (v ** (a / 2.0) / math.sqrt(a)) * pow2(a / 2.0 * (d - (r.R_J + r.R)))),
+    "key_trace_loose": ("E", 2.0, lambda v, a, r, d: 2.0 * (v ** (a / 2.0) / math.sqrt(a))
+                        * pow2(a / 2.0 * (d - (r.R_J + r.R)))),
+    "message_key_trace": ("E", 2.0, lambda v, a, r, d: 2.0 * (v ** (a / 2.0) / math.sqrt(a))
+                          * pow2(a / 2.0 * (d - r.R_J))),
+}
+SPLIT = ("error_encoding", "error_decoding")  # error_split, Theorem 1's bound, is their sum
+THEOREM_ROWS = ("error_split", *list(ROWS)[3:])  # every row but those of Lemmas 1 and 2
+
+
+def vacuous(bounds: dict[str, float]) -> dict[str, bool]:
+    """Whether each bound exceeds its row's limit (error_split: the error rows')."""
+    return {n: x > ROWS[SPLIT[0] if n == "error_split" else n][1] for n, x in bounds.items()}

@@ -41,8 +41,6 @@ __all__ = [
     "entropy_of_table",
 ]
 
-LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class DivergenceValue:

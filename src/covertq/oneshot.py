@@ -1,8 +1,9 @@
 """Closed-form one-shot achievability bounds with alpha / R_J optimization.
 
 Bound values are plain upper-bound evaluations in bits; nothing here
-samples codebooks.  Each bound is one row of :data:`ROWS`, read by
-``protocol`` too, as its Monte Carlo verification targets.
+samples codebooks.  Each bound is one row of the table ``config.ROWS``,
+read by ``protocol`` too, as its Monte Carlo verification targets, and by
+``classical`` for its resolvability bound.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Numerics, ProtocolRates, pow2
+from .config import (DEFAULT, ROWS, SPLIT, THEOREM_ROWS, Numerics, ProtocolRates,
+                     bound_orders, vacuous)
 from .divergences import (
     DivergenceValue,
     cq_sandwiched_renyi,
@@ -42,8 +44,6 @@ __all__ = [
     "optimize_bound",
     "default_alpha_grid",
 ]
-
-LN2 = math.log(2.0)
 
 
 @dataclass(eq=False)
@@ -114,36 +114,6 @@ def _checked_states(ensemble: CQState, channel: QuantumChannel,
     return states or induced_states(ensemble, channel, cfg)
 
 
-def bound_orders(alpha: float) -> tuple[float, float, float]:
-    """The orders of D(U;S), D(U;B) and D(U;E) in Lemmas 1-2 and Theorems 1, 5."""
-    return 1.0 + alpha, 1.0 - alpha, 1.0 + alpha
-
-
-# One row per one-shot bound (Lemmas 1-2, Theorems 1 and 5): the marginal X of
-# the D(U;X) it reads at X's order from bound_orders, its vacuity limit (1 for
-# a probability or squared purified distance, 2 for a trace distance, none for
-# a divergence), and its value from (v_X, alpha, rates, D).
-ROWS = {
-    "resolvability": ("E", math.inf, lambda v, a, r, d: v ** a / (a * LN2) * pow2(a * (d - r.R))),
-    "miss": ("B", 1.0, lambda v, a, r, d: v ** a * pow2(-a * d) * pow2(a * r.total)),
-    "false_alarm": ("B", 1.0, lambda v, a, r, d: v ** a * pow2(-a * d)
-                    * pow2((a - 1.0) * r.total)),
-    "error_encoding": ("S", 1.0, lambda v, a, r, d: 2.0 * v ** a / a
-                       * pow2(a * (d - (r.R_J + r.R_K)))),
-    "error_decoding": ("B", 1.0, lambda v, a, r, d: 12.0 * v ** a * pow2(a * (r.total - d))),
-    "key_p2": ("E", 1.0, lambda v, a, r, d: 2.0 * v ** a / a * pow2(a * (d - (r.R_J + r.R)))),
-    "message_key_p2": ("E", 1.0, lambda v, a, r, d: 2.0 * v ** a / a * pow2(a * (d - r.R_J))),
-    "key_trace": ("E", 2.0, lambda v, a, r, d: 2.0 * math.sqrt(2.0)
-                  * (v ** (a / 2.0) / math.sqrt(a)) * pow2(a / 2.0 * (d - (r.R_J + r.R)))),
-    "key_trace_loose": ("E", 2.0, lambda v, a, r, d: 2.0 * (v ** (a / 2.0) / math.sqrt(a))
-                        * pow2(a / 2.0 * (d - (r.R_J + r.R)))),
-    "message_key_trace": ("E", 2.0, lambda v, a, r, d: 2.0 * (v ** (a / 2.0) / math.sqrt(a))
-                          * pow2(a / 2.0 * (d - r.R_J))),
-}
-SPLIT = ("error_encoding", "error_decoding")  # error_split, Theorem 1's bound, is their sum
-THEOREM_ROWS = ("error_split", *list(ROWS)[3:])  # every row but those of Lemmas 1 and 2
-
-
 def verification_bounds(st: InducedStates, rates: ProtocolRates,
                         rows=THEOREM_ROWS) -> dict[str, float]:
     """The bounds ``rows`` (of :data:`ROWS`, or ``error_split``) at one rate
@@ -157,11 +127,6 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates,
     v = {"S": st.v_s, "B": st.v_b, "E": st.v_e}
     vals = {n: ROWS[n][2](v[ROWS[n][0]], rates.alpha, rates, d[ROWS[n][0]]) for n in names}
     return {n: vals[SPLIT[0]] + vals[SPLIT[1]] if n == "error_split" else vals[n] for n in rows}
-
-
-def vacuous(bounds: dict[str, float]) -> dict[str, bool]:
-    """Whether each bound exceeds its row's limit (error_split: the error rows')."""
-    return {n: x > ROWS[SPLIT[0] if n == "error_split" else n][1] for n, x in bounds.items()}
 
 
 def _one_marginal(cq: CQState, rates: ProtocolRates, rows, cfg: Numerics) -> list[float]:

@@ -110,8 +110,8 @@ def _build_region(named: list[tuple[str, tuple[float, float], float]],
 
 def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
                    instance: ProblemInstance | None, stealth: bool,
-                   cfg: Numerics) -> tuple[dict[str, float], dict[str, bool]]:
-    """I(U;B), I(U;S), I(U;E) of the ensemble and the region flags.
+                   cfg: Numerics) -> tuple[dict[str, float], dict]:
+    """I(U;B), I(U;S), I(U;E) of the ensemble, and the region meta (terms and flags).
 
     With an instance, the CSI guard runs and, unless ``stealth``, the
     induced warden marginal must match the innocent output.
@@ -127,19 +127,16 @@ def _quantum_terms(ensemble: CQState, channel: QuantumChannel,
         if not flags["covert_target_matched"]:
             raise CovertInfeasible(
                 f"induced warden marginal is {dev0:.3e} from the innocent output")
-    return terms, flags
+    return terms, {**terms, **flags}
 
 
-def _quantum_region(which: str, terms: dict[str, float], flags: dict[str, bool]) -> RateRegion:
-    """The ``cc_csk`` or ``csc_csk`` region of the terms and flags of
-    :func:`_quantum_terms`."""
+def _quantum_rows(which: str, terms: dict[str, float]) -> list:
+    """The (label, coefficients, bound) rows of the cc_csk or csc_csk region of ``terms``."""
     iub, ius, iue = terms["I(U;B)"], terms["I(U;S)"], terms["I(U;E)"]
     if which == "cc_csk":
-        named = [("R", (1.0, 0.0), iub - ius), ("R_K", (0.0, 1.0), iub - iue),
-                 ("R+R_K", (1.0, 1.0), iub)]
-    else:
-        named = [("R", (1.0, 0.0), iub - ius), ("R+R_K", (1.0, 1.0), iub - iue)]
-    return _build_region(named, {**terms, **flags})
+        return [("R", (1.0, 0.0), iub - ius), ("R_K", (0.0, 1.0), iub - iue),
+                ("R+R_K", (1.0, 1.0), iub)]
+    return [("R", (1.0, 0.0), iub - ius), ("R+R_K", (1.0, 1.0), iub - iue)]
 
 
 def cc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
@@ -150,7 +147,8 @@ def cc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
     Constraints: R bounded by I(U;B) - I(U;S), R_K by I(U;B) - I(U;E),
     and the sum by I(U;B).
     """
-    return _quantum_region("cc_csk", *_quantum_terms(ensemble, channel, instance, stealth, cfg))
+    terms, meta = _quantum_terms(ensemble, channel, instance, stealth, cfg)
+    return _build_region(_quantum_rows("cc_csk", terms), meta)
 
 
 def csc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
@@ -161,7 +159,8 @@ def csc_csk_region(ensemble: CQState, channel: QuantumChannel, *,
     Constraints: R bounded by I(U;B) - I(U;S) and the sum by
     I(U;B) - I(U;E); always nested inside the cc_csk region.
     """
-    return _quantum_region("csc_csk", *_quantum_terms(ensemble, channel, instance, stealth, cfg))
+    terms, meta = _quantum_terms(ensemble, channel, instance, stealth, cfg)
+    return _build_region(_quantum_rows("csc_csk", terms), meta)
 
 
 def corollary_rates(ensemble: CQState, channel: QuantumChannel, *,
@@ -204,15 +203,6 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
 
 
-def _classical_covert_check(problem: ClassicalProblem, policy: AuxiliaryPolicy,
-                            stealth: bool, cfg: Numerics) -> dict:
-    tv = total_variation(induced_warden_distribution(problem, policy), problem.q0())
-    flags = {"stealth": stealth, "covert_deviation_tv": tv}
-    if not stealth and tv > cfg.covert_tol:
-        raise CovertInfeasible(f"induced warden distribution is {tv:.3e} from q0 in TV")
-    return flags
-
-
 def degradedness_residual(problem: ClassicalProblem) -> float:
     """Least-squares residual of fitting warden = post-processing(receiver).
 
@@ -241,35 +231,36 @@ def classical_region_evaluate(problem: ClassicalProblem, policy: AuxiliaryPolicy
 
     ``which`` is "thm3" (scalar key capacity with full receiver CSI),
     "thm4_degraded" (message/key region for degraded wardens), or "thm6"
-    (secure message/key region).  Covertness of the induced warden
-    distribution is enforced unless ``stealth`` is set.
+    (secure message/key region): thm6 is the csc_csk region of the merged
+    terms (:func:`_merged_terms`), thm3 its R+R_K bound, and thm4 their cc_csk
+    region with the R_K row I(U;B|E,S) + H(S|E).  Covertness of the induced
+    warden distribution is enforced unless ``stealth`` is set.
     """
-    flags = _classical_covert_check(problem, policy, stealth, cfg)
-    terms = classical_info_terms(joint_table(problem, policy), cfg)
-    meta = {**terms, **flags, "policy": _policy_meta(policy)}
+    joint = joint_table(problem, policy)
+    tv = total_variation(joint.sum(axis=(0, 1, 2)), problem.q0())
+    if not stealth and tv > cfg.covert_tol:
+        raise CovertInfeasible(f"induced warden distribution is {tv:.3e} from q0 in TV")
+    terms = classical_info_terms(joint, cfg)
+    meta = {**terms, "stealth": stealth, "covert_deviation_tv": tv,
+            "policy": {"p_u_s": policy.p_u_s.tolist(), "p_a_us": policy.p_a_us.tolist()}}
+    named = _quantum_rows("cc_csk" if which == "thm4_degraded" else "csc_csk",
+                          _merged_terms(terms))
     if which == "thm3":
-        return terms["I(U;B|S)"] - terms["I(U;E|S)"] + terms["H(S|E)"]
-    if which == "thm4_degraded":
+        return named[-1][2]
+    if which == "thm4_degraded":  # cc_csk's R_K row is this one for a degraded warden only
         meta["degradedness_residual"] = degradedness_residual(problem)
         meta["degraded"] = meta["degradedness_residual"] <= 1e-6
-        named = [
-            ("R", (1.0, 0.0), terms["I(U;B|S)"]),
-            ("R_K", (0.0, 1.0), terms["I(U;B|E,S)"] + terms["H(S|E)"]),
-            ("R+R_K", (1.0, 1.0), terms["I(U;B|S)"] + terms["H(S)"]),
-        ]
-        return _build_region(named, meta)
-    if which == "thm6":
-        named = [
-            ("R", (1.0, 0.0), terms["I(U;B|S)"]),
-            ("R+R_K", (1.0, 1.0),
-             terms["I(U;B|S)"] - terms["I(U;E|S)"] + terms["H(S|E)"]),
-        ]
-        return _build_region(named, meta)
-    raise ValueError(f"unknown region selector {which!r}")
+        named[1] = ("R_K", (0.0, 1.0), terms["I(U;B|E,S)"] + terms["H(S|E)"])
+    elif which != "thm6":
+        raise ValueError(f"unknown region selector {which!r}")
+    return _build_region(named, meta)
 
 
-def _policy_meta(policy: AuxiliaryPolicy) -> dict:
-    return {"p_u_s": policy.p_u_s.tolist(), "p_a_us": policy.p_a_us.tolist()}
+def _merged_terms(terms: dict[str, float]) -> dict[str, float]:
+    """I(U;B), I(U;S), I(U;E) of the classical ``terms`` after U -> (U, S), B -> (B, S)."""
+    return {"I(U;B)": terms["I(U;B|S)"] + terms["H(S)"],
+            "I(U;S)": terms["H(S)"],
+            "I(U;E)": terms["I(U;E|S)"] + terms["H(S)"] - terms["H(S|E)"]}
 
 
 def _mutual_info_2d(p: np.ndarray) -> float:
@@ -304,11 +295,7 @@ def superposition_transform(problem: ClassicalProblem, policy: AuxiliaryPolicy,
         "I(U;S)": _mutual_info_2d(merged_s),
         "I(U;E)": _mutual_info_2d(merged_e),
     }
-    decomposed = {
-        "I(U;B)": terms["I(U;B|S)"] + terms["H(S)"],
-        "I(U;S)": terms["H(S)"],
-        "I(U;E)": terms["I(U;E|S)"] + terms["H(S)"] - terms["H(S|E)"],
-    }
+    decomposed = _merged_terms(terms)
     return {
         "raw": raw,
         "decomposed": decomposed,

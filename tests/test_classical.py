@@ -17,9 +17,11 @@ from covertq.classical import (
     sample_classical_codebook,
     warden_rows,
 )
-from covertq.config import DEFAULT
+from covertq.config import DEFAULT, pow2
+from covertq.divergences import cq_sandwiched_renyi
 from covertq.errors import CapExceeded, NotADistribution, RunParameterError
 from covertq.oneshot import resolvability_bound
+from covertq.pinching import tensor_power_eigencount
 from covertq.regions import AuxiliaryPolicy, ClassicalProblem, total_variation
 from covertq.states import CQState, DensityMatrix
 
@@ -354,6 +356,34 @@ def test_classical_resolvability_bound_is_the_commuting_case():
         best = int(np.argmin(vals))
         assert got["alpha"] == float(alphas[best])
         assert abs(got["bound"] - vals[best]) <= 1e-12 * vals[best]
+
+
+def _closed_form_bound(p_u, p_e_u, rate, n):
+    """Lemma 1 written out for the classical bound, as classical.py held it
+    before it read the shared row: v^a / (a ln 2) 2^(a(-n rate + n D)) at
+    the best of the nine alphas (a copy of its ingredients too)."""
+    p_u = np.asarray(p_u, dtype=np.float64)
+    conds = np.asarray(p_e_u, dtype=complex)[:, :, None] * np.eye(np.shape(p_e_u)[1])
+    cq = CQState(range(len(p_u)), p_u, DensityMatrix(conds, validate=False), validate=False)
+    alphas = np.linspace(0.05, 0.45, 9)
+    d_ue = cq_sandwiched_renyi(cq, 1.0 + alphas, DEFAULT).value.tolist()
+    v = tensor_power_eigencount(cq.average(), n, cfg=DEFAULT)
+    best, alpha = min(((v ** a / (a * math.log(2.0))) * pow2(a * (-n * rate + n * d))
+                       if d < math.inf else math.inf, a)
+                      for a, d in zip(alphas.tolist(), d_ue))
+    return {"bound": best, "alpha": alpha if best < math.inf else None, "eigencount": v}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classical_resolvability_bound_is_the_closed_form_bit_for_bit(n):
+    # the shared row computes a*(n*D - n*rate) where the closed form has
+    # a*(-n*rate + n*D): in IEEE arithmetic x - y is -y + x exactly; the last
+    # law's second row lies outside the average's support (infinite divergence)
+    laws = [*_resolvability_laws(), ([1.0 - 1e-12, 1e-12], np.eye(2), 1.0)]
+    for p_u, p_e_u, rate in laws:
+        got = classical_resolvability_bound(p_u, p_e_u, rate, n)
+        assert got == _closed_form_bound(p_u, p_e_u, rate, n)
+    assert got["bound"] == math.inf and got["alpha"] is None
 
 
 def _product_cq(p_u, p_e_u, n):

@@ -147,6 +147,16 @@ def test_region_commands_and_csv(tmp_path, capsys):
     assert json.loads(out2)["results"]["nested_in_cc_csk"] is True
 
 
+@pytest.mark.parametrize("spec, which", [(QUBIT, "corollaries"), (CLASSICAL, "thm3")])
+def test_csv_on_a_selector_without_boundary_rows_exits_6(spec, which, tmp_path, capsys):
+    # these exited 0 and wrote no file; the check runs before the spec loads
+    csv = tmp_path / "c.csv"
+    code, out, err = run_cli(capsys, "region", "--spec", spec, "--which", which,
+                             "--csv", str(csv))
+    assert code == 6 and out == "" and not csv.exists()
+    assert err.strip() == f"error: --csv writes boundary rows, which --which {which} has none"
+
+
 def test_csc_csk_evaluates_the_terms_once(capsys, monkeypatch):
     # the nesting check reuses the Holevo terms of the csc_csk region
     calls, terms = [], regions._quantum_terms

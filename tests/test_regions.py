@@ -548,3 +548,38 @@ def test_classical_embedding_reproduces_classical_terms(case):
         assert abs(bound - want[label]) <= 1e-12, label
     for name in ("I(U;B)", "I(U;S)", "I(U;E)"):
         assert abs(region.meta[name] - classical[name]) <= 1e-12, name
+
+
+def _merged(problem, policy):
+    """The classical problem of the substitution U -> (U, S), B -> (B, S):
+    labels the pairs (u, s) with P(u|s) > 0, receiver output (b, s)."""
+    na, ns, nb, ne = problem.w.shape
+    pairs = [(u, s) for s in range(ns) for u in range(policy.p_u_s.shape[1])
+             if policy.p_u_s[s, u] > 0]
+    w = np.einsum("asbe,st->asbte", problem.w, np.eye(ns)).reshape(na, ns, nb * ns, ne)
+    p_u_s = np.array([[policy.p_u_s[s, u] * (s == t) for u, t in pairs] for s in range(ns)])
+    p_a_us = np.array([[policy.p_a_us[u, t]] * ns for u, t in pairs])  # read at s = t only
+    return ClassicalProblem(problem.q_s, w, x0=problem.x0), AuxiliaryPolicy(p_u_s, p_a_us)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_classical_regions_are_the_quantum_regions_of_the_merged_embedding(case):
+    # the full-CSI theorems are the quantum regions of the diagonal cq
+    # embedding of the merged problem: thm6 is csc_csk, thm3 its R+R_K bound,
+    # and thm4 shares cc_csk's R and R+R_K rows (its R_K row is its own)
+    problem, policy = _classical_cases()[case]
+    ensemble, channel = _embedded(*_merged(problem, policy))
+    csc = csc_csk_region(ensemble, channel).constraints
+    cc = {label: bound for label, _, bound in cc_csk_region(ensemble, channel).constraints}
+
+    def evaluate(which):
+        return classical_region_evaluate(problem, policy, which, stealth=True)
+
+    thm6 = evaluate("thm6").constraints
+    assert [(label, co) for label, co, _ in thm6] == [(label, co) for label, co, _ in csc]
+    for (label, _, got), (_, _, want) in zip(thm6, csc):
+        assert abs(got - want) <= 1e-12, label
+    assert abs(evaluate("thm3") - csc[-1][2]) <= 1e-12
+    thm4 = {label: bound for label, _, bound in evaluate("thm4_degraded").constraints}
+    for label in ("R", "R+R_K"):
+        assert abs(thm4[label] - cc[label]) <= 1e-12, label
