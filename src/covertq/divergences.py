@@ -20,7 +20,6 @@ from .linalg import (
     dagger,
     eig_hermitian,
     eigvals_hermitian,
-    mat_fn,
     spectral_fn,
     support_cutoff,
     trace_norm,
@@ -96,7 +95,7 @@ def fidelity(rho, sigma, cfg: Numerics = DEFAULT):
     array of fidelities; the root is taken once per matrix of ``rho``.
     """
     r, s = _check_dims(rho, sigma)
-    root = mat_fn(r, math.sqrt, cfg=cfg)
+    root = spectral_fn(eig_hermitian(r, cfg), np.sqrt, cfg.support_tol)
     inner = root @ s @ root
     w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
     cut = support_cutoff(w, cfg.support_tol)

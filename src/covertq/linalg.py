@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, matrix
-functions on supports, tensor products, partial traces, trace norm.
+functions on supports, partial traces, trace norm.
 
 Spectral work goes to LAPACK through ``numpy.linalg.eigh``/``eigvalsh``
 after a Hermiticity and finiteness check.  The eigen functions, the
@@ -27,9 +27,7 @@ __all__ = [
     "require_hermitian",
     "eig_hermitian",
     "eigvals_hermitian",
-    "mat_fn",
     "spectral_fn",
-    "tensor",
     "partial_trace",
     "trace_norm",
 ]
@@ -121,10 +119,9 @@ def support_cutoff(w: np.ndarray, support_tol: float) -> np.ndarray:
     return support_tol * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
 
 
-def mat_fn(m: np.ndarray, f, support_tol: float | None = None,
-           cfg: Numerics = DEFAULT) -> np.ndarray:
-    """Apply a scalar function to a PSD matrix, or to each in a stack, on
-    its support.
+def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
+    """Apply ``f`` to a PSD matrix, or to each in a stack, on its support,
+    given the matrix by its spectrum.
 
     Eigenvalues at or below ``support_tol`` (relative to the largest
     eigenvalue magnitude of the same matrix) map to zero; this is the
@@ -132,22 +129,11 @@ def mat_fn(m: np.ndarray, f, support_tol: float | None = None,
     defined for singular states.  Eigenvalues in ``[-cutoff, cutoff]`` are
     treated as numerical zeros; anything below ``-cutoff`` raises
     :class:`NotPSD`.
-    """
-    if support_tol is None:
-        support_tol = cfg.support_tol
-    def elementwise(w: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, w.flat), np.float64, w.size).reshape(w.shape)
 
-    return spectral_fn(eig_hermitian(m, cfg), elementwise, support_tol)
-
-
-def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
-    """:func:`mat_fn` for a matrix (or stack) given by its spectrum.
-
-    ``f`` maps the eigenvalue array ``(..., d)`` elementwise, so it may
-    carry one parameter per matrix of a stack (broadcast against
-    ``(..., 1)``); entries off the support are passed as 1 and then
-    zeroed.
+    ``f`` maps the eigenvalue array ``(..., d)`` elementwise (a numpy
+    ufunc or an expression of one), so it may carry one parameter per
+    matrix of a stack (broadcast against ``(..., 1)``); entries off the
+    support are passed as 1 and then zeroed.
     """
     w = spec.eigenvalues
     cutoff = support_cutoff(w, support_tol)
@@ -160,14 +146,6 @@ def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
     fw = np.where(support, f(np.where(support, w, 1.0)), 0.0)
     out = spec.reconstruct(fw)
     return 0.5 * (out + dagger(out))
-
-
-def tensor(*ms: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices."""
-    out = np.asarray(ms[0], dtype=np.complex128)
-    for m in ms[1:]:
-        out = np.kron(out, np.asarray(m, dtype=np.complex128))
-    return out
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],

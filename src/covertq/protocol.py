@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT, Numerics, check_codebook_cap
 from .divergences import fidelity
 from .errors import DimMismatch, RunParameterError
-from .linalg import dagger, eigvals_hermitian, mat_fn, trace_norm
+from .linalg import dagger, eig_hermitian, eigvals_hermitian, spectral_fn, trace_norm
 from .oneshot import InducedStates, ProtocolRates, induced_states, vacuous, verification_bounds
 from .pinching import decoder_projector_blocks
 from .sampling import _cdf, _codeword_law, _mean_se, _symbols, _verdict
@@ -102,7 +102,8 @@ def _srm(entries: np.ndarray, blocks: np.ndarray,
 
     s_op = np.zeros((trials, d, d), dtype=np.complex128)
     np.add.at(s_op, pt, weights * blocks[pl])
-    s_inv_sqrt = mat_fn(s_op, lambda x: x ** -0.5, cfg=cfg)[pt]
+    s_inv_sqrt = spectral_fn(eig_hermitian(s_op, cfg), lambda w: w ** -0.5,
+                             cfg.support_tol)[pt]
     elements = s_inv_sqrt @ blocks[pl] @ s_inv_sqrt
     total = np.zeros((trials, d, d), dtype=np.complex128)
     np.add.at(total, pt, weights * elements)

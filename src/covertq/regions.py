@@ -321,9 +321,9 @@ def causal_rate(problem: ClassicalProblem, candidates, *, stealth: bool = False,
     pairs = []  # (I(U;B), I(U;E)) of the kept candidates
     for p_u, w_a_us in candidates:
         pol = AuxiliaryPolicy(np.tile(p_u, (ns, 1)), w_a_us, cfg)
-        tv = total_variation(induced_warden_distribution(problem, pol), problem.q0())
-        if stealth or tv <= cfg.covert_tol:
-            terms = classical_info_terms(joint_table(problem, pol), cfg)
+        joint = joint_table(problem, pol)
+        if stealth or total_variation(joint.sum(axis=(0, 1, 2)), problem.q0()) <= cfg.covert_tol:
+            terms = classical_info_terms(joint, cfg)
             pairs.append((terms["I(U;B)"], terms["I(U;E)"]))
     if not pairs and not stealth:
         raise CovertInfeasible("no candidate policy is covert-feasible")

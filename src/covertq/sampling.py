@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DEFAULT, LAW_SLACK, Numerics
 from .errors import DimMismatch, NotADistribution
-from .linalg import dagger, eigvals_hermitian, tensor
+from .linalg import dagger, eigvals_hermitian
 from .states import CQState, DensityMatrix, ProblemInstance, QuantumChannel
 
 __all__ = [
@@ -109,7 +109,7 @@ def matched_ensemble(rng: np.random.Generator, instance: ProblemInstance,
     d_a = instance.innocent.dim
     rho_s = instance.csi_marginal()
     d = d_a * rho_s.dim
-    target = tensor(instance.innocent.matrix, rho_s.matrix)
+    target = np.kron(instance.innocent.matrix, rho_s.matrix)
     floor = float(eigvals_hermitian(target)[0])
     if floor <= 0.0:
         raise DimMismatch("matched ensembles need a full-rank innocent x state target")

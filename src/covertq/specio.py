@@ -127,9 +127,7 @@ def _checked(where: str, make, *args, **kwargs):
 class SpecFile:
     """Parsed problem spec with resolved numerics."""
 
-    kind: str
     cfg: Numerics
-    raw: dict
     path: str
     # quantum side (None for classical specs)
     instance: ProblemInstance | None = None
@@ -147,7 +145,6 @@ class SpecFile:
 
     def protocol_rates(self, alpha: float | None = None) -> ProtocolRates:
         """The rates block, its alpha replaced by ``alpha`` when given."""
-        _expect(bool(self.rates), f"{self.path}:rates", "spec carries no rates block")
         a = alpha if alpha is not None else self.rates.get("alpha")
         _expect(a is not None, f"{self.path}:rates", "no alpha given (flag or spec)")
         return ProtocolRates(R=self.rate("R"), R_K=self.rate("R_K"),
@@ -268,8 +265,7 @@ def load_spec(path: str, cfg: Numerics = DEFAULT) -> SpecFile:
         raise ParseError(f"{path}:numerics: {exc}") from exc
 
     parsed = (_parse_quantum if kind == "quantum" else _parse_classical)(doc, cfg, path)
-    return SpecFile(kind=kind, cfg=cfg, raw=doc, path=path, rates=blocks["rates"],
-                    run=blocks["run"], **parsed)
+    return SpecFile(cfg=cfg, path=path, rates=blocks["rates"], run=blocks["run"], **parsed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .linalg import (
     partial_trace,
     require_finite,
     require_hermitian,
-    tensor,
     trace_norm,
 )
 
@@ -327,7 +326,7 @@ def innocent_output(inst: ProblemInstance) -> DensityMatrix:
     the shared state, and the legitimate receiver's factor is traced out.
     """
     ch = inst.channel
-    joint_in = DensityMatrix(tensor(inst.innocent.matrix, inst.csi_marginal().matrix),
+    joint_in = DensityMatrix(np.kron(inst.innocent.matrix, inst.csi_marginal().matrix),
                              ch.in_factors, validate=False)
     return apply_channel(ch, joint_in, validate=False).marginal(ch.out_factors[1][0])
 

@@ -165,6 +165,15 @@ def test_csc_csk_evaluates_the_terms_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("stealth", [(), ("--stealth",)])
+def test_causal_builds_one_joint_table_per_candidate(stealth, capsys, monkeypatch):
+    # the warden marginal is read off the table the information terms use
+    calls, joint_table = [], regions.joint_table
+    monkeypatch.setattr(regions, "joint_table", lambda *a: calls.append(a) or joint_table(*a))
+    code, _, _ = run_cli(capsys, "region", "--spec", CLASSICAL, "--which", "causal", *stealth)
+    assert code == 0 and len(calls) == 1
+
+
 def test_region_classical_and_causal(capsys):
     code, out, _ = run_cli(capsys, "region", "--spec", CLASSICAL, "--which", "thm6")
     assert code == 0
@@ -657,6 +666,26 @@ def test_classical_rates_default_to_zero(tmp_path, capsys):
     assert code == 0
     res = json.loads(out)["results"]["resolvability"]
     assert res["rate"] == 0.0 and res["codewords"] == 1
+
+
+@pytest.mark.parametrize("argv", [("bound", "--which", "lemma1"),
+                                  ("simulate", "--target", "quantum", "--trials", "30")])
+def test_absent_or_empty_rates_read_as_zeros(argv, tmp_path, capsys):
+    # an absent or empty rates block exited 2 ("spec carries no rates block")
+    # even with --alpha given; a missing rate is 0
+    bodies = []
+    for rates in (None, {}, {"R": 0, "R_K": 0, "R_J": 0}):
+        def set_rates(doc, rates=rates):
+            del doc["rates"]
+            if rates is not None:
+                doc["rates"] = rates
+        spec = _mutated_spec(tmp_path, QUBIT, set_rates)
+        code, out, _ = run_cli(capsys, *argv, "--alpha", "0.2", "--spec", spec)
+        assert code == 0
+        bodies.append(json.loads(out)["results"])
+    assert bodies[0] == bodies[1] == bodies[2]
+    code, _, err = run_cli(capsys, *argv, "--spec", spec)
+    assert code == 2 and "no alpha given (flag or spec)" in err
 
 
 class _HalfWriter:

@@ -19,6 +19,7 @@ from covertq.divergences import (
 from covertq import divergences
 from covertq.config import DEFAULT
 from covertq.errors import NotADistribution, OrderOutOfRange, SelfCheckFailed
+from covertq.linalg import dagger, eig_hermitian, eigvals_hermitian, spectral_fn, support_cutoff
 from covertq.oneshot import default_alpha_grid, induced_states
 from covertq.sampling import ginibre_states, random_channel, random_cq, random_density
 from covertq.specio import load_spec
@@ -49,6 +50,31 @@ def test_fidelity_bhattacharyya_on_diagonals():
     q = np.array([0.6, 0.1, 0.3])
     expected = float(np.sum(np.sqrt(p * q)))
     assert fidelity(diag_state(*p), diag_state(*q)) == pytest.approx(expected, abs=1e-10)
+
+
+def _fidelity_scalar_root(rho, sigma, cfg=DEFAULT):
+    """:func:`fidelity` with rho rooted by math.sqrt, one eigenvalue at a time."""
+    def scalar_sqrt(w):
+        return np.fromiter(map(math.sqrt, w.flat), np.float64, w.size).reshape(w.shape)
+
+    root = spectral_fn(eig_hermitian(rho, cfg), scalar_sqrt, cfg.support_tol)
+    inner = root @ sigma @ root
+    w = eigvals_hermitian(0.5 * (inner + dagger(inner)), cfg)
+    cut = support_cutoff(w, cfg.support_tol)
+    return np.clip(np.sum(np.sqrt(np.where(w > cut, w, 0.0)), axis=-1), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_fidelity_ufunc_root_is_bitwise_the_scalar_root(d):
+    # np.sqrt and math.sqrt are both correctly rounded, so rooting with the
+    # ufunc moves no bit of the fidelity, at full rank or below it
+    rng = rng_for(400 + d)
+    for rank in sorted({1, d // 2, d - 1, d}):
+        rho = ginibre_states(rng.normal(size=(6, 2, d, rank)))
+        sigma = ginibre_states(rng.normal(size=(6, 2, d, rank)))
+        ref = _fidelity_scalar_root(rho, sigma)
+        assert (fidelity(rho, sigma) == ref).all()
+        assert (fidelity(rho[0], sigma[0]) == ref[0]).all()
 
 
 def test_purified_distance_relations():

@@ -8,20 +8,21 @@ import pytest
 
 from conftest import rng_for
 from covertq import pinching
+from covertq.config import DEFAULT
 from covertq.errors import DimMismatch, NotHermitian, NotPSD
 from covertq.linalg import (
     Spectrum,
     dagger,
     eig_hermitian,
     eigvals_hermitian,
-    mat_fn,
     partial_trace,
-    tensor,
+    spectral_fn,
     trace_norm,
 )
 from covertq.sampling import random_hermitian, random_unitary
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures")
+TOL = DEFAULT.support_tol
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +199,16 @@ def test_stacked_calls_match_single_calls():
     spec = eig_hermitian(herm)
     assert spec.eigenvalues.shape == (5, 3) and spec.eigenvectors.shape == (5, 3, 3)
     assert np.max(np.abs(spec.reconstruct() - herm)) < 1e-12
-    roots = mat_fn(psd, math.sqrt)
+    roots = spectral_fn(eig_hermitian(psd), np.sqrt, TOL)
     norms = trace_norm(herm)
     for i in range(5):
         assert np.array_equal(eigvals_hermitian(herm)[i], eigvals_hermitian(herm[i]))
-        assert np.max(np.abs(roots[i] - mat_fn(psd[i], math.sqrt))) < 1e-14
+        root_i = spectral_fn(eig_hermitian(psd[i]), np.sqrt, TOL)
+        assert np.max(np.abs(roots[i] - root_i)) < 1e-14
         assert norms[i] == pytest.approx(trace_norm(herm[i]), abs=1e-14)
     psd[3] -= 0.5 * np.eye(3)
     with pytest.raises(NotPSD):
-        mat_fn(psd, math.sqrt)
+        spectral_fn(eig_hermitian(psd), np.sqrt, TOL)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -218,49 +220,33 @@ def test_eig_matches_lapack(dim):
     assert np.max(np.abs(w - ref)) < 1e-11 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_mat_fn_sqrt_diag():
-    out = mat_fn(np.diag([4.0, 9.0]).astype(complex), math.sqrt)
+def test_spectral_fn_sqrt_diag():
+    out = spectral_fn(eig_hermitian(np.diag([4.0, 9.0]).astype(complex)), np.sqrt, TOL)
     assert np.allclose(out, np.diag([2.0, 3.0]))
 
 
-def test_mat_fn_log_identity():
-    out = mat_fn(np.eye(3, dtype=complex), math.log2)
+def test_spectral_fn_log_identity():
+    out = spectral_fn(eig_hermitian(np.eye(3, dtype=complex)), np.log2, TOL)
     assert np.allclose(out, 0.0)
 
 
-def test_mat_fn_negative_power_on_support():
-    out = mat_fn(np.diag([1.0, 0.0, 4.0]).astype(complex),
-                 lambda x: x ** -0.2, support_tol=1e-12)
+def test_spectral_fn_negative_power_on_support():
+    out = spectral_fn(eig_hermitian(np.diag([1.0, 0.0, 4.0]).astype(complex)),
+                      lambda w: w ** -0.2, 1e-12)
     assert np.allclose(np.diag(out).real, [1.0, 0.0, 4.0 ** -0.2])
 
 
-def test_mat_fn_rejects_negative():
+def test_spectral_fn_rejects_negative():
     with pytest.raises(NotPSD):
-        mat_fn(np.diag([1.0, -0.5]).astype(complex), math.sqrt)
+        spectral_fn(eig_hermitian(np.diag([1.0, -0.5]).astype(complex)), np.sqrt, TOL)
 
 
-def test_mat_fn_identity_function_roundtrip():
+def test_spectral_fn_identity_function_roundtrip():
     rng = rng_for(3)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psd = g @ dagger(g)
-    out = mat_fn(psd, lambda x: x)
+    out = spectral_fn(eig_hermitian(psd), np.positive, TOL)
     assert np.max(np.abs(out - psd)) < 1e-10 * np.max(np.abs(psd))
-
-
-def test_tensor_identities():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    out = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.allclose(np.diag(out).real, [0.0, 1.0, 0.0, 0.0])
-
-
-def test_tensor_index_formula():
-    rng = rng_for(11)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    out = tensor(a, b)
-    for i in range(4):
-        for j in range(4):
-            assert out[i, j] == pytest.approx(a[i // 2, j // 2] * b[i % 2, j % 2])
 
 
 def test_partial_trace_product_state():
@@ -269,7 +255,7 @@ def test_partial_trace_product_state():
     g2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = g1 @ dagger(g1)
     sig = g2 @ dagger(g2)
-    red = partial_trace(tensor(rho, sig), [2, 3], [0])
+    red = partial_trace(np.kron(rho, sig), [2, 3], [0])
     assert np.allclose(red, rho * np.trace(sig))
 
 
@@ -304,8 +290,8 @@ def test_partial_trace_has_no_subsystem_cap():
     rng = rng_for(14)
     a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
     dims = [1] * 7 + [2] + [1] * 7 + [3]
-    assert np.allclose(partial_trace(tensor(a, b), dims, [7]), a * np.trace(b))
-    assert np.allclose(partial_trace(tensor(a, b), dims, [15, 7]), tensor(a, b))
+    assert np.allclose(partial_trace(np.kron(a, b), dims, [7]), a * np.trace(b))
+    assert np.allclose(partial_trace(np.kron(a, b), dims, [15, 7]), np.kron(a, b))
 
 
 def test_partial_trace_dim_mismatch():

@@ -64,9 +64,10 @@ def test_error_bound_independent_closed_form():
     # U carries no information: product ensemble through a discarding channel.
     rng = rng_for(1)
     swap_out = np.zeros((4, 4), dtype=complex)  # constant-output channel
-    from covertq.linalg import mat_fn
+    from covertq.config import DEFAULT
+    from covertq.linalg import eig_hermitian, spectral_fn
     target = np.kron(np.diag([0.6, 0.4]), np.diag([0.7, 0.3])).astype(complex)
-    root = mat_fn(target, math.sqrt)
+    root = spectral_fn(eig_hermitian(target), np.sqrt, DEFAULT.support_tol)
     kraus = [np.outer(root[:, i], np.eye(4)[j]) for i in range(4) for j in range(4)]
     ch = QuantumChannel(kraus, in_factors=[("A", 2), ("S", 2)],
                         out_factors=[("B", 2), ("E", 2)])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import diag_state, rng_for
+from covertq.config import DEFAULT
 from covertq.errors import DimMismatch, NotPSD
-from covertq.linalg import eigvals_hermitian, tensor
+from covertq.linalg import eig_hermitian, eigvals_hermitian, spectral_fn
 from covertq.sampling import (
     matched_ensemble,
     random_channel,
@@ -50,7 +51,7 @@ def test_constructor_never_normalizes():
 def test_marginal_by_name():
     rho = random_density(rng_for(1), 2)
     sig = random_density(rng_for(2), 3)
-    joint = DensityMatrix(tensor(rho.matrix, sig.matrix), [("A", 2), ("S", 3)])
+    joint = DensityMatrix(np.kron(rho.matrix, sig.matrix), [("A", 2), ("S", 3)])
     assert np.allclose(joint.marginal("A").matrix, rho.matrix)
     assert np.allclose(joint.marginal("S").matrix, sig.matrix)
 
@@ -150,10 +151,9 @@ def test_innocent_output_ignoring_channel():
     # Channel discards the input and emits a fixed product state.
     sig_b = random_density(rng_for(11), 2)
     sig_e = random_density(rng_for(12), 2)
-    target = tensor(sig_b.matrix, sig_e.matrix)
+    target = np.kron(sig_b.matrix, sig_e.matrix)
     # Kraus: |target^{1/2} basis><input basis| rows
-    from covertq.linalg import mat_fn
-    root = mat_fn(target, np.sqrt)
+    root = spectral_fn(eig_hermitian(target), np.sqrt, DEFAULT.support_tol)
     kraus = [np.outer(root[:, i], np.eye(4)[j])
              for i in range(4) for j in range(4)]
     ch = QuantumChannel(kraus, in_factors=[("A", 2), ("S", 2)],
@@ -186,7 +186,7 @@ def test_marginals_product_ensemble():
     rng = rng_for(18)
     rho_a = random_density(rng, 2)
     rho_s = random_density(rng, 2)
-    joint = DensityMatrix(tensor(rho_a.matrix, rho_s.matrix), [("A", 2), ("S", 2)])
+    joint = DensityMatrix(np.kron(rho_a.matrix, rho_s.matrix), [("A", 2), ("S", 2)])
     cq = CQState([0, 1], [0.4, 0.6], [joint, joint])
     assert np.allclose(marginals(cq, {"A"}).matrix, rho_a.matrix)
 
@@ -212,7 +212,7 @@ def test_csi_consistency_exact_and_perturbed():
     assert ok and dev < 1e-12
 
     # Perturb the S marginal by mixing one conditional with a skewed state.
-    skew = tensor(np.eye(2) / 2, np.diag([0.95, 0.05]))
+    skew = np.kron(np.eye(2) / 2, np.diag([0.95, 0.05]))
     conds = list(ens.conditionals)
     bad = DensityMatrix(0.9 * conds[0].matrix + 0.1 * skew,
                         conds[0].factors, validate=False)
@@ -226,7 +226,7 @@ def test_csi_consistency_exact_and_perturbed():
 def test_csi_single_label_innocent_product():
     inst = random_problem_instance(rng_for(22))
     rho_s = inst.csi_marginal()
-    cond = DensityMatrix(tensor(inst.innocent.matrix, rho_s.matrix),
+    cond = DensityMatrix(np.kron(inst.innocent.matrix, rho_s.matrix),
                          [("A", 2), ("S", 2)])
     cq = CQState([0], [1.0], [cond])
     ok, dev = check_csi_consistency(cq, inst)
@@ -242,7 +242,7 @@ def test_csi_deviation_scales_with_mixing():
     inst = ProblemInstance(ch, DensityMatrix(phi0.matrix, [("A", 2)]),
                            DensityMatrix(rho_s.matrix, [("S", 2)]))
     mixed_s = 0.9 * rho_s.matrix + 0.1 * np.diag([0.0, 1.0])
-    cond = DensityMatrix(tensor(phi0.matrix, mixed_s), [("A", 2), ("S", 2)],
+    cond = DensityMatrix(np.kron(phi0.matrix, mixed_s), [("A", 2), ("S", 2)],
                          validate=False)
     cq = CQState([0], [1.0], [cond])
     ok, dev = check_csi_consistency(cq, inst)
