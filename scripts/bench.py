@@ -30,6 +30,10 @@ machine load reach every case alike):
 - ``specio.load_spec.<fixture>``: every bundled fixture, and the perfbench
   synthetic A4 S8 B8 E4 spec (8 labels, generator seed 3);
 - ``verify.<suite>``: each invariant suite at seed 1;
+- ``protocol.monte_carlo_verify.qubit_cnot`` and ``.synthetic``: the Monte
+  Carlo of ``simulate --target quantum`` (seed 1, per-trial lists not kept)
+  on the ``qubit_cnot`` fixture at 200 trials and on the synthetic spec at
+  100 trials, called directly;
 - ``classical.end_to_end_error.n7``, ``classical.exact_warden_distribution.n7``
   and ``classical.resolvability_oracle.n7``: the three stages of a
   ``simulate --target classical`` call on the ``classical_n7`` spec
@@ -129,6 +133,7 @@ def build_cases(root: str, workdir: str) -> dict:
     from covertq.errors import CovertqError
     from covertq.linalg import eig_hermitian
     from covertq.pinching import distinct_eigenspaces
+    from covertq.protocol import monte_carlo_verify
     from covertq.regions import fm_projection_grid
     from covertq.sampling import _cdf, _symbols, ginibre_states
     from covertq.specio import load_spec
@@ -170,6 +175,11 @@ def build_cases(root: str, workdir: str) -> dict:
         cases[f"specio.load_spec.{name}"] = lambda path=path: load(path)
     for suite in SUITES:
         cases[f"verify.{suite}"] = lambda suite=suite: run_suite(suite, SEED)
+    for name, trials in (("qubit_cnot", 200), ("synthetic", 100)):
+        q = load_spec(specs[name])
+        cases[f"protocol.monte_carlo_verify.{name}"] = lambda q=q, trials=trials: \
+            monte_carlo_verify(q.ensemble, q.instance, q.protocol_rates(), trials, SEED,
+                               keep_trials=False, cfg=q.cfg)
 
     # the stages of simulate --target classical, with the arguments it derives
     n7 = workloads.prepare_specs("classical_n7", root, workdir, SEED)

@@ -225,7 +225,8 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
 
     Trial i samples its codebook from the i-th child of
     ``SeedSequence(seed)``; trials are evaluated together in stacked calls,
-    in chunks of at most ``cfg.codebook_cap`` codebook entries.
+    in chunks of at most ``cfg.codebook_cap`` codebook entries, and a
+    codebook drawn more than once in a chunk is evaluated once.
     """
     if trials < 30:
         raise RunParameterError(f"trials must be >= 30, got {trials}")
@@ -267,6 +268,9 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     # Each trial draws from its own child stream; trials are evaluated in
     # chunks that together hold at most codebook_cap entries.  A chunk spawns
     # its own children: spawning is sequential, so they are the same ones.
+    # Every kernel of evaluate works one codebook at a time, so a chunk's
+    # distinct codebooks are evaluated once, in first-occurrence order, and
+    # each trial reads its codebook's numbers back unchanged.
     sizes, cdf = _codeword_cdf(ensemble.probs, rates, cfg)
     root = np.random.SeedSequence(seed)
     chunk = max(1, cfg.codebook_cap // (nj * nk * nm))
@@ -274,7 +278,12 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
     for start in range(0, trials, chunk):
         u = np.stack([np.random.default_rng(child).random(sizes)
                       for child in root.spawn(min(chunk, trials - start))])
-        parts.append(evaluate(_symbols(cdf, u)))
+        entries = _symbols(cdf, u)
+        _, first, inverse = np.unique(entries.reshape(len(entries), -1), axis=0,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        pick = np.argsort(order)[inverse.reshape(-1)]  # trial -> row of the stack
+        parts.append({n: v[pick] for n, v in evaluate(entries[first[order]]).items()})
     names = ["ideal_error", "penalty_p2", "split_lhs", "key_p2", "message_key_p2",
              "key_trace", "message_key_trace"]
     samples = {n: np.concatenate([p[n] for p in parts]) for n in names}

@@ -27,7 +27,6 @@ __all__ = [
     "corollary_rates",
     "check_policy",
     "joint_table",
-    "induced_warden_distribution",
     "total_variation",
     "classical_region_evaluate",
     "degradedness_residual",
@@ -191,11 +190,6 @@ def joint_table(problem: ClassicalProblem, policy: AuxiliaryPolicy) -> np.ndarra
     check_policy(problem, policy)
     return np.einsum("s,su,usa,asbe->usbe", problem.q_s, policy.p_u_s,
                      policy.p_a_us, problem.w, optimize=True)
-
-
-def induced_warden_distribution(problem: ClassicalProblem,
-                                policy: AuxiliaryPolicy) -> np.ndarray:
-    return joint_table(problem, policy).sum(axis=(0, 1, 2))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -503,11 +503,15 @@ def test_monte_carlo_chunked_codebooks_equal_per_trial_draws(trials, cap, monkey
     spec = load_spec(QUBIT)
     ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
     cfg = DEFAULT if cap is None else DEFAULT.replaced(codebook_cap=cap)
-    drawn, spawned = [], []
-    real_srm, real_seq = protocol._srm, np.random.SeedSequence
+    drawn, stacks, spawned = [], [], []
+    real_symbols, real_srm, real_seq = protocol._symbols, protocol._srm, np.random.SeedSequence
+
+    def recording_symbols(cdf, u):
+        drawn.append(real_symbols(cdf, u))
+        return drawn[-1]
 
     def recording_srm(entries, blocks, cfg):
-        drawn.append(entries)
+        stacks.append(entries)
         return real_srm(entries, blocks, cfg)
 
     class RecordingSeq(real_seq):
@@ -515,6 +519,7 @@ def test_monte_carlo_chunked_codebooks_equal_per_trial_draws(trials, cap, monkey
             spawned.append(n)
             return super().spawn(n)
 
+    monkeypatch.setattr(protocol, "_symbols", recording_symbols)
     monkeypatch.setattr(protocol, "_srm", recording_srm)
     monkeypatch.setattr(np.random, "SeedSequence", RecordingSeq)
     monte_carlo_verify(ens, inst, rates, trials, 17, cfg=cfg)
@@ -525,6 +530,44 @@ def test_monte_carlo_chunked_codebooks_equal_per_trial_draws(trials, cap, monkey
                      for child in np.random.SeedSequence(17).spawn(trials)])
     got = np.concatenate(drawn)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the decoder is built for each chunk's distinct codebooks, in the order
+    # of their first draw
+    assert len(stacks) == len(drawn)
+    for chunk_entries, stack in zip(drawn, stacks):
+        distinct = []
+        for cb in chunk_entries:
+            if not any(np.array_equal(cb, seen) for seen in distinct):
+                distinct.append(cb)
+        assert np.array_equal(stack, np.stack(distinct))
+
+
+@pytest.mark.parametrize("case", ["qubit_cnot", "one_label"])
+def test_monte_carlo_shared_codebooks_equal_unshared(case, monkeypatch):
+    # A cap of one codebook's entries puts one trial in each chunk, so no
+    # evaluation is shared; the default cap shares every repeated codebook.
+    if case == "qubit_cnot":
+        spec = load_spec(QUBIT)
+        ens, inst, rates = spec.ensemble, spec.instance, spec.protocol_rates()
+    else:
+        inst = random_problem_instance(rng_for(16))
+        ens = matched_ensemble(rng_for(17), inst, 1)  # every codebook is all label 0
+        rates = ProtocolRates(R=1.0, R_K=1.0, R_J=1.0, alpha=0.25)
+    stacks, real_srm = [], protocol._srm
+
+    def recording_srm(entries, blocks, cfg):
+        stacks.append(len(entries))
+        return real_srm(entries, blocks, cfg)
+
+    monkeypatch.setattr(protocol, "_srm", recording_srm)
+    shared = monte_carlo_verify(ens, inst, rates, 60, 8)
+    if case == "one_label":
+        assert stacks == [1]
+    unshared = monte_carlo_verify(ens, inst, rates, 60, 8,
+                                  cfg=DEFAULT.replaced(codebook_cap=math.prod(rates.sizes())))
+    assert (shared.per_trial, shared.means, shared.std_errors, shared.verdicts) \
+        == (unshared.per_trial, unshared.means, unshared.std_errors, unshared.verdicts)
+    if case == "one_label":
+        assert stacks == [1] * 61
 
 
 def test_monte_carlo_over_cap_message_is_sample_codebooks():

@@ -19,7 +19,6 @@ from covertq.regions import (
     degradedness_residual,
     fm_check,
     fm_projection_grid,
-    induced_warden_distribution,
     joint_table,
     superposition_transform,
     total_variation,
@@ -190,7 +189,7 @@ def test_classical_degenerate_state_reduces_to_wiretap_form():
 def test_classical_covert_enforcement():
     prob = xor_problem()
     pol = dirty_paper_policy()
-    tv = total_variation(induced_warden_distribution(prob, pol), prob.q0())
+    tv = total_variation(joint_table(prob, pol).sum(axis=(0, 1, 2)), prob.q0())
     assert tv < 1e-12  # uniform u through the xor keeps the warden blind
 
     # bias u and the warden sees it
