@@ -22,6 +22,10 @@ machine load reach every case alike):
 - ``divergences.sandwiched_renyi.one_order`` and ``.six_orders``: the
   ``dataprocessing`` suite's pairs (seed 1, one stack per dimension 2..4) at
   order 1.25, and at its six batched orders as one order array;
+- ``sampling.ginibre_states``: the states of those pinching-suite draws
+  (sigma, rho and rho2 of each case, one stack per dimension 2..6), and
+  ``sampling.ginibre_kraus``: the Kraus stacks of the dataprocessing suite's
+  random channels (d -> d, environment d; one stack per dimension 2..4);
 - ``linalg.eig_hermitian.d<d>`` and ``.d<d>x64``: the eigensolver on one
   seeded Ginibre state of dimension d = 2, 4, 8, 16, 32, and on a seeded
   stack of 64 of them;
@@ -101,23 +105,25 @@ STARTUP_CALLS = ("divergence.sandwiched", "bound.lemma1", "region.thm6", "simula
 CONSOLE = "import sys; from covertq.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def suite_stacks(np, ginibre_states):
-    """The pinching suite's sigma stacks and the dataprocessing suite's
-    (rho, sigma) pair stacks at seed 1, one per dimension, drawn as the
-    suites draw them."""
+def suite_draws(np):
+    """The normal draws of the pinching suite (sigma, rho and rho2 of each
+    case) and of the dataprocessing suite (each case's (rho, sigma) pair and
+    random-channel square) at seed 1, drawn as the suites draw them, as
+    ``(d, stack)`` pairs with one stack per dimension."""
     rng = np.random.default_rng(SEED)
-    sigmas: dict[int, list] = {}
+    pinching: dict[int, list] = {}
     for _ in range(200):
         d = int(rng.integers(2, 7))
-        sigmas.setdefault(d, []).append(rng.normal(size=(3, 2, d, d))[0])
+        pinching.setdefault(d, []).append(rng.normal(size=(3, 2, d, d)))
     rng = np.random.default_rng(SEED)
     pairs: dict[int, list] = {}
+    squares: dict[int, list] = {}
     for _ in range(100):
         d = int(rng.integers(2, 5))
         pairs.setdefault(d, []).append(rng.normal(size=(2, 2, d, d)))
-        rng.normal(size=(2, d * d, d * d))  # the case's random channel
-    return ([ginibre_states(np.stack(g)) for _, g in sorted(sigmas.items())],
-            [np.moveaxis(ginibre_states(np.stack(g)), 1, 0) for _, g in sorted(pairs.items())])
+        squares.setdefault(d, []).append(rng.normal(size=(2, d * d, d * d)))
+    return [[(d, np.stack(g)) for d, g in sorted(groups.items())]
+            for groups in (pinching, pairs, squares)]
 
 
 def build_cases(root: str, workdir: str) -> dict:
@@ -135,12 +141,14 @@ def build_cases(root: str, workdir: str) -> dict:
     from covertq.pinching import distinct_eigenspaces
     from covertq.protocol import monte_carlo_verify
     from covertq.regions import fm_projection_grid
-    from covertq.sampling import _cdf, _symbols, ginibre_states
+    from covertq.sampling import _cdf, _symbols, ginibre_kraus, ginibre_states
     from covertq.specio import load_spec
     from covertq.verify import SUITES, run_suite
     import workloads
 
-    sigmas, pairs = suite_stacks(np, ginibre_states)
+    pinching, pair_draws, squares = suite_draws(np)
+    sigmas = [ginibre_states(g[:, 0]) for _, g in pinching]
+    pairs = [np.moveaxis(ginibre_states(g), 1, 0) for _, g in pair_draws]
     orders = np.array(DATAPROCESSING_ORDERS)[:, None]
     cases = {
         "pinching.distinct_eigenspaces": lambda: [distinct_eigenspaces(s) for s in sigmas],
@@ -148,6 +156,8 @@ def build_cases(root: str, workdir: str) -> dict:
             lambda: [sandwiched_renyi(r, s, 1.25) for r, s in pairs],
         "divergences.sandwiched_renyi.six_orders":
             lambda: [sandwiched_renyi(r, s, orders) for r, s in pairs],
+        "sampling.ginibre_states": lambda: [ginibre_states(g) for _, g in pinching],
+        "sampling.ginibre_kraus": lambda: [ginibre_kraus(g, d, d) for d, g in squares],
     }
     rng = np.random.default_rng(SEED)
     for d in (2, 4, 8, 16, 32):

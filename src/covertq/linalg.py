@@ -8,11 +8,14 @@ matrix functions, the partial trace and the trace norm accept a single
 problems costs one call.
 LAPACK returns the same spectrum for the same matrix, so reports stay
 byte-stable run to run.  All higher modules funnel their spectral work
-through :func:`eig_hermitian` and :func:`eigvals_hermitian`.
+through :func:`eig_hermitian` and :func:`eigvals_hermitian`, or through
+:func:`eigvals_gated` for a matrix that :func:`require_hermitian` has
+already checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,6 @@ from .errors import DimMismatch, NotHermitian, NotPSD
 __all__ = [
     "Spectrum",
     "dagger",
-    "herm_deviation",
     "require_hermitian",
     "eig_hermitian",
     "eigvals_hermitian",
@@ -36,14 +38,6 @@ __all__ = [
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix in a stack)."""
     return m.conj().swapaxes(-1, -2)
-
-
-def herm_deviation(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose;
-    inf, without a numpy warning, when an entry near the float range
-    overflows it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
 def require_finite(a: np.ndarray, what: str, error: type[Exception]) -> None:
@@ -61,16 +55,24 @@ def require_finite(a: np.ndarray, what: str, error: type[Exception]) -> None:
 
 
 def require_hermitian(m: np.ndarray, tol: float, what: str = "matrix") -> np.ndarray:
-    """``m`` as complex128 after checking that it is a finite Hermitian
-    matrix, or a stack of them; raises :class:`NotHermitian` otherwise."""
+    """The Hermitian part ``(m + m^dag) / 2`` of ``m``, a matrix or a stack,
+    after one pass that checks that ``m`` is finite and Hermitian within
+    ``tol``; raises :class:`NotHermitian` otherwise.  A NaN or inf entry
+    makes the deviation NaN or inf, so the finiteness check, which names
+    the entry, runs only when the deviation fails."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatch(f"{what} must be square, got shape {m.shape}")
-    require_finite(m, what, NotHermitian)
-    dev = herm_deviation(m)
-    if not dev <= tol:  # NaN fails too
-        raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
-    return m
+    md = dagger(m)
+    # Entries near the float range overflow the deviation and the Hermitian
+    # part to inf without a numpy warning; the state checks then report them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.abs(m - md).max(initial=0.0))
+        if not dev <= tol:  # NaN fails too
+            require_finite(m, what, NotHermitian)
+            raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
+        # symmetrising makes the triangle LAPACK reads agree with the other one
+        return 0.5 * (m + md)
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,6 @@ class Spectrum:
         return (v * w[..., None, :]) @ dagger(v)
 
 
-def _hermitian_part(m: np.ndarray, cfg: Numerics) -> np.ndarray:
-    a = require_hermitian(m, cfg.herm_tol)
-    # The deviation is below herm_tol by the check above; symmetrising
-    # makes the triangle LAPACK reads agree with the other one.
-    return 0.5 * (a + dagger(a))
-
-
 def eig_hermitian(m: np.ndarray, cfg: Numerics = DEFAULT) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or stack by LAPACK.
 
@@ -106,12 +101,18 @@ def eig_hermitian(m: np.ndarray, cfg: Numerics = DEFAULT) -> Spectrum:
     finiteness check.  Within a degenerate eigenspace the basis is
     LAPACK's; every caller uses whole eigenspaces or basis-invariant sums.
     """
-    return Spectrum(*np.linalg.eigh(_hermitian_part(m, cfg)))
+    return Spectrum(*np.linalg.eigh(require_hermitian(m, cfg.herm_tol)))
 
 
 def eigvals_hermitian(m: np.ndarray, cfg: Numerics = DEFAULT) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack."""
-    return np.linalg.eigvalsh(_hermitian_part(m, cfg))
+    return np.linalg.eigvalsh(require_hermitian(m, cfg.herm_tol))
+
+
+def eigvals_gated(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``h``, a Hermitian part that
+    :func:`require_hermitian` returned, with no second check."""
+    return np.linalg.eigvalsh(h)
 
 
 def support_cutoff(w: np.ndarray, support_tol: float) -> np.ndarray:
@@ -159,7 +160,7 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],
     """
     m = np.asarray(m, dtype=np.complex128)
     dims = list(int(d) for d in dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.shape[-2:] != (total, total):
         raise DimMismatch(f"matrix shape {m.shape} does not match dims {dims}")
     keep = sorted(set(int(k) for k in keep))
@@ -175,7 +176,7 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...],
     stack = m.shape[:-2]
     res = np.einsum(m.reshape(stack + tuple(dims + dims)), [..., *rows, *cols],
                     [..., *(rows[i] for i in keep), *(cols[i] for i in keep)])
-    d_keep = int(np.prod([dims[i] for i in keep]))
+    d_keep = math.prod(dims[i] for i in keep)
     return res.reshape(stack + (d_keep, d_keep))
 
 

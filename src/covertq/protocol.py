@@ -279,11 +279,10 @@ def monte_carlo_verify(ensemble: CQState, instance: ProblemInstance,
         u = np.stack([np.random.default_rng(child).random(sizes)
                       for child in root.spawn(min(chunk, trials - start))])
         entries = _symbols(cdf, u)
-        _, first, inverse = np.unique(entries.reshape(len(entries), -1), axis=0,
-                                      return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        pick = np.argsort(order)[inverse.reshape(-1)]  # trial -> row of the stack
-        parts.append({n: v[pick] for n, v in evaluate(entries[first[order]]).items()})
+        rows: dict[bytes, int] = {}  # a codebook's bytes -> its row of the stack
+        pick = np.array([rows.setdefault(cb.tobytes(), len(rows)) for cb in entries])
+        distinct = np.frombuffer(b"".join(rows), entries.dtype).reshape(-1, *entries.shape[1:])
+        parts.append({n: v[pick] for n, v in evaluate(distinct).items()})
     names = ["ideal_error", "penalty_p2", "split_lhs", "key_p2", "message_key_p2",
              "key_trace", "message_key_trace"]
     samples = {n: np.concatenate([p[n] for p in parts]) for n in names}

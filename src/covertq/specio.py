@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT, Numerics, ProtocolRates
 from .errors import CovertqError, DimMismatch, ParseError
 from .states import (AuxiliaryPolicy, ClassicalProblem, CQState, DensityMatrix,
-                     ProblemInstance, QuantumChannel, check_policy)
+                     ProblemInstance, QuantumChannel, check_policy, require_states)
 
 __all__ = ["FIELDS", "SpecFile", "load_spec", "RunReport", "write_region_csv"]
 
@@ -151,13 +151,32 @@ class SpecFile:
                              R_J=self.rate("R_J"), alpha=float(a))
 
 
+def _named_states(nodes: dict, cfg: Numerics, path: str) -> dict[str, DensityMatrix]:
+    """The ``states`` block, checked with one :func:`require_states` call per
+    shape; the states are checked one at a time only when that fails."""
+    mats: dict[str, np.ndarray] = {}
+    try:
+        for name, node in nodes.items():
+            mats[name] = _matrix(node, f"{path}:states.{name}")
+        shapes: dict[tuple, list[np.ndarray]] = {}
+        for m in mats.values():
+            shapes.setdefault(m.shape, []).append(m)
+        for group in shapes.values():
+            require_states(np.stack(group), cfg)
+    except Exception:
+        # A malformed node, or a failing batch: check the states read so far
+        # in order, so that the error is the one the first bad state raises.
+        for name, m in mats.items():
+            _checked(f"{path}:states.{name}", DensityMatrix, m, cfg=cfg)
+        raise
+    return {name: DensityMatrix(m, validate=False) for name, m in mats.items()}
+
+
 def _parse_quantum(doc: dict, cfg: Numerics, path: str) -> dict:
     out: dict = {}
     states = doc.get("states", {})
     _expect(isinstance(states, dict), f"{path}:states", "must be an object")
-    out["states"] = {name: _checked(f"{path}:states.{name}", DensityMatrix,
-                                    _matrix(node, f"{path}:states.{name}"), cfg=cfg)
-                     for name, node in states.items()}
+    out["states"] = _named_states(states, cfg, path)
     if "channel" not in doc:
         _expect("ensemble" not in doc, f"{path}:ensemble",
                 "an ensemble needs a channel block")

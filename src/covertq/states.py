@@ -9,6 +9,7 @@ classic source of bugs here.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .config import DEFAULT, LAW_SLACK, Numerics
 from .errors import CovertqError, DimMismatch, NotADistribution, NotPSD
 from .linalg import (
     dagger,
-    eigvals_hermitian,
+    eigvals_gated,
     partial_trace,
     require_finite,
     require_hermitian,
@@ -48,7 +49,7 @@ def _as_factors(factors, dim: int) -> tuple[Factor, ...]:
     if factors is None:
         return (("X", dim),)
     out = tuple((str(n), int(d)) for n, d in factors)
-    if int(np.prod([d for _, d in out])) != dim:
+    if math.prod(d for _, d in out) != dim:
         raise DimMismatch(f"factors {out} do not multiply to dimension {dim}")
     names = [n for n, _ in out]
     if len(set(names)) != len(names):
@@ -105,10 +106,12 @@ def require_states(m, cfg: Numerics = DEFAULT) -> np.ndarray:
     """``m`` as complex128 after checking that it is a state, or a stack
     ``(..., d, d)`` of states: finite, Hermitian, unit trace and PSD.
 
-    A stack takes one eigenvalue call; the error names the first failing
+    A stack takes one Hermiticity check and one eigenvalue call, on the
+    Hermitian part that check returns; the error names the first failing
     matrix by its stack index.
     """
-    m = require_hermitian(m, cfg.herm_tol, "state")
+    m = np.asarray(m, dtype=np.complex128)
+    h = require_hermitian(m, cfg.herm_tol, "state")
 
     def name(bad: np.ndarray) -> tuple[str, tuple]:
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -120,8 +123,8 @@ def require_states(m, cfg: Numerics = DEFAULT) -> np.ndarray:
     if bad.any():
         what, idx = name(bad)
         raise DimMismatch(f"{what} trace is {float(tr[idx])}, expected 1")
-    low = eigvals_hermitian(m, cfg)[..., 0]
-    bad = low < -cfg.psd_tol
+    low = eigvals_gated(h)[..., 0]
+    bad = ~(low >= -cfg.psd_tol)  # NaN, from a Hermitian part that overflowed, fails too
     if bad.any():
         what, idx = name(bad)
         raise NotPSD(f"{what} has eigenvalue {float(low[idx]):.3e}")

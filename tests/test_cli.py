@@ -1100,6 +1100,11 @@ HUGE_ENTRIES = [
      ":innocent: state deviates from Hermitian by inf"),
     (QUBIT, ("innocent", "im"), {(0, 1): 1e308, (1, 0): 1e308},
      ":innocent: state deviates from Hermitian by inf"),
+    # Hermitian, but its Hermitian part overflows: before the trace check, and
+    # in a state of unit trace, whose eigenvalues are then NaN
+    (QUBIT, ("innocent", "re"), {(1, 1): 1e308}, ":innocent: state trace is 1e+308"),
+    (DIAG, ("states", "rho", "re"), {(0, 1): 1e308, (1, 0): 1e308},
+     ":states.rho: state has eigenvalue nan"),
     # the trace-preservation check of a Kraus operator
     (QUBIT, ("channel", "kraus", 0, "re"), {(1, 0): 1e308},
      ":channel: channel is not trace preserving"),
@@ -1107,7 +1112,8 @@ HUGE_ENTRIES = [
 
 
 @pytest.mark.parametrize("fixture,path,values,message", HUGE_ENTRIES,
-                         ids=["im-inf", "re-1e308", "im-1e308", "kraus-1e308"])
+                         ids=["im-inf", "re-1e308", "im-1e308", "trace-1e308", "eigenvalue-1e308",
+                              "kraus-1e308"])
 def test_huge_spec_entries_exit_3_without_numpy_warnings(fixture, path, values, message,
                                                         tmp_path, capsys):
     # each printed a RuntimeWarning, and under error::RuntimeWarning exited 6

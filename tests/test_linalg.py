@@ -16,6 +16,7 @@ from covertq.linalg import (
     eig_hermitian,
     eigvals_hermitian,
     partial_trace,
+    require_hermitian,
     spectral_fn,
     trace_norm,
 )
@@ -189,6 +190,77 @@ def test_eig_rejects_non_finite(bad, pos):
             fn(m)
     with pytest.raises(NotHermitian, match=re.escape(f"at [{(2,) + pos}]")):
         eigvals_hermitian(np.stack([np.eye(2), np.eye(2), m]))
+
+
+def _two_pass_gate(m, tol, what="matrix"):
+    """Reference for require_hermitian: the gate it replaced, which checked
+    finiteness first, then took the deviation, then symmetrised."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimMismatch(f"{what} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        bad = np.argwhere(~np.isfinite(a))
+        where = [tuple(int(i) for i in idx) for idx in bad[:4]]
+        more = " ..." if len(bad) > len(where) else ""
+        raise NotHermitian(f"{what} has non-finite entries at {where}{more}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
+    if not dev <= tol:
+        raise NotHermitian(f"{what} deviates from Hermitian by {dev:.3e} (tol {tol:.1e})")
+    return 0.5 * (a + dagger(a))
+
+
+def _outcome(gate, m, tol, what):
+    """``("ok", dtype, shape, bytes)`` of a passing gate, ``(type, message)``
+    of a failing one."""
+    try:
+        h = gate(m, tol, what)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "ok", h.dtype, h.shape, h.tobytes()
+
+
+def _gate_inputs():
+    """(id, matrix) pairs: non-finite entries, entries near the float range,
+    non-Hermitian and Hermitian matrices and stacks, empty stacks."""
+    rng = rng_for(31)
+    herm = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    noise = 1e-12 * (rng.normal(size=herm.shape) + 1j * rng.normal(size=herm.shape))
+    cases = {"hermitian": herm[0], "hermitian_stack": herm, "noisy_stack": herm + noise,
+             "negative_zeros": np.array([[-0.0, -0.0j], [0.0, -0.0]]),
+             "just_over_tol": np.array([[0.0, 2e-10], [0.0, 0.0]]),
+             "non_hermitian": herm[1] + 1j * herm[2],
+             "near_range_hermitian": np.array([[8e307, 8e307j], [-8e307j, -8e307]]),
+             "near_range_overflow": np.array([[0.0, 1e308], [-1e308, 0.0]]),
+             "near_range_complex": np.array([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]]),
+             "empty_stack": np.zeros((0, 3, 3)), "empty_matrix": np.zeros((0, 0)),
+             "empty_in_stack": np.zeros((2, 0, 0)), "not_square": np.zeros((2, 3)),
+             "vector": np.zeros(3)}
+    for name, bad in (("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf),
+                      ("nan_imag", complex(0.0, math.nan)),
+                      ("inf_nan", complex(math.inf, math.nan))):
+        for pos in ((0, 1), (1, 1), (2, 0)):
+            m = herm[0].copy()
+            m[pos] = bad
+            cases[f"{name}_{pos[0]}{pos[1]}"] = m
+        stack = herm.copy()
+        stack[2, 0, 2] = stack[3, 1, 1] = bad  # several entries, across a stack
+        cases[f"{name}_stack"] = stack
+    both = herm[0].copy()
+    both[0, 1] = both[1, 0] = math.inf  # inf - conj(inf) is NaN
+    cases["inf_both_triangles"] = both
+    many = np.full((3, 3), math.nan)  # more than four non-finite entries
+    cases["nan_everywhere"] = many
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("name,m", _gate_inputs(), ids=[n for n, _ in _gate_inputs()])
+@pytest.mark.parametrize("tol,what", [(DEFAULT.herm_tol, "matrix"), (0.0, "state"),
+                                      (1e300, "state")])
+def test_one_pass_gate_matches_the_two_pass_gate(name, m, tol, what):
+    # same error type and message on a failing input, and a bitwise equal
+    # Hermitian part on a passing one
+    assert _outcome(require_hermitian, m, tol, what) == _outcome(_two_pass_gate, m, tol, what)
 
 
 def test_stacked_calls_match_single_calls():

@@ -5,12 +5,16 @@ rule, the values that break it.  Part (b) mutates the four bundled fixtures
 and runs every command that reads them.  Every call must exit in 0..6 and
 never report an internal error; it leaves stderr empty on exit 0 or 1 and
 prints exactly one ``error:`` line otherwise, within 2 s.  No mutation
-raises a cap above its default.  Stdlib ``random`` only.
+raises a cap above its default.  Stdlib ``random`` only.  Part (c) breaks
+one to three states of ``diag_states`` in every order and checks that the
+loader, which checks the states in one batch per shape, exits and prints as
+a check of each state in turn does.
 """
 
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -19,8 +23,10 @@ import time
 
 import pytest
 
+from covertq import specio
 from covertq.cli import main
 from covertq.specio import FIELDS
+from covertq.states import DensityMatrix
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "covertq", "fixtures")
 QUBIT = os.path.join(FIXTURES, "qubit_cnot.json")
@@ -276,3 +282,63 @@ def fuzz(fixture: str, seed: int, count: int, workdir: str) -> list:
 def test_mutated_fixtures_keep_the_exit_contract(fixture, count, tmp_path):
     assert fuzz(fixture, 2024, count, str(tmp_path)) == []
 
+
+# ---------------------------------------------------------------------------
+# Part (c): batched state checks, the per-state error on failure
+
+
+def _bad_state(node: dict, kind: str) -> dict:
+    """A copy of the matrix node ``node`` broken in one way."""
+    re_ = [list(row) for row in node["re"]]
+    d = len(re_)
+    if kind == "non_hermitian":
+        re_[0][1] += 0.3
+    elif kind == "wrong_trace":
+        re_ = [[1.5 * x for x in row] for row in re_]
+    elif kind == "non_psd":
+        re_ = [[(1.5 if i == j == 0 else -0.5 if i == j == 1 else 0.0) for j in range(d)]
+               for i in range(d)]
+    elif kind == "nan":
+        re_[1][1] = math.nan
+    else:  # malformed: a string among the numbers
+        re_[0][0] = "0.5"
+    return {**node, "re": re_}
+
+
+BAD_STATES = ("non_hermitian", "wrong_trace", "non_psd", "nan", "malformed")
+
+
+def _states_by_one(nodes, cfg, path):
+    """Reference: every state parsed and checked on its own, in order."""
+    return {name: specio._checked(f"{path}:states.{name}", DensityMatrix,
+                                  specio._matrix(node, f"{path}:states.{name}"), cfg=cfg)
+            for name, node in nodes.items()}
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_batched_state_checks_report_the_first_bad_state(count, tmp_path, monkeypatch):
+    # diag_states plus one qutrit state, so the states form two shapes; one
+    # to three of them are broken, each kind in every order of placement
+    base = _load(DIAG)
+    qutrit = {"re": [[0.5, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.2]]}
+    base["states"] = dict(list(base["states"].items())[:2] + [("qutrit", qutrit)]
+                          + list(base["states"].items())[2:])
+    names = list(base["states"])
+    argv = ["divergence", "--measure", "trace", "--a", "rho", "--b", "sigma"]
+    path = str(tmp_path / "states.json")
+    codes = set()
+    for where in itertools.combinations(range(len(names)), count):
+        for kinds in itertools.permutations(BAD_STATES, count):
+            doc = copy.deepcopy(base)
+            for i, kind in zip(where, kinds):
+                doc["states"][names[i]] = _bad_state(doc["states"][names[i]], kind)
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            code, out, err, _ = check_call([*argv, "--spec", path])
+            with monkeypatch.context() as patch:
+                patch.setattr(specio, "_named_states", _states_by_one)
+                want = check_call([*argv, "--spec", path])[:3]
+            assert (code, out, err) == want, (where, kinds)
+            assert f":states.{names[where[0]]}:" in err and code in (2, 3), (where, kinds)
+            codes.add(code)
+    assert codes == {2, 3}
