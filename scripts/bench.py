@@ -38,6 +38,9 @@ machine load reach every case alike):
   Carlo of ``simulate --target quantum`` (seed 1, per-trial lists not kept)
   on the ``qubit_cnot`` fixture at 200 trials and on the synthetic spec at
   100 trials, called directly;
+- ``oneshot.induced_states.qubit_cnot`` and ``.synthetic``: the channel-output
+  marginals that every ``bound`` command and the quantum Monte Carlo derive
+  first, on the same two specs;
 - ``classical.end_to_end_error.n7``, ``classical.exact_warden_distribution.n7``
   and ``classical.resolvability_oracle.n7``: the three stages of a
   ``simulate --target classical`` call on the ``classical_n7`` spec
@@ -49,9 +52,11 @@ machine load reach every case alike):
   trial's (3, 103, 2, 7) codebook block under the codeword CDF (the loop over
   entries), and one 15-trial chunk's bin draw, 15 uniforms under 15 CDFs of
   J*K = 309 bins (the broadcast);
-- ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1), and
-  ``cli.classical_n7.<key>`` every call of one ``classical_n7`` op (seed 1),
-  each checked against its expected exit code;
+- ``cli.<key>``: every call of one ``fixtures_cli`` op (seed 1),
+  ``cli.synthetic_quantum.<key>`` every call of one ``synthetic_quantum`` op
+  on the synthetic spec (seed 1; 8 calls), and ``cli.classical_n7.<key>``
+  every call of one ``classical_n7`` op (seed 1), each checked against its
+  expected exit code;
 - ``startup.load_fixtures`` and ``startup.cli.<key>``: one fresh interpreter
   per sample, timed from its start to its exit.  The first runs the set-up
   probe of ``perfbench/setup_probe.py`` (import covertq, load the four
@@ -138,6 +143,7 @@ def build_cases(root: str, workdir: str) -> dict:
     from covertq.divergences import sandwiched_renyi
     from covertq.errors import CovertqError
     from covertq.linalg import eig_hermitian
+    from covertq.oneshot import induced_states
     from covertq.pinching import distinct_eigenspaces
     from covertq.protocol import monte_carlo_verify
     from covertq.regions import fm_projection_grid
@@ -190,6 +196,8 @@ def build_cases(root: str, workdir: str) -> dict:
         cases[f"protocol.monte_carlo_verify.{name}"] = lambda q=q, trials=trials: \
             monte_carlo_verify(q.ensemble, q.instance, q.protocol_rates(), trials, SEED,
                                keep_trials=False, cfg=q.cfg)
+        cases[f"oneshot.induced_states.{name}"] = lambda q=q: \
+            induced_states(q.ensemble, q.instance.channel, q.cfg)
 
     # the stages of simulate --target classical, with the arguments it derives
     n7 = workloads.prepare_specs("classical_n7", root, workdir, SEED)
@@ -229,6 +237,9 @@ def build_cases(root: str, workdir: str) -> dict:
         if call.key in STARTUP_CALLS:
             cases[f"startup.cli.{call.key}"] = lambda call=call: fresh_interpreter(
                 root, ["-c", CONSOLE, *call.argv], call.expect_exit, call.key)
+    synthetic = {"synthetic": specs["synthetic"]}
+    for call in workloads.op_calls("synthetic_quantum", synthetic, workdir, SEED):
+        cases[f"cli.synthetic_quantum.{call.key}"] = lambda call=call: run_call(call)
     for call in workloads.op_calls("classical_n7", n7, workdir, SEED):
         cases[f"cli.classical_n7.{call.key}"] = lambda call=call: run_call(call)
     probe = [os.path.join(root, "perfbench", "setup_probe.py"), os.path.join(root, "src")]

@@ -40,7 +40,7 @@ from .errors import (
     RunParameterError,
     SupportViolation,
 )
-from .specio import FIELDS, RunReport, SpecFile, load_spec, write_region_csv
+from .specio import FIELDS, RunReport, SpecFile, _atomic_write, load_spec, write_region_csv
 
 if TYPE_CHECKING:
     from .regions import RateRegion
@@ -69,11 +69,14 @@ def _write(flag: str, path: str, write) -> None:
 
 
 def _emit(report: RunReport, out_path: str | None) -> None:
-    """Write ``--out``, then print; a closed stdout ends the printing quietly."""
+    """Encode the report once; write that text to ``--out``, then print it, so
+    the file and stdout hold the same bytes.  A closed stdout ends the
+    printing quietly."""
+    text = report.to_json()
     if out_path:
-        _write("--out", out_path, report.write)
+        _write("--out", out_path, lambda path: _atomic_write(path, text + "\n"))
     try:
-        print(report.to_json(), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # the exit-time flush of the unwritten text then goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -94,19 +94,32 @@ class Spectrum:
         return (v * w[..., None, :]) @ dagger(v)
 
 
+def _finite_spectrum(w: np.ndarray) -> np.ndarray:
+    """``w``, the eigenvalues LAPACK returned for a Hermitian part that
+    :func:`require_hermitian` passed; that part is finite unless it
+    overflowed (entries near the float range), and then they are NaN."""
+    if not np.isfinite(w).all():
+        raise NotHermitian("matrix entries near the float range overflow its Hermitian "
+                           "part or its spectrum")
+    return w
+
+
 def eig_hermitian(m: np.ndarray, cfg: Numerics = DEFAULT) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix or stack by LAPACK.
 
     Raises :class:`NotHermitian` when the input fails the Hermiticity or
-    finiteness check.  Within a degenerate eigenspace the basis is
-    LAPACK's; every caller uses whole eigenspaces or basis-invariant sums.
+    finiteness check, or its spectrum overflows.  Within a degenerate
+    eigenspace the basis is LAPACK's; every caller uses whole eigenspaces
+    or basis-invariant sums.
     """
-    return Spectrum(*np.linalg.eigh(require_hermitian(m, cfg.herm_tol)))
+    w, v = np.linalg.eigh(require_hermitian(m, cfg.herm_tol))
+    return Spectrum(_finite_spectrum(w), v)
 
 
 def eigvals_hermitian(m: np.ndarray, cfg: Numerics = DEFAULT) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or stack."""
-    return np.linalg.eigvalsh(require_hermitian(m, cfg.herm_tol))
+    """Ascending eigenvalues of a Hermitian matrix or stack, checked as by
+    :func:`eig_hermitian`."""
+    return _finite_spectrum(np.linalg.eigvalsh(require_hermitian(m, cfg.herm_tol)))
 
 
 def eigvals_gated(h: np.ndarray) -> np.ndarray:
@@ -138,7 +151,7 @@ def spectral_fn(spec: Spectrum, f, support_tol: float) -> np.ndarray:
     """
     w = spec.eigenvalues
     cutoff = support_cutoff(w, support_tol)
-    low = w[..., :1] < -cutoff
+    low = ~(w[..., :1] >= -cutoff)  # NaN fails too
     if low.any():
         i = int(np.argmax(low))
         raise NotPSD(f"matrix has eigenvalue {w[..., :1].flat[i]:.3e} "

@@ -21,7 +21,7 @@ from .divergences import (
     trace_distance,
 )
 from .errors import CsiMismatch, EmptyFeasibleSet, SupportViolation
-from .pinching import distinct_eigenspaces
+from .pinching import eigencount
 from .states import (
     CQState,
     DensityMatrix,
@@ -48,7 +48,8 @@ __all__ = [
 
 @dataclass(eq=False)
 class InducedStates:
-    """Marginals, eigenvalue counts, and divergence cache for one ensemble."""
+    """Marginals of one ensemble, with their divergences and eigenvalue
+    counts, each computed on first read and cached."""
 
     cq_us: CQState
     cq_ub: CQState
@@ -56,11 +57,21 @@ class InducedStates:
     rho_s: DensityMatrix
     rho_b: DensityMatrix
     rho_e: DensityMatrix
-    v_s: int
-    v_b: int
-    v_e: int
     cfg: Numerics = DEFAULT
     _cache: dict = field(default_factory=dict, repr=False)
+    _counts: dict = field(default_factory=dict, repr=False)
+
+    def eigencount(self, which: str) -> int:
+        """Distinct eigenvalue count of the average state of a marginal (S, B
+        or E), counted on first read."""
+        if which not in self._counts:
+            rho = {"S": self.rho_s, "B": self.rho_b, "E": self.rho_e}[which]
+            self._counts[which] = eigencount(rho, self.cfg)
+        return self._counts[which]
+
+    v_s = property(lambda self: self.eigencount("S"))
+    v_b = property(lambda self: self.eigencount("B"))
+    v_e = property(lambda self: self.eigencount("E"))
 
     def fill(self, which: str, orders) -> None:
         """Cache one marginal's divergences at the orders not cached yet, in one call."""
@@ -97,9 +108,7 @@ def induced_states(ensemble: CQState, channel: QuantumChannel,
     (b_name, _), (e_name, _) = channel.out_factors
     cq_ube = induced_cq_output(channel, ensemble)
     cqs = (ensemble.marginal_cq("S"), cq_ube.marginal_cq(b_name), cq_ube.marginal_cq(e_name))
-    rhos = [cq.average() for cq in cqs]
-    return InducedStates(*cqs, *rhos, *(distinct_eigenspaces(r, cfg=cfg).v for r in rhos),
-                         cfg=cfg)
+    return InducedStates(*cqs, *(cq.average() for cq in cqs), cfg=cfg)
 
 
 def _checked_states(ensemble: CQState, channel: QuantumChannel,
@@ -124,16 +133,15 @@ def verification_bounds(st: InducedStates, rates: ProtocolRates,
     need = {ROWS[n][0] for n in names}
     d = {m: st.finite_divergence(m, o) for m, o in zip("SBE", bound_orders(rates.alpha))
          if m in need}
-    v = {"S": st.v_s, "B": st.v_b, "E": st.v_e}
-    vals = {n: ROWS[n][2](v[ROWS[n][0]], rates.alpha, rates, d[ROWS[n][0]]) for n in names}
+    vals = {n: ROWS[n][2](st.eigencount(ROWS[n][0]), rates.alpha, rates, d[ROWS[n][0]])
+            for n in names}
     return {n: vals[SPLIT[0]] + vals[SPLIT[1]] if n == "error_split" else vals[n] for n in rows}
 
 
 def _one_marginal(cq: CQState, rates: ProtocolRates, rows, cfg: Numerics) -> list[float]:
     """The bounds ``rows`` of one marginal, whose cq state ``cq`` stands for all three."""
     rho = cq.average()
-    v = distinct_eigenspaces(rho, cfg=cfg).v
-    st = InducedStates(cq, cq, cq, rho, rho, rho, v, v, v, cfg)
+    st = InducedStates(cq, cq, cq, rho, rho, rho, cfg)
     return list(verification_bounds(st, rates, rows).values())
 
 

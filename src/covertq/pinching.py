@@ -23,6 +23,7 @@ from .states import CQState, DensityMatrix
 __all__ = [
     "PinchingBasis",
     "distinct_eigenspaces",
+    "eigencount",
     "pinch_matrix",
     "projector_geq",
     "decoder_projector_blocks",
@@ -62,32 +63,58 @@ def _pattern_rows(gaps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | slice
     return [(p, np.flatnonzero(which.reshape(-1) == k)) for k, p in enumerate(patterns)]
 
 
-def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis:
-    """Eigenspace decomposition of a state with near-degenerate grouping.
+def _groups(w: np.ndarray, gaps: np.ndarray):
+    """Each group of each gap pattern of the rows ``w``: its index, the rows
+    that have the pattern, its column range and its value, the mean of its
+    eigenvalues in those rows."""
+    for pattern, rows in _pattern_rows(gaps):
+        edges = [0, *(np.flatnonzero(pattern) + 1), w.shape[-1]]
+        for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            yield g, rows, lo, hi, w[rows, lo:hi].sum(axis=-1) / (hi - lo)
+
+
+def _grouping(sigma, cfg: Numerics):
+    """The grouping of a state, or of each in a stack, by one eigensolver
+    call: its spectrum, its count v (an int, or an array shaped like the
+    stack), and its groups (:func:`_groups`, read lazily, so a count
+    builds none).
 
     Eigenvalues within ``cfg.group_tol`` (relative to the largest) of each
-    other merge into one eigenspace; merging is deliberately conservative
-    because the count v enters bounds multiplicatively.  A stack
-    ``(..., d, d)`` takes one eigensolver call and gives one stacked basis;
-    each group of each gap pattern is filled by one stacked product of column
-    slices (a masked product would move bits).
+    other merge into one group; merging is deliberately conservative
+    because the count v enters bounds multiplicatively.
     """
     m = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma, complex)
     spec = eig_hermitian(m, cfg)
-    d, stack = m.shape[-1], m.shape[:-2]
-    w, c = spec.eigenvalues.reshape(-1, d), spec.eigenvectors.reshape(-1, d, d)
+    w = spec.eigenvalues.reshape(-1, m.shape[-1])
     gaps = _gaps(w, cfg.group_tol)
-    v = np.count_nonzero(gaps, axis=-1) + 1
-    values = np.full((v.max(), len(w)), np.nan)
-    projectors = np.zeros((v.max(), len(w), d, d), dtype=np.complex128)
-    for pattern, rows in _pattern_rows(gaps):
-        edges = [0, *(np.flatnonzero(pattern) + 1), d]
-        for g, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            values[g, rows] = w[rows, lo:hi].sum(axis=-1) / (hi - lo)
-            cols = c[rows, :, lo:hi]
-            projectors[g, rows] = cols @ dagger(cols)
-    return PinchingBasis(v.reshape(stack) if stack else int(v[0]),
-                         values.reshape(-1, *stack), projectors.reshape(-1, *stack, d, d))
+    v, stack = np.count_nonzero(gaps, axis=-1) + 1, m.shape[:-2]
+    return spec, v.reshape(stack) if stack else int(v[0]), _groups(w, gaps)
+
+
+def eigencount(sigma, cfg: Numerics = DEFAULT) -> int | np.ndarray:
+    """The distinct eigenvalue count v of :func:`distinct_eigenspaces`, with
+    no projectors: an int, or an array shaped like the stack."""
+    return _grouping(sigma, cfg)[1]
+
+
+def distinct_eigenspaces(sigma, cfg: Numerics = DEFAULT) -> PinchingBasis:
+    """Eigenspace decomposition of a state with near-degenerate grouping
+    (:func:`_grouping`).
+
+    A stack ``(..., d, d)`` takes one eigensolver call and gives one stacked
+    basis; each group of each gap pattern is filled by one stacked product
+    of column slices (a masked product would move bits).
+    """
+    spec, v, groups = _grouping(sigma, cfg)
+    d, stack = spec.eigenvalues.shape[-1], spec.eigenvalues.shape[:-1]
+    c = spec.eigenvectors.reshape(-1, d, d)
+    values = np.full((np.max(v), len(c)), np.nan)
+    projectors = np.zeros((np.max(v), len(c), d, d), dtype=np.complex128)
+    for g, rows, lo, hi, value in groups:
+        values[g, rows] = value
+        cols = c[rows, :, lo:hi]
+        projectors[g, rows] = cols @ dagger(cols)
+    return PinchingBasis(v, values.reshape(-1, *stack), projectors.reshape(-1, *stack, d, d))
 
 
 def pinch_matrix(m: np.ndarray, basis: PinchingBasis) -> np.ndarray:
@@ -164,9 +191,9 @@ def tensor_power_eigencount(sigma, n: int, cfg: Numerics = DEFAULT) -> int:
 
     Eigenvalues of the power are n-fold products of single-copy
     eigenvalues, so the count is taken over the explicit multiset of
-    products (one per occupation type), with the same relative grouping
-    tolerance as :func:`distinct_eigenspaces`.
+    products (one per occupation type) of its group values, with the same
+    relative grouping tolerance as :func:`distinct_eigenspaces`.
     """
-    base = distinct_eigenspaces(sigma, cfg)
-    vals = sorted(map(prod, combinations_with_replacement(base.eigenvalues, n)))
+    base = [value.item() for *_, value in _grouping(sigma, cfg)[2]]
+    vals = sorted(map(prod, combinations_with_replacement(base, n)))
     return int(np.count_nonzero(_gaps(np.asarray(vals, dtype=np.float64), cfg.group_tol))) + 1

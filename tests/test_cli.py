@@ -284,6 +284,18 @@ def test_report_roundtrip(tmp_path, capsys):
     assert json.loads(json.dumps(on_disk, sort_keys=True)) == on_disk
 
 
+def test_out_file_holds_the_printed_bytes_of_one_encoding(tmp_path, capsys, monkeypatch):
+    encoded = []
+    to_json = specio.RunReport.to_json
+    monkeypatch.setattr(specio.RunReport, "to_json",
+                        lambda self: encoded.append(to_json(self)) or encoded[-1])
+    out_path = tmp_path / "r.json"
+    code, stdout, _ = run_cli(capsys, "simulate", "--spec", QUBIT, "--target", "quantum",
+                              "--trials", "30", "--seed", "1", "--out", str(out_path))
+    assert code == 0 and len(encoded) == 1
+    assert out_path.read_bytes() == stdout.encode() == (encoded[0] + "\n").encode()
+
+
 @pytest.mark.parametrize("flag,argv", [
     ("--out", ("divergence", "--spec", DIAG, "--measure", "trace", "--a", "rho", "--b", "sigma")),
     ("--csv", ("region", "--spec", QUBIT, "--which", "cc_csk")),

@@ -263,6 +263,24 @@ def test_one_pass_gate_matches_the_two_pass_gate(name, m, tol, what):
     assert _outcome(require_hermitian, m, tol, what) == _outcome(_two_pass_gate, m, tol, what)
 
 
+@pytest.mark.parametrize("m", [
+    np.array([[1e308, 1.0], [1.0, 1e308]]),  # finite and Hermitian; m + m^dag overflows
+    np.stack([np.eye(2) / 2, [[1e308, 1.0], [1.0, 1e308]]]),  # one matrix of a stack
+], ids=["matrix", "stack"])
+def test_overflowing_hermitian_part_raises_not_hermitian(m):
+    # LAPACK returned NaN spectra for these, with no error
+    for fn in (eig_hermitian, eigvals_hermitian, trace_norm):
+        with pytest.raises(NotHermitian, match="overflow"):
+            fn(m)
+
+
+def test_spectral_fn_rejects_a_nan_spectrum():
+    # NaN compares false with the cutoff: the NotPSD test must not let it through
+    spec = Spectrum(np.array([math.nan, math.nan]), np.eye(2, dtype=complex))
+    with pytest.raises(NotPSD, match="nan"):
+        spectral_fn(spec, np.sqrt, TOL)
+
+
 def test_stacked_calls_match_single_calls():
     rng = rng_for(29)
     herm = np.stack([random_hermitian(rng, 3) for _ in range(5)])

@@ -312,19 +312,32 @@ def test_fill_caches_the_values_of_single_order_lookups(fixture_instance):
             assert filled._cache[(which, order)] == fresh.divergence(which, order)
 
 
-@pytest.mark.parametrize("which", ["lemma1", "lemma2"])
+# per command: the marginals whose eigenvalue count its rows read
+COUNTED = {"lemma1": ["E"], "lemma2": ["B"], "thm1": ["B", "E", "S"],
+           "cc_csk": [], "csc_csk": [], "corollaries": []}
+
+
+@pytest.mark.parametrize("which", sorted(COUNTED))
 def test_lemma_commands_read_the_induced_states_cache(which, monkeypatch, capsys):
-    # one divergence at the lemma's order, and only the three eigencounts
-    # of induced_states: the lemma does not diagonalise its marginal again
-    calls = {"cq_sandwiched_renyi": 0, "distinct_eigenspaces": 0}
+    # one divergence per marginal a row reads, at the row's order, and that
+    # marginal's eigenvalue count once, by the count-only path: a lemma
+    # counts the one marginal it reads, a region command none
+    spec = load_spec(QUBIT)
+    st = induced_states(spec.ensemble, spec.instance.channel, spec.cfg)
+    marginal = {st.rho_s.matrix.tobytes(): "S", st.rho_b.matrix.tobytes(): "B",
+                st.rho_e.matrix.tobytes(): "E"}
+    assert len(marginal) == 3
+    calls = {"cq_sandwiched_renyi": [], "eigencount": []}
     for name in calls:
         def counting(*args, real=getattr(oneshot, name), name=name, **kwargs):
-            calls[name] += 1
+            calls[name].append(args[0])
             return real(*args, **kwargs)
         monkeypatch.setattr(oneshot, name, counting)
-    assert main(["bound", "--spec", QUBIT, "--which", which]) == 0
+    command = "bound" if which in ("lemma1", "lemma2", "thm1") else "region"
+    assert main([command, "--spec", QUBIT, "--which", which]) == 0
     capsys.readouterr()
-    assert calls == {"cq_sandwiched_renyi": 1, "distinct_eigenspaces": 3}
+    assert sorted(marginal[rho.matrix.tobytes()] for rho in calls["eigencount"]) == COUNTED[which]
+    assert len(calls["cq_sandwiched_renyi"]) == len(COUNTED[which])
 
 
 def test_every_vacuity_flag_is_its_bound_above_the_table_limit():

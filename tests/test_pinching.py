@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from covertq.pinching import (
     _gaps,
     decoder_projector_blocks,
     distinct_eigenspaces,
+    eigencount,
     pinch_matrix,
     projector_geq,
     projector_test_values,
@@ -270,3 +274,47 @@ def test_tensor_power_count_matches_direct_eig():
     power = np.kron(np.kron(sig.matrix, sig.matrix), sig.matrix)
     direct = distinct_eigenspaces(power).v
     assert tensor_power_eigencount(sig, 3) == direct
+
+
+def _near_tol_states(rng, d, cfg, count):
+    """States whose eigenvalue gaps lie within 1% of ``cfg.group_tol`` of
+    the largest eigenvalue, on either side of it, in Haar bases."""
+    out = []
+    for _ in range(count):
+        steps = cfg.group_tol * rng.uniform(0.99, 1.01, d - 1)
+        w = 1.0 - np.concatenate([[0.0], np.cumsum(steps)])[::-1]  # the largest is 1
+        u = random_unitary(rng, d)
+        out.append((u * (w / w.sum())) @ u.conj().T)
+    return np.stack(out)
+
+
+def _power_count_reference(sigma, n, cfg):
+    """tensor_power_eigencount as it read the group values of the full basis."""
+    base = distinct_eigenspaces(sigma, cfg)
+    vals = sorted(map(math.prod, itertools.combinations_with_replacement(base.eigenvalues, n)))
+    return int(np.count_nonzero(_gaps(np.asarray(vals, dtype=np.float64), cfg.group_tol))) + 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("cfg", [DEFAULT, DEFAULT.replaced(group_tol=0.05)],
+                         ids=["default", "group_tol=0.05"])
+def test_eigencount_is_the_basis_count_without_projectors(d, cfg):
+    rng = rng_for(900 + d)
+    random = ginibre_states(rng.normal(size=(6, 2, d, d)))
+    flat = np.eye(d, dtype=complex)[None] / d
+    repeats = np.stack([np.diag(w / w.sum()).astype(complex)
+                        for w in rng.choice([1.0, 2.0, 3.0], size=(4, d))])
+    near = _near_tol_states(rng, d, cfg, 6)
+    states = np.concatenate([random, flat, repeats, near])
+    if d > 1:  # the near-tolerance gaps both merge and split groups
+        assert len(set(distinct_eigenspaces(near, cfg).v.tolist())) > 1
+    for sigma in [states, states.reshape(-1, 1, d, d), *states]:
+        want = distinct_eigenspaces(sigma, cfg).v
+        got = eigencount(sigma, cfg)
+        if np.ndim(sigma) == 2:
+            assert type(got) is int and got == want
+            for n in (1, 2, 3):
+                assert tensor_power_eigencount(sigma, n, cfg) == \
+                    _power_count_reference(sigma, n, cfg)
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,42 @@ def test_mean_se_matches_the_sample_formulas():
     assert mean == pytest.approx(np.mean(xs), rel=1e-15)
     assert se == pytest.approx(np.std(xs, ddof=1) / np.sqrt(40), rel=1e-12)
     assert _mean_se([0.5]) == (0.5, 0.0)
+
+
+def _mean_se_generator(xs):
+    """_mean_se as it summed a generator of squares, kept as the reference."""
+    n = len(xs)
+    mean = math.fsum(xs) / n
+    if n < 2:
+        return mean, 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf of numpy scalars
+        var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def _outcome(fn, xs):
+    """The bits of ``fn(xs)``, NaN included, or the type of the error it raises."""
+    try:
+        return np.array(fn(xs)).tobytes()
+    except ValueError as exc:  # fsum of inf and -inf
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", ["list", "array"])
+def test_mean_se_matches_the_generator_bit_for_bit(kind):
+    rng = rng_for(711)
+    series = [rng.random(200), rng.normal(size=1000), rng.random(31) * 1e-3,
+              rng.normal(size=50) * 1e100, np.ones(40), np.array([0.25]),
+              np.array([0.5, math.inf, 0.25]), np.array([math.inf, math.inf]),
+              np.array([math.inf, 1.0, -math.inf]), np.array([0.5, math.nan, 0.25])]
+    series += [rng.random(200) for _ in range(300)]  # squares that pow and x * x round apart
+    for xs in series:
+        arg = xs.tolist() if kind == "list" else xs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning reaches stderr
+            got = _outcome(_mean_se, arg)
+        assert got == _outcome(_mean_se_generator, arg), xs
+    assert all(type(v) is float for v in _mean_se(series[0]))
 
 
 def test_verdict_is_mean_plus_three_standard_errors_within_the_bound():

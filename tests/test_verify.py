@@ -99,6 +99,17 @@ def _loop_dataprocessing(seed, cases=100, cfg=DEFAULT, channel=None):
     return t.result()
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_flat_dirichlet_is_numpys_dirichlet_bit_for_bit(d):
+    # the same doubles, and the stream left where dirichlet leaves it
+    for seed in range(50):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert verify._flat_dirichlet(ours, d).tobytes() == \
+                numpys.dirichlet(np.ones(d)).tobytes()
+        assert ours.random() == numpys.random()
+
+
 def _loop_reduction(seed, cases=100, cfg=DEFAULT):
     rng = np.random.default_rng(seed)
     t = _Tally("reduction")
